@@ -4,109 +4,20 @@ Decompose N x N unitary matrices into alternating fixed mixing layers
 (quarter-cycle transforms of a Jx waveguide lattice) and programmable
 diagonal phase layers, re-calibrate the phases against perturbed mixers,
 and study resilience to frozen (faulty) phase shifters.
+
+The package re-exports the public names (``__all__``) of its core
+modules, so each name is declared public in one place.
 """
 
-from .numerics import (
-    EigenDecomposition,
-    eig_hermitian,
-    expm_i_scaled,
-    frobenius_norm,
-    qr_unitary,
-    unitarity_defect,
-)
-from .lattice import (
-    DFRFT_LENGTH,
-    JxSpec,
-    MixingLayer,
-    build_jx_hamiltonian,
-    dfrft,
-    perturb_hamiltonian,
-    perturbed_mixer,
-    relative_deviation,
-)
-from .sampling import (
-    SeedPlan,
-    derive_seed,
-    gaussian_hermitian,
-    haar_unitary,
-    jitter_phases,
-    uniform_phases,
-)
-from .circuit import (
-    FitResult,
-    InterlacedCircuit,
-    PhaseProgram,
-    apply_fault_plan,
-    compose,
-    ideal_circuit,
-    jacobian,
-    loss,
-    perturbed_circuit,
-    residuals,
-)
-from .optimizer import (
-    FromVector,
-    InitStrategy,
-    LmaOptions,
-    RandomUniform,
-    fit,
-    lma_step,
-    recalibrate,
-)
-from .experiments import (
-    ExperimentRecord,
-    faulty_shifter_grid,
-    perturbation_table,
-    phase_difference_study,
-    recalibration_histogram,
-    universality_sweep,
-)
+from . import circuit, experiments, lattice, numerics, optimizer, sampling
+from .numerics import *  # noqa: F401,F403
+from .lattice import *  # noqa: F401,F403
+from .sampling import *  # noqa: F401,F403
+from .circuit import *  # noqa: F401,F403
+from .optimizer import *  # noqa: F401,F403
+from .experiments import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "EigenDecomposition",
-    "eig_hermitian",
-    "expm_i_scaled",
-    "frobenius_norm",
-    "qr_unitary",
-    "unitarity_defect",
-    "DFRFT_LENGTH",
-    "JxSpec",
-    "MixingLayer",
-    "build_jx_hamiltonian",
-    "dfrft",
-    "perturb_hamiltonian",
-    "perturbed_mixer",
-    "relative_deviation",
-    "SeedPlan",
-    "derive_seed",
-    "gaussian_hermitian",
-    "haar_unitary",
-    "jitter_phases",
-    "uniform_phases",
-    "FitResult",
-    "InterlacedCircuit",
-    "PhaseProgram",
-    "apply_fault_plan",
-    "compose",
-    "ideal_circuit",
-    "jacobian",
-    "loss",
-    "perturbed_circuit",
-    "residuals",
-    "FromVector",
-    "InitStrategy",
-    "LmaOptions",
-    "RandomUniform",
-    "fit",
-    "lma_step",
-    "recalibrate",
-    "ExperimentRecord",
-    "faulty_shifter_grid",
-    "perturbation_table",
-    "phase_difference_study",
-    "recalibration_histogram",
-    "universality_sweep",
-]
+__all__ = ["__version__", *numerics.__all__, *lattice.__all__, *sampling.__all__,
+           *circuit.__all__, *optimizer.__all__, *experiments.__all__]

@@ -170,9 +170,10 @@ class FitResult:
 
 def transfer_matrix(mixers: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Compose stacked mixer matrices (M+1, N, N) with a phase grid (M, N)."""
+    phases = np.exp(1j * theta)[:, :, None]
     u = mixers[0]
     for ell in range(theta.shape[0]):
-        u = mixers[ell + 1] @ (np.exp(1j * theta[ell])[:, None] * u)
+        u = mixers[ell + 1] @ (phases[ell] * u)
     return u
 
 
@@ -224,24 +225,21 @@ def residuals_and_jacobian(
     right[0] = mixers[0]
     for ell in range(m_layers):
         right[ell + 1] = mixers[ell + 1] @ (phases[ell][:, None] * right[ell])
-    u = right[m_layers]
-    diff = (u - target) / n
+    diff = (right[m_layers] - target) / n
     r = np.concatenate([diff.real.ravel(), diff.imag.ravel()])
 
-    # built row-per-parameter and returned transposed (a view) to avoid
-    # strided column writes in the hot loop
-    rows = np.empty((m_layers * n, 2 * n * n))
-    inv_n = 1.0 / n
-    left = mixers[m_layers]
-    for ell in range(m_layers - 1, -1, -1):
-        scaled = left.T * (1j * phases[ell])[:, None]
-        blocks = scaled[:, :, None] * right[ell][:, None, :]
-        flat = blocks.reshape(n, n * n)
-        block_rows = slice(ell * n, (ell + 1) * n)
-        rows[block_rows, : n * n] = flat.real
-        rows[block_rows, n * n :] = flat.imag
-        left = (left * phases[ell][None, :]) @ mixers[ell]
-    rows *= inv_n
+    # left[ell] is the product of the layers after phase layer ell
+    left = np.empty((m_layers, n, n), dtype=np.complex128)
+    left[-1] = mixers[m_layers]
+    for ell in range(m_layers - 1, 0, -1):
+        left[ell - 1] = (left[ell] * phases[ell][None, :]) @ mixers[ell]
+    scaled = left.transpose(0, 2, 1) * (1j * phases)[:, :, None]
+    # all layers' rank-one blocks in one broadcast shaped as for one layer (other shapes
+    # round differently); rows per parameter, returned transposed (a view)
+    flat = scaled.reshape(-1, n)[:, :, None] * right[:-1].reshape(-1, n)[:, None, :]
+    rows = np.concatenate([flat.real, flat.imag], axis=1).reshape(m_layers * n, 2 * n * n)
+    del flat  # at most two Jacobian-sized arrays alive, as with per-layer blocks
+    rows *= 1.0 / n
     return r, rows[free_mask.ravel()].T
 
 
@@ -300,19 +298,23 @@ def perturbed_circuit(
     sigma_k: float,
     seed: int,
     kappa: float = 1.0,
+    *,
+    label: str = "mixer-slot",
 ) -> InterlacedCircuit:
     """Circuit whose m+1 mixing slots carry independent disorder draws.
 
     Each slot receives its own Hermitian perturbation at the shared
-    ``sigma_k`` (slot seeds derived from ``seed``), modelling uncorrelated
-    fabrication errors across physically distinct lattices.
+    ``sigma_k``, seeded by ``derive_seed(seed, label, slot)``, modelling
+    uncorrelated fabrication errors across physically distinct lattices.
+    ``sigma_k = 0`` gives the ideal circuit without drawing any disorder.
     """
+    if sigma_k == 0.0:
+        return ideal_circuit(n, m, kappa)
     if m < 1:
         raise ValueError(f"need at least one phase layer, got {m}")
     spec = JxSpec(n, kappa)
     mixers = []
     for slot in range(m + 1):
-        slot_seed = derive_seed(seed, "mixer-slot", slot)
-        h1 = gaussian_hermitian(n, slot_seed)
-        mixers.append(perturbed_mixer(spec, sigma_k, h1, seed=slot_seed))
+        h1 = gaussian_hermitian(n, derive_seed(seed, label, slot))
+        mixers.append(perturbed_mixer(spec, sigma_k, h1))
     return InterlacedCircuit(tuple(mixers), PhaseProgram.zeros(m, n))

@@ -14,29 +14,17 @@ informational ``wall_time`` record column excepted).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .circuit import PhaseProgram, compose, ideal_circuit, loss, perturbed_circuit
-from .config import load_config
-from .experiments import (
-    faulty_shifter_grid,
-    perturbation_table,
-    phase_difference_study,
-    recalibration_histogram,
-    record_key,
-    record_sort_key,
-    summarize_perturbation,
-    summarize_universality,
-    universality_sweep,
-)
+from .circuit import compose, ideal_circuit, loss, perturbed_circuit
+from .config import check_values, load_config
+from .experiments import STUDIES, record_key, record_sort_key
 from .fileio import (
     read_matrix,
+    read_metadata,
     read_phases,
     read_records,
     write_matrix,
@@ -47,7 +35,6 @@ from .fileio import (
 from .numerics import unitarity_defect
 from .optimizer import LmaOptions, RandomUniform, fit, recalibrate
 from .sampling import derive_seed, haar_unitary
-from .svgplot import histogram_svg, scatter_svg
 
 #: decompose warns about targets whose unitarity defect exceeds this
 UNITARY_WARN_TOLERANCE = 1e-8
@@ -106,8 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=Path("phases_calibrated.json"))
 
     p = sub.add_parser("experiment", help="run a named study")
-    p.add_argument("name", choices=["universality", "table1", "recalibration",
-                                    "phasediff", "faulty"])
+    p.add_argument("name", choices=list(STUDIES))
     p.add_argument("--config", type=Path, help="flat key = value config file")
     p.add_argument("--out-dir", type=Path, default=Path("results"))
     p.add_argument("--seed", type=int, help="overrides master_seed from the config")
@@ -115,7 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="worker count (default: JXCIRCUIT_THREADS or 1); "
                         "1 forces serial execution")
     p.add_argument("--resume", action="store_true",
-                   help="skip units of work already present in the output CSV")
+                   help="skip units of work already present in the output CSV "
+                        "(refused unless its metadata matches this run)")
     return parser
 
 
@@ -172,17 +159,10 @@ def _cmd_decompose(args) -> int:
     return 0 if result.converged else 1
 
 
-def _circuit_for(program: PhaseProgram, sigma_k: float, seed: int):
-    if sigma_k == 0.0:
-        return ideal_circuit(program.ports, program.layers).with_program(program)
-    return perturbed_circuit(
-        program.ports, program.layers, sigma_k, seed
-    ).with_program(program)
-
-
 def _cmd_apply(args) -> int:
     program = read_phases(args.phases)
-    circuit = _circuit_for(program, args.sigma_k, args.seed)
+    circuit = perturbed_circuit(program.ports, program.layers, args.sigma_k,
+                                args.seed).with_program(program)
     u = compose(circuit)
     write_matrix(args.out, u, role="unitary")
     print(f"transfer matrix ({program.ports} ports, {program.layers} layers) -> {args.out}")
@@ -197,7 +177,8 @@ def _cmd_calibrate(args) -> int:
             f"target size {target.shape[0]} does not match phase file ports "
             f"{program.ports}"
         )
-    circuit = _circuit_for(program, args.sigma_k, args.seed)
+    circuit = perturbed_circuit(program.ports, program.layers, args.sigma_k,
+                                args.seed).with_program(program)
     loss_before = loss(compose(circuit), target)
     if loss_before < args.target_loss:
         corrected, loss_after = program, loss_before
@@ -215,217 +196,54 @@ def _cmd_calibrate(args) -> int:
     return 0 if loss_after < args.target_loss else 1
 
 
-EXPERIMENT_DEFAULTS = {
-    "universality": {
-        "master_seed": 0, "n_list": [4], "m_list": None,
-        "targets": 100, "restarts": 100, "max_iterations": 400,
-    },
-    "table1": {
-        "master_seed": 0, "n": 8, "m": 9,
-        "sigma_k_list": [0.001, 0.003, 0.006], "samples": 100, "restarts": 50,
-    },
-    "recalibration": {
-        "master_seed": 0, "n": 8, "m": 9,
-        "sigma_k_list": [0.001, 0.003, 0.006], "targets": 100,
-        "attempts": 10, "truncated_iterations": 50, "restarts": 50,
-    },
-    "phasediff": {
-        "master_seed": 0, "n": 8, "m": 9,
-        "sigma_k_list": [0.0, 0.001, 0.003, 0.006], "runs": 100,
-        "init_modes": ["jittered", "random"], "jitter_fraction": 0.1,
-        "truncated_iterations": 50, "targets": 1,
-    },
-    "faulty": {
-        "master_seed": 0, "n": 4, "m": 5,
-        "k_list": [1, 2, 3, 4], "combos_per_k": 10, "targets": 100,
-        "restarts": 50,
-    },
-}
-
-
 def _experiment_config(name: str, args) -> dict:
-    cfg = dict(EXPERIMENT_DEFAULTS[name])
+    cfg = dict(STUDIES[name].defaults)
     if args.config is not None:
         overrides = load_config(args.config)
-        unknown = sorted(set(overrides) - set(cfg))
-        if unknown:
-            raise ValueError(
-                f"{args.config}: unknown option(s) for experiment {name!r}: "
-                + ", ".join(unknown)
-            )
+        check_values(overrides, cfg, f"{args.config}: experiment {name!r}")
         cfg.update(overrides)
     if args.seed is not None:
         cfg["master_seed"] = args.seed
     return cfg
 
 
-def _run_experiment(name: str, cfg: dict, threads: int, done: set | None):
-    seed = int(cfg["master_seed"])
-    if name == "universality":
-        options = LmaOptions(
-            restarts=int(cfg["restarts"]), max_iterations=int(cfg["max_iterations"])
-        )
-        return universality_sweep(
-            cfg["n_list"], cfg["m_list"], int(cfg["targets"]), options, seed,
-            threads=threads, done=done,
-        )
-    if name == "table1":
-        options = LmaOptions(restarts=int(cfg["restarts"]))
-        return perturbation_table(
-            cfg["sigma_k_list"], int(cfg["samples"]), options, seed,
-            n=int(cfg["n"]), m=int(cfg["m"]), threads=threads, done=done,
-        )
-    if name == "recalibration":
-        options = LmaOptions(restarts=int(cfg["restarts"]))
-        return recalibration_histogram(
-            cfg["sigma_k_list"], int(cfg["targets"]), options, seed,
-            n=int(cfg["n"]), m=int(cfg["m"]), attempts=int(cfg["attempts"]),
-            truncated_iterations=int(cfg["truncated_iterations"]),
-            threads=threads, done=done,
-        )
-    if name == "phasediff":
-        return phase_difference_study(
-            cfg["sigma_k_list"], int(cfg["runs"]), None, seed,
-            n=int(cfg["n"]), m=int(cfg["m"]), init_modes=cfg["init_modes"],
-            jitter_fraction=float(cfg["jitter_fraction"]),
-            truncated_iterations=int(cfg["truncated_iterations"]),
-            targets=int(cfg["targets"]), threads=threads, done=done,
-        )
-    if name == "faulty":
-        options = LmaOptions(restarts=int(cfg["restarts"]))
-        return faulty_shifter_grid(
-            cfg["k_list"], int(cfg["combos_per_k"]), int(cfg["targets"]),
-            options, seed, n=int(cfg["n"]), m=int(cfg["m"]),
-            threads=threads, done=done,
-        )
-    raise ValueError(f"unknown experiment {name!r}")
-
-
-def _loss_floor(values, floor=1e-30):
-    return [max(v, floor) for v in values if v is not None]
-
-
-def _experiment_plot(name: str, records) -> str:
-    if name == "universality":
-        series = {}
-        for rec in records:
-            series.setdefault(f"N={rec.n}", ([], []))
-            series[f"N={rec.n}"][0].append(rec.m)
-            series[f"N={rec.n}"][1].append(max(rec.loss_after, 1e-30))
-        return scatter_svg(series, title="Error norm vs phase-layer count",
-                           xlabel="phase layers M", ylabel="loss", ylog=True)
-    if name == "table1":
-        rows = summarize_perturbation(records)
-        series = {
-            "mean dF %": ([r["sigma_k"] for r in rows],
-                          [100 * r["mean_delta_f"] for r in rows]),
-            "mean dU %": ([r["sigma_k"] for r in rows],
-                          [100 * r["mean_delta_u"] for r in rows]),
-        }
-        return scatter_svg(series, title="Mixer and end-to-end relative error",
-                           xlabel="sigma_k", ylabel="percent error")
-    if name == "recalibration":
-        series = {}
-        for rec in records:
-            key = f"before sk={rec.sigma_k:g}"
-            series.setdefault(key, []).append(math.log10(max(rec.loss_before, 1e-30)))
-            key = f"after sk={rec.sigma_k:g}"
-            series.setdefault(key, []).append(math.log10(max(rec.loss_after, 1e-30)))
-        return histogram_svg(series, title="Loss before/after recalibration",
-                             xlabel="log10 loss")
-    if name == "phasediff":
-        series = {}
-        for rec in records:
-            mode = rec.experiment_label.split("init=", 1)[-1]
-            series.setdefault(mode, ([], []))
-            series[mode][0].append(rec.mu_dx)
-            series[mode][1].append(rec.sigma_dx)
-        return scatter_svg(series, title="Recovered-vs-given phase difference",
-                           xlabel="mean of difference vector",
-                           ylabel="std of difference vector")
-    if name == "faulty":
-        series = {}
-        combos = sorted({rec.experiment_label for rec in records})
-        ordinal = {label: i for i, label in enumerate(combos)}
-        for rec in records:
-            k = rec.experiment_label.split("/")[1]
-            series.setdefault(k, ([], []))
-            series[k][0].append(ordinal[rec.experiment_label])
-            series[k][1].append(max(rec.loss_after, 1e-30))
-        return scatter_svg(series, title="Loss per faulty-shifter combination",
-                           xlabel="combination ordinal", ylabel="loss", ylog=True)
-    raise ValueError(f"unknown experiment {name!r}")
-
-
-def _print_experiment_summary(name: str, records) -> None:
-    if name == "universality":
-        for row in summarize_universality(records):
-            print(
-                f"N={row['n']} M={row['m']}: median loss {row['median_loss']:.3e}, "
-                f"{row['fraction_below_1e-10']:.0%} of {row['targets']} targets "
-                "below 1e-10"
-            )
-    elif name == "table1":
-        for row in summarize_perturbation(records):
-            print(
-                f"sigma_k={row['sigma_k']:g}: mean dF {100 * row['mean_delta_f']:.2f}%, "
-                f"mean dU {100 * row['mean_delta_u']:.2f}%, "
-                f"ratio {row['ratio']:.2f} ({row['samples']} samples)"
-            )
-    elif name == "recalibration":
-        groups: dict = {}
-        for rec in records:
-            groups.setdefault(rec.sigma_k, []).append(rec)
-        for sk, recs in sorted(groups.items()):
-            below = sum(r.loss_after < 1e-10 for r in recs)
-            print(
-                f"sigma_k={sk:g}: {below}/{len(recs)} recalibrated below 1e-10; "
-                f"median loss_before {np.median([r.loss_before for r in recs]):.3e}"
-            )
-    elif name == "phasediff":
-        groups = {}
-        for rec in records:
-            groups.setdefault(rec.experiment_label, []).append(rec)
-        for label, recs in sorted(groups.items()):
-            print(
-                f"{label}: median sigma_dx {np.median([r.sigma_dx for r in recs]):.3f} "
-                f"rad over {len(recs)} runs"
-            )
-    elif name == "faulty":
-        groups = {}
-        for rec in records:
-            groups.setdefault(rec.experiment_label, []).append(rec)
-        for label, recs in sorted(groups.items()):
-            losses = np.array([r.loss_after for r in recs])
-            print(
-                f"{label}: {100 * (losses < 1e-10).mean():.0f}% below 1e-10, "
-                f"median {np.median(losses):.2e}"
-            )
+def _check_resumable(meta_path: Path, cfg: dict) -> None:
+    """Refuse to extend records that another seed or parameter set produced
+    (a missing metadata file is an OSError: nothing to match them against)."""
+    meta = read_metadata(meta_path)
+    if meta.get("master_seed") != cfg["master_seed"] or meta.get("parameters") != cfg:
+        raise ValueError(f"--resume: {meta_path} records a different master seed "
+                         "or parameters than this run; use a fresh --out-dir")
 
 
 def _cmd_experiment(args) -> int:
+    study = STUDIES[args.name]
     cfg = _experiment_config(args.name, args)
     threads = args.threads if args.threads is not None else _default_threads()
+    if threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {threads}")
     out_dir: Path = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{args.name}_records.csv"
+    meta_path = out_dir / f"{args.name}_metadata.json"
     done = None
     existing = []
     if args.resume and csv_path.exists():
+        _check_resumable(meta_path, cfg)
         existing = read_records(csv_path)
         done = {record_key(rec) for rec in existing}
         print(f"resuming: {len(existing)} record(s) already present")
-    records = _run_experiment(args.name, cfg, threads, done)
+    records = study.run(cfg, threads, done)
     merged = sorted(existing + records, key=record_sort_key)
     write_records(csv_path, merged)
-    write_metadata(out_dir / f"{args.name}_metadata.json", args.name,
-                   int(cfg["master_seed"]), cfg)
+    write_metadata(meta_path, args.name, cfg["master_seed"], cfg)
     svg_path = out_dir / f"{args.name}.svg"
-    svg_path.write_text(_experiment_plot(args.name, merged))
+    svg_path.write_text(study.plot(merged))
     print(f"{len(merged)} record(s) -> {csv_path}")
-    print(f"metadata -> {out_dir / (args.name + '_metadata.json')}")
+    print(f"metadata -> {meta_path}")
     print(f"plot -> {svg_path}")
-    _print_experiment_summary(args.name, merged)
+    for line in study.summary(merged):
+        print(line)
     return 0
 
 

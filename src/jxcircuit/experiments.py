@@ -7,12 +7,18 @@ bit-identical across reruns and thread counts (``wall_time`` excepted,
 which is informational only).  Functions return flat lists of
 :class:`ExperimentRecord`, ready for CSV serialization, sorted by their
 canonical task order rather than completion order.
+
+A study splits into independent jobs, each owing a few records, and one
+runner skips already-done records, fans the jobs out and flattens their
+records in job order.  :data:`STUDIES` registers every study under its
+CLI name with its config defaults, summary lines and plot.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,20 +27,24 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .circuit import (
-    InterlacedCircuit,
+    FitResult,
     PhaseProgram,
     apply_fault_plan,
     compose,
     ideal_circuit,
     loss,
+    perturbed_circuit,
     transfer_matrix,
 )
-from .lattice import JxSpec, perturbed_mixer, relative_deviation
+from .lattice import JxSpec, dfrft, relative_deviation
 from .optimizer import FromVector, LmaOptions, RandomUniform, fit, recalibrate
-from .sampling import SeedPlan, gaussian_hermitian, haar_unitary, uniform_phases
+from .sampling import SeedPlan, haar_unitary, uniform_phases
+from .svgplot import histogram_svg, scatter_svg
 
 __all__ = [
     "ExperimentRecord",
+    "Study",
+    "STUDIES",
     "record_key",
     "record_sort_key",
     "universality_sweep",
@@ -47,77 +57,94 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentRecord:
-    """One self-contained result row; rerunnable from its label, seed and indices."""
+    """One self-contained result row; rerunnable from its label, seed and indices.
+
+    Fields a study does not measure keep their defaults; ``None`` is
+    written as an empty CSV cell.
+    """
 
     experiment_label: str
     n: int
     m: int
-    sigma_k: float
-    fault_plan: str
+    sigma_k: float = 0.0
+    fault_plan: str = ""
     target_index: int
     seed: int
-    loss_before: float | None
-    loss_after: float | None
-    delta_f: float | None
-    delta_u: float | None
-    mu_dx: float | None
-    sigma_dx: float | None
-    corr_x: float | None
-    iterations: int
-    free_count: int
-    wall_time: float
+    loss_before: float | None = None
+    loss_after: float | None = None
+    delta_f: float | None = None
+    delta_u: float | None = None
+    mu_dx: float | None = None
+    sigma_dx: float | None = None
+    corr_x: float | None = None
+    iterations: int = 0
+    free_count: int = 0
+    wall_time: float = 0.0
+
+
+#: the fields that identify the unit of work behind a record
+_IDENTITY = ("experiment_label", "n", "m", "sigma_k", "fault_plan", "target_index")
+
+
+def record_sort_key(record: ExperimentRecord) -> tuple:
+    """Canonical record order: by identity fields."""
+    return tuple(getattr(record, name) for name in _IDENTITY)
 
 
 def record_key(record: ExperimentRecord) -> tuple:
     """Identity of the unit of work that produced the record (resume key)."""
-    return (
-        record.experiment_label,
-        record.n,
-        record.m,
-        repr(record.sigma_k),
-        record.fault_plan,
-        record.target_index,
-    )
+    return tuple(repr(value) if name == "sigma_k" else value
+                 for name, value in zip(_IDENTITY, record_sort_key(record)))
 
 
-def record_sort_key(record: ExperimentRecord) -> tuple:
-    return (
-        record.experiment_label,
-        record.n,
-        record.m,
-        record.sigma_k,
-        record.fault_plan,
-        record.target_index,
-    )
+#: an independent unit of work: the records it owes, in emission order with
+#: identity fields and seed set, and ``measure(todo)``, which computes the
+#: records at positions ``todo`` (those not done yet) and returns their
+#: measured fields in the same order; work the owed records share (a target,
+#: an ideal-mixer fit) is done once per call
+_Job = tuple[list[ExperimentRecord], Callable[[list[int]], list[dict]]]
 
 
-def _run_indexed(task: Callable[[int], list], count: int, threads: int) -> list:
-    """Run task(0..count-1), each returning a record list, in index order."""
-    if threads and threads > 1:
+def _run_jobs(jobs: list[_Job], threads: int, done: set | None) -> list[ExperimentRecord]:
+    """Measure the records of every job not in ``done``, in job order."""
+
+    def run(job: _Job) -> list[ExperimentRecord]:
+        owed, measure = job
+        todo = [k for k, rec in enumerate(owed) if done is None or record_key(rec) not in done]
+        if not todo:
+            return []
+        return [dataclasses.replace(owed[k], **fields)
+                for k, fields in zip(todo, measure(todo))]
+
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(task, range(count)))
+            chunks = list(pool.map(run, jobs))
     else:
-        chunks = [task(i) for i in range(count)]
-    out = []
-    for chunk in chunks:
-        out.extend(chunk)
-    return out
+        chunks = [run(job) for job in jobs]
+    return [rec for chunk in chunks for rec in chunk]
 
 
-def _skip(done: set | None, key: tuple) -> bool:
-    return done is not None and key in done
+def _fitted(result: FitResult, t0: float, **fields) -> dict:
+    """Measured fields plus the record's fit (its loss, iteration and free-phase
+    counts) and the time since t0."""
+    return dict(
+        fields,
+        loss_after=result.loss,
+        iterations=result.iterations,
+        free_count=result.phases.free_count,
+        wall_time=time.perf_counter() - t0,
+    )
 
 
 def universality_sweep(
     n_list: Sequence[int],
     m_values: Sequence[int] | None,
     targets: int,
-    options: LmaOptions | None,
+    options: LmaOptions,
     seed: int,
     *,
-    kappa: float = 1.0,
     threads: int = 1,
     done: set | None = None,
 ) -> list[ExperimentRecord]:
@@ -127,66 +154,80 @@ def universality_sweep(
     the layer count where the error norm collapses to numerical noise.
     Targets are shared across M for a given N.
     """
-    options = options if options is not None else LmaOptions()
     plan = SeedPlan(seed)
-    records: list[ExperimentRecord] = []
+    jobs = []
     for n in n_list:
         m_list = [m for m in (m_values if m_values is not None else
                               [n - 1, n, n + 1, n + 2]) if m >= 1]
-        circuits = {m: ideal_circuit(n, m, kappa) for m in m_list}
+        circuits = {m: ideal_circuit(n, m) for m in m_list}
 
-        def task(i: int, n=n, m_list=m_list, circuits=circuits) -> list[ExperimentRecord]:
-            pending = [
-                m for m in m_list
-                if not _skip(done, ("universality", n, m, repr(0.0), "", i))
-            ]
-            if not pending:
-                return []
-            target = haar_unitary(n, plan.seed(f"universality/n={n}/target", i))
+        def job(i: int, n=n, m_list=m_list, circuits=circuits) -> _Job:
+            owed = [ExperimentRecord(
+                experiment_label="universality", n=n, m=m, target_index=i,
+                seed=plan.seed(f"universality/n={n}/m={m}/fit", i),
+            ) for m in m_list]
+
+            def measure(todo):
+                target = haar_unitary(n, plan.seed(f"universality/n={n}/target", i))
+                out = []
+                for rec in (owed[k] for k in todo):
+                    t0 = time.perf_counter()
+                    result = fit(circuits[rec.m], target, options, RandomUniform(), rec.seed)
+                    out.append(_fitted(result, t0))
+                return out
+
+            return owed, measure
+
+        jobs += [job(i) for i in range(targets)]
+    return _run_jobs(jobs, threads, done)
+
+
+def _ideal_fit_rows(label, index_name, sigma_k_list, count, options, seed, n, m,
+                    threads, done, measure_row) -> list[ExperimentRecord]:
+    """Per index, fit a Haar target against ideal mixers, then one record per sigma_k row.
+
+    Each row puts the fitted phases on fresh independent disorder in every
+    mixing slot; ``measure_row(r, i, perturbed, target, fitted)`` returns
+    the fit the record reports plus the row's other measured fields.
+    The ideal-mixer fit is shared across the rows of one index, and
+    ``wall_time`` runs from before the target draw.
+    """
+    plan = SeedPlan(seed)
+    ideal = ideal_circuit(n, m)
+    rows = [float(sk) for sk in sigma_k_list]
+
+    def job(i: int) -> _Job:
+        target_seed = plan.seed(f"{label}/target", i)
+
+        def measure(todo):
+            t0 = time.perf_counter()
+            target = haar_unitary(n, target_seed)
+            fitted = fit(ideal, target, options, RandomUniform(),
+                         plan.seed(f"{label}/fit", i))
             out = []
-            for m in pending:
-                fit_seed = plan.seed(f"universality/n={n}/m={m}/fit", i)
-                t0 = time.perf_counter()
-                result = fit(circuits[m], target, options, RandomUniform(), fit_seed)
-                out.append(
-                    ExperimentRecord(
-                        experiment_label="universality",
-                        n=n, m=m, sigma_k=0.0, fault_plan="", target_index=i,
-                        seed=fit_seed,
-                        loss_before=None, loss_after=result.loss,
-                        delta_f=None, delta_u=None,
-                        mu_dx=None, sigma_dx=None, corr_x=None,
-                        iterations=result.iterations,
-                        free_count=circuits[m].program.free_count,
-                        wall_time=time.perf_counter() - t0,
-                    )
-                )
+            for r in todo:
+                perturbed = perturbed_circuit(
+                    n, m, rows[r], seed, label=f"{label}/h1/row={r}/{index_name}={i}"
+                ).with_program(fitted.phases)
+                result, fields = measure_row(r, i, perturbed, target, fitted)
+                out.append(_fitted(result, t0, **fields))
             return out
 
-        records.extend(_run_indexed(task, targets, threads))
-    return records
+        return [ExperimentRecord(experiment_label=label, n=n, m=m, sigma_k=sk,
+                                 target_index=i, seed=target_seed)
+                for sk in rows], measure
 
-
-def _perturbed_mixers(
-    plan: SeedPlan, label: str, spec: JxSpec, slots: int, sigma_k: float
-):
-    mixers = []
-    for slot in range(slots):
-        slot_seed = plan.seed(label, slot)
-        h1 = gaussian_hermitian(spec.n, slot_seed)
-        mixers.append(perturbed_mixer(spec, sigma_k, h1, seed=slot_seed))
-    return tuple(mixers)
+    return _run_jobs([job(i) for i in range(count)], threads, done)
 
 
 def perturbation_table(
     sigma_k_list: Sequence[float],
     samples: int,
-    options: LmaOptions | None,
+    options: LmaOptions,
     seed: int,
     *,
     n: int = 8,
     m: int = 9,
-    kappa: float = 1.0,
     threads: int = 1,
     done: set | None = None,
 ) -> list[ExperimentRecord]:
@@ -198,62 +239,30 @@ def perturbation_table(
     of the composed matrix from the target (delta_u).  The ideal-mixer
     fit is shared across sigma_k rows of the same sample.
     """
-    options = options if options is not None else LmaOptions(restarts=50)
-    plan = SeedPlan(seed)
-    spec = JxSpec(n, kappa)
-    ideal = ideal_circuit(n, m, kappa)
-    f_ideal = ideal.mixers[0].matrix
-    rows = [(r, float(sk)) for r, sk in enumerate(sigma_k_list)]
+    f_ideal = dfrft(JxSpec(n)).matrix
 
-    def task(i: int) -> list[ExperimentRecord]:
-        pending = [
-            (r, sk) for r, sk in rows
-            if not _skip(done, ("perturbation-table", n, m, repr(sk), "", i))
-        ]
-        if not pending:
-            return []
-        t0 = time.perf_counter()
-        target_seed = plan.seed("perturbation-table/target", i)
-        target = haar_unitary(n, target_seed)
-        result = fit(ideal, target, options, RandomUniform(),
-                     plan.seed("perturbation-table/fit", i))
-        out = []
-        for r, sk in pending:
-            mixers = _perturbed_mixers(
-                plan, f"perturbation-table/h1/row={r}/sample={i}", spec, m + 1, sk
-            )
-            perturbed = InterlacedCircuit(mixers, result.phases)
-            u_p = compose(perturbed)
-            out.append(
-                ExperimentRecord(
-                    experiment_label="perturbation-table",
-                    n=n, m=m, sigma_k=sk, fault_plan="", target_index=i,
-                    seed=target_seed,
-                    loss_before=loss(u_p, target), loss_after=result.loss,
-                    delta_f=relative_deviation(f_ideal, mixers[0].matrix),
-                    delta_u=relative_deviation(target, u_p),
-                    mu_dx=None, sigma_dx=None, corr_x=None,
-                    iterations=result.iterations,
-                    free_count=ideal.program.free_count,
-                    wall_time=time.perf_counter() - t0,
-                )
-            )
-        return out
+    def measure_row(r, i, perturbed, target, fitted):
+        u_p = compose(perturbed)
+        return fitted, dict(
+            loss_before=loss(u_p, target),
+            delta_f=relative_deviation(f_ideal, perturbed.mixers[0].matrix),
+            delta_u=relative_deviation(target, u_p),
+        )
 
-    return _run_indexed(task, samples, threads)
+    return _ideal_fit_rows("perturbation-table", "sample", sigma_k_list, samples,
+                           options, seed, n, m, threads, done, measure_row)
 
 
 def recalibration_histogram(
     sigma_k_list: Sequence[float],
     targets: int,
-    options: LmaOptions | None,
+    options: LmaOptions,
     seed: int,
     *,
     n: int = 8,
     m: int = 9,
     attempts: int = 10,
     truncated_iterations: int = 50,
-    kappa: float = 1.0,
     threads: int = 1,
     done: set | None = None,
 ) -> list[ExperimentRecord]:
@@ -264,52 +273,23 @@ def recalibration_histogram(
     (at most ``attempts`` fresh random initializations of at most
     ``truncated_iterations`` iterations each).
     """
-    options = options if options is not None else LmaOptions(restarts=50)
     truncated = options.truncated(truncated_iterations)
     plan = SeedPlan(seed)
-    spec = JxSpec(n, kappa)
-    ideal = ideal_circuit(n, m, kappa)
-    rows = [(r, float(sk)) for r, sk in enumerate(sigma_k_list)]
 
-    def task(i: int) -> list[ExperimentRecord]:
-        pending = [
-            (r, sk) for r, sk in rows
-            if not _skip(done, ("recalibration", n, m, repr(sk), "", i))
-        ]
-        if not pending:
-            return []
-        t0 = time.perf_counter()
-        target_seed = plan.seed("recalibration/target", i)
-        target = haar_unitary(n, target_seed)
-        result = fit(ideal, target, options, RandomUniform(),
-                     plan.seed("recalibration/fit", i))
-        out = []
-        for r, sk in pending:
-            mixers = _perturbed_mixers(
-                plan, f"recalibration/h1/row={r}/target={i}", spec, m + 1, sk
-            )
-            perturbed = InterlacedCircuit(mixers, result.phases)
-            loss_before = loss(compose(perturbed), target)
-            recal = recalibrate(
-                perturbed, target, truncated, attempts, RandomUniform(),
-                plan.seed(f"recalibration/refit/row={r}", i),
-            )
-            out.append(
-                ExperimentRecord(
-                    experiment_label="recalibration",
-                    n=n, m=m, sigma_k=sk, fault_plan="", target_index=i,
-                    seed=target_seed,
-                    loss_before=loss_before, loss_after=recal.loss,
-                    delta_f=None, delta_u=None,
-                    mu_dx=None, sigma_dx=None, corr_x=None,
-                    iterations=recal.iterations,
-                    free_count=ideal.program.free_count,
-                    wall_time=time.perf_counter() - t0,
-                )
-            )
-        return out
+    def measure_row(r, i, perturbed, target, fitted):
+        recal = recalibrate(perturbed, target, truncated, attempts, RandomUniform(),
+                            plan.seed(f"recalibration/refit/row={r}", i))
+        return recal, dict(loss_before=loss(compose(perturbed), target))
 
-    return _run_indexed(task, targets, threads)
+    return _ideal_fit_rows("recalibration", "target", sigma_k_list, targets,
+                           options, seed, n, m, threads, done, measure_row)
+
+
+def _correlation(a: np.ndarray, b: np.ndarray) -> float | None:
+    """Pearson correlation, or None when either vector is constant."""
+    if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
+        return None
+    return float(np.corrcoef(a, b)[0, 1])
 
 
 def phase_difference_study(
@@ -324,7 +304,6 @@ def phase_difference_study(
     jitter_fraction: float = 0.1,
     truncated_iterations: int = 50,
     targets: int = 1,
-    kappa: float = 1.0,
     threads: int = 1,
     done: set | None = None,
 ) -> list[ExperimentRecord]:
@@ -335,8 +314,8 @@ def phase_difference_study(
     fresh perturbed structure (ideal when sigma_k = 0), started either
     within +-``jitter_fraction`` of the given vector or fully at random,
     and records mean/std of (given - recovered) plus their Pearson
-    correlation.  The difference uses raw (non-canonicalized) recovered
-    phases.
+    correlation (``None`` when either vector is constant).  The
+    difference uses raw (non-canonicalized) recovered phases.
     """
     options = options if options is not None else LmaOptions()
     # each run of the study is a single truncated descent
@@ -344,69 +323,50 @@ def phase_difference_study(
         options.truncated(truncated_iterations), restarts=1
     )
     plan = SeedPlan(seed)
-    spec = JxSpec(n, kappa)
-    ideal = ideal_circuit(n, m, kappa)
-    stack = ideal.mixer_stack()
-    rows = [(r, float(sk)) for r, sk in enumerate(sigma_k_list)]
-    modes = list(init_modes)
-    for mode in modes:
+    stack = ideal_circuit(n, m).mixer_stack()
+    rows = [float(sk) for sk in sigma_k_list]
+    for mode in init_modes:
         if mode not in ("jittered", "random"):
             raise ValueError(f"unknown init mode {mode!r}")
+    cells = [(mode, r) for mode in init_modes for r in range(len(rows))]
 
-    records: list[ExperimentRecord] = []
+    jobs = []
     for t in range(targets):
         given = uniform_phases(m, n, plan.seed("phasediff/given", t))
         target = transfer_matrix(stack, given)
-        given_flat = given.ravel()
 
-        def task(j: int, t=t, given=given, target=target, given_flat=given_flat):
-            out = []
-            for mode in modes:
-                label = f"phasediff/init={mode}"
-                for r, sk in rows:
-                    idx = t * runs + j
-                    if _skip(done, (label, n, m, repr(sk), "", idx)):
-                        continue
-                    t0 = time.perf_counter()
-                    if sk == 0.0:
-                        circ = ideal
-                    else:
-                        circ = InterlacedCircuit(
-                            _perturbed_mixers(
-                                plan,
-                                f"phasediff/h1/row={r}/t={t}/run={j}",
-                                spec, m + 1, sk,
-                            ),
-                            ideal.program,
-                        )
+        def job(j: int, t=t, given=given, target=target) -> _Job:
+            owed = [ExperimentRecord(
+                experiment_label=f"phasediff/init={mode}", n=n, m=m, sigma_k=rows[r],
+                target_index=t * runs + j,
+                seed=plan.seed(f"phasediff/fit/{mode}/row={r}/t={t}", j),
+            ) for mode, r in cells]
+
+            def measure(todo):
+                out = []
+                for k in todo:
+                    (mode, r), t0 = cells[k], time.perf_counter()
+                    circ = perturbed_circuit(
+                        n, m, rows[r], seed, label=f"phasediff/h1/row={r}/t={t}/run={j}"
+                    )
                     init = (
                         FromVector(given, jitter_fraction)
                         if mode == "jittered"
                         else RandomUniform()
                     )
-                    fit_seed = plan.seed(f"phasediff/fit/{mode}/row={r}/t={t}", j)
-                    result = fit(circ, target, truncated, init, fit_seed)
+                    result = fit(circ, target, truncated, init, owed[k].seed)
                     recovered = result.phases.phase_vector()
-                    dx = given_flat - recovered
-                    corr = float(np.corrcoef(given_flat, recovered)[0, 1])
-                    out.append(
-                        ExperimentRecord(
-                            experiment_label=label,
-                            n=n, m=m, sigma_k=sk, fault_plan="",
-                            target_index=idx, seed=fit_seed,
-                            loss_before=None, loss_after=result.loss,
-                            delta_f=None, delta_u=None,
-                            mu_dx=float(dx.mean()), sigma_dx=float(dx.std()),
-                            corr_x=corr,
-                            iterations=result.iterations,
-                            free_count=m * n,
-                            wall_time=time.perf_counter() - t0,
-                        )
-                    )
-            return out
+                    dx = given.ravel() - recovered
+                    out.append(_fitted(
+                        result, t0, mu_dx=float(dx.mean()), sigma_dx=float(dx.std()),
+                        corr_x=_correlation(given.ravel(), recovered),
+                    ))
+                return out
 
-        records.extend(_run_indexed(task, runs, threads))
-    return records
+            return owed, measure
+
+        jobs += [job(j) for j in range(runs)]
+    return _run_jobs(jobs, threads, done)
 
 
 def _random_fault_plan(
@@ -427,6 +387,11 @@ def _random_fault_plan(
         ps = rng.integers(0, ports, size=k)
         positions = list(zip(ms.tolist(), ps.tolist()))
     elif mode == "clustered":
+        if k < 2 or ports < 2:
+            raise ValueError(
+                f"cannot cluster {k} fault(s) on {ports} port(s): "
+                "no layer can hold two faults"
+            )
         while True:
             flat = rng.choice(layers * ports, size=k, replace=False)
             positions = [(int(f) // ports, int(f) % ports) for f in flat]
@@ -446,20 +411,15 @@ def _random_fault_plan(
     return plan
 
 
-def fault_plan_string(plan: Iterable[tuple[int, int, float]]) -> str:
-    return json.dumps([[mm, pp, v] for mm, pp, v in plan], separators=(",", ":"))
-
-
 def faulty_shifter_grid(
     k_list: Sequence[int],
     combos_per_k: int,
     targets: int,
-    options: LmaOptions | None,
+    options: LmaOptions,
     seed: int,
     *,
     n: int = 4,
     m: int = 5,
-    kappa: float = 1.0,
     threads: int = 1,
     done: set | None = None,
 ) -> list[ExperimentRecord]:
@@ -467,11 +427,12 @@ def faulty_shifter_grid(
 
     For k equal to the port count, the first half of the combos places
     one fault per layer and the second half forces at least two faults
-    into one layer; other k use unrestricted random placements.
+    into one layer; other k use unrestricted random placements.  Every
+    fault plan is drawn before any fit runs, so an impossible placement
+    fails at once.
     """
-    options = options if options is not None else LmaOptions(restarts=24)
     plan = SeedPlan(seed)
-    records: list[ExperimentRecord] = []
+    jobs = []
     for k in k_list:
         for c in range(combos_per_k):
             rng = plan.rng(f"faulty/plan/k={k}", c)
@@ -480,51 +441,48 @@ def faulty_shifter_grid(
             else:
                 mode = "any"
             fault_plan = _random_fault_plan(rng, m, n, k, mode)
-            plan_str = fault_plan_string(fault_plan)
+            plan_str = json.dumps([list(f) for f in fault_plan], separators=(",", ":"))
             label = f"faulty/k={k}/combo={c:03d}"
             program = apply_fault_plan(PhaseProgram.zeros(m, n), fault_plan)
-            circuit = ideal_circuit(n, m, kappa).with_program(program)
+            circuit = ideal_circuit(n, m).with_program(program)
 
-            def task(i: int, label=label, plan_str=plan_str, circuit=circuit):
-                if _skip(done, (label, n, m, repr(0.0), plan_str, i)):
-                    return []
-                t0 = time.perf_counter()
-                target = haar_unitary(n, plan.seed(f"{label}/target", i))
+            def job(i: int, label=label, plan_str=plan_str, circuit=circuit) -> _Job:
                 fit_seed = plan.seed(f"{label}/fit", i)
-                result = fit(circuit, target, options, RandomUniform(), fit_seed)
-                return [
-                    ExperimentRecord(
-                        experiment_label=label,
-                        n=n, m=m, sigma_k=0.0, fault_plan=plan_str,
-                        target_index=i, seed=fit_seed,
-                        loss_before=None, loss_after=result.loss,
-                        delta_f=None, delta_u=None,
-                        mu_dx=None, sigma_dx=None, corr_x=None,
-                        iterations=result.iterations,
-                        free_count=circuit.program.free_count,
-                        wall_time=time.perf_counter() - t0,
-                    )
-                ]
 
-            records.extend(_run_indexed(task, targets, threads))
-    return records
+                def measure(todo):
+                    t0 = time.perf_counter()
+                    target = haar_unitary(n, plan.seed(f"{label}/target", i))
+                    result = fit(circuit, target, options, RandomUniform(), fit_seed)
+                    return [_fitted(result, t0)]
+
+                return [ExperimentRecord(experiment_label=label, n=n, m=m,
+                                         fault_plan=plan_str, target_index=i,
+                                         seed=fit_seed)], measure
+
+            jobs += [job(i) for i in range(targets)]
+    return _run_jobs(jobs, threads, done)
+
+
+def _grouped(records, key) -> list[tuple]:
+    """(key, records) pairs sorted by key."""
+    groups: dict = {}
+    for rec in records:
+        groups.setdefault(key(rec), []).append(rec)
+    return sorted(groups.items())
 
 
 def summarize_universality(records: Iterable[ExperimentRecord]) -> list[dict]:
     """Median loss and converged fraction per (n, m)."""
-    groups: dict[tuple[int, int], list[float]] = {}
-    for rec in records:
-        if rec.experiment_label != "universality" or rec.loss_after is None:
-            continue
-        groups.setdefault((rec.n, rec.m), []).append(rec.loss_after)
+    fitted = [rec for rec in records
+              if rec.experiment_label == "universality" and rec.loss_after is not None]
     out = []
-    for (n, m), losses in sorted(groups.items()):
-        arr = np.asarray(losses)
+    for (n, m), recs in _grouped(fitted, lambda rec: (rec.n, rec.m)):
+        arr = np.asarray([rec.loss_after for rec in recs])
         out.append(
             {
                 "n": n,
                 "m": m,
-                "targets": len(losses),
+                "targets": len(arr),
                 "median_loss": float(np.median(arr)),
                 "fraction_below_1e-10": float((arr < 1e-10).mean()),
             }
@@ -534,24 +492,199 @@ def summarize_universality(records: Iterable[ExperimentRecord]) -> list[dict]:
 
 def summarize_perturbation(records: Iterable[ExperimentRecord]) -> list[dict]:
     """Ensemble means of delta_f / delta_u per sigma_k, plus their ratio."""
-    groups: dict[float, list[tuple[float, float]]] = {}
-    for rec in records:
-        if rec.experiment_label != "perturbation-table":
-            continue
-        if rec.delta_f is None or rec.delta_u is None:
-            continue
-        groups.setdefault(rec.sigma_k, []).append((rec.delta_f, rec.delta_u))
+    measured = [rec for rec in records
+                if rec.experiment_label == "perturbation-table"
+                and rec.delta_f is not None and rec.delta_u is not None]
     out = []
-    for sk, pairs in sorted(groups.items()):
-        df = float(np.mean([p[0] for p in pairs]))
-        du = float(np.mean([p[1] for p in pairs]))
+    for sk, recs in _grouped(measured, lambda rec: rec.sigma_k):
+        df = float(np.mean([rec.delta_f for rec in recs]))
+        du = float(np.mean([rec.delta_u for rec in recs]))
         out.append(
             {
                 "sigma_k": sk,
-                "samples": len(pairs),
+                "samples": len(recs),
                 "mean_delta_f": df,
                 "mean_delta_u": du,
                 "ratio": du / df if df > 0 else float("nan"),
             }
         )
     return out
+
+
+# -- the registry: what ``jxcircuit experiment <name>`` runs and reports ------
+
+
+@dataclass(frozen=True)
+class Study:
+    """A named study as the CLI runs it.
+
+    ``defaults`` is the full config (every key a config file may set);
+    ``run(cfg, threads, done)`` returns the records of a validated config
+    that are not in ``done``; ``summary`` and ``plot`` render the merged
+    records as report lines and an SVG document.
+    """
+
+    defaults: dict
+    run: Callable[[dict, int, set | None], list[ExperimentRecord]]
+    summary: Callable[[list[ExperimentRecord]], list[str]]
+    plot: Callable[[list[ExperimentRecord]], str]
+
+
+def _floored(value: float) -> float:
+    return max(value, 1e-30)
+
+
+def _scatter(records, series_of, point, **labels) -> str:
+    """Scatter plot with one series per ``series_of(rec)``, in first-appearance order."""
+    series: dict = {}
+    for rec in records:
+        xs, ys = series.setdefault(series_of(rec), ([], []))
+        x, y = point(rec)
+        xs.append(x)
+        ys.append(y)
+    return scatter_svg(series, **labels)
+
+
+def _universality_lines(records) -> list[str]:
+    return [
+        f"N={row['n']} M={row['m']}: median loss {row['median_loss']:.3e}, "
+        f"{row['fraction_below_1e-10']:.0%} of {row['targets']} targets below 1e-10"
+        for row in summarize_universality(records)
+    ]
+
+
+def _table1_lines(records) -> list[str]:
+    return [
+        f"sigma_k={row['sigma_k']:g}: mean dF {100 * row['mean_delta_f']:.2f}%, "
+        f"mean dU {100 * row['mean_delta_u']:.2f}%, "
+        f"ratio {row['ratio']:.2f} ({row['samples']} samples)"
+        for row in summarize_perturbation(records)
+    ]
+
+
+def _table1_plot(records) -> str:
+    rows = summarize_perturbation(records)
+    series = {
+        "mean dF %": ([r["sigma_k"] for r in rows],
+                      [100 * r["mean_delta_f"] for r in rows]),
+        "mean dU %": ([r["sigma_k"] for r in rows],
+                      [100 * r["mean_delta_u"] for r in rows]),
+    }
+    return scatter_svg(series, title="Mixer and end-to-end relative error",
+                       xlabel="sigma_k", ylabel="percent error")
+
+
+def _recalibration_lines(records) -> list[str]:
+    return [
+        f"sigma_k={sk:g}: {sum(r.loss_after < 1e-10 for r in recs)}/{len(recs)} "
+        "recalibrated below 1e-10; "
+        f"median loss_before {np.median([r.loss_before for r in recs]):.3e}"
+        for sk, recs in _grouped(records, lambda r: r.sigma_k)
+    ]
+
+
+def _recalibration_plot(records) -> str:
+    series: dict = {}
+    for rec in records:
+        for when, value in (("before", rec.loss_before), ("after", rec.loss_after)):
+            series.setdefault(f"{when} sk={rec.sigma_k:g}", []).append(
+                math.log10(_floored(value)))
+    return histogram_svg(series, title="Loss before/after recalibration",
+                         xlabel="log10 loss")
+
+
+def _phasediff_lines(records) -> list[str]:
+    return [
+        f"{label}: median sigma_dx {np.median([r.sigma_dx for r in recs]):.3f} "
+        f"rad over {len(recs)} runs"
+        for label, recs in _grouped(records, lambda r: r.experiment_label)
+    ]
+
+
+def _faulty_lines(records) -> list[str]:
+    lines = []
+    for label, recs in _grouped(records, lambda r: r.experiment_label):
+        losses = np.array([r.loss_after for r in recs])
+        lines.append(f"{label}: {100 * (losses < 1e-10).mean():.0f}% below 1e-10, "
+                     f"median {np.median(losses):.2e}")
+    return lines
+
+
+def _faulty_plot(records) -> str:
+    ordinal = {label: i for i, label in
+               enumerate(sorted({rec.experiment_label for rec in records}))}
+    return _scatter(
+        records, lambda r: r.experiment_label.split("/")[1],
+        lambda r: (ordinal[r.experiment_label], _floored(r.loss_after)),
+        title="Loss per faulty-shifter combination",
+        xlabel="combination ordinal", ylabel="loss", ylog=True,
+    )
+
+
+# each run looks its study function up by module name when called, so a
+# wrapper bound to that name (a tracer, a test double) sees the call
+STUDIES: dict[str, Study] = {
+    "universality": Study(
+        defaults={"master_seed": 0, "n_list": [4], "m_list": None,
+                  "targets": 100, "restarts": 100, "max_iterations": 400},
+        run=lambda cfg, threads, done: universality_sweep(
+            cfg["n_list"], cfg["m_list"], cfg["targets"],
+            LmaOptions(restarts=cfg["restarts"], max_iterations=cfg["max_iterations"]),
+            cfg["master_seed"], threads=threads, done=done),
+        summary=_universality_lines,
+        plot=lambda records: _scatter(
+            records, lambda r: f"N={r.n}", lambda r: (r.m, _floored(r.loss_after)),
+            title="Error norm vs phase-layer count",
+            xlabel="phase layers M", ylabel="loss", ylog=True),
+    ),
+    "table1": Study(
+        defaults={"master_seed": 0, "n": 8, "m": 9,
+                  "sigma_k_list": [0.001, 0.003, 0.006], "samples": 100,
+                  "restarts": 50},
+        run=lambda cfg, threads, done: perturbation_table(
+            cfg["sigma_k_list"], cfg["samples"], LmaOptions(restarts=cfg["restarts"]),
+            cfg["master_seed"], n=cfg["n"], m=cfg["m"], threads=threads, done=done),
+        summary=_table1_lines,
+        plot=_table1_plot,
+    ),
+    "recalibration": Study(
+        defaults={"master_seed": 0, "n": 8, "m": 9,
+                  "sigma_k_list": [0.001, 0.003, 0.006], "targets": 100,
+                  "attempts": 10, "truncated_iterations": 50, "restarts": 50},
+        run=lambda cfg, threads, done: recalibration_histogram(
+            cfg["sigma_k_list"], cfg["targets"], LmaOptions(restarts=cfg["restarts"]),
+            cfg["master_seed"], n=cfg["n"], m=cfg["m"], attempts=cfg["attempts"],
+            truncated_iterations=cfg["truncated_iterations"], threads=threads, done=done),
+        summary=_recalibration_lines,
+        plot=_recalibration_plot,
+    ),
+    "phasediff": Study(
+        defaults={"master_seed": 0, "n": 8, "m": 9,
+                  "sigma_k_list": [0.0, 0.001, 0.003, 0.006], "runs": 100,
+                  "init_modes": ["jittered", "random"], "jitter_fraction": 0.1,
+                  "truncated_iterations": 50, "targets": 1},
+        run=lambda cfg, threads, done: phase_difference_study(
+            cfg["sigma_k_list"], cfg["runs"], None, cfg["master_seed"],
+            n=cfg["n"], m=cfg["m"], init_modes=cfg["init_modes"],
+            jitter_fraction=cfg["jitter_fraction"],
+            truncated_iterations=cfg["truncated_iterations"],
+            targets=cfg["targets"], threads=threads, done=done),
+        summary=_phasediff_lines,
+        plot=lambda records: _scatter(
+            records, lambda r: r.experiment_label.split("init=", 1)[-1],
+            lambda r: (r.mu_dx, r.sigma_dx),
+            title="Recovered-vs-given phase difference",
+            xlabel="mean of difference vector", ylabel="std of difference vector"),
+    ),
+    "faulty": Study(
+        defaults={"master_seed": 0, "n": 4, "m": 5,
+                  "k_list": [1, 2, 3, 4], "combos_per_k": 10, "targets": 100,
+                  "restarts": 50},
+        run=lambda cfg, threads, done: faulty_shifter_grid(
+            cfg["k_list"], cfg["combos_per_k"], cfg["targets"],
+            LmaOptions(restarts=cfg["restarts"]), cfg["master_seed"],
+            n=cfg["n"], m=cfg["m"], threads=threads, done=done),
+        summary=_faulty_lines,
+        plot=_faulty_plot,
+    ),
+}

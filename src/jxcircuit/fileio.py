@@ -9,6 +9,7 @@ non-finite values rejected).  Phase grids are canonicalized into
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -40,25 +41,16 @@ METADATA_SCHEMA_VERSION = "1.0"
 #: a file claiming role "unitary" is rejected on load beyond this defect
 UNITARY_LOAD_TOLERANCE = 1e-6
 
-RECORD_COLUMNS = [
-    "experiment_label",
-    "n",
-    "m",
-    "sigma_k",
-    "fault_plan",
-    "target_index",
-    "seed",
-    "loss_before",
-    "loss_after",
-    "delta_f",
-    "delta_u",
-    "mu_dx",
-    "sigma_dx",
-    "corr_x",
-    "iterations",
-    "free_count",
-    "wall_time",
-]
+#: record CSV header: the fields of ExperimentRecord, in declaration order
+RECORD_COLUMNS = [f.name for f in dataclasses.fields(ExperimentRecord)]
+#: cell parser per annotated field type; an empty cell is an unmeasured value
+_CELL_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "float | None": lambda text: None if text == "" else float(text),
+}
+_COLUMN_PARSERS = [_CELL_PARSERS[f.type] for f in dataclasses.fields(ExperimentRecord)]
 
 
 def _check_major(found, expected: str, path) -> None:
@@ -183,10 +175,6 @@ def write_records(path, records) -> None:
             )
 
 
-def _parse_optional_float(text: str):
-    return None if text == "" else float(text)
-
-
 def read_records(path) -> list[ExperimentRecord]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -199,28 +187,15 @@ def read_records(path) -> list[ExperimentRecord]:
         for row in reader:
             if not row:
                 continue
-            cells = dict(zip(RECORD_COLUMNS, row))
-            out.append(
-                ExperimentRecord(
-                    experiment_label=cells["experiment_label"],
-                    n=int(cells["n"]),
-                    m=int(cells["m"]),
-                    sigma_k=float(cells["sigma_k"]),
-                    fault_plan=cells["fault_plan"],
-                    target_index=int(cells["target_index"]),
-                    seed=int(cells["seed"]),
-                    loss_before=_parse_optional_float(cells["loss_before"]),
-                    loss_after=_parse_optional_float(cells["loss_after"]),
-                    delta_f=_parse_optional_float(cells["delta_f"]),
-                    delta_u=_parse_optional_float(cells["delta_u"]),
-                    mu_dx=_parse_optional_float(cells["mu_dx"]),
-                    sigma_dx=_parse_optional_float(cells["sigma_dx"]),
-                    corr_x=_parse_optional_float(cells["corr_x"]),
-                    iterations=int(cells["iterations"]),
-                    free_count=int(cells["free_count"]),
-                    wall_time=float(cells["wall_time"]),
+            if len(row) != len(RECORD_COLUMNS):
+                raise ValueError(
+                    f"{path}:{reader.line_num}: {len(row)} cells, "
+                    f"expected {len(RECORD_COLUMNS)}"
                 )
-            )
+            out.append(ExperimentRecord(**{
+                name: parse(cell)
+                for name, parse, cell in zip(RECORD_COLUMNS, _COLUMN_PARSERS, row)
+            }))
     return out
 
 

@@ -73,12 +73,9 @@ class JxSpec:
 
 @dataclass(frozen=True)
 class MixingLayer:
-    """One fixed unitary mixing slot, with its perturbation provenance."""
+    """One fixed unitary mixing slot."""
 
     matrix: np.ndarray
-    provenance: str = "ideal"  # "ideal" | "perturbed"
-    sigma_k: float = 0.0
-    seed: int | None = None
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix)
@@ -89,8 +86,6 @@ class MixingLayer:
             raise ValueError(
                 f"mixing layer is not unitary: ||M†M - I||_F = {defect:.3e}"
             )
-        if self.provenance not in ("ideal", "perturbed"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -127,17 +122,10 @@ def perturb_hamiltonian(spec: JxSpec, sigma_k: float, h1) -> np.ndarray:
     return build_jx_hamiltonian(spec) + (sigma_k * spec.kappa_max) * h1
 
 
-def perturbed_mixer(
-    spec: JxSpec, sigma_k: float, h1, seed: int | None = None
-) -> MixingLayer:
+def perturbed_mixer(spec: JxSpec, sigma_k: float, h1) -> MixingLayer:
     """Unitary mixing layer generated by the perturbed Hamiltonian."""
     hp = perturb_hamiltonian(spec, sigma_k, h1)
-    return MixingLayer(
-        expm_i_scaled(hp, DFRFT_LENGTH),
-        provenance="perturbed",
-        sigma_k=float(sigma_k),
-        seed=seed,
-    )
+    return MixingLayer(expm_i_scaled(hp, DFRFT_LENGTH))
 
 
 def relative_deviation(a, b) -> float:

@@ -10,12 +10,9 @@ complex Gaussian matrix is already correctly phase-normalized.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 __all__ = [
-    "EigenDecomposition",
     "as_complex_matrix",
     "require_hermitian",
     "eig_hermitian",
@@ -27,13 +24,6 @@ __all__ = [
 
 #: entrywise Hermiticity tolerance, relative to the largest-magnitude entry
 HERMITICITY_RTOL = 1e-14
-
-
-class EigenDecomposition(NamedTuple):
-    """Spectral factorization ``A = V diag(w) V†`` with ``w`` ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -65,8 +55,8 @@ def require_hermitian(a, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     return m
 
 
-def eig_hermitian(a) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues ``w`` (ascending) and eigenvectors ``v`` with ``A = V diag(w) V†``.
 
     Raises ``ValueError`` for non-Hermitian input and propagates
     ``numpy.linalg.LinAlgError`` if the iteration fails to converge, so a
@@ -76,7 +66,7 @@ def eig_hermitian(a) -> EigenDecomposition:
     w, v = np.linalg.eigh(m)
     if not (np.isfinite(w).all() and np.isfinite(v).all()):
         raise np.linalg.LinAlgError("eigendecomposition produced non-finite values")
-    return EigenDecomposition(w, v)
+    return w, v
 
 
 def expm_i_scaled(a, t: float) -> np.ndarray:

@@ -20,6 +20,7 @@ with a truncated iteration budget against perturbed mixers.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -42,7 +43,6 @@ __all__ = [
     "RandomUniform",
     "FromVector",
     "InitStrategy",
-    "lma_step",
     "fit",
     "recalibrate",
 ]
@@ -148,9 +148,13 @@ class _Problem:
         )
 
 
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(v.dot(v))  # numpy.linalg.norm's arithmetic, without its overhead
+
+
 def _solve_damped(jtj, diag, lam, g):
     a = jtj.copy()
-    a.flat[:: a.shape[0] + 1] += lam * diag
+    a.reshape(-1)[:: a.shape[0] + 1] += lam * diag
     try:
         delta = np.linalg.solve(a, -g)
     except np.linalg.LinAlgError:
@@ -182,9 +186,7 @@ def _attempt_step(problem, x, current, r, jac, jtj, diag, g, lam, options):
                     + problem.residual_of(x - h * delta)
                 ) / (h * h)
                 acc = _solve_damped(jtj, diag, lam, jac.T @ fvv)
-                if acc is not None and float(np.linalg.norm(acc)) <= (
-                    2.0 * _ACCEL_RATIO_LIMIT * float(np.linalg.norm(delta))
-                ):
+                if acc is not None and _norm(acc) <= 2.0 * _ACCEL_RATIO_LIMIT * _norm(delta):
                     candidates.insert(0, delta + 0.5 * acc)
             for step in candidates:
                 trial = x + step
@@ -192,7 +194,7 @@ def _attempt_step(problem, x, current, r, jac, jtj, diag, g, lam, options):
                 if trial_loss < current:
                     return trial, trial_loss, max(
                         lam / options.damping_shrink, 1e-15
-                    ), float(np.linalg.norm(step)), True
+                    ), _norm(step), True
         lam *= nu
         if lam > options.damping_max:
             return x, current, lam, 0.0, False
@@ -226,7 +228,7 @@ def _minimize(problem: _Problem, x0: np.ndarray, options: LmaOptions) -> _RunOut
             status = "gtol"
             break
         jtj = jac.T @ jac
-        diag = np.clip(np.diagonal(jtj).copy(), 1e-30, None)
+        diag = np.maximum(np.diagonal(jtj), 1e-30)
         if lam is None:
             lam = 1e-3 * float(diag.max())
         x, new_loss, lam, step, accepted = _attempt_step(
@@ -252,42 +254,10 @@ def _minimize(problem: _Problem, x0: np.ndarray, options: LmaOptions) -> _RunOut
         if abs(previous - current) <= options.function_tolerance * current:
             status = "ftol"
             break
-        if step <= options.step_tolerance * (float(np.linalg.norm(x)) + options.step_tolerance):
+        if step <= options.step_tolerance * (_norm(x) + options.step_tolerance):
             status = "xtol"
             break
     return _RunOutcome(x, current, iterations, status)
-
-
-def lma_step(
-    circuit: InterlacedCircuit,
-    target,
-    phases: PhaseProgram,
-    damping: float | None,
-) -> tuple[PhaseProgram, float, float]:
-    """One accepted (or failed) damped step from the given phases.
-
-    Returns ``(new_phases, new_loss, new_damping)``.  A failed step (the
-    damping cap was exceeded without finding a decrease) returns the
-    phases unchanged with ``new_damping = inf`` as the failure signal.
-    """
-    target = as_complex_matrix(target)
-    problem = _Problem(circuit.mixer_stack(), phases, target)
-    x = phases.free_values()
-    current = problem.loss_of(x)
-    if x.size == 0:
-        return phases, current, float(damping) if damping else 0.0
-    r, jac = problem.residuals_jacobian(x)
-    g = jac.T @ r
-    jtj = jac.T @ jac
-    diag = np.clip(np.diagonal(jtj).copy(), 1e-30, None)
-    lam = float(damping) if damping is not None else 1e-3 * float(diag.max())
-    options = LmaOptions()
-    x_new, new_loss, lam, _, accepted = _attempt_step(
-        problem, x, current, r, jac, jtj, diag, g, lam, options
-    )
-    if not accepted:
-        return phases, current, float("inf")
-    return phases.with_free_values(x_new), new_loss, lam
 
 
 def _initial_free_values(

@@ -14,9 +14,9 @@ from jxcircuit.circuit import (
     residuals,
     transfer_matrix,
 )
-from jxcircuit.lattice import JxSpec, dfrft
+from jxcircuit.lattice import JxSpec, dfrft, perturbed_mixer
 from jxcircuit.numerics import frobenius_norm, unitarity_defect
-from jxcircuit.sampling import haar_unitary, uniform_phases
+from jxcircuit.sampling import derive_seed, gaussian_hermitian, haar_unitary, uniform_phases
 
 F2 = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
 
@@ -226,14 +226,12 @@ class TestBuilders:
     def test_ideal_circuit_layers(self):
         circ = ideal_circuit(3, 4)
         assert len(circ.mixers) == 5
-        assert all(layer.provenance == "ideal" for layer in circ.mixers)
 
     def test_perturbed_circuit_zero_sigma_matches_ideal(self):
         ideal = ideal_circuit(3, 4)
         pert = perturbed_circuit(3, 4, 0.0, seed=5)
         for a, b in zip(ideal.mixers, pert.mixers):
             assert np.array_equal(a.matrix, b.matrix)
-        assert all(layer.provenance == "perturbed" for layer in pert.mixers)
 
     def test_perturbed_circuit_slots_independent(self):
         circ = perturbed_circuit(4, 3, 0.01, seed=6)
@@ -241,6 +239,15 @@ class TestBuilders:
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 assert frobenius_norm(mats[i] - mats[j]) > 1e-6
+
+    def test_perturbed_circuit_label_seeds_each_slot(self):
+        circ = perturbed_circuit(3, 2, 0.01, 7, label="study/row=1")
+        for slot, layer in enumerate(circ.mixers):
+            h1 = gaussian_hermitian(3, derive_seed(7, "study/row=1", slot))
+            want = perturbed_mixer(JxSpec(3), 0.01, h1).matrix
+            assert np.array_equal(layer.matrix, want)
+        default = perturbed_circuit(3, 2, 0.01, 7)
+        assert not np.array_equal(default.mixers[0].matrix, circ.mixers[0].matrix)
 
     def test_perturbed_circuit_deterministic(self):
         a = perturbed_circuit(4, 3, 0.01, seed=6)

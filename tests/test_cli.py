@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jxcircuit
 from jxcircuit.cli import main
 from jxcircuit.circuit import PhaseProgram
 from jxcircuit.fileio import read_matrix, read_phases, read_records, write_matrix, write_phases
@@ -289,3 +294,86 @@ class TestExperimentCommand:
             "--out-dir", tmp_path / "res")
         meta = json.loads((tmp_path / "res" / "universality_metadata.json").read_text())
         assert meta["master_seed"] == 2
+
+    def test_resume_refuses_other_seed_or_parameters(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        first = self.config(tmp_path, 'n_list = [2]\nm_list = [3]\ntargets = 2\nrestarts = 3\n')
+        assert run("experiment", "universality", "--config", first, "--seed", 1,
+                   "--out-dir", out) == 0
+        before = (out / "universality_records.csv").read_bytes()
+        more = tmp_path / "more.toml"
+        more.write_text('n_list = [2]\nm_list = [3]\ntargets = 3\nrestarts = 3\n')
+        for cfg, seed in ((first, 2), (more, 1), (more, 2)):
+            assert run("experiment", "universality", "--config", cfg, "--seed", seed,
+                       "--out-dir", out, "--resume") == 2
+            assert "--resume" in capsys.readouterr().err
+        assert (out / "universality_records.csv").read_bytes() == before
+        assert json.loads((out / "universality_metadata.json").read_text())["master_seed"] == 1
+
+    def test_resume_refuses_records_without_metadata(self, tmp_path):
+        cfg = self.config(tmp_path, 'n_list = [2]\nm_list = [3]\ntargets = 1\nrestarts = 3\n')
+        out = tmp_path / "res"
+        assert run("experiment", "universality", "--config", cfg, "--out-dir", out) == 0
+        (out / "universality_metadata.json").unlink()
+        assert run("experiment", "universality", "--config", cfg, "--out-dir", out,
+                   "--resume") == 2
+
+    # small valid budgets, so that a bad value that slipped through would not
+    # start a long run; the bad line comes last and overrides
+    SMALL = {
+        "universality": "n_list = [2]\nm_list = [3]\ntargets = 1\nrestarts = 1\n",
+        "table1": "n = 2\nm = 3\nsamples = 1\nrestarts = 1\n",
+        "phasediff": "n = 2\nm = 3\nruns = 1\n",
+        "faulty": "n = 2\nm = 3\nk_list = [1]\ncombos_per_k = 1\ntargets = 1\n"
+                  "restarts = 1\n",
+    }
+
+    @pytest.mark.parametrize("name, line", [
+        ("universality", "n_list = 4"),
+        ("universality", "n_list = [4.5]"),
+        ("universality", "m_list = 5"),
+        ("universality", "targets = true"),
+        ("universality", "targets = 0"),
+        ("universality", 'restarts = "10"'),
+        ("table1", "samples = 2.0"),
+        ("phasediff", "runs = -1"),
+        ("phasediff", 'init_modes = "random"'),
+        ("phasediff", "jitter_fraction = false"),
+        ("faulty", "combos_per_k = 0"),
+        ("faulty", "k_list = [1, null]"),
+    ])
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, name, line):
+        cfg = self.config(tmp_path, self.SMALL[name] + line + "\n")
+        assert run("experiment", name, "--config", cfg, "--out-dir", tmp_path / "res") == 2
+        assert line.split(" =")[0] in capsys.readouterr().err
+        assert not (tmp_path / "res" / f"{name}_records.csv").exists()
+
+    def test_config_accepts_int_for_float_and_null_m_list(self, tmp_path):
+        cfg = self.config(tmp_path, 'n_list = [1]\nm_list = null\ntargets = 1\nrestarts = 1\n')
+        assert run("experiment", "universality", "--config", cfg,
+                   "--out-dir", tmp_path / "a") == 0
+        cfg = self.config(tmp_path, 'n = 1\nm = 1\nsigma_k_list = [0]\nruns = 1\n'
+                                    'jitter_fraction = 0\ninit_modes = ["jittered"]\n')
+        assert run("experiment", "phasediff", "--config", cfg,
+                   "--out-dir", tmp_path / "b") == 0
+
+    def test_threads_below_one_is_usage_error(self, tmp_path):
+        cfg = self.config(tmp_path, 'n_list = [2]\nm_list = [3]\ntargets = 1\nrestarts = 1\n')
+        assert run("experiment", "universality", "--config", cfg, "--threads", 0,
+                   "--out-dir", tmp_path / "res") == 2
+
+    def test_impossible_clustered_faults_fail_fast(self, tmp_path):
+        # with one port per layer no layer can hold two faults, so the second
+        # (clustered) combo has no valid placement
+        cfg = self.config(tmp_path, "n = 1\nm = 2\nk_list = [1]\ncombos_per_k = 2\n"
+                                    "targets = 1\nrestarts = 1\n")
+        src = str(Path(jxcircuit.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "jxcircuit.cli", "experiment", "faulty",
+             "--config", str(cfg), "--out-dir", str(tmp_path / "res")],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 2
+        assert "cluster" in proc.stderr

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 
@@ -140,6 +141,14 @@ class TestPhaseDifferenceStudy:
         jittered = np.median(by_mode["phasediff/init=jittered"])
         random_init = np.median(by_mode["phasediff/init=random"])
         assert jittered < random_init
+
+    def test_constant_vectors_record_no_correlation(self):
+        # at N = M = 1 both phase vectors hold a single entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = phase_difference_study([0.0], 1, None, 1, n=1, m=1)
+        assert len(records) == 2
+        assert all(rec.corr_x is None for rec in records)
 
     def test_labels_and_counts(self):
         records = phase_difference_study(

@@ -10,7 +10,6 @@ from jxcircuit.optimizer import (
     RandomUniform,
     _minimize,
     fit,
-    lma_step,
     recalibrate,
 )
 from jxcircuit.circuit import perturbed_circuit
@@ -63,24 +62,26 @@ def test_step_at_converged_point_keeps_loss():
     target = haar_unitary(3, 21)
     result = fit(circ, target, LmaOptions(restarts=20), seed=2)
     assert result.converged
-    phases, new_loss, new_damping = lma_step(circ, target, result.phases, 1e-3)
-    assert new_loss <= result.loss * (1 + 1e-12) + 1e-25
-    delta = np.abs(phases.theta - result.phases.theta).max()
+    # unreachable loss and gradient targets make the one allowed iteration try a step
+    one_step = LmaOptions(restarts=1, max_iterations=1, target_loss=1e-300,
+                          optimality_tolerance=1e-300)
+    stepped = fit(circ, target, one_step, FromVector(result.phases.theta), seed=3)
+    assert stepped.loss <= result.loss * (1 + 1e-12) + 1e-25
+    delta = np.abs(stepped.phases.theta - result.phases.theta).max()
     assert delta < LmaOptions().step_tolerance
 
 
 def test_accepted_steps_never_increase_loss():
     circ = ideal_circuit(4, 5)
     target = haar_unitary(4, 33)
-    program = PhaseProgram.free_grid(uniform_phases(5, 4, 3))
-    damping = None
-    losses = [loss(compose(circ.with_program(program)), target)]
-    for _ in range(30):
-        program, new_loss, damping = lma_step(circ, target, program, damping)
-        assert new_loss <= losses[-1]
-        losses.append(new_loss)
-        if not np.isfinite(damping):
-            break
+    start = uniform_phases(5, 4, 3)
+    losses = [loss(compose(circ.with_program(PhaseProgram.free_grid(start))), target)]
+    # the descent is deterministic, so a cap of k iterations stops after the
+    # k-th accepted step of the same path
+    for cap in range(1, 31):
+        options = LmaOptions(restarts=1, max_iterations=cap)
+        losses.append(fit(circ, target, options, FromVector(start), seed=0).loss)
+        assert losses[-1] <= losses[-2]
     assert losses[-1] < losses[0]
 
 
