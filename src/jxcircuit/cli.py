@@ -98,8 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", type=Path, default=Path("results"))
     p.add_argument("--seed", type=int, help="overrides master_seed from the config")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker count (default: JXCIRCUIT_THREADS or 1); "
-                        "1 forces serial execution")
+                   help="worker processes (default: JXCIRCUIT_THREADS or 1); "
+                        "1 runs every fit in this process")
     p.add_argument("--resume", action="store_true",
                    help="skip units of work already present in the output CSV "
                         "(refused unless its metadata matches this run)")

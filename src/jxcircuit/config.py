@@ -10,6 +10,7 @@ of a study's defaults.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 __all__ = ["parse_config_text", "load_config", "check_values"]
@@ -58,7 +59,8 @@ def _matches(value, default) -> bool:
 
 def check_values(values: dict, defaults: dict, source: str = "<config>") -> None:
     """Reject unknown keys, values whose type differs from their default's,
-    and counts below 1."""
+    counts below 1, non-finite numbers, negative sigma_k entries and a
+    jitter fraction outside [0, 1)."""
     unknown = sorted(set(values) - set(defaults))
     if unknown:
         raise ValueError(f"{source}: unknown option(s): " + ", ".join(unknown))
@@ -71,3 +73,10 @@ def check_values(values: dict, defaults: dict, source: str = "<config>") -> None
             )
         if key in COUNT_KEYS and value < 1:
             raise ValueError(f"{source}: {key} must be >= 1, got {value}")
+        numbers = value if isinstance(value, list) else [value]
+        if not all(math.isfinite(v) for v in numbers if isinstance(v, float)):
+            raise ValueError(f"{source}: {key} = {json.dumps(value)} is not finite")
+        if key == "sigma_k_list" and min(numbers, default=0) < 0:
+            raise ValueError(f"{source}: {key} entries must be >= 0, got {json.dumps(value)}")
+        if key == "jitter_fraction" and not 0 <= value < 1:
+            raise ValueError(f"{source}: {key} must lie in [0, 1), got {value}")

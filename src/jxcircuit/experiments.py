@@ -3,15 +3,16 @@ auto-recalibration, phase-difference statistics and the faulty-shifter grid.
 
 Every study is deterministic given its master seed: each unit of work
 derives a private seed from (master seed, label, index), so records are
-bit-identical across reruns and thread counts (``wall_time`` excepted,
+bit-identical across reruns and worker counts (``wall_time`` excepted,
 which is informational only).  Functions return flat lists of
 :class:`ExperimentRecord`, ready for CSV serialization, sorted by their
 canonical task order rather than completion order.
 
 A study splits into independent jobs, each owing a few records, and one
-runner skips already-done records, fans the jobs out and flattens their
-records in job order.  :data:`STUDIES` registers every study under its
-CLI name with its config defaults, summary lines and plot.
+runner skips already-done records, fans the jobs out to worker processes
+and flattens their records in job order.  :data:`STUDIES` registers
+every study under its CLI name with its config defaults, summary lines
+and plot.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import dataclasses
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -103,27 +105,38 @@ def record_key(record: ExperimentRecord) -> tuple:
 #: identity fields and seed set, and ``measure(todo)``, which computes the
 #: records at positions ``todo`` (those not done yet) and returns their
 #: measured fields in the same order; work the owed records share (a target,
-#: an ideal-mixer fit) is done once per call
+#: an ideal-mixer fit) is done once per call.  ``measure`` is a module-level
+#: function bound to its inputs with :func:`functools.partial`, so it pickles
+#: for a worker process under any start method
 _Job = tuple[list[ExperimentRecord], Callable[[list[int]], list[dict]]]
 
 
 def _run_jobs(jobs: list[_Job], threads: int, done: set | None) -> list[ExperimentRecord]:
-    """Measure the records of every job not in ``done``, in job order."""
+    """Measure the records of every job not in ``done``, in job order.
 
-    def run(job: _Job) -> list[ExperimentRecord]:
-        owed, measure = job
+    With ``threads > 1`` the pending jobs run on that many worker processes
+    (at most one per pending job).  A worker returns only the measured
+    fields, so the records are the same for any worker count.
+    """
+    pending = []
+    for owed, measure in jobs:
         todo = [k for k, rec in enumerate(owed) if done is None or record_key(rec) not in done]
-        if not todo:
-            return []
-        return [dataclasses.replace(owed[k], **fields)
-                for k, fields in zip(todo, measure(todo))]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(run, jobs))
+        if todo:
+            pending.append((owed, measure, todo))
+    workers = min(threads, len(pending))
+    if workers > 1:
+        pool = ProcessPoolExecutor(workers)
+        try:
+            futures = [pool.submit(measure, todo) for _, measure, todo in pending]
+            measured = [future.result() for future in futures]
+        finally:
+            # after a failed job, drop the queued ones instead of running them
+            pool.shutdown(cancel_futures=True)
     else:
-        chunks = [run(job) for job in jobs]
-    return [rec for chunk in chunks for rec in chunk]
+        measured = [measure(todo) for _, measure, todo in pending]
+    return [dataclasses.replace(owed[k], **fields)
+            for (owed, _, todo), rows in zip(pending, measured)
+            for k, fields in zip(todo, rows)]
 
 
 def _fitted(result: FitResult, t0: float, **fields) -> dict:
@@ -136,6 +149,17 @@ def _fitted(result: FitResult, t0: float, **fields) -> dict:
         free_count=result.phases.free_count,
         wall_time=time.perf_counter() - t0,
     )
+
+
+def _haar_fits(todo, *, n, target_seed, fits, options) -> list[dict]:
+    """Fit one N x N Haar target with each ``(circuit, fit seed)`` of ``fits`` at ``todo``."""
+    target = haar_unitary(n, target_seed)
+    out = []
+    for circuit, fit_seed in (fits[k] for k in todo):
+        t0 = time.perf_counter()
+        result = fit(circuit, target, options, RandomUniform(), fit_seed)
+        out.append(_fitted(result, t0))
+    return out
 
 
 def universality_sweep(
@@ -160,26 +184,33 @@ def universality_sweep(
         m_list = [m for m in (m_values if m_values is not None else
                               [n - 1, n, n + 1, n + 2]) if m >= 1]
         circuits = {m: ideal_circuit(n, m) for m in m_list}
-
-        def job(i: int, n=n, m_list=m_list, circuits=circuits) -> _Job:
+        for i in range(targets):
             owed = [ExperimentRecord(
                 experiment_label="universality", n=n, m=m, target_index=i,
                 seed=plan.seed(f"universality/n={n}/m={m}/fit", i),
             ) for m in m_list]
-
-            def measure(todo):
-                target = haar_unitary(n, plan.seed(f"universality/n={n}/target", i))
-                out = []
-                for rec in (owed[k] for k in todo):
-                    t0 = time.perf_counter()
-                    result = fit(circuits[rec.m], target, options, RandomUniform(), rec.seed)
-                    out.append(_fitted(result, t0))
-                return out
-
-            return owed, measure
-
-        jobs += [job(i) for i in range(targets)]
+            jobs.append((owed, partial(
+                _haar_fits, n=n, target_seed=plan.seed(f"universality/n={n}/target", i),
+                fits=[(circuits[rec.m], rec.seed) for rec in owed], options=options)))
     return _run_jobs(jobs, threads, done)
+
+
+def _ideal_fit_measure(todo, *, i, ideal, target_seed, fit_seed, options, disorder,
+                       seed, measure_row) -> list[dict]:
+    """Fit one Haar target against ideal mixers, then measure each sigma_k row
+    at ``todo`` with the fitted phases on its ``disorder`` (sigma_k, slot label)."""
+    t0 = time.perf_counter()
+    target = haar_unitary(ideal.ports, target_seed)
+    fitted = fit(ideal, target, options, RandomUniform(), fit_seed)
+    out = []
+    for r in todo:
+        sigma_k, slot_label = disorder[r]
+        perturbed = perturbed_circuit(
+            ideal.ports, ideal.layers, sigma_k, seed, label=slot_label
+        ).with_program(fitted.phases)
+        result, fields = measure_row(r, i, perturbed, target, fitted)
+        out.append(_fitted(result, t0, **fields))
+    return out
 
 
 def _ideal_fit_rows(label, index_name, sigma_k_list, count, options, seed, n, m,
@@ -187,37 +218,36 @@ def _ideal_fit_rows(label, index_name, sigma_k_list, count, options, seed, n, m,
     """Per index, fit a Haar target against ideal mixers, then one record per sigma_k row.
 
     Each row puts the fitted phases on fresh independent disorder in every
-    mixing slot; ``measure_row(r, i, perturbed, target, fitted)`` returns
-    the fit the record reports plus the row's other measured fields.
-    The ideal-mixer fit is shared across the rows of one index, and
-    ``wall_time`` runs from before the target draw.
+    mixing slot; ``measure_row(r, i, perturbed, target, fitted)``, a
+    module-level function or a partial of one, returns the fit the record
+    reports plus the row's other measured fields.  The ideal-mixer fit is
+    shared across the rows of one index, and ``wall_time`` runs from before
+    the target draw.
     """
     plan = SeedPlan(seed)
     ideal = ideal_circuit(n, m)
     rows = [float(sk) for sk in sigma_k_list]
-
-    def job(i: int) -> _Job:
+    jobs = []
+    for i in range(count):
         target_seed = plan.seed(f"{label}/target", i)
+        owed = [ExperimentRecord(experiment_label=label, n=n, m=m, sigma_k=sk,
+                                 target_index=i, seed=target_seed) for sk in rows]
+        disorder = [(sk, f"{label}/h1/row={r}/{index_name}={i}")
+                    for r, sk in enumerate(rows)]
+        jobs.append((owed, partial(
+            _ideal_fit_measure, i=i, ideal=ideal, target_seed=target_seed,
+            fit_seed=plan.seed(f"{label}/fit", i), options=options,
+            disorder=disorder, seed=seed, measure_row=measure_row)))
+    return _run_jobs(jobs, threads, done)
 
-        def measure(todo):
-            t0 = time.perf_counter()
-            target = haar_unitary(n, target_seed)
-            fitted = fit(ideal, target, options, RandomUniform(),
-                         plan.seed(f"{label}/fit", i))
-            out = []
-            for r in todo:
-                perturbed = perturbed_circuit(
-                    n, m, rows[r], seed, label=f"{label}/h1/row={r}/{index_name}={i}"
-                ).with_program(fitted.phases)
-                result, fields = measure_row(r, i, perturbed, target, fitted)
-                out.append(_fitted(result, t0, **fields))
-            return out
 
-        return [ExperimentRecord(experiment_label=label, n=n, m=m, sigma_k=sk,
-                                 target_index=i, seed=target_seed)
-                for sk in rows], measure
-
-    return _run_jobs([job(i) for i in range(count)], threads, done)
+def _perturbation_row(r, i, perturbed, target, fitted, *, f_ideal):
+    u_p = compose(perturbed)
+    return fitted, dict(
+        loss_before=loss(u_p, target),
+        delta_f=relative_deviation(f_ideal, perturbed.mixers[0].matrix),
+        delta_u=relative_deviation(target, u_p),
+    )
 
 
 def perturbation_table(
@@ -239,18 +269,15 @@ def perturbation_table(
     of the composed matrix from the target (delta_u).  The ideal-mixer
     fit is shared across sigma_k rows of the same sample.
     """
-    f_ideal = dfrft(JxSpec(n)).matrix
-
-    def measure_row(r, i, perturbed, target, fitted):
-        u_p = compose(perturbed)
-        return fitted, dict(
-            loss_before=loss(u_p, target),
-            delta_f=relative_deviation(f_ideal, perturbed.mixers[0].matrix),
-            delta_u=relative_deviation(target, u_p),
-        )
-
+    measure_row = partial(_perturbation_row, f_ideal=dfrft(JxSpec(n)).matrix)
     return _ideal_fit_rows("perturbation-table", "sample", sigma_k_list, samples,
                            options, seed, n, m, threads, done, measure_row)
+
+
+def _recalibration_row(r, i, perturbed, target, fitted, *, truncated, attempts, plan):
+    recal = recalibrate(perturbed, target, truncated, attempts, RandomUniform(),
+                        plan.seed(f"recalibration/refit/row={r}", i))
+    return recal, dict(loss_before=loss(compose(perturbed), target))
 
 
 def recalibration_histogram(
@@ -273,14 +300,8 @@ def recalibration_histogram(
     (at most ``attempts`` fresh random initializations of at most
     ``truncated_iterations`` iterations each).
     """
-    truncated = options.truncated(truncated_iterations)
-    plan = SeedPlan(seed)
-
-    def measure_row(r, i, perturbed, target, fitted):
-        recal = recalibrate(perturbed, target, truncated, attempts, RandomUniform(),
-                            plan.seed(f"recalibration/refit/row={r}", i))
-        return recal, dict(loss_before=loss(compose(perturbed), target))
-
+    measure_row = partial(_recalibration_row, attempts=attempts, plan=SeedPlan(seed),
+                          truncated=options.truncated(truncated_iterations))
     return _ideal_fit_rows("recalibration", "target", sigma_k_list, targets,
                            options, seed, n, m, threads, done, measure_row)
 
@@ -290,6 +311,25 @@ def _correlation(a: np.ndarray, b: np.ndarray) -> float | None:
     if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
         return None
     return float(np.corrcoef(a, b)[0, 1])
+
+
+def _phasediff_fits(todo, *, given, target, fits, seed, jitter_fraction, options):
+    """One descent per ``(init mode, sigma_k, slot label, fit seed)`` of ``fits``
+    at ``todo``, against mixers perturbed at sigma_k, compared with ``given``."""
+    m, n = given.shape
+    out = []
+    for mode, sigma_k, slot_label, fit_seed in (fits[k] for k in todo):
+        t0 = time.perf_counter()
+        circ = perturbed_circuit(n, m, sigma_k, seed, label=slot_label)
+        init = FromVector(given, jitter_fraction) if mode == "jittered" else RandomUniform()
+        result = fit(circ, target, options, init, fit_seed)
+        recovered = result.phases.phase_vector()
+        dx = given.ravel() - recovered
+        out.append(_fitted(
+            result, t0, mu_dx=float(dx.mean()), sigma_dx=float(dx.std()),
+            corr_x=_correlation(given.ravel(), recovered),
+        ))
+    return out
 
 
 def phase_difference_study(
@@ -334,38 +374,17 @@ def phase_difference_study(
     for t in range(targets):
         given = uniform_phases(m, n, plan.seed("phasediff/given", t))
         target = transfer_matrix(stack, given)
-
-        def job(j: int, t=t, given=given, target=target) -> _Job:
+        for j in range(runs):
             owed = [ExperimentRecord(
                 experiment_label=f"phasediff/init={mode}", n=n, m=m, sigma_k=rows[r],
                 target_index=t * runs + j,
                 seed=plan.seed(f"phasediff/fit/{mode}/row={r}/t={t}", j),
             ) for mode, r in cells]
-
-            def measure(todo):
-                out = []
-                for k in todo:
-                    (mode, r), t0 = cells[k], time.perf_counter()
-                    circ = perturbed_circuit(
-                        n, m, rows[r], seed, label=f"phasediff/h1/row={r}/t={t}/run={j}"
-                    )
-                    init = (
-                        FromVector(given, jitter_fraction)
-                        if mode == "jittered"
-                        else RandomUniform()
-                    )
-                    result = fit(circ, target, truncated, init, owed[k].seed)
-                    recovered = result.phases.phase_vector()
-                    dx = given.ravel() - recovered
-                    out.append(_fitted(
-                        result, t0, mu_dx=float(dx.mean()), sigma_dx=float(dx.std()),
-                        corr_x=_correlation(given.ravel(), recovered),
-                    ))
-                return out
-
-            return owed, measure
-
-        jobs += [job(j) for j in range(runs)]
+            fits = [(mode, rows[r], f"phasediff/h1/row={r}/t={t}/run={j}", rec.seed)
+                    for (mode, r), rec in zip(cells, owed)]
+            jobs.append((owed, partial(
+                _phasediff_fits, given=given, target=target, fits=fits, seed=seed,
+                jitter_fraction=jitter_fraction, options=truncated)))
     return _run_jobs(jobs, threads, done)
 
 
@@ -445,21 +464,13 @@ def faulty_shifter_grid(
             label = f"faulty/k={k}/combo={c:03d}"
             program = apply_fault_plan(PhaseProgram.zeros(m, n), fault_plan)
             circuit = ideal_circuit(n, m).with_program(program)
-
-            def job(i: int, label=label, plan_str=plan_str, circuit=circuit) -> _Job:
+            for i in range(targets):
                 fit_seed = plan.seed(f"{label}/fit", i)
-
-                def measure(todo):
-                    t0 = time.perf_counter()
-                    target = haar_unitary(n, plan.seed(f"{label}/target", i))
-                    result = fit(circuit, target, options, RandomUniform(), fit_seed)
-                    return [_fitted(result, t0)]
-
-                return [ExperimentRecord(experiment_label=label, n=n, m=m,
-                                         fault_plan=plan_str, target_index=i,
-                                         seed=fit_seed)], measure
-
-            jobs += [job(i) for i in range(targets)]
+                jobs.append(([ExperimentRecord(
+                    experiment_label=label, n=n, m=m, fault_plan=plan_str,
+                    target_index=i, seed=fit_seed,
+                )], partial(_haar_fits, n=n, target_seed=plan.seed(f"{label}/target", i),
+                            fits=[(circuit, fit_seed)], options=options)))
     return _run_jobs(jobs, threads, done)
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import os
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -200,10 +202,14 @@ def read_records(path) -> list[ExperimentRecord]:
 
 
 def write_metadata(path, experiment: str, master_seed: int, parameters: dict) -> None:
-    import numpy
-
+    """Write the run's metadata; ``versions`` records the numeric environment,
+    because the last bits of the records at N = 16 depend on it."""
     from . import __version__
 
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.26 only prints its config
+        blas = {}
     doc = {
         "schema_version": METADATA_SCHEMA_VERSION,
         "experiment": experiment,
@@ -211,7 +217,12 @@ def write_metadata(path, experiment: str, master_seed: int, parameters: dict) ->
         "parameters": parameters,
         "versions": {
             "jxcircuit": __version__,
-            "numpy": numpy.__version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "blas": blas.get("name"),
+            "blas_version": blas.get("version"),
+            **{name: os.environ.get(name)
+               for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
         },
     }
     Path(path).write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n")

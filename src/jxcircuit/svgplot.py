@@ -8,7 +8,6 @@ identical data.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 __all__ = ["scatter_svg", "histogram_svg"]
 
@@ -18,6 +17,11 @@ PALETTE = [
 ]
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 34.0, 46.0
+
+
+def escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` written as XML entities (``&`` first)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(v: float) -> str:

@@ -323,6 +323,7 @@ class TestExperimentCommand:
     SMALL = {
         "universality": "n_list = [2]\nm_list = [3]\ntargets = 1\nrestarts = 1\n",
         "table1": "n = 2\nm = 3\nsamples = 1\nrestarts = 1\n",
+        "recalibration": "n = 2\nm = 3\ntargets = 1\nrestarts = 1\n",
         "phasediff": "n = 2\nm = 3\nruns = 1\n",
         "faulty": "n = 2\nm = 3\nk_list = [1]\ncombos_per_k = 1\ntargets = 1\n"
                   "restarts = 1\n",
@@ -341,8 +342,17 @@ class TestExperimentCommand:
         ("phasediff", "jitter_fraction = false"),
         ("faulty", "combos_per_k = 0"),
         ("faulty", "k_list = [1, null]"),
+        ("table1", "sigma_k_list = [-0.1]"),
+        ("table1", "sigma_k_list = [NaN]"),
+        ("recalibration", "sigma_k_list = [0.001, Infinity]"),
+        ("phasediff", "jitter_fraction = 1.5"),
+        ("phasediff", "jitter_fraction = -0.1"),
     ])
-    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, name, line):
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                             name, line):
+        # refused before any fit runs
+        monkeypatch.setattr(jxcircuit.experiments, "fit",
+                            lambda *args: pytest.fail("a fit ran"))
         cfg = self.config(tmp_path, self.SMALL[name] + line + "\n")
         assert run("experiment", name, "--config", cfg, "--out-dir", tmp_path / "res") == 2
         assert line.split(" =")[0] in capsys.readouterr().err
@@ -356,6 +366,18 @@ class TestExperimentCommand:
                                     'jitter_fraction = 0\ninit_modes = ["jittered"]\n')
         assert run("experiment", "phasediff", "--config", cfg,
                    "--out-dir", tmp_path / "b") == 0
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_study_error_is_usage_error(self, tmp_path, capsys, monkeypatch, threads):
+        # past the config check the bad value reaches the study, which raises
+        # in a worker process when threads > 1
+        monkeypatch.setattr(jxcircuit.cli, "check_values", lambda *args: None)
+        cfg = self.config(tmp_path, "n = 2\nm = 3\nruns = 2\njitter_fraction = 1.5\n")
+        out = tmp_path / "res"
+        assert run("experiment", "phasediff", "--config", cfg, "--out-dir", out,
+                   "--threads", threads) == 2
+        assert "jitter_fraction must lie in [0, 1)" in capsys.readouterr().err
+        assert not (out / "phasediff_records.csv").exists()
 
     def test_threads_below_one_is_usage_error(self, tmp_path):
         cfg = self.config(tmp_path, 'n_list = [2]\nm_list = [3]\ntargets = 1\nrestarts = 1\n')

@@ -2,6 +2,7 @@ import json
 import warnings
 
 import numpy as np
+import pytest
 
 from jxcircuit.experiments import (
     faulty_shifter_grid,
@@ -149,6 +150,17 @@ class TestPhaseDifferenceStudy:
             records = phase_difference_study([0.0], 1, None, 1, n=1, m=1)
         assert len(records) == 2
         assert all(rec.corr_x is None for rec in records)
+
+    def test_worker_errors_reach_the_caller(self):
+        # FromVector refuses the fraction inside the job, so at threads=2 the
+        # error is raised in a worker process
+        messages = []
+        for threads in (1, 2):
+            with pytest.raises(ValueError) as info:
+                phase_difference_study([0.0], 2, None, 44, n=2, m=3,
+                                       jitter_fraction=1.5, threads=threads)
+            messages.append(str(info.value))
+        assert messages == ["jitter_fraction must lie in [0, 1)"] * 2
 
     def test_labels_and_counts(self):
         records = phase_difference_study(

@@ -1,4 +1,5 @@
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -157,6 +158,18 @@ class TestMetadata:
         assert doc["master_seed"] == 7
         assert doc["parameters"]["m_list"] == [3, 4]
         assert "jxcircuit" in doc["versions"]
+
+    def test_versions_record_the_numeric_environment(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        path = tmp_path / "meta.json"
+        write_metadata(path, "x", 0, {})
+        versions = read_metadata(path)["versions"]
+        assert versions["python"] == platform.python_version()
+        assert versions["numpy"] == np.__version__
+        assert isinstance(versions["blas"], str) and isinstance(versions["blas_version"], str)
+        assert versions["OPENBLAS_NUM_THREADS"] is None
+        assert versions["OMP_NUM_THREADS"] == "3"
 
     def test_version_rejected(self, tmp_path):
         path = tmp_path / "meta.json"

@@ -1,4 +1,4 @@
-"""Pinned outputs of every study, serial, threaded and resumed.
+"""Pinned outputs of every study, serial, on worker processes and resumed.
 
 Each study runs at a small budget and its records are hashed with
 ``wall_time`` left out, so any change in what a study computes, in which
@@ -16,14 +16,17 @@ revision.
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
+import multiprocessing
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from jxcircuit import experiments
 from jxcircuit.cli import main
 from jxcircuit.experiments import (
     faulty_shifter_grid,
@@ -178,6 +181,15 @@ def cli_digests(name: str, tmp: Path, threads: int):
 @pytest.mark.parametrize("name", list(STUDIES))
 def test_study_records_match_golden(name):
     assert study_digests(name) == GOLDEN[name]
+
+
+def test_jobs_run_in_spawned_workers(monkeypatch):
+    # a spawned worker starts from a fresh import, so every job must pickle
+    # (no closures, no state set up in the parent)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", functools.partial(
+        experiments.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+    for name, study in STUDIES.items():
+        assert records_digest(study(threads=2)) == GOLDEN[name][1], name
 
 
 @pytest.mark.parametrize("threads", [1, 2])
