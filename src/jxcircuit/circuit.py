@@ -31,6 +31,7 @@ __all__ = [
     "InterlacedCircuit",
     "FitResult",
     "transfer_matrix",
+    "transfer_matrices",
     "compose",
     "loss",
     "residual_vector",
@@ -168,13 +169,30 @@ class FitResult:
     seed: int
 
 
+def _product(u: np.ndarray, mixers: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Interlace ``u`` (the first mixer) with the later mixers and the phase
+    factors ``phases[ell]``, each (N, 1) for one grid or (B, N, 1) for a
+    stack of B grids."""
+    for ell, factors in enumerate(phases):
+        u = mixers[ell + 1] @ (factors * u)
+    return u
+
+
 def transfer_matrix(mixers: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Compose stacked mixer matrices (M+1, N, N) with a phase grid (M, N)."""
-    phases = np.exp(1j * theta)[:, :, None]
-    u = mixers[0]
-    for ell in range(theta.shape[0]):
-        u = mixers[ell + 1] @ (phases[ell] * u)
-    return u
+    return _product(mixers[0], mixers, np.exp(1j * theta)[:, :, None])
+
+
+def transfer_matrices(mixers: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Compose the mixers with a stack of phase grids (B, M, N) in one pass.
+
+    Returns (B, N, N); slice ``b`` is bitwise ``transfer_matrix(mixers,
+    thetas[b])``.  The first mixer enters as a (1, N, N) slice, of the same
+    rank as the phase factors: numpy picks its elementwise loop by operand
+    shapes, and at N = B = 1 a (1, 1) mixer against (1, 1, 1) factors takes
+    a loop that rounds the complex product differently.
+    """
+    return _product(mixers[:1], mixers, np.exp(1j * thetas).transpose(1, 0, 2)[:, :, :, None])
 
 
 def compose(circuit: InterlacedCircuit) -> np.ndarray:

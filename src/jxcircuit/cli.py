@@ -31,6 +31,7 @@ from .fileio import (
     write_metadata,
     write_phases,
     write_records,
+    write_text,
 )
 from .numerics import unitarity_defect
 from .optimizer import LmaOptions, RandomUniform, fit, recalibrate
@@ -43,11 +44,17 @@ UNITARY_ERROR_TOLERANCE = 1e-6
 
 
 def _default_threads() -> int:
+    """Worker processes from ``JXCIRCUIT_THREADS``: 1 when unset or empty."""
     env = os.environ.get("JXCIRCUIT_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
+    if env == "":
         return 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"JXCIRCUIT_THREADS must be an integer >= 1, got {env!r}")
+    return threads
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -238,7 +245,7 @@ def _cmd_experiment(args) -> int:
     write_records(csv_path, merged)
     write_metadata(meta_path, args.name, cfg["master_seed"], cfg)
     svg_path = out_dir / f"{args.name}.svg"
-    svg_path.write_text(study.plot(merged))
+    write_text(svg_path, study.plot(merged))
     print(f"{len(merged)} record(s) -> {csv_path}")
     print(f"metadata -> {meta_path}")
     print(f"plot -> {svg_path}")

@@ -3,13 +3,15 @@
 Matrices are stored with separate real/imaginary grids for human
 diffability; floats round-trip bitwise (shortest-decimal JSON encoding,
 non-finite values rejected).  Phase grids are canonicalized into
-[0, 2 pi) on write.  Loaders reject unknown major schema versions.
+[0, 2 pi) on write.  Loaders reject unknown major schema versions.  Every
+file is written atomically (see ``write_text``).
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import os
 import platform
@@ -26,6 +28,7 @@ __all__ = [
     "PHASE_SCHEMA_VERSION",
     "METADATA_SCHEMA_VERSION",
     "UNITARY_LOAD_TOLERANCE",
+    "write_text",
     "write_matrix",
     "read_matrix",
     "write_phases",
@@ -72,6 +75,23 @@ def _load_json(path):
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as given (no newline translation), atomically.
+
+    The text goes to a temporary file beside ``path`` that replaces it only
+    once complete, so an interrupted write leaves the previous file intact
+    and no partial one behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_matrix(path, matrix, role: str = "general") -> None:
     m = as_complex_matrix(matrix)
     if m.shape[0] != m.shape[1]:
@@ -86,7 +106,7 @@ def write_matrix(path, matrix, role: str = "general") -> None:
         "re": m.real.tolist(),
         "im": m.imag.tolist(),
     }
-    Path(path).write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n")
+    write_text(path, json.dumps(doc, indent=1, allow_nan=False) + "\n")
 
 
 def read_matrix(path) -> tuple[np.ndarray, str]:
@@ -132,7 +152,7 @@ def write_phases(path, program: PhaseProgram) -> None:
         "theta": canon.theta.tolist(),
         "mask": mask_rows,
     }
-    Path(path).write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n")
+    write_text(path, json.dumps(doc, indent=1, allow_nan=False) + "\n")
 
 
 def read_phases(path) -> PhaseProgram:
@@ -168,13 +188,12 @@ def _format_cell(value) -> str:
 
 
 def write_records(path, records) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
-        for rec in records:
-            writer.writerow(
-                [_format_cell(getattr(rec, name)) for name in RECORD_COLUMNS]
-            )
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(RECORD_COLUMNS)
+    for rec in records:
+        writer.writerow([_format_cell(getattr(rec, name)) for name in RECORD_COLUMNS])
+    write_text(path, buffer.getvalue())
 
 
 def read_records(path) -> list[ExperimentRecord]:
@@ -225,7 +244,7 @@ def write_metadata(path, experiment: str, master_seed: int, parameters: dict) ->
                for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
         },
     }
-    Path(path).write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n")
+    write_text(path, json.dumps(doc, indent=1, allow_nan=False) + "\n")
 
 
 def read_metadata(path) -> dict:

@@ -384,6 +384,52 @@ class TestExperimentCommand:
         assert run("experiment", "universality", "--config", cfg, "--threads", 0,
                    "--out-dir", tmp_path / "res") == 2
 
+    @pytest.mark.parametrize("value", ["0", "-2", "two", "1.5", " "])
+    def test_bad_threads_variable_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                 value):
+        monkeypatch.setattr(jxcircuit.experiments, "fit",
+                            lambda *args: pytest.fail("a fit ran"))
+        monkeypatch.setenv("JXCIRCUIT_THREADS", value)
+        cfg = self.config(tmp_path, self.SMALL["universality"])
+        assert run("experiment", "universality", "--config", cfg,
+                   "--out-dir", tmp_path / "res") == 2
+        assert "JXCIRCUIT_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
+    def test_empty_threads_variable_means_one(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("JXCIRCUIT_THREADS", "")
+        cfg = self.config(tmp_path, self.SMALL["universality"])
+        assert run("experiment", "universality", "--config", cfg,
+                   "--out-dir", tmp_path / "res") == 0
+
+    def test_interrupted_write_keeps_previous_outputs(self, tmp_path, capsys, monkeypatch):
+        cfg = self.config(tmp_path, "n = 2\nm = 3\nruns = 2\n")
+        out = tmp_path / "res"
+        assert run("experiment", "phasediff", "--config", cfg, "--out-dir", out) == 0
+        count = len(read_records(out / "phasediff_records.csv"))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        format_cell = jxcircuit.fileio._format_cell
+        cells = []
+
+        def disk_fills_up(value):  # part way through the rewrite of the CSV
+            cells.append(value)
+            if len(cells) > 2 * len(jxcircuit.fileio.RECORD_COLUMNS):
+                raise OSError("No space left on device")
+            return format_cell(value)
+
+        monkeypatch.setattr(jxcircuit.fileio, "_format_cell", disk_fills_up)
+        assert run("experiment", "phasediff", "--config", cfg, "--out-dir", out,
+                   "--resume") == 2
+        # every output as it was, and no temporary file left beside them
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        monkeypatch.undo()
+        monkeypatch.setattr(jxcircuit.experiments, "fit",
+                            lambda *args: pytest.fail("a fit ran"))
+        capsys.readouterr()
+        assert run("experiment", "phasediff", "--config", cfg, "--out-dir", out,
+                   "--resume") == 0
+        assert f"resuming: {count} record(s) already present" in capsys.readouterr().out
+
     def test_impossible_clustered_faults_fail_fast(self, tmp_path):
         # with one port per layer no layer can hold two faults, so the second
         # (clustered) combo has no valid placement

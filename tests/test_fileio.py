@@ -15,6 +15,7 @@ from jxcircuit.fileio import (
     write_metadata,
     write_phases,
     write_records,
+    write_text,
 )
 from jxcircuit.config import load_config, parse_config_text
 from jxcircuit.sampling import haar_unitary
@@ -147,6 +148,15 @@ class TestRecordFiles:
         rec = make_record(fault_plan='[[0,1,0.5],[2,3,1.25]]')
         write_records(path, [rec])
         assert read_records(path)[0].fault_plan == '[[0,1,0.5],[2,3,1.25]]'
+
+
+class TestWriteText:
+    def test_replaces_with_the_text_as_given(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("previous\n")
+        write_text(path, "a,b\r\nc\n")
+        assert path.read_bytes() == b"a,b\r\nc\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 class TestMetadata:

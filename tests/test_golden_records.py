@@ -8,7 +8,9 @@ digest mismatch.  The CLI cases hash the record CSV (without its
 and stdout of ``jxcircuit experiment`` for every study name.
 
 The digests were taken with numpy 2.4.6 on OpenBLAS 0.3.31 (Python 3.11,
-x86-64).  Another numpy or BLAS build may round the last bits
+x86-64), the N = 4 and N = 8 ones from the per-point evaluations that
+came before the stacked probe pass, with one BLAS thread and with
+OpenBLAS's default threading alike.  Another numpy or BLAS build may round the last bits
 differently; ``python tests/test_golden_records.py`` prints the digests
 of the code it imports, to compare against or to re-pin from a trusted
 revision.
@@ -52,6 +54,14 @@ STUDIES = {
         **kw),
     "faulty": lambda **kw: faulty_shifter_grid(
         [1, 3], 2, 2, LmaOptions(restarts=4), 11, n=3, m=4, **kw),
+    # the sizes the benchmark runs, where whole-iteration paths such as the
+    # stacked probe pass see more than a handful of parameters
+    "universality-n4": lambda **kw: universality_sweep(
+        [4], [3, 4, 6], 3, LmaOptions(restarts=3, max_iterations=40), 21, **kw),
+    "phasediff-n8": lambda **kw: phase_difference_study(
+        [0.0, 0.003], 2, None, 22, n=8, m=9, truncated_iterations=50, **kw),
+    "faulty-n4": lambda **kw: faulty_shifter_grid(
+        [1, 4], 2, 1, LmaOptions(restarts=4), 23, n=4, m=5, **kw),
 }
 
 CLI_CONFIGS = {
@@ -92,6 +102,21 @@ GOLDEN = {
         8,
         "1913f404b34bb973f95f7eaaca8fc58bb5ba23f5b60550c5c9dce77ddb4f1404",
         "5b011681cf1c6de7e9baa4bc06e450677d003337769d2ee472d47fc31cb6b7a2",
+    ),
+    "universality-n4": (
+        9,
+        "df011e85acfe768eea9a841e9a329caa3895ebf4e1f7a405859a9d67aef8e438",
+        "fcb8e6743b1cc945decaaaca11167bdb35742dcf7aa5ec47625029f0e4efcbb6",
+    ),
+    "phasediff-n8": (
+        8,
+        "de101ec2573b7186ab4fdaae7fc5f30ec26947be4efa406c04e1f8d09e0b75d3",
+        "084f92a735dca332b0e1cf935ccf52b2796c70341e92330fbc5ea57501ca4351",
+    ),
+    "faulty-n4": (
+        4,
+        "be49ac8aad999ab381f6c8e7f69d495d7af10cc57ecd8238c0aaa158c2a36581",
+        "00dd33c37dcd9d6916f1e543cd5bbba853720c03a85f5fff602f80ec32127130",
     ),
 }
 

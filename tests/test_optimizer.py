@@ -26,8 +26,9 @@ class LinearProblem:
         r = self.a @ x - self.b
         return float(r @ r)
 
-    def residual_of(self, x):
-        return self.a @ x - self.b
+    def probes_and_trial(self, x, delta, h):
+        return (self.a @ (x + h * delta) - self.b, self.a @ (x - h * delta) - self.b,
+                self.loss_of(x + delta))
 
     def residuals_jacobian(self, x):
         return self.a @ x - self.b, self.a

@@ -1,0 +1,74 @@
+"""Property tests: stacked circuit evaluations equal the per-point ones bitwise.
+
+The optimizer composes both curvature probes and the plain trial step of a
+damping trial in one stacked pass; records stay bit-identical only if every
+slice of that pass is exactly what the single-grid functions give.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jxcircuit.circuit import (
+    PhaseProgram,
+    loss,
+    residual_vector,
+    transfer_matrices,
+    transfer_matrix,
+)
+from jxcircuit.optimizer import _ACCEL_PROBE, _Problem
+from jxcircuit.sampling import derive_seed, haar_unitary
+
+SETTINGS = settings(max_examples=100, deadline=None)
+
+
+@st.composite
+def cases(draw):
+    """(ports, layers, batch, seed, frozen mask) with N 1-6, M 1-7, batch 1-4."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 7))
+    batch = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    fixed = draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
+    return n, m, batch, seed, np.array(fixed).reshape(m, n)
+
+
+def mixers_and_target(n, m, seed):
+    mixers = np.stack([haar_unitary(n, derive_seed(seed, "slot", k)) for k in range(m + 1)])
+    return mixers, haar_unitary(n, derive_seed(seed, "target"))
+
+
+@SETTINGS
+@given(cases())
+def test_stacked_slices_equal_single_compositions(case):
+    n, m, batch, seed, _ = case
+    mixers, target = mixers_and_target(n, m, seed)
+    thetas = np.random.default_rng(seed).uniform(-10.0, 10.0, (batch, m, n))
+    stacked = transfer_matrices(mixers, thetas)
+    assert stacked.shape == (batch, n, n)
+    for theta, u in zip(thetas, stacked):
+        single = transfer_matrix(mixers, theta)
+        assert np.array_equal(u, single)
+        assert loss(u, target) == loss(single, target)
+        assert np.array_equal(residual_vector(u, target), residual_vector(single, target))
+
+
+@SETTINGS
+@given(cases())
+def test_probes_and_trial_equal_per_point_evaluations(case):
+    n, m, _, seed, fixed = case
+    mixers, target = mixers_and_target(n, m, seed)
+    rng = np.random.default_rng(seed)
+    program = PhaseProgram(rng.uniform(0.0, 2 * np.pi, (m, n)), fixed)
+    x = program.free_values()
+    delta = rng.standard_normal(x.size) * rng.uniform(1e-6, 1.0)
+    h = _ACCEL_PROBE
+
+    def composed(point):  # frozen entries come from the program, untouched
+        return transfer_matrix(mixers, program.with_free_values(point).theta)
+
+    ahead, behind, trial_loss = _Problem(mixers, program, target).probes_and_trial(
+        x, delta, h)
+    assert np.array_equal(ahead, residual_vector(composed(x + h * delta), target))
+    assert np.array_equal(behind, residual_vector(composed(x - h * delta), target))
+    assert trial_loss == loss(composed(x + delta), target)
