@@ -159,7 +159,12 @@ class InterlacedCircuit:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of a least-squares phase fit."""
+    """Outcome of a least-squares phase fit.
+
+    ``status`` is why the best descent stopped: ``target``, ``ftol``,
+    ``xtol``, ``gtol``, ``maxiter``, ``stalled`` (no damping up to the cap
+    lowered the loss) or ``no-free-parameters``.
+    """
 
     phases: PhaseProgram
     loss: float
@@ -167,6 +172,7 @@ class FitResult:
     restarts_used: int
     converged: bool
     seed: int
+    status: str
 
 
 def _product(u: np.ndarray, mixers: np.ndarray, phases: np.ndarray) -> np.ndarray:

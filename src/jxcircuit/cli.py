@@ -161,7 +161,8 @@ def _cmd_decompose(args) -> int:
     write_phases(args.out, result.phases)
     print(
         f"loss {result.loss:.6e} after {result.restarts_used} restart(s), "
-        f"{result.iterations} iteration(s); phases -> {args.out}"
+        f"{result.iterations} iteration(s), stopped by {result.status}; "
+        f"phases -> {args.out}"
     )
     return 0 if result.converged else 1
 

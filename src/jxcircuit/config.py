@@ -16,7 +16,7 @@ from pathlib import Path
 __all__ = ["parse_config_text", "load_config", "check_values"]
 
 #: keys that count units of work; each must be at least 1
-COUNT_KEYS = ("targets", "samples", "runs", "combos_per_k")
+COUNT_KEYS = ("targets", "samples", "runs", "combos_per_k", "attempts")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:

@@ -2,7 +2,10 @@
 
 The damped normal equations ``(J'J + lambda diag(J'J)) delta = -J'r`` are
 solved per step; a step is accepted only if it lowers the loss, in which
-case ``lambda`` shrinks, otherwise it grows and the solve is retried.
+case ``lambda`` follows Nielsen's gain-ratio update (H. B. Nielsen, 1999:
+it shrinks by up to 3x when the loss falls as the Gauss-Newton model
+predicts, and grows by up to 2x when it falls far less); otherwise it grows
+by ``damping_factor`` and the solve is retried.
 Each candidate step carries an optional geodesic-acceleration correction
 (a second-order term from the directional curvature of the residuals,
 estimated with two extra residual evaluations); the plain step is tried
@@ -66,8 +69,7 @@ class LmaOptions:
     restarts: int = 100
     target_loss: float = 1e-10
     damping_initial: float | None = None  # None: 1e-3 * max(diag J'J) at first step
-    damping_factor: float = 2.0  # growth on rejection
-    damping_shrink: float = 4.0  # divisor on acceptance
+    damping_factor: float = 2.0  # growth on rejection; the gain ratio sets lambda on acceptance
     damping_max: float = 1e10
     acceleration: bool = True  # geodesic second-order step correction
     polish_iterations: int = 3  # extra steps after target_loss to reach noise floor
@@ -83,8 +85,6 @@ class LmaOptions:
             raise ValueError("restarts must be >= 1")
         if self.damping_factor <= 1:
             raise ValueError("damping_factor must exceed 1")
-        if self.damping_shrink <= 1:
-            raise ValueError("damping_shrink must exceed 1")
         if self.damping_initial is not None and not self.damping_initial > 0:
             raise ValueError("damping_initial must be positive when given")
         if self.polish_iterations < 0:
@@ -170,6 +170,15 @@ def _solve(a, rhs):
     return step if np.isfinite(step).all() else None
 
 
+def _gain_damping(lam, current, new_loss, predicted):
+    """Nielsen's damping after an accepted step: the gain ratio rho of the
+    actual to the predicted decrease scales lambda by 1 - (2 rho - 1)^3,
+    clipped to [1/3, 2]; a step the model predicts no decrease for counts as
+    rho = 1.  An accelerated step is scored against the plain step's model."""
+    rho = (current - new_loss) / predicted if predicted > 0 else 1.0
+    return max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-15)
+
+
 def _attempt_step(problem, x, current, r, jac, jtj, diag, g, lam, options):
     """Grow the damping until a loss-decreasing step is found or give up.
 
@@ -178,15 +187,17 @@ def _attempt_step(problem, x, current, r, jac, jtj, diag, g, lam, options):
     plain damped step; only if both fail does the damping grow.  The two
     curvature probes and the plain trial share one stacked evaluation, so
     only the accelerated trial is composed on its own.  Returns
-    (x, loss, lam, step_norm, accepted); on failure the incoming state
-    comes back unchanged with the damping that exceeded the cap.
+    (x, loss, lam, step_norm, accepted), with the gain-ratio damping for
+    the next iteration; on failure the incoming state comes back unchanged
+    with the damping that exceeded the cap.
     """
     while True:
         damped = jtj.copy()
         damped.reshape(-1)[:: damped.shape[0] + 1] += lam * diag
         delta = _solve(damped, -g)
         if delta is not None:
-            shrunk = max(lam / options.damping_shrink, 1e-15)
+            # the Gauss-Newton model's decrease of the loss for the plain step
+            predicted = float(delta.dot(lam * diag * delta - g))
             if options.acceleration:
                 h = _ACCEL_PROBE
                 ahead, behind, plain_loss = problem.probes_and_trial(x, delta, h)
@@ -197,11 +208,13 @@ def _attempt_step(problem, x, current, r, jac, jtj, diag, g, lam, options):
                     trial = x + step
                     trial_loss = problem.loss_of(trial)
                     if trial_loss < current:
-                        return trial, trial_loss, shrunk, _norm(step), True
+                        lam = _gain_damping(lam, current, trial_loss, predicted)
+                        return trial, trial_loss, lam, _norm(step), True
             else:
                 plain_loss = problem.loss_of(x + delta)
             if plain_loss < current:
-                return x + delta, plain_loss, shrunk, _norm(delta), True
+                lam = _gain_damping(lam, current, plain_loss, predicted)
+                return x + delta, plain_loss, lam, _norm(delta), True
         lam *= options.damping_factor
         if lam > options.damping_max:
             return x, current, lam, 0.0, False
@@ -326,6 +339,7 @@ def fit(
         restarts_used=restarts_used,
         converged=final_loss < options.target_loss,
         seed=seed,
+        status=best.status,
     )
 
 

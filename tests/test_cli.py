@@ -54,16 +54,18 @@ class TestDecomposeCommand:
         code = run("decompose", "--target", target, "--layers", 4,
                    "--restarts", 20, "--seed", 1, "--out", out)
         assert code == 0
-        assert "loss" in capsys.readouterr().out
+        summary = capsys.readouterr().out
+        assert "loss" in summary and "stopped by target" in summary
         program = read_phases(out)
         assert program.layers == 4 and program.ports == 3
 
-    def test_nonconvergence_exit_code(self, tmp_path):
+    def test_nonconvergence_exit_code(self, tmp_path, capsys):
         target = tmp_path / "t.json"
         run("haar", "--ports", 3, "--seed", 10, "--out", target)
         code = run("decompose", "--target", target, "--layers", 2,
                    "--restarts", 5, "--seed", 1, "--out", tmp_path / "p.json")
         assert code == 1
+        assert "stopped by target" not in capsys.readouterr().out
 
     def test_identity_target_converges(self, tmp_path):
         target = tmp_path / "eye.json"
@@ -347,6 +349,7 @@ class TestExperimentCommand:
         ("recalibration", "sigma_k_list = [0.001, Infinity]"),
         ("phasediff", "jitter_fraction = 1.5"),
         ("phasediff", "jitter_fraction = -0.1"),
+        ("recalibration", "attempts = 0"),
     ])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, monkeypatch,
                                              name, line):

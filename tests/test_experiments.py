@@ -3,8 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jxcircuit.experiments import (
+    _random_fault_plan,
     faulty_shifter_grid,
     perturbation_table,
     phase_difference_study,
@@ -225,3 +228,38 @@ def test_record_key_uniqueness_across_experiments():
     )
     keys = [record_key(r) for r in records]
     assert len(set(keys)) == len(keys)
+
+
+@st.composite
+def fault_requests(draw):
+    """(layers, ports, k, mode, seed) on grids up to 6x6, possible or not."""
+    layers = draw(st.integers(1, 6))
+    ports = draw(st.integers(1, 6))
+    k = draw(st.integers(-1, layers * ports + 2))
+    mode = draw(st.sampled_from(["spread", "clustered", "any", "nearby"]))
+    return layers, ports, k, mode, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fault_requests())
+def test_random_fault_plan_properties(case):
+    layers, ports, k, mode, seed = case
+    possible = (0 <= k <= layers * ports and mode in ("spread", "clustered", "any")
+                and (mode != "spread" or k <= layers)
+                and (mode != "clustered" or (k >= 2 and ports >= 2)))
+    rng = np.random.default_rng(seed)
+    if not possible:
+        with pytest.raises(ValueError):
+            _random_fault_plan(rng, layers, ports, k, mode)
+        return
+    plan = _random_fault_plan(rng, layers, ports, k, mode)
+    positions = [(mm, pp) for mm, pp, _ in plan]
+    assert len(plan) == k and len(set(positions)) == k
+    assert positions == sorted(positions)
+    assert all(0 <= mm < layers and 0 <= pp < ports for mm, pp in positions)
+    assert all(0.0 <= value < 2 * np.pi for _, _, value in plan)
+    per_layer = np.bincount([mm for mm, _ in positions], minlength=layers)
+    if mode == "spread":
+        assert per_layer.max(initial=0) <= 1
+    if mode == "clustered":
+        assert per_layer.max() >= 2

@@ -8,12 +8,13 @@ digest mismatch.  The CLI cases hash the record CSV (without its
 and stdout of ``jxcircuit experiment`` for every study name.
 
 The digests were taken with numpy 2.4.6 on OpenBLAS 0.3.31 (Python 3.11,
-x86-64), the N = 4 and N = 8 ones from the per-point evaluations that
-came before the stacked probe pass, with one BLAS thread and with
-OpenBLAS's default threading alike.  Another numpy or BLAS build may round the last bits
-differently; ``python tests/test_golden_records.py`` prints the digests
-of the code it imports, to compare against or to re-pin from a trusted
-revision.
+x86-64) from jxcircuit 0.2.0, the first version with the gain-ratio
+damping update, once the full acceptance suite had passed on it; they
+are the same with one BLAS thread and with OpenBLAS's default threading.
+Another numpy or BLAS build may round the last bits differently;
+``python tests/test_golden_records.py`` prints the digests of the code it
+imports, laid out as ``GOLDEN`` and ``CLI_GOLDEN``, to compare against or
+to re-pin from a trusted revision.
 """
 
 import csv
@@ -80,77 +81,77 @@ CLI_CONFIGS = {
 GOLDEN = {
     "universality": (
         18,
-        "463b43c841a644d81d4492fba7675a46cd0c63e04940dab19cc588ff261b47b4",
-        "f6e0b378bc7809a297effef7234199eb72ef8c422a89b794f712b88e0c1b2434",
+        "39178cc5c01bba3f868b74113dc2d7a332d8175805a97683be134b4afbcf0a86",
+        "1d71b5ca275f0130eb3968783a8db5b0850ef17e6813207ba6673f0e157a10d0",
     ),
     "table1": (
         6,
-        "5069b445f9b50f0fbc48a936231a32a43bc563789d7beea19a9c98fbbe29dfb7",
-        "e7111a50407963bd7198fe492d23daf1406fd08e6d7f3678db528623bc7ea406",
+        "c99e552b6b683d4b806b7faca6f92e820ac63a55efff4535453f593507f12fff",
+        "22fa11149baf2815c4c77c2e4908a5f008d82d45b0294bff561295a815534ca6",
     ),
     "recalibration": (
         6,
-        "d05e27ac90ccc618148d7127a97fc923186c41b4c92550798f48a04fe99046c2",
-        "ff956fddfa4b97acc7476ca9092bd298433c398b4ecd287e787b0e88456550eb",
+        "039469f4e69d3870b884ff410e1f3743fd301db3a65e8186b66a67a400e5903e",
+        "f773819bd73a8f430a6c3fef6ef767ed31c40adb619db3eb8ebb375e972d18fc",
     ),
     "phasediff": (
         24,
-        "a1f487f46b21cb82cfa914d78bf3aec618e9e8e5c4dee692ecbe4378a422aec1",
-        "965bb06a1e8a0ef948356fbc0fdb1741f9d9983ad90a4804ce0367dcdc995b19",
+        "8c8ac165dd5cc9d0fd8d5ef37769235849839b85ff5f3f5669aa4e8bb8b5bcd2",
+        "e1ff7d2160993f26c4912c264d48e09ebe6dc76b40bc32da00b256e2b99385ea",
     ),
     "faulty": (
         8,
-        "1913f404b34bb973f95f7eaaca8fc58bb5ba23f5b60550c5c9dce77ddb4f1404",
-        "5b011681cf1c6de7e9baa4bc06e450677d003337769d2ee472d47fc31cb6b7a2",
+        "cb74d59b61b789ee591b40c15b9260ecc32804247bfda690061b0511bc4f39e0",
+        "7c67799022539f26c93f322841250976691dc5a737334110ac3dd41f5b003fc9",
     ),
     "universality-n4": (
         9,
-        "df011e85acfe768eea9a841e9a329caa3895ebf4e1f7a405859a9d67aef8e438",
-        "fcb8e6743b1cc945decaaaca11167bdb35742dcf7aa5ec47625029f0e4efcbb6",
+        "0bab7cc1ae725535f8b9db5389ab1de5b1cac04a2f076254c2a3c4670bfbe187",
+        "5deea3a4bc39ee0d90170db93c6a83e68b03d5f9b8bdd95a3dbd962ccafa4216",
     ),
     "phasediff-n8": (
         8,
-        "de101ec2573b7186ab4fdaae7fc5f30ec26947be4efa406c04e1f8d09e0b75d3",
-        "084f92a735dca332b0e1cf935ccf52b2796c70341e92330fbc5ea57501ca4351",
+        "9d3ae3f60ed945a9d3897476d8fd020e940940d5831d1dd07b973319e40a73f0",
+        "5f6a98b155f111d48699016c474e7763b57c320e7240f3ec6f24f00932abbe9c",
     ),
     "faulty-n4": (
         4,
-        "be49ac8aad999ab381f6c8e7f69d495d7af10cc57ecd8238c0aaa158c2a36581",
-        "00dd33c37dcd9d6916f1e543cd5bbba853720c03a85f5fff602f80ec32127130",
+        "a57aeb5aafcce7624f432d9dbcfa63e2cb0e50c60aabb579efc24d09b62c8aec",
+        "ce2752bb1b67573f3eeca296cc9eef5a44c86f13ed6ae0f75ac24ef9f93c5f04",
     ),
 }
 
 #: study -> digests of (CSV without wall_time, metadata without versions, SVG, stdout)
 CLI_GOLDEN = {
     "universality": (
-        "39cc4c7b68adafdd8449c8ba3c8cc524df5eb52c65176e12c17546fb6b4fdb45",
+        "aac5162b49cd2fe8b99cadd7ea6ca3c6c70cb921d45493e2c5e1075cc27f16dc",
         "72b5223981ac26b1bed90d3cdc8584c7fc3e9ff84a71200d9406aee2a53e5db6",
-        "9f9e0c2b64ee81a279d40eaa4f6039d2d6e79f6179519c5651b59e2090211be5",
-        "85e3a2e211ffa6e7af478f2dc0861600ae42457e0c762452e9ce9a9ae86b0b8d",
+        "367e3f464d87f14a1ae2dc898a498a30da3a23f4ef9fa07f9364c77363b62869",
+        "110a5f66884f109ea884244bcb5d98950c3886bb67639e7dc5a0a7dcd79eab10",
     ),
     "table1": (
-        "5cbae469b7d2c930234bf147a07786aac61e7fecfbcdaa2683fad95dfa42a688",
+        "37d007099a8ff5aeacf52afc2f6466ed851e92b1c3f3753bdf1686a1b4c45bfd",
         "8337850ed42a00c0b353720fca6135214e43129d3d8ef61e8ea673f12a58d43c",
         "f066b355017a9a92cb5faf1e0b4fcbf6f01ef5cb0b90baa650aa5720fff3fcf4",
         "f60032277eb85eaee25a6d779436692030d8702e14ee9c06cde3a4f8057bdbdc",
     ),
     "recalibration": (
-        "b5ad0e0e0060a063d1a4481bae563a567b46ac24af202239e5688eb602638734",
+        "aa2c4806174855b7fcd6809638436a14f2ae7d4e309b1cb41c78c4e12321f834",
         "dc01673d033356d541315feaf6935781901c9bd7e272a6a9d8ab2c5f39fd5e09",
-        "3487466aca738e67a462ae0c4b7015dc875ce1a5877c61a33909f773be4ec16a",
+        "3caa0ba9fbdd44abb51c3669ec2d94b85932ba1bb9546ae7471bbb17d4524d4e",
         "8069b2832ed0fb245706e58f721ae894170ffe546b72383538cede51e2dfb173",
     ),
     "phasediff": (
-        "24ee6b312a3266a142b8ccef7b290d7e2f3d4791c2e4daac5c54b6d9a30faed1",
+        "47d905fb12e85852e210bf7d3250e387e1c5ce47138d2c654ac931ed48426c0d",
         "4723d4381680c9447a010118345f22ab73759e6722154b8bd7dc521287eae1d4",
         "f7b4aa86ac13ff7bf931547573031c467eaa74151b81ac8624efad46520fd616",
         "d17151012e4c3935d2df2e6db773405fc22a1d9a569160dc9b023475c03ecad4",
     ),
     "faulty": (
-        "6ebe9b3c3d9c24a648b7270c2c94486b6c8cb2243553ee251367ba564baca4d3",
+        "bd0dc16c14a6d277234912be76c8361d389ca5e2bee5e4166d372651e24badf7",
         "6e663e21449bca3ec5dceffd5fdad03c0f131d1215776b5bdee37301d2d4f395",
-        "4f4531531813fed5b55bdb3baba3aad710fc0b525c6cfc4dbce8047a92c2431a",
-        "f7be7a447386226879a98c1765ec56294f88c90d80319287f98a386978b3a9d2",
+        "66c2258ce33a1d19ef9378fa32737f018273c484ccf07b15b66cb98e49a1da60",
+        "d7d5b539b107980c255134a1687e45bf1070e3ce5e712719435f3fc6e1362ac3",
     ),
 }
 
@@ -226,8 +227,16 @@ def test_cli_outputs_match_golden(name, threads, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    def pinned(name, values):
+        return "".join([f'    "{name}": (\n', *(f"        {json.dumps(v)},\n" for v in values),
+                        "    ),"])
+
+    # printed in the layout of the two constants above, so that a re-pin is a paste
+    print("GOLDEN = {")
     for name in STUDIES:
-        print(f"    {name!r}: {study_digests(name)!r},")
+        print(pinned(name, study_digests(name)))
+    print("}\n\nCLI_GOLDEN = {")
     for name in CLI_CONFIGS:
         with tempfile.TemporaryDirectory() as tmp:
-            print(f"    {name!r}: {cli_digests(name, Path(tmp), 1)!r},")
+            print(pinned(name, cli_digests(name, Path(tmp), 1)))
+    print("}")

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from jxcircuit import optimizer
 from jxcircuit.circuit import PhaseProgram, compose, ideal_circuit, jacobian, loss, residuals
 from jxcircuit.optimizer import (
     FromVector,
@@ -58,6 +59,42 @@ def test_gauss_newton_exact_on_linear_problem():
     assert out.iterations <= 1 + LmaOptions().polish_iterations
 
 
+def test_accepted_exact_step_shrinks_damping_threefold(monkeypatch):
+    # on a linear problem the Gauss-Newton model is exact, so the gain ratio
+    # is 1 and Nielsen's update takes the smallest factor, 1/3
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((6, 4))
+    problem = LinearProblem(a, a @ rng.standard_normal(4))
+    lams = []
+    attempt_step = optimizer._attempt_step
+
+    def recording(problem, x, current, r, jac, jtj, diag, g, lam, options):
+        lams.append(lam)
+        return attempt_step(problem, x, current, r, jac, jtj, diag, g, lam, options)
+
+    monkeypatch.setattr(optimizer, "_attempt_step", recording)
+    _minimize(problem, np.zeros(4), LmaOptions(damping_initial=1.0))
+    assert lams[:2] == [1.0, 1.0 / 3.0]
+
+
+def test_n16_fit_pays_few_solves_per_jacobian(monkeypatch):
+    # every rejected damping trial costs one or two O(P^3) solves; the
+    # gain-ratio update keeps rejections rare after accepted steps
+    calls = {"solve": 0, "jacobian": 0}
+
+    def counted(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+        return wrapper
+
+    monkeypatch.setattr(optimizer, "_solve", counted("solve", optimizer._solve))
+    monkeypatch.setattr(optimizer._Problem, "residuals_jacobian",
+                        counted("jacobian", optimizer._Problem.residuals_jacobian))
+    fit(ideal_circuit(16, 18), haar_unitary(16, 5), LmaOptions(restarts=1), seed=1)
+    assert calls["solve"] <= 3.5 * calls["jacobian"], calls
+
+
 def test_step_at_converged_point_keeps_loss():
     circ = ideal_circuit(3, 4)
     target = haar_unitary(3, 21)
@@ -102,6 +139,7 @@ def test_fit_haar_target_above_transition():
     result = fit(ideal_circuit(4, 5), target, LmaOptions(restarts=100), seed=5)
     assert result.loss < 1e-10
     assert result.converged
+    assert result.status == "target"
 
 
 def test_fit_haar_target_below_transition_plateaus():
@@ -109,6 +147,7 @@ def test_fit_haar_target_below_transition_plateaus():
     result = fit(ideal_circuit(4, 4), target, LmaOptions(restarts=10), seed=6)
     assert not result.converged
     assert result.loss > 1e-8
+    assert result.status in ("ftol", "xtol", "gtol", "maxiter", "stalled")
 
 
 def test_gradient_small_at_converged_optimum():
