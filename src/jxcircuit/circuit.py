@@ -1,4 +1,5 @@
-"""Interlaced mixing/phase circuits: composition, loss and analytic Jacobian.
+"""Interlaced mixing/phase circuits: composition, loss, residuals and their
+analytic Jacobian.
 
 Conventions, fixed throughout the package:
 
@@ -34,9 +35,6 @@ __all__ = [
     "transfer_matrices",
     "compose",
     "loss",
-    "residual_vector",
-    "residuals",
-    "jacobian",
     "residuals_and_jacobian",
     "apply_fault_plan",
     "ideal_circuit",
@@ -75,11 +73,6 @@ class PhaseProgram:
     def zeros(cls, layers: int, ports: int) -> "PhaseProgram":
         return cls(np.zeros((layers, ports)), np.zeros((layers, ports), dtype=bool))
 
-    @classmethod
-    def free_grid(cls, theta) -> "PhaseProgram":
-        theta = np.asarray(theta, dtype=float)
-        return cls(theta, np.zeros(theta.shape, dtype=bool))
-
     @property
     def layers(self) -> int:
         return self.theta.shape[0]
@@ -95,14 +88,6 @@ class PhaseProgram:
     @property
     def free_count(self) -> int:
         return int(self.free_mask.sum())
-
-    def phase_vector(self) -> np.ndarray:
-        """Full layer-major flattening of the grid (fixed entries included)."""
-        return self.theta.ravel().copy()
-
-    def free_values(self) -> np.ndarray:
-        """Values of the free entries, layer-major."""
-        return self.theta[self.free_mask].copy()
 
     def with_free_values(self, values) -> "PhaseProgram":
         values = np.asarray(values, dtype=float)
@@ -217,24 +202,13 @@ def loss(u, target) -> float:
     return float(np.vdot(diff, diff).real) / (n * n)
 
 
-def residual_vector(u, target) -> np.ndarray:
-    """Stacked Re/Im entries of ``(U - U_t) / N``; its sum of squares is the loss."""
-    u = as_complex_matrix(u)
-    t = as_complex_matrix(target)
-    if u.shape != t.shape or u.shape[0] != u.shape[1]:
-        raise ValueError(f"shape mismatch: {u.shape} vs {t.shape}")
-    diff = (u - t) / u.shape[0]
-    return np.concatenate([diff.real.ravel(), diff.imag.ravel()])
-
-
-def residuals(circuit: InterlacedCircuit, target) -> np.ndarray:
-    return residual_vector(compose(circuit), target)
-
-
 def residuals_and_jacobian(
     mixers: np.ndarray, theta: np.ndarray, free_mask: np.ndarray, target: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residual vector and its Jacobian w.r.t. the free phases.
+
+    The residuals are the stacked Re/Im entries of ``(U - U_t) / N``, so
+    their sum of squares is the loss.
 
     Splitting the product at layer ``ell`` as ``U = A . diag(e^{i theta}) . B``
     gives the rank-one derivative
@@ -267,18 +241,6 @@ def residuals_and_jacobian(
     return r, rows[free_mask.ravel()].T
 
 
-def jacobian(circuit: InterlacedCircuit, target) -> np.ndarray:
-    """Jacobian of ``residuals(circuit, target)`` w.r.t. the free phases."""
-    target = as_complex_matrix(target)
-    _, jac = residuals_and_jacobian(
-        circuit.mixer_stack(),
-        circuit.program.theta,
-        circuit.program.free_mask,
-        target,
-    )
-    return jac
-
-
 def apply_fault_plan(
     program: PhaseProgram, faults: Iterable[tuple[int, int, float]]
 ) -> PhaseProgram:
@@ -308,11 +270,11 @@ def apply_fault_plan(
     return PhaseProgram(theta, fixed)
 
 
-def ideal_circuit(n: int, m: int, kappa: float = 1.0) -> InterlacedCircuit:
+def ideal_circuit(n: int, m: int) -> InterlacedCircuit:
     """Circuit of m+1 identical ideal mixing layers with all phases zero."""
     if m < 1:
         raise ValueError(f"need at least one phase layer, got {m}")
-    layer = dfrft(JxSpec(n, kappa))
+    layer = dfrft(JxSpec(n))
     return InterlacedCircuit((layer,) * (m + 1), PhaseProgram.zeros(m, n))
 
 
@@ -321,7 +283,6 @@ def perturbed_circuit(
     m: int,
     sigma_k: float,
     seed: int,
-    kappa: float = 1.0,
     *,
     label: str = "mixer-slot",
 ) -> InterlacedCircuit:
@@ -333,10 +294,10 @@ def perturbed_circuit(
     ``sigma_k = 0`` gives the ideal circuit without drawing any disorder.
     """
     if sigma_k == 0.0:
-        return ideal_circuit(n, m, kappa)
+        return ideal_circuit(n, m)
     if m < 1:
         raise ValueError(f"need at least one phase layer, got {m}")
-    spec = JxSpec(n, kappa)
+    spec = JxSpec(n)
     mixers = []
     for slot in range(m + 1):
         h1 = gaussian_hermitian(n, derive_seed(seed, label, slot))

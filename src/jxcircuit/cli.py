@@ -34,7 +34,7 @@ from .fileio import (
     write_text,
 )
 from .numerics import unitarity_defect
-from .optimizer import LmaOptions, RandomUniform, fit, recalibrate
+from .optimizer import LmaOptions, fit
 from .sampling import derive_seed, haar_unitary
 
 #: decompose warns about targets whose unitarity defect exceeds this
@@ -156,8 +156,7 @@ def _cmd_decompose(args) -> int:
         max_iterations=args.max_iterations,
         target_loss=args.target_loss,
     )
-    result = fit(ideal_circuit(n, args.layers), target, options,
-                 RandomUniform(), args.seed)
+    result = fit(ideal_circuit(n, args.layers), target, options, seed=args.seed)
     write_phases(args.out, result.phases)
     print(
         f"loss {result.loss:.6e} after {result.restarts_used} restart(s), "
@@ -178,6 +177,8 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    if args.attempts < 1:
+        raise ValueError(f"--attempts must be >= 1, got {args.attempts}")
     target, _ = read_matrix(args.target)
     program = read_phases(args.phases)
     if target.shape[0] != program.ports:
@@ -191,11 +192,10 @@ def _cmd_calibrate(args) -> int:
     if loss_before < args.target_loss:
         corrected, loss_after = program, loss_before
     else:
-        options = LmaOptions(target_loss=args.target_loss).truncated(args.iterations)
-        result = recalibrate(
-            circuit, target, options, args.attempts, RandomUniform(),
-            derive_seed(args.seed, "calibrate", 0),
-        )
+        options = LmaOptions(max_iterations=args.iterations, restarts=args.attempts,
+                             target_loss=args.target_loss)
+        result = fit(circuit, target, options,
+                     seed=derive_seed(args.seed, "calibrate", 0))
         corrected, loss_after = result.phases, result.loss
     write_phases(args.out, corrected)
     print(f"loss_before {loss_before:.6e}")

@@ -17,6 +17,8 @@ __all__ = ["parse_config_text", "load_config", "check_values"]
 
 #: keys that count units of work; each must be at least 1
 COUNT_KEYS = ("targets", "samples", "runs", "combos_per_k", "attempts")
+#: list keys and the least entry each allows (M counts layers, k faults)
+LIST_FLOORS = {"m_list": 1, "k_list": 0, "sigma_k_list": 0}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -59,8 +61,8 @@ def _matches(value, default) -> bool:
 
 def check_values(values: dict, defaults: dict, source: str = "<config>") -> None:
     """Reject unknown keys, values whose type differs from their default's,
-    counts below 1, non-finite numbers, negative sigma_k entries and a
-    jitter fraction outside [0, 1)."""
+    counts below 1, list entries below their ``LIST_FLOORS`` floor,
+    non-finite numbers and a jitter fraction outside [0, 1)."""
     unknown = sorted(set(values) - set(defaults))
     if unknown:
         raise ValueError(f"{source}: unknown option(s): " + ", ".join(unknown))
@@ -76,7 +78,10 @@ def check_values(values: dict, defaults: dict, source: str = "<config>") -> None
         numbers = value if isinstance(value, list) else [value]
         if not all(math.isfinite(v) for v in numbers if isinstance(v, float)):
             raise ValueError(f"{source}: {key} = {json.dumps(value)} is not finite")
-        if key == "sigma_k_list" and min(numbers, default=0) < 0:
-            raise ValueError(f"{source}: {key} entries must be >= 0, got {json.dumps(value)}")
+        floor = LIST_FLOORS.get(key)
+        if floor is not None and value is not None and min(value, default=floor) < floor:
+            raise ValueError(
+                f"{source}: {key} entries must be >= {floor}, got {json.dumps(value)}"
+            )
         if key == "jitter_fraction" and not 0 <= value < 1:
             raise ValueError(f"{source}: {key} must lie in [0, 1), got {value}")

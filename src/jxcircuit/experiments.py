@@ -39,7 +39,7 @@ from .circuit import (
     transfer_matrix,
 )
 from .lattice import JxSpec, dfrft, relative_deviation
-from .optimizer import FromVector, LmaOptions, RandomUniform, fit, recalibrate
+from .optimizer import FromVector, LmaOptions, fit
 from .sampling import SeedPlan, haar_unitary, uniform_phases
 from .svgplot import histogram_svg, scatter_svg
 
@@ -157,7 +157,7 @@ def _haar_fits(todo, *, n, target_seed, fits, options) -> list[dict]:
     out = []
     for circuit, fit_seed in (fits[k] for k in todo):
         t0 = time.perf_counter()
-        result = fit(circuit, target, options, RandomUniform(), fit_seed)
+        result = fit(circuit, target, options, seed=fit_seed)
         out.append(_fitted(result, t0))
     return out
 
@@ -174,15 +174,15 @@ def universality_sweep(
 ) -> list[ExperimentRecord]:
     """Best-of-restarts loss per (N, M, Haar target).
 
-    ``m_values=None`` sweeps M = N-1 .. N+2 for each N, which brackets
+    ``m_values=None`` sweeps M = N-1 .. N+2 (M >= 1) for each N, which brackets
     the layer count where the error norm collapses to numerical noise.
     Targets are shared across M for a given N.
     """
     plan = SeedPlan(seed)
     jobs = []
     for n in n_list:
-        m_list = [m for m in (m_values if m_values is not None else
-                              [n - 1, n, n + 1, n + 2]) if m >= 1]
+        m_list = (list(m_values) if m_values is not None else
+                  [m for m in (n - 1, n, n + 1, n + 2) if m >= 1])
         circuits = {m: ideal_circuit(n, m) for m in m_list}
         for i in range(targets):
             owed = [ExperimentRecord(
@@ -201,7 +201,7 @@ def _ideal_fit_measure(todo, *, i, ideal, target_seed, fit_seed, options, disord
     at ``todo`` with the fitted phases on its ``disorder`` (sigma_k, slot label)."""
     t0 = time.perf_counter()
     target = haar_unitary(ideal.ports, target_seed)
-    fitted = fit(ideal, target, options, RandomUniform(), fit_seed)
+    fitted = fit(ideal, target, options, seed=fit_seed)
     out = []
     for r in todo:
         sigma_k, slot_label = disorder[r]
@@ -274,9 +274,9 @@ def perturbation_table(
                            options, seed, n, m, threads, done, measure_row)
 
 
-def _recalibration_row(r, i, perturbed, target, fitted, *, truncated, attempts, plan):
-    recal = recalibrate(perturbed, target, truncated, attempts, RandomUniform(),
-                        plan.seed(f"recalibration/refit/row={r}", i))
+def _recalibration_row(r, i, perturbed, target, fitted, *, truncated, plan):
+    recal = fit(perturbed, target, truncated,
+                seed=plan.seed(f"recalibration/refit/row={r}", i))
     return recal, dict(loss_before=loss(compose(perturbed), target))
 
 
@@ -300,8 +300,9 @@ def recalibration_histogram(
     (at most ``attempts`` fresh random initializations of at most
     ``truncated_iterations`` iterations each).
     """
-    measure_row = partial(_recalibration_row, attempts=attempts, plan=SeedPlan(seed),
-                          truncated=options.truncated(truncated_iterations))
+    truncated = dataclasses.replace(options, max_iterations=truncated_iterations,
+                                    restarts=attempts)
+    measure_row = partial(_recalibration_row, truncated=truncated, plan=SeedPlan(seed))
     return _ideal_fit_rows("recalibration", "target", sigma_k_list, targets,
                            options, seed, n, m, threads, done, measure_row)
 
@@ -321,9 +322,9 @@ def _phasediff_fits(todo, *, given, target, fits, seed, jitter_fraction, options
     for mode, sigma_k, slot_label, fit_seed in (fits[k] for k in todo):
         t0 = time.perf_counter()
         circ = perturbed_circuit(n, m, sigma_k, seed, label=slot_label)
-        init = FromVector(given, jitter_fraction) if mode == "jittered" else RandomUniform()
+        init = FromVector(given, jitter_fraction) if mode == "jittered" else None
         result = fit(circ, target, options, init, fit_seed)
-        recovered = result.phases.phase_vector()
+        recovered = result.phases.theta.ravel()
         dx = given.ravel() - recovered
         out.append(_fitted(
             result, t0, mu_dx=float(dx.mean()), sigma_dx=float(dx.std()),
@@ -359,9 +360,8 @@ def phase_difference_study(
     """
     options = options if options is not None else LmaOptions()
     # each run of the study is a single truncated descent
-    truncated = dataclasses.replace(
-        options.truncated(truncated_iterations), restarts=1
-    )
+    truncated = dataclasses.replace(options, max_iterations=truncated_iterations,
+                                    restarts=1)
     plan = SeedPlan(seed)
     stack = ideal_circuit(n, m).mixer_stack()
     rows = [float(sk) for sk in sigma_k_list]

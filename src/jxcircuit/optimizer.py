@@ -5,8 +5,8 @@ solved per step; a step is accepted only if it lowers the loss, in which
 case ``lambda`` follows Nielsen's gain-ratio update (H. B. Nielsen, 1999:
 it shrinks by up to 3x when the loss falls as the Gauss-Newton model
 predicts, and grows by up to 2x when it falls far less); otherwise it grows
-by ``damping_factor`` and the solve is retried.
-Each candidate step carries an optional geodesic-acceleration correction
+by a factor of 2 and the solve is retried.
+Each candidate step carries a geodesic-acceleration correction
 (a second-order term from the directional curvature of the residuals,
 estimated with two extra residual evaluations); the plain step is tried
 as a fallback at the same damping before the damping grows; both
@@ -17,16 +17,15 @@ through narrow curved valleys.
 
 Termination mirrors the usual trio of tolerances (function, step,
 optimality) plus a hard loss target and an iteration cap; ``fit`` wraps
-the descent in independent seeded restarts and ``recalibrate`` re-runs it
-with a truncated iteration budget against perturbed mixers.
+the descent in independent seeded restarts.  Recalibration against
+perturbed mixers is a ``fit`` with ``restarts=attempts`` and a truncated
+``max_iterations``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -42,62 +41,40 @@ from .circuit import (
 from .numerics import as_complex_matrix
 from .sampling import derive_seed, jitter_phases, uniform_phases
 
-__all__ = [
-    "LmaOptions",
-    "RandomUniform",
-    "FromVector",
-    "InitStrategy",
-    "fit",
-    "recalibrate",
-]
+__all__ = ["LmaOptions", "FromVector", "fit"]
 
 
 #: relative length of the probe used for the curvature (acceleration) estimate
 _ACCEL_PROBE = 0.1
 #: acceleration is skipped when ||acc|| exceeds this multiple of 2 ||delta||
 _ACCEL_RATIO_LIMIT = 0.75
+#: stopping tolerances: relative loss change, relative step length, gradient entries
+_FUNCTION_TOLERANCE = 1e-6
+_STEP_TOLERANCE = 1e-6
+_OPTIMALITY_TOLERANCE = 1e-10
+#: first damping (a multiple of max diag J'J), growth on rejection, give-up cap
+_DAMPING_SCALE = 1e-3
+_DAMPING_FACTOR = 2.0
+_DAMPING_MAX = 1e10
+#: extra steps after target_loss to reach the noise floor
+_POLISH_ITERATIONS = 3
 
 
 @dataclass(frozen=True)
 class LmaOptions:
-    """Tolerances and budgets for the damped least-squares descent."""
+    """Budgets of a fit: iterations per descent, descents, and the loss target."""
 
-    function_tolerance: float = 1e-6
-    step_tolerance: float = 1e-6
-    optimality_tolerance: float = 1e-10
     max_iterations: int = 400
     restarts: int = 100
     target_loss: float = 1e-10
-    damping_initial: float | None = None  # None: 1e-3 * max(diag J'J) at first step
-    damping_factor: float = 2.0  # growth on rejection; the gain ratio sets lambda on acceptance
-    damping_max: float = 1e10
-    acceleration: bool = True  # geodesic second-order step correction
-    polish_iterations: int = 3  # extra steps after target_loss to reach noise floor
 
     def __post_init__(self):
-        for name in ("function_tolerance", "step_tolerance", "optimality_tolerance",
-                     "target_loss"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.damping_factor <= 1:
-            raise ValueError("damping_factor must exceed 1")
-        if self.damping_initial is not None and not self.damping_initial > 0:
-            raise ValueError("damping_initial must be positive when given")
-        if self.polish_iterations < 0:
-            raise ValueError("polish_iterations must be >= 0")
-
-    def truncated(self, max_iterations: int = 50) -> "LmaOptions":
-        """Copy with the truncated iteration cap used for recalibration."""
-        return dataclasses.replace(self, max_iterations=max_iterations)
-
-
-@dataclass(frozen=True)
-class RandomUniform:
-    """Fresh i.i.d. U[0, 2 pi) phases for every restart."""
+        if not self.target_loss > 0:
+            raise ValueError("target_loss must be positive")
 
 
 @dataclass(frozen=True)
@@ -110,9 +87,6 @@ class FromVector:
     def __post_init__(self):
         if not 0.0 <= self.jitter_fraction < 1.0:
             raise ValueError("jitter_fraction must lie in [0, 1)")
-
-
-InitStrategy = Union[RandomUniform, FromVector]
 
 
 class _Problem:
@@ -146,7 +120,7 @@ class _Problem:
     def probes_and_trial(self, x: np.ndarray, delta: np.ndarray, h: float):
         """Residuals at ``x + h delta`` and ``x - h delta`` and the loss at
         ``x + delta`` from one stacked composition, bitwise as
-        ``circuit.residual_vector`` and ``loss_of`` give them one by one."""
+        ``residuals_jacobian`` and ``loss_of`` give them one by one."""
         thetas = np.repeat(self._theta[None], 3, axis=0)
         thetas[:, self.free] = (x + h * delta, x - h * delta, x + delta)
         diff = transfer_matrices(self.mixers, thetas) - self.target
@@ -179,11 +153,11 @@ def _gain_damping(lam, current, new_loss, predicted):
     return max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-15)
 
 
-def _attempt_step(problem, x, current, r, jac, jtj, diag, g, lam, options):
+def _attempt_step(problem, x, current, r, jac, jtj, diag, g, lam):
     """Grow the damping until a loss-decreasing step is found or give up.
 
     At each damping value the geodesic-accelerated step is tried first
-    (when enabled and its correction is not disproportionate), then the
+    (when its correction is not disproportionate), then the
     plain damped step; only if both fail does the damping grow.  The two
     curvature probes and the plain trial share one stacked evaluation, so
     only the accelerated trial is composed on its own.  Returns
@@ -198,25 +172,22 @@ def _attempt_step(problem, x, current, r, jac, jtj, diag, g, lam, options):
         if delta is not None:
             # the Gauss-Newton model's decrease of the loss for the plain step
             predicted = float(delta.dot(lam * diag * delta - g))
-            if options.acceleration:
-                h = _ACCEL_PROBE
-                ahead, behind, plain_loss = problem.probes_and_trial(x, delta, h)
-                fvv = (ahead - 2.0 * r + behind) / (h * h)
-                acc = _solve(damped, -(jac.T @ fvv))
-                if acc is not None and _norm(acc) <= 2.0 * _ACCEL_RATIO_LIMIT * _norm(delta):
-                    step = delta + 0.5 * acc
-                    trial = x + step
-                    trial_loss = problem.loss_of(trial)
-                    if trial_loss < current:
-                        lam = _gain_damping(lam, current, trial_loss, predicted)
-                        return trial, trial_loss, lam, _norm(step), True
-            else:
-                plain_loss = problem.loss_of(x + delta)
+            h = _ACCEL_PROBE
+            ahead, behind, plain_loss = problem.probes_and_trial(x, delta, h)
+            fvv = (ahead - 2.0 * r + behind) / (h * h)
+            acc = _solve(damped, -(jac.T @ fvv))
+            if acc is not None and _norm(acc) <= 2.0 * _ACCEL_RATIO_LIMIT * _norm(delta):
+                step = delta + 0.5 * acc
+                trial = x + step
+                trial_loss = problem.loss_of(trial)
+                if trial_loss < current:
+                    lam = _gain_damping(lam, current, trial_loss, predicted)
+                    return trial, trial_loss, lam, _norm(step), True
             if plain_loss < current:
                 lam = _gain_damping(lam, current, plain_loss, predicted)
                 return x + delta, plain_loss, lam, _norm(delta), True
-        lam *= options.damping_factor
-        if lam > options.damping_max:
+        lam *= _DAMPING_FACTOR
+        if lam > _DAMPING_MAX:
             return x, current, lam, 0.0, False
 
 
@@ -236,23 +207,23 @@ def _minimize(problem: _Problem, x0: np.ndarray, options: LmaOptions) -> _RunOut
     if x.size == 0:
         return _RunOutcome(x, current, 0, "no-free-parameters")
 
-    lam = options.damping_initial
+    lam = None
     iterations = 0
     polishing = False
-    polish_left = options.polish_iterations
+    polish_left = _POLISH_ITERATIONS
     status = "maxiter"
     while iterations < options.max_iterations:
         r, jac = problem.residuals_jacobian(x)
         g = jac.T @ r
-        if not polishing and float(np.abs(g).max()) < options.optimality_tolerance:
+        if not polishing and float(np.abs(g).max()) < _OPTIMALITY_TOLERANCE:
             status = "gtol"
             break
         jtj = jac.T @ jac
         diag = np.maximum(np.diagonal(jtj), 1e-30)
         if lam is None:
-            lam = 1e-3 * float(diag.max())
+            lam = _DAMPING_SCALE * float(diag.max())
         x, new_loss, lam, step, accepted = _attempt_step(
-            problem, x, current, r, jac, jtj, diag, g, lam, options
+            problem, x, current, r, jac, jtj, diag, g, lam
         )
         if not accepted:
             status = "target" if polishing else "stalled"
@@ -271,27 +242,27 @@ def _minimize(problem: _Problem, x0: np.ndarray, options: LmaOptions) -> _RunOut
                 break
             polishing = True
             continue
-        if abs(previous - current) <= options.function_tolerance * current:
+        if abs(previous - current) <= _FUNCTION_TOLERANCE * current:
             status = "ftol"
             break
-        if step <= options.step_tolerance * (_norm(x) + options.step_tolerance):
+        if step <= _STEP_TOLERANCE * (_norm(x) + _STEP_TOLERANCE):
             status = "xtol"
             break
     return _RunOutcome(x, current, iterations, status)
 
 
 def _initial_free_values(
-    program: PhaseProgram, init: InitStrategy, restart_seed: int
+    program: PhaseProgram, init: FromVector | None, restart_seed: int
 ) -> np.ndarray:
-    if isinstance(init, RandomUniform):
+    """Start of one restart: fresh i.i.d. U[0, 2 pi) phases when ``init`` is
+    None, else ``init``'s grid jittered by its fraction."""
+    if init is None:
         grid = uniform_phases(program.layers, program.ports, restart_seed)
-    elif isinstance(init, FromVector):
+    else:
         base = np.asarray(init.phases, dtype=float).reshape(
             program.layers, program.ports
         )
         grid = jitter_phases(base, init.jitter_fraction, restart_seed)
-    else:
-        raise TypeError(f"unknown init strategy {init!r}")
     return grid[program.free_mask]
 
 
@@ -299,19 +270,19 @@ def fit(
     circuit: InterlacedCircuit,
     target,
     options: LmaOptions | None = None,
-    init: InitStrategy | None = None,
+    init: FromVector | None = None,
     seed: int = 0,
 ) -> FitResult:
     """Best-of-restarts phase fit of the circuit to a target unitary.
 
     Up to ``options.restarts`` independent descents run from fresh seeded
-    initializations; the loop stops early once the loss target is met.
+    initializations (uniform phases, or ``init`` jittered); the loop stops
+    early once the loss target is met.
     Frozen (faulty) phases are never modified.  The returned loss is
     recomputed from the composed transfer matrix, so it is consistent
     with ``loss(compose(...), target)`` by construction.
     """
     options = options if options is not None else LmaOptions()
-    init = init if init is not None else RandomUniform()
     target = as_complex_matrix(target)
     program = circuit.program
     mixers = circuit.mixer_stack()
@@ -342,28 +313,3 @@ def fit(
         status=best.status,
     )
 
-
-def recalibrate(
-    circuit: InterlacedCircuit,
-    target,
-    options: LmaOptions | None = None,
-    attempts: int = 10,
-    init: InitStrategy | None = None,
-    seed: int = 0,
-) -> FitResult:
-    """Second optimization against (typically perturbed) mixers.
-
-    Runs truncated descents (default cap 50 iterations) up to ``attempts``
-    times with fresh perturbation-independent initializations, returning
-    the first result below the loss target, else the best seen.
-    """
-    if attempts < 1:
-        raise ValueError("attempts must be >= 1")
-    options = options if options is not None else LmaOptions().truncated()
-    return fit(
-        circuit,
-        target,
-        dataclasses.replace(options, restarts=attempts),
-        init=init,
-        seed=seed,
-    )

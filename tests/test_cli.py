@@ -164,6 +164,16 @@ class TestCalibrateCommand:
         assert after < 1e-10
         assert before / after > 1e6
 
+    def test_zero_attempts_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(jxcircuit.cli, "fit", lambda *args, **kw: pytest.fail("a fit ran"))
+        target, phases = tmp_path / "t.json", tmp_path / "p.json"
+        run("haar", "--ports", 2, "--seed", 1, "--out", target)
+        write_phases(phases, PhaseProgram.zeros(2, 2))
+        assert run("calibrate", "--target", target, "--phases", phases,
+                   "--sigma-k", 0.003, "--attempts", 0, "--out", tmp_path / "c.json") == 2
+        assert "--attempts" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
+
 
 class TestExperimentCommand:
     def config(self, tmp_path, text):
@@ -344,6 +354,8 @@ class TestExperimentCommand:
         ("phasediff", "jitter_fraction = false"),
         ("faulty", "combos_per_k = 0"),
         ("faulty", "k_list = [1, null]"),
+        ("faulty", "k_list = [-1]"),
+        ("universality", "m_list = [0]"),
         ("table1", "sigma_k_list = [-0.1]"),
         ("table1", "sigma_k_list = [NaN]"),
         ("recalibration", "sigma_k_list = [0.001, Infinity]"),

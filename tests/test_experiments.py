@@ -48,6 +48,13 @@ class TestUniversalitySweep:
             [2], None, targets=1, options=LmaOptions(restarts=4), seed=13
         )
         assert sorted({r.m for r in records}) == [1, 2, 3, 4]
+        # at N = 1 the default range drops M = 0; an explicit M = 0 is refused
+        records = universality_sweep(
+            [1], None, targets=1, options=LmaOptions(restarts=1), seed=13
+        )
+        assert sorted({r.m for r in records}) == [1, 2, 3]
+        with pytest.raises(ValueError, match="phase layer"):
+            universality_sweep([2], [0], targets=1, options=LmaOptions(restarts=1), seed=13)
 
     def test_records_well_formed(self):
         records = universality_sweep(

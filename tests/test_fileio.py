@@ -81,7 +81,8 @@ class TestPhaseFiles:
     def test_round_trip_canonicalizes(self, tmp_path):
         path = tmp_path / "p.json"
         theta = np.array([[7.0, -0.25], [0.5, 1.0]])
-        program = apply_fault_plan(PhaseProgram.free_grid(theta), [(1, 1, 9.5)])
+        program = apply_fault_plan(PhaseProgram(theta, np.zeros(theta.shape, bool)),
+                                   [(1, 1, 9.5)])
         write_phases(path, program)
         back = read_phases(path)
         assert np.all(back.theta >= 0) and np.all(back.theta < 2 * np.pi)
