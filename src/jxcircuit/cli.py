@@ -113,9 +113,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_counts(args, *flags) -> None:
+    """Refuse a count flag below 1 before any input is read."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
+
+
 def _cmd_haar(args) -> int:
-    if args.count < 1:
-        raise ValueError("--count must be >= 1")
+    _check_counts(args, "--count")
     if args.out is not None and args.count != 1:
         raise ValueError("--out requires --count 1 (use --out-dir for sets)")
     if args.out is not None:
@@ -134,6 +141,7 @@ def _cmd_haar(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    _check_counts(args, "--restarts", "--max-iterations")
     target, _ = read_matrix(args.target)
     n = target.shape[0]
     if args.ports is not None and args.ports != n:
@@ -177,8 +185,7 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    if args.attempts < 1:
-        raise ValueError(f"--attempts must be >= 1, got {args.attempts}")
+    _check_counts(args, "--attempts", "--iterations")
     target, _ = read_matrix(args.target)
     program = read_phases(args.phases)
     if target.shape[0] != program.ports:

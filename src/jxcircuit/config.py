@@ -16,7 +16,8 @@ from pathlib import Path
 __all__ = ["parse_config_text", "load_config", "check_values"]
 
 #: keys that count units of work; each must be at least 1
-COUNT_KEYS = ("targets", "samples", "runs", "combos_per_k", "attempts")
+COUNT_KEYS = ("targets", "samples", "runs", "combos_per_k", "attempts", "restarts",
+              "max_iterations", "truncated_iterations")
 #: list keys and the least entry each allows (M counts layers, k faults)
 LIST_FLOORS = {"m_list": 1, "k_list": 0, "sigma_k_list": 0}
 

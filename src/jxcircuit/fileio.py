@@ -21,7 +21,7 @@ import numpy as np
 
 from .circuit import PhaseProgram
 from .experiments import ExperimentRecord
-from .numerics import as_complex_matrix, unitarity_defect
+from .numerics import SpdSolver, as_complex_matrix, unitarity_defect
 
 __all__ = [
     "MATRIX_SCHEMA_VERSION",
@@ -240,6 +240,7 @@ def write_metadata(path, experiment: str, master_seed: int, parameters: dict) ->
             "python": platform.python_version(),
             "blas": blas.get("name"),
             "blas_version": blas.get("version"),
+            "damped_solve": SpdSolver.lapack,
             **{name: os.environ.get(name)
                for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
         },

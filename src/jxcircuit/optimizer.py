@@ -1,11 +1,13 @@
 """Levenberg-Marquardt fitting of circuit phases to a target unitary.
 
 The damped normal equations ``(J'J + lambda diag(J'J)) delta = -J'r`` are
-solved per step; a step is accepted only if it lowers the loss, in which
-case ``lambda`` follows Nielsen's gain-ratio update (H. B. Nielsen, 1999:
+solved per step, from one Cholesky factorization per damping value
+(``numerics.SpdSolver``); a step is accepted only if it lowers the loss,
+in which case ``lambda`` follows Nielsen's gain-ratio update (H. B. Nielsen, 1999:
 it shrinks by up to 3x when the loss falls as the Gauss-Newton model
 predicts, and grows by up to 2x when it falls far less); otherwise it grows
-by a factor of 2 and the solve is retried.
+by a factor of 2 and the solve is retried (as it is when the damped matrix
+is not numerically positive definite).
 Each candidate step carries a geodesic-acceleration correction
 (a second-order term from the directional curvature of the residuals,
 estimated with two extra residual evaluations); the plain step is tried
@@ -38,7 +40,7 @@ from .circuit import (
     transfer_matrices,
     transfer_matrix,
 )
-from .numerics import as_complex_matrix
+from .numerics import SpdSolver, as_complex_matrix
 from .sampling import derive_seed, jitter_phases, uniform_phases
 
 __all__ = ["LmaOptions", "FromVector", "fit"]
@@ -92,14 +94,16 @@ class FromVector:
 class _Problem:
     """Least-squares view of one phase fit: free vector -> loss/residuals.
 
-    Instances keep a scratch phase grid, so a single instance must not be
-    evaluated from two threads at once (each fit owns its own instance).
+    Instances keep a scratch phase grid and the damped solver's buffers, so
+    a single instance must not be evaluated from two threads at once (each
+    fit owns its own instance).
     """
 
     def __init__(self, mixers: np.ndarray, program: PhaseProgram, target: np.ndarray):
         self.mixers = mixers
         self.free = program.free_mask
         self.target = target
+        self.solver = SpdSolver(program.free_count)
         self._theta = program.theta.copy()
         self._nsq = program.ports * program.ports
 
@@ -136,14 +140,6 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))  # numpy.linalg.norm's arithmetic, without its overhead
 
 
-def _solve(a, rhs):
-    try:
-        step = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    return step if np.isfinite(step).all() else None
-
-
 def _gain_damping(lam, current, new_loss, predicted):
     """Nielsen's damping after an accepted step: the gain ratio rho of the
     actual to the predicted decrease scales lambda by 1 - (2 rho - 1)^3,
@@ -156,26 +152,26 @@ def _gain_damping(lam, current, new_loss, predicted):
 def _attempt_step(problem, x, current, r, jac, jtj, diag, g, lam):
     """Grow the damping until a loss-decreasing step is found or give up.
 
-    At each damping value the geodesic-accelerated step is tried first
-    (when its correction is not disproportionate), then the
-    plain damped step; only if both fail does the damping grow.  The two
+    At each damping value the damped matrix is factored once, and the
+    geodesic-accelerated step is tried first (when its correction is not
+    disproportionate), then the plain damped step; only if both fail, or
+    the factorization or the plain step does, does the damping grow.  The two
     curvature probes and the plain trial share one stacked evaluation, so
     only the accelerated trial is composed on its own.  Returns
     (x, loss, lam, step_norm, accepted), with the gain-ratio damping for
     the next iteration; on failure the incoming state comes back unchanged
     with the damping that exceeded the cap.
     """
+    solver = problem.solver
     while True:
-        damped = jtj.copy()
-        damped.reshape(-1)[:: damped.shape[0] + 1] += lam * diag
-        delta = _solve(damped, -g)
+        delta = solver.solve(-g) if solver.factor(jtj, lam * diag) else None
         if delta is not None:
             # the Gauss-Newton model's decrease of the loss for the plain step
             predicted = float(delta.dot(lam * diag * delta - g))
             h = _ACCEL_PROBE
             ahead, behind, plain_loss = problem.probes_and_trial(x, delta, h)
             fvv = (ahead - 2.0 * r + behind) / (h * h)
-            acc = _solve(damped, -(jac.T @ fvv))
+            acc = solver.solve(-(jac.T @ fvv))
             if acc is not None and _norm(acc) <= 2.0 * _ACCEL_RATIO_LIMIT * _norm(delta):
                 step = delta + 0.5 * acc
                 trial = x + step

@@ -175,6 +175,20 @@ class TestCalibrateCommand:
         assert not (tmp_path / "c.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("decompose", "--layers", 3, "--restarts", 0),
+    ("decompose", "--layers", 3, "--max-iterations", 0),
+    ("calibrate", "--phases", "missing-p.json", "--sigma-k", 0.003, "--iterations", 0),
+])
+def test_zero_count_flag_is_usage_error_before_inputs_are_read(tmp_path, capsys, argv):
+    # the target file does not exist: the flag is named before it is opened
+    out = tmp_path / "out.json"
+    assert run(*argv, "--target", tmp_path / "missing.json", "--out", out) == 2
+    flag = argv[-2]
+    assert f"{flag} must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestExperimentCommand:
     def config(self, tmp_path, text):
         path = tmp_path / "cfg.toml"
@@ -362,15 +376,22 @@ class TestExperimentCommand:
         ("phasediff", "jitter_fraction = 1.5"),
         ("phasediff", "jitter_fraction = -0.1"),
         ("recalibration", "attempts = 0"),
+        ("universality", "restarts = 0"),
+        ("universality", "max_iterations = 0"),
+        ("recalibration", "truncated_iterations = 0"),
+        ("phasediff", "truncated_iterations = 0"),
     ])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, monkeypatch,
                                              name, line):
-        # refused before any fit runs
+        # refused before any fit runs, by the config check: the message names
+        # the file and the key
         monkeypatch.setattr(jxcircuit.experiments, "fit",
                             lambda *args: pytest.fail("a fit ran"))
         cfg = self.config(tmp_path, self.SMALL[name] + line + "\n")
         assert run("experiment", name, "--config", cfg, "--out-dir", tmp_path / "res") == 2
-        assert line.split(" =")[0] in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{cfg}: experiment {name!r}" in err
+        assert line.split(" =")[0] in err
         assert not (tmp_path / "res" / f"{name}_records.csv").exists()
 
     def test_config_accepts_int_for_float_and_null_m_list(self, tmp_path):

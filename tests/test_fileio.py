@@ -18,6 +18,7 @@ from jxcircuit.fileio import (
     write_text,
 )
 from jxcircuit.config import load_config, parse_config_text
+from jxcircuit.numerics import SpdSolver
 from jxcircuit.sampling import haar_unitary
 
 
@@ -179,6 +180,7 @@ class TestMetadata:
         assert versions["python"] == platform.python_version()
         assert versions["numpy"] == np.__version__
         assert isinstance(versions["blas"], str) and isinstance(versions["blas_version"], str)
+        assert versions["damped_solve"] == SpdSolver.lapack in ("dpotrf", "gesv")
         assert versions["OPENBLAS_NUM_THREADS"] is None
         assert versions["OMP_NUM_THREADS"] == "3"
 

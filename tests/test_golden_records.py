@@ -8,9 +8,10 @@ digest mismatch.  The CLI cases hash the record CSV (without its
 and stdout of ``jxcircuit experiment`` for every study name.
 
 The digests were taken with numpy 2.4.6 on OpenBLAS 0.3.31 (Python 3.11,
-x86-64) from jxcircuit 0.2.0, the first version with the gain-ratio
-damping update, once the full acceptance suite had passed on it; they
-are the same with one BLAS thread and with OpenBLAS's default threading.
+x86-64) from jxcircuit 0.4.0, the first version to solve each damping
+trial from one Cholesky factorization (``"damped_solve": "dpotrf"`` in the
+metadata), once the full acceptance suite had passed on it; they are the
+same with one BLAS thread and with OpenBLAS's default threading.
 Another numpy or BLAS build may round the last bits differently;
 ``python tests/test_golden_records.py`` prints the digests of the code it
 imports, laid out as ``GOLDEN`` and ``CLI_GOLDEN``, to compare against or
@@ -81,77 +82,77 @@ CLI_CONFIGS = {
 GOLDEN = {
     "universality": (
         18,
-        "39178cc5c01bba3f868b74113dc2d7a332d8175805a97683be134b4afbcf0a86",
-        "1d71b5ca275f0130eb3968783a8db5b0850ef17e6813207ba6673f0e157a10d0",
+        "f9d161b3ac4804b7dc7d1c9c8962aa977a0208668a8578d3fbd9338840f53756",
+        "14356278777d4caae664fb99534d76f2168f376ac918b5be77f5aba4080354e2",
     ),
     "table1": (
         6,
-        "c99e552b6b683d4b806b7faca6f92e820ac63a55efff4535453f593507f12fff",
-        "22fa11149baf2815c4c77c2e4908a5f008d82d45b0294bff561295a815534ca6",
+        "0f68f81f7b108ad4d112149b0df378fcf7eb2d64dce3369c07c50a6224d51c4e",
+        "d681ca4a31155f5549f6e33fcae460ce4a9fbf04b6e261958868f4c9f1bf4fbc",
     ),
     "recalibration": (
         6,
-        "039469f4e69d3870b884ff410e1f3743fd301db3a65e8186b66a67a400e5903e",
-        "f773819bd73a8f430a6c3fef6ef767ed31c40adb619db3eb8ebb375e972d18fc",
+        "63dc11dddd565a65018a28cb61f218a15e956ee02383ffdae77f968c3cd79054",
+        "dc2682ffabc9269eb3c20b255d57f681bfb057781b292e4221e5d148441d9b26",
     ),
     "phasediff": (
         24,
-        "8c8ac165dd5cc9d0fd8d5ef37769235849839b85ff5f3f5669aa4e8bb8b5bcd2",
-        "e1ff7d2160993f26c4912c264d48e09ebe6dc76b40bc32da00b256e2b99385ea",
+        "bd9d263d770fe1dfbe8972bda80b44e8568d16147b8ae6ce5505f1c629b8646f",
+        "e5270a18536cadeb4d4a9894d67b79556ec618f580773adbf40c31492f4fbceb",
     ),
     "faulty": (
         8,
-        "cb74d59b61b789ee591b40c15b9260ecc32804247bfda690061b0511bc4f39e0",
-        "7c67799022539f26c93f322841250976691dc5a737334110ac3dd41f5b003fc9",
+        "75fcfde09217b46a0808abe1d00e47a36f75d2c8ddd4e660b41a406eefe4e5ed",
+        "2e3f42c715346f13029bf4ee5215c7266918a9551daaf2604de9dfce55917932",
     ),
     "universality-n4": (
         9,
-        "0bab7cc1ae725535f8b9db5389ab1de5b1cac04a2f076254c2a3c4670bfbe187",
-        "5deea3a4bc39ee0d90170db93c6a83e68b03d5f9b8bdd95a3dbd962ccafa4216",
+        "12fff8b31de4b68e92517aa49d87d20b88dfca7bd494d93494d0a64b1b9e27b6",
+        "a88ed2643851eafca2a5969b6fe4db4c984b1f6aa9ac3a9b412aa2f157da7612",
     ),
     "phasediff-n8": (
         8,
-        "9d3ae3f60ed945a9d3897476d8fd020e940940d5831d1dd07b973319e40a73f0",
-        "5f6a98b155f111d48699016c474e7763b57c320e7240f3ec6f24f00932abbe9c",
+        "3d868f4da13b493929386ee7a50806d87b257f2440442d470b66c77af8a558d6",
+        "bb17871b830925e28009fcec16c287ee20d57f8bdedf635a1741d90878b577e3",
     ),
     "faulty-n4": (
         4,
-        "a57aeb5aafcce7624f432d9dbcfa63e2cb0e50c60aabb579efc24d09b62c8aec",
-        "ce2752bb1b67573f3eeca296cc9eef5a44c86f13ed6ae0f75ac24ef9f93c5f04",
+        "875bb4498fa1181d0e6edf95874859f3c030d7b2f62f372514915617fa89b5fa",
+        "46de159d10bbb86930672fcfb5245106279edc831563fad60433d2c1f26fd985",
     ),
 }
 
 #: study -> digests of (CSV without wall_time, metadata without versions, SVG, stdout)
 CLI_GOLDEN = {
     "universality": (
-        "aac5162b49cd2fe8b99cadd7ea6ca3c6c70cb921d45493e2c5e1075cc27f16dc",
+        "2794c62275d2a9cfdd2b1d3115f70e1dc3918efb1c256c283e6f67e6002eab9c",
         "72b5223981ac26b1bed90d3cdc8584c7fc3e9ff84a71200d9406aee2a53e5db6",
-        "367e3f464d87f14a1ae2dc898a498a30da3a23f4ef9fa07f9364c77363b62869",
-        "110a5f66884f109ea884244bcb5d98950c3886bb67639e7dc5a0a7dcd79eab10",
+        "5cb776ad2ac0b7eeb68a7695ae7051b560d3ad5505db27beb44738e1810b7d29",
+        "1f2e36d0ad9202af8aa956cc866759c36cb22529a03b211401a38fb39f31087f",
     ),
     "table1": (
-        "37d007099a8ff5aeacf52afc2f6466ed851e92b1c3f3753bdf1686a1b4c45bfd",
+        "bdc2d75374c1979ae21f25dc7e52a1bd03d5069e16f780eabf00a5c1743e889c",
         "8337850ed42a00c0b353720fca6135214e43129d3d8ef61e8ea673f12a58d43c",
         "f066b355017a9a92cb5faf1e0b4fcbf6f01ef5cb0b90baa650aa5720fff3fcf4",
         "f60032277eb85eaee25a6d779436692030d8702e14ee9c06cde3a4f8057bdbdc",
     ),
     "recalibration": (
-        "aa2c4806174855b7fcd6809638436a14f2ae7d4e309b1cb41c78c4e12321f834",
+        "9351ca3edd7a89b3594725d1d38b1f98050e332bccf1a45e189735358878c0aa",
         "dc01673d033356d541315feaf6935781901c9bd7e272a6a9d8ab2c5f39fd5e09",
-        "3caa0ba9fbdd44abb51c3669ec2d94b85932ba1bb9546ae7471bbb17d4524d4e",
+        "3487466aca738e67a462ae0c4b7015dc875ce1a5877c61a33909f773be4ec16a",
         "8069b2832ed0fb245706e58f721ae894170ffe546b72383538cede51e2dfb173",
     ),
     "phasediff": (
-        "47d905fb12e85852e210bf7d3250e387e1c5ce47138d2c654ac931ed48426c0d",
+        "e8983ebcd3c86be530f428f46487c4319b5c80a596b0bb5d3b2372bb8c10d855",
         "4723d4381680c9447a010118345f22ab73759e6722154b8bd7dc521287eae1d4",
         "f7b4aa86ac13ff7bf931547573031c467eaa74151b81ac8624efad46520fd616",
         "d17151012e4c3935d2df2e6db773405fc22a1d9a569160dc9b023475c03ecad4",
     ),
     "faulty": (
-        "bd0dc16c14a6d277234912be76c8361d389ca5e2bee5e4166d372651e24badf7",
+        "2782d8ce2b8e7a9d947de11b086510ec34f57d5d03c4f8b2a723475d636a1730",
         "6e663e21449bca3ec5dceffd5fdad03c0f131d1215776b5bdee37301d2d4f395",
-        "66c2258ce33a1d19ef9378fa32737f018273c484ccf07b15b66cb98e49a1da60",
-        "d7d5b539b107980c255134a1687e45bf1070e3ce5e712719435f3fc6e1362ac3",
+        "3ed075adbb29a01b16880a91739508d9fdc1c9fdf833e2d985c9b642ed9e732c",
+        "fc6ebf80e29e88178539c4db0b9f51f074dcbac5e22f57c4dc3b5b69690500d8",
     ),
 }
 

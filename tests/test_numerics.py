@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jxcircuit.numerics import (
+    CholeskySolver,
+    LuSolver,
+    SpdSolver,
     as_complex_matrix,
     eig_hermitian,
     expm_i_scaled,
@@ -158,3 +163,36 @@ def test_require_hermitian_scale_free():
 def test_as_complex_matrix_rejects_non_2d():
     with pytest.raises(ValueError):
         as_complex_matrix([1, 2, 3])
+
+
+@pytest.mark.skipif(SpdSolver is not CholeskySolver,
+                    reason="numpy.linalg's LAPACK exports no dpotrf here")
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_cholesky_solver_agrees_with_lu(p, extra_rows, seed):
+    # damped normal equations as the optimizer forms them; the LU pair
+    # (numpy.linalg.solve per right-hand side) is the reference
+    rng = np.random.default_rng(seed)
+    jac = rng.standard_normal((p + extra_rows, p))
+    jtj = jac.T @ jac
+    shift = 10.0 ** rng.uniform(-6, 0) * np.diagonal(jtj)
+    cholesky, lu = CholeskySolver(p), LuSolver(p)
+    assert cholesky.factor(jtj, shift) and lu.factor(jtj, shift)
+    damped = jtj + np.diag(shift)
+    tolerance = 100 * np.linalg.cond(damped) * np.finfo(float).eps
+    for _ in range(2):  # both right-hand sides of a trial come from one factor
+        rhs = rng.standard_normal(p)
+        x, reference = cholesky.solve(rhs), lu.solve(rhs)
+        assert np.abs(x - reference).max() <= tolerance * np.abs(reference).max()
+
+    # a negative diagonal entry makes the matrix indefinite
+    k = rng.integers(p)
+    indefinite = shift.copy()
+    indefinite[k] = -2.0 * jtj[k, k]
+    assert not cholesky.factor(jtj, indefinite)
+    # a non-finite entry gives no solution
+    i, j = rng.integers(p, size=2)
+    for bad in (np.nan, np.inf, -np.inf):
+        a = jtj.copy()
+        a[i, j] = a[j, i] = bad
+        assert not cholesky.factor(a, shift) or cholesky.solve(rhs) is None

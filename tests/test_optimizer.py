@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import jxcircuit
 from jxcircuit import optimizer
 from jxcircuit.circuit import (
     PhaseProgram,
@@ -10,6 +16,7 @@ from jxcircuit.circuit import (
     perturbed_circuit,
     residuals_and_jacobian,
 )
+from jxcircuit.numerics import CholeskySolver, SpdSolver
 from jxcircuit.optimizer import FromVector, LmaOptions, _minimize, fit
 from jxcircuit.sampling import derive_seed, haar_unitary, uniform_phases
 
@@ -19,6 +26,7 @@ class LinearProblem:
 
     def __init__(self, a, b):
         self.a, self.b = a, b
+        self.solver = SpdSolver(a.shape[1])
 
     def loss_of(self, x):
         r = self.a @ x - self.b
@@ -75,9 +83,9 @@ def test_accepted_exact_step_shrinks_damping_threefold(monkeypatch):
 
 
 def test_n16_fit_pays_few_solves_per_jacobian(monkeypatch):
-    # every rejected damping trial costs one or two O(P^3) solves; the
+    # every rejected damping trial costs one O(P^3) factorization; the
     # gain-ratio update keeps rejections rare after accepted steps
-    calls = {"solve": 0, "jacobian": 0}
+    calls = {"factor": 0, "jacobian": 0}
 
     def counted(name, func):
         def wrapper(*args):
@@ -85,11 +93,46 @@ def test_n16_fit_pays_few_solves_per_jacobian(monkeypatch):
             return func(*args)
         return wrapper
 
-    monkeypatch.setattr(optimizer, "_solve", counted("solve", optimizer._solve))
+    monkeypatch.setattr(SpdSolver, "factor", counted("factor", SpdSolver.factor))
     monkeypatch.setattr(optimizer._Problem, "residuals_jacobian",
                         counted("jacobian", optimizer._Problem.residuals_jacobian))
     fit(ideal_circuit(16, 18), haar_unitary(16, 5), LmaOptions(restarts=1), seed=1)
-    assert calls["solve"] <= 3.5 * calls["jacobian"], calls
+    assert calls["factor"] <= 3.5 * calls["jacobian"], calls
+
+
+@pytest.mark.skipif(SpdSolver is not CholeskySolver,
+                    reason="numpy.linalg's LAPACK exports no dpotrf here")
+def test_indefinite_damped_matrix_grows_damping():
+    # J'J with a zero diagonal stays indefinite for every damping below the
+    # cap, so each trial's factorization fails, no step is tried and the
+    # step gives up
+    problem = LinearProblem(np.eye(2), np.ones(2))
+    problem.probes_and_trial = lambda *args: pytest.fail("a step was tried")
+    x = np.zeros(2)
+    r, jac = problem.residuals_jacobian(x)
+    jtj = np.array([[0.0, 1.0], [1.0, 0.0]])
+    diag = np.maximum(np.diagonal(jtj), 1e-30)
+    out, current, lam, step, accepted = optimizer._attempt_step(
+        problem, x, problem.loss_of(x), r, jac, jtj, diag, jac.T @ r, 1.0)
+    assert not accepted
+    assert lam > optimizer._DAMPING_MAX
+    assert out is x and current == problem.loss_of(x) and step == 0.0
+
+
+def test_fit_imports_no_scipy():
+    # the damped solve binds LAPACK through numpy; importing scipy.linalg
+    # would cost tens of MiB of resident memory in every worker
+    src = str(Path(jxcircuit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, jxcircuit; "
+            "jxcircuit.fit(jxcircuit.ideal_circuit(3, 4), jxcircuit.haar_unitary(3, 1), "
+            "jxcircuit.LmaOptions(restarts=2)); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_step_at_converged_point_keeps_loss(monkeypatch):
