@@ -1,5 +1,5 @@
-"""Interlaced mixing/phase circuits: composition, loss, residuals and their
-analytic Jacobian.
+"""Interlaced mixing/phase circuits: composition, loss, and the residuals'
+Gauss-Newton normal equations.
 
 Conventions, fixed throughout the package:
 
@@ -35,7 +35,7 @@ __all__ = [
     "transfer_matrices",
     "compose",
     "loss",
-    "residuals_and_jacobian",
+    "normal_equations",
     "apply_fault_plan",
     "ideal_circuit",
     "perturbed_circuit",
@@ -202,43 +202,59 @@ def loss(u, target) -> float:
     return float(np.vdot(diff, diff).real) / (n * n)
 
 
-def residuals_and_jacobian(
-    mixers: np.ndarray, theta: np.ndarray, free_mask: np.ndarray, target: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residual vector and its Jacobian w.r.t. the free phases.
+def normal_equations(
+    mixers: np.ndarray,
+    theta: np.ndarray,
+    free_mask: np.ndarray,
+    target: np.ndarray,
+    gram: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Residual matrix and Gauss-Newton normal equations w.r.t. the free phases.
 
-    The residuals are the stacked Re/Im entries of ``(U - U_t) / N``, so
-    their sum of squares is the loss.
+    The residual is the complex matrix ``D = (U - U_t) / N``: the stacked
+    Re/Im entries of D are the least-squares residuals, so ``||D||_F^2`` is
+    the loss.
 
     Splitting the product at layer ``ell`` as ``U = A . diag(e^{i theta}) . B``
     gives the rank-one derivative
     ``dU/dtheta_p = i e^{i theta_p} outer(A[:, p], B[p, :])``, so one pass of
-    suffix products (B) and one of prefix products (A) yields every column
-    in O(M N^3) total.  Column order is layer-major, matching the flat
-    phase vector; columns of fixed phases are omitted.
+    suffix products (B) and one of prefix products (A) yield every
+    derivative in O(M N^3) total.  With the rows ``s = i e^{i theta_p}
+    A[:, p] / N`` and ``b = B[p, :]`` of the free phases stacked (layer-major,
+    as the flat phase vector) into (P, N) arrays S and B, the Jacobian J of
+    the residuals is never formed::
+
+        J'J = Re((conj(S) S^T) o (conj(B) B^T))
+        J'V = Re(rowsum((conj(S) V) o conj(B)))   for any residual matrix V
+
+    ``gram`` is a (2, P, P) complex128 buffer the two Gram matrices are
+    written into; the returned J'J is a view of ``gram[0]``, overwritten by
+    the next call on the same buffer.  Returns ``(D, J'J, J'D, conj(S),
+    conj(B))``.
     """
     m_layers, n = theta.shape
-    phases = np.exp(1j * theta)
+    factors = np.exp(1j * theta)[:, :, None]
+    # right[ell] is the product up to mixer ell; right[M] is U, bitwise as
+    # transfer_matrix composes it
     right = np.empty((m_layers + 1, n, n), dtype=np.complex128)
     right[0] = mixers[0]
     for ell in range(m_layers):
-        right[ell + 1] = mixers[ell + 1] @ (phases[ell][:, None] * right[ell])
+        np.matmul(mixers[ell + 1], factors[ell] * right[ell], out=right[ell + 1])
     diff = (right[m_layers] - target) / n
-    r = np.concatenate([diff.real.ravel(), diff.imag.ravel()])
 
-    # left[ell] is the product of the layers after phase layer ell
-    left = np.empty((m_layers, n, n), dtype=np.complex128)
-    left[-1] = mixers[m_layers]
+    # left_t[ell] is the transposed product of the layers after phase layer
+    # ell, so that its rows are the columns A[:, p]
+    left_t = np.empty((m_layers, n, n), dtype=np.complex128)
+    left_t[-1] = mixers[m_layers].T
     for ell in range(m_layers - 1, 0, -1):
-        left[ell - 1] = (left[ell] * phases[ell][None, :]) @ mixers[ell]
-    scaled = left.transpose(0, 2, 1) * (1j * phases)[:, :, None]
-    # all layers' rank-one blocks in one broadcast shaped as for one layer (other shapes
-    # round differently); rows per parameter, returned transposed (a view)
-    flat = scaled.reshape(-1, n)[:, :, None] * right[:-1].reshape(-1, n)[:, None, :]
-    rows = np.concatenate([flat.real, flat.imag], axis=1).reshape(m_layers * n, 2 * n * n)
-    del flat  # at most two Jacobian-sized arrays alive, as with per-layer blocks
-    rows *= 1.0 / n
-    return r, rows[free_mask.ravel()].T
+        np.matmul(mixers[ell].T, factors[ell] * left_t[ell], out=left_t[ell - 1])
+    free = free_mask.ravel()
+    s = (left_t * ((1j / n) * factors)).reshape(-1, n)[free]
+    b = right[:-1].reshape(-1, n)[free]
+    s_conj, b_conj = s.conj(), b.conj()
+    np.matmul(s_conj, s.T, out=gram[0])
+    np.multiply(gram[0], np.matmul(b_conj, b.T, out=gram[1]), out=gram[0])
+    return diff, gram[0].real, ((s_conj @ diff) * b_conj).sum(axis=1).real, s_conj, b_conj
 
 
 def apply_fault_plan(

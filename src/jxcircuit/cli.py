@@ -14,6 +14,7 @@ informational ``wall_time`` record column excepted).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -121,6 +122,20 @@ def _check_counts(args, *flags) -> None:
             raise ValueError(f"{flag} must be >= 1, got {value}")
 
 
+def _check_sigma_k(args) -> None:
+    """Refuse a NaN or infinite ``--sigma-k`` before any input is read."""
+    if not math.isfinite(args.sigma_k):
+        raise ValueError(f"--sigma-k must be finite, got {args.sigma_k}")
+
+
+def _check_target_loss(args) -> None:
+    """Refuse a ``--target-loss`` that is not finite and positive (every loss
+    would meet an infinite one) before any input is read."""
+    if not (math.isfinite(args.target_loss) and args.target_loss > 0):
+        raise ValueError(
+            f"--target-loss must be finite and positive, got {args.target_loss}")
+
+
 def _cmd_haar(args) -> int:
     _check_counts(args, "--count")
     if args.out is not None and args.count != 1:
@@ -142,6 +157,7 @@ def _cmd_haar(args) -> int:
 
 def _cmd_decompose(args) -> int:
     _check_counts(args, "--restarts", "--max-iterations")
+    _check_target_loss(args)
     target, _ = read_matrix(args.target)
     n = target.shape[0]
     if args.ports is not None and args.ports != n:
@@ -175,6 +191,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_apply(args) -> int:
+    _check_sigma_k(args)
     program = read_phases(args.phases)
     circuit = perturbed_circuit(program.ports, program.layers, args.sigma_k,
                                 args.seed).with_program(program)
@@ -186,6 +203,8 @@ def _cmd_apply(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     _check_counts(args, "--attempts", "--iterations")
+    _check_sigma_k(args)
+    _check_target_loss(args)
     target, _ = read_matrix(args.target)
     program = read_phases(args.phases)
     if target.shape[0] != program.ports:

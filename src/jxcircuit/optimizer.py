@@ -1,13 +1,14 @@
 """Levenberg-Marquardt fitting of circuit phases to a target unitary.
 
 The damped normal equations ``(J'J + lambda diag(J'J)) delta = -J'r`` are
-solved per step, from one Cholesky factorization per damping value
-(``numerics.SpdSolver``); a step is accepted only if it lowers the loss,
-in which case ``lambda`` follows Nielsen's gain-ratio update (H. B. Nielsen, 1999:
-it shrinks by up to 3x when the loss falls as the Gauss-Newton model
-predicts, and grows by up to 2x when it falls far less); otherwise it grows
-by a factor of 2 and the solve is retried (as it is when the damped matrix
-is not numerically positive definite).
+formed from the rank-one factors of the Jacobian (``circuit.normal_equations``,
+which never forms J) and solved per step, from one Cholesky factorization
+per damping value (``numerics.SpdSolver``); a step is accepted only if it
+lowers the loss, in which case ``lambda`` follows Nielsen's gain-ratio
+update (H. B. Nielsen, 1999: it shrinks by up to 3x when the loss falls as
+the Gauss-Newton model predicts, and grows by up to 2x when it falls far
+less); otherwise it grows by a factor of 2 and the solve is retried (as it
+is when the damped matrix is not numerically positive definite).
 Each candidate step carries a geodesic-acceleration correction
 (a second-order term from the directional curvature of the residuals,
 estimated with two extra residual evaluations); the plain step is tried
@@ -36,7 +37,7 @@ from .circuit import (
     InterlacedCircuit,
     PhaseProgram,
     loss,
-    residuals_and_jacobian,
+    normal_equations,
     transfer_matrices,
     transfer_matrix,
 )
@@ -75,8 +76,9 @@ class LmaOptions:
             raise ValueError("max_iterations must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if not self.target_loss > 0:
-            raise ValueError("target_loss must be positive")
+        if not (math.isfinite(self.target_loss) and self.target_loss > 0):
+            raise ValueError(
+                f"target_loss must be finite and positive, got {self.target_loss}")
 
 
 @dataclass(frozen=True)
@@ -94,8 +96,9 @@ class FromVector:
 class _Problem:
     """Least-squares view of one phase fit: free vector -> loss/residuals.
 
-    Instances keep a scratch phase grid and the damped solver's buffers, so
-    a single instance must not be evaluated from two threads at once (each
+    Instances keep a scratch phase grid, the Gram buffers of the normal
+    equations and the damped solver's buffers, all allocated once, so a
+    single instance must not be evaluated from two threads at once (each
     fit owns its own instance).
     """
 
@@ -104,6 +107,7 @@ class _Problem:
         self.free = program.free_mask
         self.target = target
         self.solver = SpdSolver(program.free_count)
+        self._gram = np.empty((2, program.free_count, program.free_count), np.complex128)
         self._theta = program.theta.copy()
         self._nsq = program.ports * program.ports
 
@@ -116,22 +120,20 @@ class _Problem:
         diff = (u - self.target).ravel()
         return float(np.vdot(diff, diff).real) / self._nsq
 
-    def residuals_jacobian(self, x: np.ndarray):
-        return residuals_and_jacobian(
-            self.mixers, self.theta_of(x), self.free, self.target
+    def normal_equations(self, x: np.ndarray):
+        """``circuit.normal_equations`` at ``x``, written into this fit's buffers."""
+        return normal_equations(
+            self.mixers, self.theta_of(x), self.free, self.target, self._gram
         )
 
     def probes_and_trial(self, x: np.ndarray, delta: np.ndarray, h: float):
-        """Residuals at ``x + h delta`` and ``x - h delta`` and the loss at
-        ``x + delta`` from one stacked composition, bitwise as
-        ``residuals_jacobian`` and ``loss_of`` give them one by one."""
+        """Residual matrices at ``x + h delta`` and ``x - h delta`` and the
+        loss at ``x + delta`` from one stacked composition, bitwise as
+        ``normal_equations`` and ``loss_of`` give them one by one."""
         thetas = np.repeat(self._theta[None], 3, axis=0)
         thetas[:, self.free] = (x + h * delta, x - h * delta, x + delta)
         diff = transfer_matrices(self.mixers, thetas) - self.target
-        probes = diff[:2] / self.target.shape[0]
-        ahead, behind = np.concatenate(
-            [probes.real.reshape(2, -1), probes.imag.reshape(2, -1)], axis=1
-        )
+        ahead, behind = diff[:2] / self.target.shape[0]
         trial = diff[2].ravel()
         return ahead, behind, float(np.vdot(trial, trial).real) / self._nsq
 
@@ -149,7 +151,7 @@ def _gain_damping(lam, current, new_loss, predicted):
     return max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-15)
 
 
-def _attempt_step(problem, x, current, r, jac, jtj, diag, g, lam):
+def _attempt_step(problem, x, current, equations, diag, lam):
     """Grow the damping until a loss-decreasing step is found or give up.
 
     At each damping value the damped matrix is factored once, and the
@@ -157,11 +159,13 @@ def _attempt_step(problem, x, current, r, jac, jtj, diag, g, lam):
     disproportionate), then the plain damped step; only if both fail, or
     the factorization or the plain step does, does the damping grow.  The two
     curvature probes and the plain trial share one stacked evaluation, so
-    only the accelerated trial is composed on its own.  Returns
+    only the accelerated trial is composed on its own.  ``equations`` is
+    what ``normal_equations`` returned at ``x``.  Returns
     (x, loss, lam, step_norm, accepted), with the gain-ratio damping for
     the next iteration; on failure the incoming state comes back unchanged
     with the damping that exceeded the cap.
     """
+    diff, jtj, g, s_conj, b_conj = equations
     solver = problem.solver
     while True:
         delta = solver.solve(-g) if solver.factor(jtj, lam * diag) else None
@@ -170,8 +174,9 @@ def _attempt_step(problem, x, current, r, jac, jtj, diag, g, lam):
             predicted = float(delta.dot(lam * diag * delta - g))
             h = _ACCEL_PROBE
             ahead, behind, plain_loss = problem.probes_and_trial(x, delta, h)
-            fvv = (ahead - 2.0 * r + behind) / (h * h)
-            acc = solver.solve(-(jac.T @ fvv))
+            fvv = (ahead - 2.0 * diff + behind) / (h * h)
+            # J'fvv from the rank-one factors, as normal_equations forms J'D
+            acc = solver.solve(-((s_conj @ fvv) * b_conj).sum(axis=1).real)
             if acc is not None and _norm(acc) <= 2.0 * _ACCEL_RATIO_LIMIT * _norm(delta):
                 step = delta + 0.5 * acc
                 trial = x + step
@@ -209,17 +214,16 @@ def _minimize(problem: _Problem, x0: np.ndarray, options: LmaOptions) -> _RunOut
     polish_left = _POLISH_ITERATIONS
     status = "maxiter"
     while iterations < options.max_iterations:
-        r, jac = problem.residuals_jacobian(x)
-        g = jac.T @ r
+        equations = problem.normal_equations(x)
+        _, jtj, g, _, _ = equations
         if not polishing and float(np.abs(g).max()) < _OPTIMALITY_TOLERANCE:
             status = "gtol"
             break
-        jtj = jac.T @ jac
         diag = np.maximum(np.diagonal(jtj), 1e-30)
         if lam is None:
             lam = _DAMPING_SCALE * float(diag.max())
         x, new_loss, lam, step, accepted = _attempt_step(
-            problem, x, current, r, jac, jtj, diag, g, lam
+            problem, x, current, equations, diag, lam
         )
         if not accepted:
             status = "target" if polishing else "stalled"

@@ -9,12 +9,12 @@ from jxcircuit.circuit import (
     ideal_circuit,
     loss,
     perturbed_circuit,
-    residuals_and_jacobian,
     transfer_matrix,
 )
 from jxcircuit.lattice import JxSpec, dfrft, perturbed_mixer
 from jxcircuit.numerics import frobenius_norm, unitarity_defect
 from jxcircuit.sampling import derive_seed, gaussian_hermitian, haar_unitary, uniform_phases
+from jacobian_reference import residuals_and_jacobian
 
 F2 = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
 

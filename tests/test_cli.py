@@ -189,6 +189,34 @@ def test_zero_count_flag_is_usage_error_before_inputs_are_read(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("decompose", "--layers", 3, "--target-loss", "inf"),
+     "--target-loss must be finite and positive, got inf"),
+    (("decompose", "--layers", 3, "--target-loss", "nan"),
+     "--target-loss must be finite and positive, got nan"),
+    (("decompose", "--layers", 3, "--target-loss", 0),
+     "--target-loss must be finite and positive, got 0.0"),
+    (("calibrate", "--phases", "p.json", "--sigma-k", 0.003, "--target-loss", "inf"),
+     "--target-loss must be finite and positive, got inf"),
+    (("calibrate", "--phases", "p.json", "--sigma-k", 0.003, "--target-loss", -0.5),
+     "--target-loss must be finite and positive, got -0.5"),
+    (("calibrate", "--phases", "p.json", "--sigma-k", "nan"),
+     "--sigma-k must be finite, got nan"),
+    (("calibrate", "--phases", "p.json", "--sigma-k", "inf"),
+     "--sigma-k must be finite, got inf"),
+    (("apply", "--sigma-k", "nan"), "--sigma-k must be finite, got nan"),
+    (("apply", "--sigma-k", "inf"), "--sigma-k must be finite, got inf"),
+])
+def test_bad_real_flag_is_usage_error_before_inputs_are_read(
+        tmp_path, capsys, monkeypatch, argv, message):
+    # no input file exists: the flag is named before any is opened
+    monkeypatch.chdir(tmp_path)
+    inputs = ("--phases", "p.json") if argv[0] == "apply" else ("--target", "t.json")
+    assert run(*argv, *inputs, "--out", "out.json") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 class TestExperimentCommand:
     def config(self, tmp_path, text):
         path = tmp_path / "cfg.toml"

@@ -8,10 +8,11 @@ digest mismatch.  The CLI cases hash the record CSV (without its
 and stdout of ``jxcircuit experiment`` for every study name.
 
 The digests were taken with numpy 2.4.6 on OpenBLAS 0.3.31 (Python 3.11,
-x86-64) from jxcircuit 0.4.0, the first version to solve each damping
-trial from one Cholesky factorization (``"damped_solve": "dpotrf"`` in the
-metadata), once the full acceptance suite had passed on it; they are the
-same with one BLAS thread and with OpenBLAS's default threading.
+x86-64) from jxcircuit 0.5.0, the first version to form the normal
+equations from the Jacobian's rank-one factors (Gram form), solving each
+damping trial from one Cholesky factorization (``"damped_solve": "dpotrf"``
+in the metadata), once the full acceptance suite had passed on it; they
+are the same with one BLAS thread and with OpenBLAS's default threading.
 Another numpy or BLAS build may round the last bits differently;
 ``python tests/test_golden_records.py`` prints the digests of the code it
 imports, laid out as ``GOLDEN`` and ``CLI_GOLDEN``, to compare against or
@@ -82,77 +83,77 @@ CLI_CONFIGS = {
 GOLDEN = {
     "universality": (
         18,
-        "f9d161b3ac4804b7dc7d1c9c8962aa977a0208668a8578d3fbd9338840f53756",
-        "14356278777d4caae664fb99534d76f2168f376ac918b5be77f5aba4080354e2",
+        "67a98dd16963d0ea46bb1d758f4ed718dbdab9af394b43d3782218e121540eec",
+        "22152c956884f2c68657b72693b3e5d6e7435103bf5c29468e5a0ed3885a4c2c",
     ),
     "table1": (
         6,
-        "0f68f81f7b108ad4d112149b0df378fcf7eb2d64dce3369c07c50a6224d51c4e",
-        "d681ca4a31155f5549f6e33fcae460ce4a9fbf04b6e261958868f4c9f1bf4fbc",
+        "058e82454ce68bf8374115fe0e5595b7871f77b3c7dd638a021d95554bbad0a4",
+        "189f9a8cfd8292ead8900b34f61e6511a8e995d4616d85755bd030c0ea349f9a",
     ),
     "recalibration": (
         6,
-        "63dc11dddd565a65018a28cb61f218a15e956ee02383ffdae77f968c3cd79054",
-        "dc2682ffabc9269eb3c20b255d57f681bfb057781b292e4221e5d148441d9b26",
+        "24beee5cc43a7a82c98373446f053e2b1bb47dddd0fb65782f6296feaf95ef37",
+        "d146e3b59dd4e8de4ce793f7987a3568beddaef6996db52d98cff0558a08f82e",
     ),
     "phasediff": (
         24,
-        "bd9d263d770fe1dfbe8972bda80b44e8568d16147b8ae6ce5505f1c629b8646f",
-        "e5270a18536cadeb4d4a9894d67b79556ec618f580773adbf40c31492f4fbceb",
+        "438309dc5b297414a944c5edb71e906d58a17ef857793d77feffa065eabd5ab2",
+        "fa0b93c4a090b19d9ecbec988905dca574f337f27a4fbf91482e83177871ef61",
     ),
     "faulty": (
         8,
-        "75fcfde09217b46a0808abe1d00e47a36f75d2c8ddd4e660b41a406eefe4e5ed",
-        "2e3f42c715346f13029bf4ee5215c7266918a9551daaf2604de9dfce55917932",
+        "03237edd1b14e3b9333074ef757375499205e4e0fbcf3716e4fe7e493127eede",
+        "235988ac3cd7c229c73a7d0f8f59b9a26d7882a2fac4366baab8a57b9e1e40aa",
     ),
     "universality-n4": (
         9,
-        "12fff8b31de4b68e92517aa49d87d20b88dfca7bd494d93494d0a64b1b9e27b6",
-        "a88ed2643851eafca2a5969b6fe4db4c984b1f6aa9ac3a9b412aa2f157da7612",
+        "6d9b7ee532453b12c7ebe12b486e0a3139287872e21e686738b6c65d5f731f00",
+        "a1da8f5f754d8811f3dca9a556c5ff8b8bfe7e0460b2872427ab87c21d4281f3",
     ),
     "phasediff-n8": (
         8,
-        "3d868f4da13b493929386ee7a50806d87b257f2440442d470b66c77af8a558d6",
-        "bb17871b830925e28009fcec16c287ee20d57f8bdedf635a1741d90878b577e3",
+        "1a1fe4b68ff1f83d710a9129bbdd23558bed620e9d2065cc23f70df84d748678",
+        "f662a2f0c14b0e6417823c9eb220a14b27fb44a2b57d00b72526bdae12880ff9",
     ),
     "faulty-n4": (
         4,
-        "875bb4498fa1181d0e6edf95874859f3c030d7b2f62f372514915617fa89b5fa",
-        "46de159d10bbb86930672fcfb5245106279edc831563fad60433d2c1f26fd985",
+        "0c79f8b7e0770d84033296a0a36f0d48a6562bd98be0ad0e5c90e5207a30a6bf",
+        "7d4ebc3eff55de6d2a0190dcae7f432a1bd830db98f334d3d7e5d898291f2239",
     ),
 }
 
 #: study -> digests of (CSV without wall_time, metadata without versions, SVG, stdout)
 CLI_GOLDEN = {
     "universality": (
-        "2794c62275d2a9cfdd2b1d3115f70e1dc3918efb1c256c283e6f67e6002eab9c",
+        "968963d0a9f1fe2833690ad52ba4eff5dff6119f1e8f546d30b9cbbc9224f18e",
         "72b5223981ac26b1bed90d3cdc8584c7fc3e9ff84a71200d9406aee2a53e5db6",
-        "5cb776ad2ac0b7eeb68a7695ae7051b560d3ad5505db27beb44738e1810b7d29",
-        "1f2e36d0ad9202af8aa956cc866759c36cb22529a03b211401a38fb39f31087f",
+        "ccec37f1f05505c5e5f7b70fdb734c86e86081326720210942cf4821f67e53e9",
+        "aadd75cad0a71b2f0de1077262772ef776c80adc1f0296c6cdf02309b20743c9",
     ),
     "table1": (
-        "bdc2d75374c1979ae21f25dc7e52a1bd03d5069e16f780eabf00a5c1743e889c",
+        "91b04fa571cbcd0f259369ccaf4a6d94b76001336dc73de5a87e1ef276464c7c",
         "8337850ed42a00c0b353720fca6135214e43129d3d8ef61e8ea673f12a58d43c",
         "f066b355017a9a92cb5faf1e0b4fcbf6f01ef5cb0b90baa650aa5720fff3fcf4",
         "f60032277eb85eaee25a6d779436692030d8702e14ee9c06cde3a4f8057bdbdc",
     ),
     "recalibration": (
-        "9351ca3edd7a89b3594725d1d38b1f98050e332bccf1a45e189735358878c0aa",
+        "5ae18c9e3f6852ba5fb87d275d47dd1280d208611a12042b74715f194efe0f5a",
         "dc01673d033356d541315feaf6935781901c9bd7e272a6a9d8ab2c5f39fd5e09",
-        "3487466aca738e67a462ae0c4b7015dc875ce1a5877c61a33909f773be4ec16a",
+        "8a45357cf98cd7e33509698e85bc9a8b2e290ecc82a70226b495d931b3d084ca",
         "8069b2832ed0fb245706e58f721ae894170ffe546b72383538cede51e2dfb173",
     ),
     "phasediff": (
-        "e8983ebcd3c86be530f428f46487c4319b5c80a596b0bb5d3b2372bb8c10d855",
+        "330f8eaa2c1a55cefdf0c607a3255309a237171a243cc06fa76092e2283abdf8",
         "4723d4381680c9447a010118345f22ab73759e6722154b8bd7dc521287eae1d4",
         "f7b4aa86ac13ff7bf931547573031c467eaa74151b81ac8624efad46520fd616",
         "d17151012e4c3935d2df2e6db773405fc22a1d9a569160dc9b023475c03ecad4",
     ),
     "faulty": (
-        "2782d8ce2b8e7a9d947de11b086510ec34f57d5d03c4f8b2a723475d636a1730",
+        "ba942c48da7f1d2efc3be9bca05bc09919f5bba2004fc3e0bb5d4c428a9a3528",
         "6e663e21449bca3ec5dceffd5fdad03c0f131d1215776b5bdee37301d2d4f395",
-        "3ed075adbb29a01b16880a91739508d9fdc1c9fdf833e2d985c9b642ed9e732c",
-        "fc6ebf80e29e88178539c4db0b9f51f074dcbac5e22f57c4dc3b5b69690500d8",
+        "06fc48eae22d16c9e737c5a6b671c18c9e1515418ba5bf8c437eaa374bd177ec",
+        "1bad505427dfce1e26c238ebe24d4970eec03869fca5c1ae7d1a8ca2e8a4cb9c",
     ),
 }
 

@@ -14,30 +14,40 @@ from jxcircuit.circuit import (
     ideal_circuit,
     loss,
     perturbed_circuit,
-    residuals_and_jacobian,
 )
 from jxcircuit.numerics import CholeskySolver, SpdSolver
 from jxcircuit.optimizer import FromVector, LmaOptions, _minimize, fit
 from jxcircuit.sampling import derive_seed, haar_unitary, uniform_phases
+from jacobian_reference import residuals_and_jacobian
 
 
 class LinearProblem:
-    """Synthetic zero-residual linear least squares: r(x) = A x - b."""
+    """Synthetic zero-residual linear least squares: r(x) = A x - b.
+
+    The residual is the (1, k) matrix (A x - b)^T, so column p of the
+    Jacobian is the rank-one outer(1, A[:, p]): the factors are a column of
+    ones and A^T (real, so equal to their conjugates).
+    """
 
     def __init__(self, a, b):
         self.a, self.b = a, b
         self.solver = SpdSolver(a.shape[1])
+
+    def residual(self, x):
+        return (self.a @ x - self.b)[None, :]
 
     def loss_of(self, x):
         r = self.a @ x - self.b
         return float(r @ r)
 
     def probes_and_trial(self, x, delta, h):
-        return (self.a @ (x + h * delta) - self.b, self.a @ (x - h * delta) - self.b,
+        return (self.residual(x + h * delta), self.residual(x - h * delta),
                 self.loss_of(x + delta))
 
-    def residuals_jacobian(self, x):
-        return self.a @ x - self.b, self.a
+    def normal_equations(self, x):
+        r = self.residual(x)
+        ones = np.ones((self.a.shape[1], 1))
+        return r, self.a.T @ self.a, self.a.T @ r[0], ones, self.a.T
 
 
 def test_options_validation():
@@ -45,8 +55,9 @@ def test_options_validation():
         LmaOptions(restarts=0)
     with pytest.raises(ValueError, match="max_iterations"):
         LmaOptions(max_iterations=0)
-    with pytest.raises(ValueError, match="target_loss"):
-        LmaOptions(target_loss=0.0)
+    for bad in (0.0, -1e-10, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="target_loss must be finite and positive"):
+            LmaOptions(target_loss=bad)
     with pytest.raises(ValueError):
         FromVector(np.zeros((1, 1)), jitter_fraction=1.0)
 
@@ -73,9 +84,9 @@ def test_accepted_exact_step_shrinks_damping_threefold(monkeypatch):
     lams = []
     attempt_step = optimizer._attempt_step
 
-    def recording(problem, x, current, r, jac, jtj, diag, g, lam):
+    def recording(problem, x, current, equations, diag, lam):
         lams.append(lam)
-        return attempt_step(problem, x, current, r, jac, jtj, diag, g, lam)
+        return attempt_step(problem, x, current, equations, diag, lam)
 
     monkeypatch.setattr(optimizer, "_attempt_step", recording)
     _minimize(problem, np.zeros(4), LmaOptions())
@@ -94,8 +105,8 @@ def test_n16_fit_pays_few_solves_per_jacobian(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(SpdSolver, "factor", counted("factor", SpdSolver.factor))
-    monkeypatch.setattr(optimizer._Problem, "residuals_jacobian",
-                        counted("jacobian", optimizer._Problem.residuals_jacobian))
+    monkeypatch.setattr(optimizer._Problem, "normal_equations",
+                        counted("jacobian", optimizer._Problem.normal_equations))
     fit(ideal_circuit(16, 18), haar_unitary(16, 5), LmaOptions(restarts=1), seed=1)
     assert calls["factor"] <= 3.5 * calls["jacobian"], calls
 
@@ -109,11 +120,11 @@ def test_indefinite_damped_matrix_grows_damping():
     problem = LinearProblem(np.eye(2), np.ones(2))
     problem.probes_and_trial = lambda *args: pytest.fail("a step was tried")
     x = np.zeros(2)
-    r, jac = problem.residuals_jacobian(x)
+    r, _, g, s_conj, b_conj = problem.normal_equations(x)
     jtj = np.array([[0.0, 1.0], [1.0, 0.0]])
     diag = np.maximum(np.diagonal(jtj), 1e-30)
     out, current, lam, step, accepted = optimizer._attempt_step(
-        problem, x, problem.loss_of(x), r, jac, jtj, diag, jac.T @ r, 1.0)
+        problem, x, problem.loss_of(x), (r, jtj, g, s_conj, b_conj), diag, 1.0)
     assert not accepted
     assert lam > optimizer._DAMPING_MAX
     assert out is x and current == problem.loss_of(x) and step == 0.0

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from jxcircuit.circuit import (
     PhaseProgram,
     loss,
-    residuals_and_jacobian,
     transfer_matrices,
     transfer_matrix,
 )
 from jxcircuit.optimizer import _ACCEL_PROBE, _Problem
 from jxcircuit.sampling import derive_seed, haar_unitary
+from jacobian_reference import evaluate
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -67,7 +67,7 @@ def test_probes_and_trial_equal_per_point_evaluations(case):
         return program.with_free_values(point).theta
 
     def residuals(point):
-        return residuals_and_jacobian(mixers, grid(point), program.free_mask, target)[0]
+        return evaluate(mixers, grid(point), program.free_mask, target)[0]
 
     ahead, behind, trial_loss = _Problem(mixers, program, target).probes_and_trial(
         x, delta, h)
