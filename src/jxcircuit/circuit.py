@@ -19,7 +19,7 @@ Conventions, fixed throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -208,7 +208,8 @@ def normal_equations(
     free_mask: np.ndarray,
     target: np.ndarray,
     gram: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    jtj: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """Residual matrix and Gauss-Newton normal equations w.r.t. the free phases.
 
     The residual is the complex matrix ``D = (U - U_t) / N``: the stacked
@@ -217,20 +218,19 @@ def normal_equations(
 
     Splitting the product at layer ``ell`` as ``U = A . diag(e^{i theta}) . B``
     gives the rank-one derivative
-    ``dU/dtheta_p = i e^{i theta_p} outer(A[:, p], B[p, :])``, so one pass of
-    suffix products (B) and one of prefix products (A) yield every
-    derivative in O(M N^3) total.  With the rows ``s = i e^{i theta_p}
-    A[:, p] / N`` and ``b = B[p, :]`` of the free phases stacked (layer-major,
-    as the flat phase vector) into (P, N) arrays S and B, the Jacobian J of
-    the residuals is never formed::
+    ``dU/dtheta_p = i e^{i theta_p} outer(A[:, p], B[p, :])``.  The mixers
+    are unitary (``MixingLayer`` guarantees it), so ``A diag(e^{i theta}) =
+    U B^H``: the prefix products B, swept once in O(M N^3) to compose U, give
+    every derivative.  With the rows ``b = B[p, :]`` of the free phases
+    stacked (layer-major, as the flat phase vector) into a (P, N) array, J
+    is never formed; the coupling of two phases is the squared modulus of
+    the transfer matrix between their layers::
 
-        J'J = Re((conj(S) S^T) o (conj(B) B^T))
-        J'V = Re(rowsum((conj(S) V) o conj(B)))   for any residual matrix V
+        J'J = |G|^2   with G = conj(b) b^T / N, so diag(J'J) = 1 / N^2
+        J'V = jtv(V) = Im(rowsum((b U^H V) o conj(b))) / N   for any residual V
 
-    ``gram`` is a (2, P, P) complex128 buffer the two Gram matrices are
-    written into; the returned J'J is a view of ``gram[0]``, overwritten by
-    the next call on the same buffer.  Returns ``(D, J'J, J'D, conj(S),
-    conj(B))``.
+    G goes into the complex (P, P) buffer ``gram``, J'J into the real one
+    ``jtj`` (both reused by the next call).  Returns ``(D, J'J, J'D, jtv)``.
     """
     m_layers, n = theta.shape
     factors = np.exp(1j * theta)[:, :, None]
@@ -242,19 +242,17 @@ def normal_equations(
         np.matmul(mixers[ell + 1], factors[ell] * right[ell], out=right[ell + 1])
     diff = (right[m_layers] - target) / n
 
-    # left_t[ell] is the transposed product of the layers after phase layer
-    # ell, so that its rows are the columns A[:, p]
-    left_t = np.empty((m_layers, n, n), dtype=np.complex128)
-    left_t[-1] = mixers[m_layers].T
-    for ell in range(m_layers - 1, 0, -1):
-        np.matmul(mixers[ell].T, factors[ell] * left_t[ell], out=left_t[ell - 1])
-    free = free_mask.ravel()
-    s = (left_t * ((1j / n) * factors)).reshape(-1, n)[free]
-    b = right[:-1].reshape(-1, n)[free]
-    s_conj, b_conj = s.conj(), b.conj()
-    np.matmul(s_conj, s.T, out=gram[0])
-    np.multiply(gram[0], np.matmul(b_conj, b.T, out=gram[1]), out=gram[0])
-    return diff, gram[0].real, ((s_conj @ diff) * b_conj).sum(axis=1).real, s_conj, b_conj
+    b = right[:-1].reshape(-1, n)[free_mask.ravel()]
+    b_conj, u_h = b.conj() / n, right[m_layers].conj().T
+    np.matmul(b_conj, b.T, out=gram)
+    squares = gram.view(np.float64)  # Re(G) and Im(G), interleaved
+    np.square(squares, out=squares)
+    np.add(gram.real, gram.imag, out=jtj)
+
+    def jtv(v):
+        return ((b @ (u_h @ v)) * b_conj).sum(axis=1).imag
+
+    return diff, jtj, jtv(diff), jtv
 
 
 def apply_fault_plan(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -111,6 +112,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true",
                    help="skip units of work already present in the output CSV "
                         "(refused unless its metadata matches this run)")
+    # Python 3.11's argparse takes -1e-10 for an option; read it as a number
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     return parser
 
 
@@ -123,9 +127,11 @@ def _check_counts(args, *flags) -> None:
 
 
 def _check_sigma_k(args) -> None:
-    """Refuse a NaN or infinite ``--sigma-k`` before any input is read."""
+    """Refuse a NaN, infinite or negative ``--sigma-k`` before any input is read."""
     if not math.isfinite(args.sigma_k):
         raise ValueError(f"--sigma-k must be finite, got {args.sigma_k}")
+    if args.sigma_k < 0:
+        raise ValueError(f"--sigma-k must be >= 0, got {args.sigma_k}")
 
 
 def _check_target_loss(args) -> None:
@@ -175,11 +181,8 @@ def _cmd_decompose(args) -> int:
             "the nearest unitary (polar/Procrustes) first",
             file=sys.stderr,
         )
-    options = LmaOptions(
-        restarts=args.restarts,
-        max_iterations=args.max_iterations,
-        target_loss=args.target_loss,
-    )
+    options = LmaOptions(max_iterations=args.max_iterations, restarts=args.restarts,
+                         target_loss=args.target_loss)
     result = fit(ideal_circuit(n, args.layers), target, options, seed=args.seed)
     write_phases(args.out, result.phases)
     print(

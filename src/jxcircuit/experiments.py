@@ -405,29 +405,21 @@ def _random_fault_plan(
         ms = rng.choice(layers, size=k, replace=False)
         ps = rng.integers(0, ports, size=k)
         positions = list(zip(ms.tolist(), ps.tolist()))
-    elif mode == "clustered":
-        if k < 2 or ports < 2:
-            raise ValueError(
-                f"cannot cluster {k} fault(s) on {ports} port(s): "
-                "no layer can hold two faults"
-            )
+    elif mode in ("clustered", "any"):
+        if mode == "clustered" and (k < 2 or ports < 2):
+            raise ValueError(f"cannot cluster {k} fault(s) on {ports} port(s): "
+                             "no layer can hold two faults")
         while True:
             flat = rng.choice(layers * ports, size=k, replace=False)
             positions = [(int(f) // ports, int(f) % ports) for f in flat]
             counts = np.bincount([mm for mm, _ in positions], minlength=layers)
-            if counts.max() >= 2:
+            if mode == "any" or counts.max() >= 2:
                 break
-    elif mode == "any":
-        flat = rng.choice(layers * ports, size=k, replace=False)
-        positions = [(int(f) // ports, int(f) % ports) for f in flat]
     else:
         raise ValueError(f"unknown fault placement mode {mode!r}")
     values = rng.uniform(0.0, 2.0 * np.pi, size=k)
-    plan = sorted(
-        ((mm, pp, float(v)) for (mm, pp), v in zip(positions, values)),
-        key=lambda item: (item[0], item[1]),
-    )
-    return plan
+    # the positions are distinct, so this sorts by (layer, port)
+    return sorted((mm, pp, float(v)) for (mm, pp), v in zip(positions, values))
 
 
 def faulty_shifter_grid(

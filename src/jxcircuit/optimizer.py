@@ -1,14 +1,16 @@
 """Levenberg-Marquardt fitting of circuit phases to a target unitary.
 
 The damped normal equations ``(J'J + lambda diag(J'J)) delta = -J'r`` are
-formed from the rank-one factors of the Jacobian (``circuit.normal_equations``,
-which never forms J) and solved per step, from one Cholesky factorization
-per damping value (``numerics.SpdSolver``); a step is accepted only if it
-lowers the loss, in which case ``lambda`` follows Nielsen's gain-ratio
-update (H. B. Nielsen, 1999: it shrinks by up to 3x when the loss falls as
-the Gauss-Newton model predicts, and grows by up to 2x when it falls far
-less); otherwise it grows by a factor of 2 and the solve is retried (as it
-is when the damped matrix is not numerically positive definite).
+formed from the circuit's prefix products alone (``circuit.normal_equations``:
+the mixers are unitary, as ``MixingLayer`` guarantees, so the coupling of two
+phases is the squared modulus of the transfer matrix between their layers) and
+solved per step, from one Cholesky factorization per damping value
+(``numerics.SpdSolver``); a step is accepted only if it lowers the loss, in
+which case ``lambda`` follows Nielsen's gain-ratio update (H. B. Nielsen,
+1999: it shrinks by up to 3x when the loss falls as the Gauss-Newton model
+predicts, and grows by up to 2x when it falls far less); otherwise it grows by
+a factor of 2 and the solve is retried (as it is when the damped matrix is not
+numerically positive definite).
 Each candidate step carries a geodesic-acceleration correction
 (a second-order term from the directional curvature of the residuals,
 estimated with two extra residual evaluations); the plain step is tried
@@ -91,23 +93,31 @@ class FromVector:
     def __post_init__(self):
         if not 0.0 <= self.jitter_fraction < 1.0:
             raise ValueError("jitter_fraction must lie in [0, 1)")
+        phases = np.array(self.phases, dtype=float)
+        if not np.isfinite(phases).all():
+            raise ValueError("start phases contain non-finite values")
+        object.__setattr__(self, "phases", phases)
 
 
 class _Problem:
     """Least-squares view of one phase fit: free vector -> loss/residuals.
 
-    Instances keep a scratch phase grid, the Gram buffers of the normal
-    equations and the damped solver's buffers, all allocated once, so a
-    single instance must not be evaluated from two threads at once (each
-    fit owns its own instance).
+    Instances keep a scratch phase grid and the buffers of the normal
+    equations and the damped solver, all allocated once, so a single
+    instance must not be evaluated from two threads at once (each fit owns
+    its own).  G and J'J share one block: freeing it lifts glibc's mmap
+    threshold above the next fit's buffers, which then reuse resident pages.
     """
 
     def __init__(self, mixers: np.ndarray, program: PhaseProgram, target: np.ndarray):
         self.mixers = mixers
         self.free = program.free_mask
         self.target = target
-        self.solver = SpdSolver(program.free_count)
-        self._gram = np.empty((2, program.free_count, program.free_count), np.complex128)
+        p = program.free_count
+        self.solver = SpdSolver(p)
+        block = np.empty(3 * p * p)
+        self._gram = block[:2 * p * p].view(np.complex128).reshape(p, p)
+        self._jtj = block[2 * p * p:].reshape(p, p)
         self._theta = program.theta.copy()
         self._nsq = program.ports * program.ports
 
@@ -122,9 +132,8 @@ class _Problem:
 
     def normal_equations(self, x: np.ndarray):
         """``circuit.normal_equations`` at ``x``, written into this fit's buffers."""
-        return normal_equations(
-            self.mixers, self.theta_of(x), self.free, self.target, self._gram
-        )
+        return normal_equations(self.mixers, self.theta_of(x), self.free, self.target,
+                                self._gram, self._jtj)
 
     def probes_and_trial(self, x: np.ndarray, delta: np.ndarray, h: float):
         """Residual matrices at ``x + h delta`` and ``x - h delta`` and the
@@ -165,7 +174,7 @@ def _attempt_step(problem, x, current, equations, diag, lam):
     the next iteration; on failure the incoming state comes back unchanged
     with the damping that exceeded the cap.
     """
-    diff, jtj, g, s_conj, b_conj = equations
+    diff, jtj, g, jtv = equations
     solver = problem.solver
     while True:
         delta = solver.solve(-g) if solver.factor(jtj, lam * diag) else None
@@ -175,8 +184,7 @@ def _attempt_step(problem, x, current, equations, diag, lam):
             h = _ACCEL_PROBE
             ahead, behind, plain_loss = problem.probes_and_trial(x, delta, h)
             fvv = (ahead - 2.0 * diff + behind) / (h * h)
-            # J'fvv from the rank-one factors, as normal_equations forms J'D
-            acc = solver.solve(-((s_conj @ fvv) * b_conj).sum(axis=1).real)
+            acc = solver.solve(-jtv(fvv))
             if acc is not None and _norm(acc) <= 2.0 * _ACCEL_RATIO_LIMIT * _norm(delta):
                 step = delta + 0.5 * acc
                 trial = x + step
@@ -188,7 +196,7 @@ def _attempt_step(problem, x, current, equations, diag, lam):
                 lam = _gain_damping(lam, current, plain_loss, predicted)
                 return x + delta, plain_loss, lam, _norm(delta), True
         lam *= _DAMPING_FACTOR
-        if lam > _DAMPING_MAX:
+        if not lam <= _DAMPING_MAX:  # a NaN damping gives up too
             return x, current, lam, 0.0, False
 
 
@@ -215,7 +223,7 @@ def _minimize(problem: _Problem, x0: np.ndarray, options: LmaOptions) -> _RunOut
     status = "maxiter"
     while iterations < options.max_iterations:
         equations = problem.normal_equations(x)
-        _, jtj, g, _, _ = equations
+        _, jtj, g, _ = equations
         if not polishing and float(np.abs(g).max()) < _OPTIMALITY_TOLERANCE:
             status = "gtol"
             break
@@ -259,9 +267,7 @@ def _initial_free_values(
     if init is None:
         grid = uniform_phases(program.layers, program.ports, restart_seed)
     else:
-        base = np.asarray(init.phases, dtype=float).reshape(
-            program.layers, program.ports
-        )
+        base = init.phases.reshape(program.layers, program.ports)
         grid = jitter_phases(base, init.jitter_fraction, restart_seed)
     return grid[program.free_mask]
 

@@ -206,6 +206,14 @@ def test_zero_count_flag_is_usage_error_before_inputs_are_read(tmp_path, capsys,
      "--sigma-k must be finite, got inf"),
     (("apply", "--sigma-k", "nan"), "--sigma-k must be finite, got nan"),
     (("apply", "--sigma-k", "inf"), "--sigma-k must be finite, got inf"),
+    # exponent-notation negatives parse as numbers, not as options
+    (("decompose", "--layers", 3, "--target-loss", "-1e-10"),
+     "--target-loss must be finite and positive, got -1e-10"),
+    (("calibrate", "--phases", "p.json", "--sigma-k", 0.003, "--target-loss", "-1E+2"),
+     "--target-loss must be finite and positive, got -100.0"),
+    (("apply", "--sigma-k", "-1e-3"), "--sigma-k must be >= 0, got -0.001"),
+    (("calibrate", "--phases", "p.json", "--sigma-k", "-2.5e-3"),
+     "--sigma-k must be >= 0, got -0.0025"),
 ])
 def test_bad_real_flag_is_usage_error_before_inputs_are_read(
         tmp_path, capsys, monkeypatch, argv, message):

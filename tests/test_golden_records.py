@@ -8,15 +8,15 @@ digest mismatch.  The CLI cases hash the record CSV (without its
 and stdout of ``jxcircuit experiment`` for every study name.
 
 The digests were taken with numpy 2.4.6 on OpenBLAS 0.3.31 (Python 3.11,
-x86-64) from jxcircuit 0.5.0, the first version to form the normal
-equations from the Jacobian's rank-one factors (Gram form), solving each
-damping trial from one Cholesky factorization (``"damped_solve": "dpotrf"``
-in the metadata), once the full acceptance suite had passed on it; they
-are the same with one BLAS thread and with OpenBLAS's default threading.
-Another numpy or BLAS build may round the last bits differently;
-``python tests/test_golden_records.py`` prints the digests of the code it
-imports, laid out as ``GOLDEN`` and ``CLI_GOLDEN``, to compare against or
-to re-pin from a trusted revision.
+x86-64) from jxcircuit 0.6.0, the first version to form the normal
+equations from the prefix products alone (through the unitarity of the
+mixers), solving each damping trial from one Cholesky factorization
+(``"damped_solve": "dpotrf"`` in the metadata), once the full acceptance
+suite had passed on it; they are the same with one BLAS thread and with
+OpenBLAS's default threading. Another numpy or BLAS build may round the
+last bits differently; ``python tests/test_golden_records.py`` prints the
+digests of the code it imports, laid out as ``GOLDEN`` and ``CLI_GOLDEN``,
+to compare against or to re-pin from a trusted revision.
 """
 
 import csv
@@ -83,77 +83,77 @@ CLI_CONFIGS = {
 GOLDEN = {
     "universality": (
         18,
-        "67a98dd16963d0ea46bb1d758f4ed718dbdab9af394b43d3782218e121540eec",
-        "22152c956884f2c68657b72693b3e5d6e7435103bf5c29468e5a0ed3885a4c2c",
+        "2e7664a389aabc7e6cb688fadeb7c42b159a3e2aa3b34d069e7d4bc0d7728734",
+        "46a7c1d249513bb61c3e6d5b560500e8c770ea3f3bbaef02a5ee96126f1b3d34",
     ),
     "table1": (
         6,
-        "058e82454ce68bf8374115fe0e5595b7871f77b3c7dd638a021d95554bbad0a4",
-        "189f9a8cfd8292ead8900b34f61e6511a8e995d4616d85755bd030c0ea349f9a",
+        "1e4bdf4bd1cd448a70f22815a63d52cc95929502269239bc2aad423da91bca97",
+        "27602fa375ccd91227d187436a26451912051e587b20df62f4dbb8cfdd76897a",
     ),
     "recalibration": (
         6,
-        "24beee5cc43a7a82c98373446f053e2b1bb47dddd0fb65782f6296feaf95ef37",
-        "d146e3b59dd4e8de4ce793f7987a3568beddaef6996db52d98cff0558a08f82e",
+        "9709bc08b69c5eab5cffb0825a54d94baadc3ddc58b6c19471ce3d42998d5e39",
+        "48b8789f18ffb4a8a755148b7c0d361ef9f4f86826ee5b38b637306e50729784",
     ),
     "phasediff": (
         24,
-        "438309dc5b297414a944c5edb71e906d58a17ef857793d77feffa065eabd5ab2",
-        "fa0b93c4a090b19d9ecbec988905dca574f337f27a4fbf91482e83177871ef61",
+        "78877a7f99391b057c91abcfe90635154c541c9c88f6c7759f24027d6ffde8b5",
+        "31f2eb468cd83a219018b9dfa461ffe06167694d6ea82bdd30ed51136230e03f",
     ),
     "faulty": (
         8,
-        "03237edd1b14e3b9333074ef757375499205e4e0fbcf3716e4fe7e493127eede",
-        "235988ac3cd7c229c73a7d0f8f59b9a26d7882a2fac4366baab8a57b9e1e40aa",
+        "4d757ad06c82963588cdd0d30da68c820bde2ff0bef28fb15cf3fce5396e8f4f",
+        "33286bcb7bcff20f1c0e1e2dbbaa18bb3dfe88c4ea83cb144142545c920daeca",
     ),
     "universality-n4": (
         9,
-        "6d9b7ee532453b12c7ebe12b486e0a3139287872e21e686738b6c65d5f731f00",
-        "a1da8f5f754d8811f3dca9a556c5ff8b8bfe7e0460b2872427ab87c21d4281f3",
+        "13288b57afe214a095eba17ba90c0b805bf8eac0a5f09b5434e94fc0b3626525",
+        "575b45aff0550d267fd46701fd6d70b8518e8f906455f9145333357dabef6c8b",
     ),
     "phasediff-n8": (
         8,
-        "1a1fe4b68ff1f83d710a9129bbdd23558bed620e9d2065cc23f70df84d748678",
-        "f662a2f0c14b0e6417823c9eb220a14b27fb44a2b57d00b72526bdae12880ff9",
+        "af50dea50b54ceda132701ddca8613b656527b3fd0afc39650f86011ad512167",
+        "dc81160ee207cba11753cababda3d09d50c572394452b842dcbfc8afbe2ac131",
     ),
     "faulty-n4": (
         4,
-        "0c79f8b7e0770d84033296a0a36f0d48a6562bd98be0ad0e5c90e5207a30a6bf",
-        "7d4ebc3eff55de6d2a0190dcae7f432a1bd830db98f334d3d7e5d898291f2239",
+        "b2a07fcb8f795980739e1baeb52c733df49d09907cf5de4793887248408e958d",
+        "0f84eb63e2942b6294d4366686d3b93899d8d7c7a36fc1ec65702db14b6e4b4a",
     ),
 }
 
 #: study -> digests of (CSV without wall_time, metadata without versions, SVG, stdout)
 CLI_GOLDEN = {
     "universality": (
-        "968963d0a9f1fe2833690ad52ba4eff5dff6119f1e8f546d30b9cbbc9224f18e",
+        "44203d62cf8a0883767e623e732b5c3593188993d50b130b3cef1f1ca4282d8e",
         "72b5223981ac26b1bed90d3cdc8584c7fc3e9ff84a71200d9406aee2a53e5db6",
-        "ccec37f1f05505c5e5f7b70fdb734c86e86081326720210942cf4821f67e53e9",
-        "aadd75cad0a71b2f0de1077262772ef776c80adc1f0296c6cdf02309b20743c9",
+        "226709b6243e41a5c989dba68f7daf346df6d70248a8041f973b39ed3068d330",
+        "66c9041bb072e09dd6d35aa01b7685b6ad8e0f0ecd754cd2b118c3e9b36b85bf",
     ),
     "table1": (
-        "91b04fa571cbcd0f259369ccaf4a6d94b76001336dc73de5a87e1ef276464c7c",
+        "7c7fb82824aec9ee973e94157a3c8058a28e99f8b578960244041f9553a9907f",
         "8337850ed42a00c0b353720fca6135214e43129d3d8ef61e8ea673f12a58d43c",
         "f066b355017a9a92cb5faf1e0b4fcbf6f01ef5cb0b90baa650aa5720fff3fcf4",
         "f60032277eb85eaee25a6d779436692030d8702e14ee9c06cde3a4f8057bdbdc",
     ),
     "recalibration": (
-        "5ae18c9e3f6852ba5fb87d275d47dd1280d208611a12042b74715f194efe0f5a",
+        "d3459c3e24e072d0ead92907aad07f1b0dad57cdb5a9caf777e5b746bb23c4d2",
         "dc01673d033356d541315feaf6935781901c9bd7e272a6a9d8ab2c5f39fd5e09",
         "8a45357cf98cd7e33509698e85bc9a8b2e290ecc82a70226b495d931b3d084ca",
         "8069b2832ed0fb245706e58f721ae894170ffe546b72383538cede51e2dfb173",
     ),
     "phasediff": (
-        "330f8eaa2c1a55cefdf0c607a3255309a237171a243cc06fa76092e2283abdf8",
+        "b75902438d24cd5bcdcd5ef21081386662c5a1b76d2bb82b95ad4899a62d476e",
         "4723d4381680c9447a010118345f22ab73759e6722154b8bd7dc521287eae1d4",
         "f7b4aa86ac13ff7bf931547573031c467eaa74151b81ac8624efad46520fd616",
         "d17151012e4c3935d2df2e6db773405fc22a1d9a569160dc9b023475c03ecad4",
     ),
     "faulty": (
-        "ba942c48da7f1d2efc3be9bca05bc09919f5bba2004fc3e0bb5d4c428a9a3528",
+        "12df50f9206021414369052738b4fd2e78928aaccda28062d13e328e0d5c5639",
         "6e663e21449bca3ec5dceffd5fdad03c0f131d1215776b5bdee37301d2d4f395",
-        "06fc48eae22d16c9e737c5a6b671c18c9e1515418ba5bf8c437eaa374bd177ec",
-        "1bad505427dfce1e26c238ebe24d4970eec03869fca5c1ae7d1a8ca2e8a4cb9c",
+        "a26ae0b79fdf265919f026556f7ddc64dd6a8a98a9be9e34f335f54c9d76396e",
+        "7558726b653d02be3f73bdeb33a462d7ade14844fac8c4a875c3aa7c642b5371",
     ),
 }
 

@@ -1,6 +1,8 @@
 import os
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +26,8 @@ from jacobian_reference import residuals_and_jacobian
 class LinearProblem:
     """Synthetic zero-residual linear least squares: r(x) = A x - b.
 
-    The residual is the (1, k) matrix (A x - b)^T, so column p of the
-    Jacobian is the rank-one outer(1, A[:, p]): the factors are a column of
-    ones and A^T (real, so equal to their conjugates).
+    The residual is the (1, k) matrix (A x - b)^T, so J'V is A^T V^T for
+    any residual matrix V.
     """
 
     def __init__(self, a, b):
@@ -46,8 +47,7 @@ class LinearProblem:
 
     def normal_equations(self, x):
         r = self.residual(x)
-        ones = np.ones((self.a.shape[1], 1))
-        return r, self.a.T @ self.a, self.a.T @ r[0], ones, self.a.T
+        return r, self.a.T @ self.a, self.a.T @ r[0], lambda v: self.a.T @ v[0]
 
 
 def test_options_validation():
@@ -60,6 +60,42 @@ def test_options_validation():
             LmaOptions(target_loss=bad)
     with pytest.raises(ValueError):
         FromVector(np.zeros((1, 1)), jitter_fraction=1.0)
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block if it runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_start_phases_are_refused(bad):
+    theta = np.zeros((4, 3))
+    theta[2, 1] = bad
+    with pytest.raises(ValueError, match="start phases contain non-finite values"):
+        FromVector(theta)
+
+
+def test_nan_damping_gives_up_instead_of_looping():
+    # a NaN start phase in the first layer makes every later prefix product,
+    # diag(J'J) and so the damping NaN; the damping loop counts a NaN as over
+    # the cap, since NaN > cap is never true
+    circ = ideal_circuit(3, 4)
+    problem = optimizer._Problem(circ.mixer_stack(), circ.program, haar_unitary(3, 1))
+    x0 = np.zeros(circ.program.free_count)
+    x0[0] = np.nan
+    with deadline(20):
+        out = _minimize(problem, x0, LmaOptions(restarts=1, max_iterations=5))
+    assert out.status == "stalled" and out.iterations == 0
 
 
 def test_gauss_newton_exact_on_linear_problem(monkeypatch):
@@ -120,11 +156,11 @@ def test_indefinite_damped_matrix_grows_damping():
     problem = LinearProblem(np.eye(2), np.ones(2))
     problem.probes_and_trial = lambda *args: pytest.fail("a step was tried")
     x = np.zeros(2)
-    r, _, g, s_conj, b_conj = problem.normal_equations(x)
+    r, _, g, jtv = problem.normal_equations(x)
     jtj = np.array([[0.0, 1.0], [1.0, 0.0]])
     diag = np.maximum(np.diagonal(jtj), 1e-30)
     out, current, lam, step, accepted = optimizer._attempt_step(
-        problem, x, problem.loss_of(x), (r, jtj, g, s_conj, b_conj), diag, 1.0)
+        problem, x, problem.loss_of(x), (r, jtj, g, jtv), diag, 1.0)
     assert not accepted
     assert lam > optimizer._DAMPING_MAX
     assert out is x and current == problem.loss_of(x) and step == 0.0

@@ -1,13 +1,15 @@
-"""Every public name of the package is used by the package itself.
+"""The package's public surface: its names and its version.
 
 A name in a module's ``__all__`` must be read somewhere in
 ``src/jxcircuit`` (as a name, an attribute, or an explicit
 ``from ... import``); a name that only the tests use is not public API
-but dead weight.  Only the standard library's ``ast`` is used, so the
-check needs no import of the package.
+but dead weight.  Only the standard library's ``ast`` is used, so that
+check needs no import of the package.  ``jxcircuit.__version__`` must be
+the version ``pyproject.toml`` declares.
 """
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jxcircuit"
@@ -45,3 +47,13 @@ def test_every_public_name_is_used_in_the_package():
     unused = sorted(name for names in declared.values() for name in names
                     if name not in used)
     assert unused == [], f"public names used only outside the package: {unused}"
+
+
+def test_package_version_matches_pyproject():
+    # a regex, since tomllib is missing on Python 3.10
+    import jxcircuit
+
+    text = (PACKAGE.parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+    assert declared is not None
+    assert declared.group(1) == jxcircuit.__version__
