@@ -1,6 +1,11 @@
 """Interlaced mixing/phase circuits: composition, loss, and the residuals'
 Gauss-Newton normal equations.
 
+Every composition is one sweep over a stack of phase grids that keeps each
+prefix product (``prefix_products``, into a caller's buffer), and the
+normal equations at a point are read from the prefixes of the sweep that
+composed it, so no point is composed twice.
+
 Conventions, fixed throughout the package:
 
 * A circuit with M phase layers has M+1 mixing slots.  ``mixers[0]`` is
@@ -32,7 +37,7 @@ __all__ = [
     "InterlacedCircuit",
     "FitResult",
     "transfer_matrix",
-    "transfer_matrices",
+    "prefix_products",
     "compose",
     "loss",
     "normal_equations",
@@ -146,9 +151,12 @@ class InterlacedCircuit:
 class FitResult:
     """Outcome of a least-squares phase fit.
 
-    ``status`` is why the best descent stopped: ``target``, ``ftol``,
-    ``xtol``, ``gtol``, ``maxiter``, ``stalled`` (no damping up to the cap
-    lowered the loss) or ``no-free-parameters``.
+    ``iterations`` and ``status`` are the best descent's: its accepted
+    steps, and why it stopped: ``target``, ``ftol``, ``xtol``, ``gtol``,
+    ``maxiter``, ``stalled`` (no damping up to the cap lowered the loss) or
+    ``no-free-parameters``.  ``total_iterations`` and ``rejected_trials``
+    (damping trials that found no lower loss) count over all
+    ``restarts_used`` descents.
     """
 
     phases: PhaseProgram
@@ -158,32 +166,36 @@ class FitResult:
     converged: bool
     seed: int
     status: str
+    total_iterations: int
+    rejected_trials: int
 
 
-def _product(u: np.ndarray, mixers: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Interlace ``u`` (the first mixer) with the later mixers and the phase
-    factors ``phases[ell]``, each (N, 1) for one grid or (B, N, 1) for a
-    stack of B grids."""
-    for ell, factors in enumerate(phases):
-        u = mixers[ell + 1] @ (factors * u)
-    return u
+def prefix_products(mixers: np.ndarray, thetas: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Compose the mixers with a stack of phase grids (B, M, N) in one sweep.
+
+    Writes the prefix products into the caller's (M+1, B, N, N) buffer
+    ``out`` (``out[ell, b]`` is grid b's product up to mixer ell, the
+    matrices ``normal_equations`` reads) and returns ``out[M]``, the B
+    transfer matrices.  Slice ``b`` is bitwise the same for any B and any
+    place of the grid in the stack.  The first mixer enters as a (1, N, N)
+    slice, of the same rank as the phase factors: numpy picks its
+    elementwise loop by operand shapes, and at N = B = 1 a (1, 1) mixer
+    against (1, 1, 1) factors takes a loop that rounds the complex product
+    differently.
+    """
+    factors = np.exp(1j * thetas).transpose(1, 0, 2)[:, :, :, None]
+    out[0] = mixers[0]
+    u = mixers[:1]
+    for ell, layer in enumerate(factors):
+        u = np.matmul(mixers[ell + 1], layer * u, out=out[ell + 1])
+    return out[-1]
 
 
 def transfer_matrix(mixers: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Compose stacked mixer matrices (M+1, N, N) with a phase grid (M, N)."""
-    return _product(mixers[0], mixers, np.exp(1j * theta)[:, :, None])
-
-
-def transfer_matrices(mixers: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Compose the mixers with a stack of phase grids (B, M, N) in one pass.
-
-    Returns (B, N, N); slice ``b`` is bitwise ``transfer_matrix(mixers,
-    thetas[b])``.  The first mixer enters as a (1, N, N) slice, of the same
-    rank as the phase factors: numpy picks its elementwise loop by operand
-    shapes, and at N = B = 1 a (1, 1) mixer against (1, 1, 1) factors takes
-    a loop that rounds the complex product differently.
-    """
-    return _product(mixers[:1], mixers, np.exp(1j * thetas).transpose(1, 0, 2)[:, :, :, None])
+    m, n = theta.shape
+    out = np.empty((m + 1, 1, n, n), dtype=np.complex128)
+    return prefix_products(mixers, theta[None], out)[0]
 
 
 def compose(circuit: InterlacedCircuit) -> np.ndarray:
@@ -203,8 +215,7 @@ def loss(u, target) -> float:
 
 
 def normal_equations(
-    mixers: np.ndarray,
-    theta: np.ndarray,
+    prefixes: np.ndarray,
     free_mask: np.ndarray,
     target: np.ndarray,
     gram: np.ndarray,
@@ -212,19 +223,21 @@ def normal_equations(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """Residual matrix and Gauss-Newton normal equations w.r.t. the free phases.
 
-    The residual is the complex matrix ``D = (U - U_t) / N``: the stacked
-    Re/Im entries of D are the least-squares residuals, so ``||D||_F^2`` is
-    the loss.
+    ``prefixes`` are the (M+1, N, N) prefix products of one phase grid, as
+    ``prefix_products`` wrote them (a slice of its buffer); no sweep runs
+    here.  The residual is the complex matrix ``D = (U - U_t) / N``, with
+    ``U = prefixes[M]``: the stacked Re/Im entries of D are the
+    least-squares residuals, so ``||D||_F^2`` is the loss.
 
     Splitting the product at layer ``ell`` as ``U = A . diag(e^{i theta}) . B``
     gives the rank-one derivative
     ``dU/dtheta_p = i e^{i theta_p} outer(A[:, p], B[p, :])``.  The mixers
     are unitary (``MixingLayer`` guarantees it), so ``A diag(e^{i theta}) =
-    U B^H``: the prefix products B, swept once in O(M N^3) to compose U, give
-    every derivative.  With the rows ``b = B[p, :]`` of the free phases
-    stacked (layer-major, as the flat phase vector) into a (P, N) array, J
-    is never formed; the coupling of two phases is the squared modulus of
-    the transfer matrix between their layers::
+    U B^H``: the prefix products B that composed U give every derivative.
+    With the rows ``b = B[p, :]`` of the free phases stacked (layer-major,
+    as the flat phase vector) into a (P, N) array, J is never formed; the
+    coupling of two phases is the squared modulus of the transfer matrix
+    between their layers::
 
         J'J = |G|^2   with G = conj(b) b^T / N, so diag(J'J) = 1 / N^2
         J'V = jtv(V) = Im(rowsum((b U^H V) o conj(b))) / N   for any residual V
@@ -232,18 +245,12 @@ def normal_equations(
     G goes into the complex (P, P) buffer ``gram``, J'J into the real one
     ``jtj`` (both reused by the next call).  Returns ``(D, J'J, J'D, jtv)``.
     """
-    m_layers, n = theta.shape
-    factors = np.exp(1j * theta)[:, :, None]
-    # right[ell] is the product up to mixer ell; right[M] is U, bitwise as
-    # transfer_matrix composes it
-    right = np.empty((m_layers + 1, n, n), dtype=np.complex128)
-    right[0] = mixers[0]
-    for ell in range(m_layers):
-        np.matmul(mixers[ell + 1], factors[ell] * right[ell], out=right[ell + 1])
-    diff = (right[m_layers] - target) / n
+    u = prefixes[-1]
+    n = u.shape[0]
+    diff = (u - target) / n
 
-    b = right[:-1].reshape(-1, n)[free_mask.ravel()]
-    b_conj, u_h = b.conj() / n, right[m_layers].conj().T
+    b = prefixes[:-1][free_mask]
+    b_conj, u_h = b.conj() / n, u.conj().T
     np.matmul(b_conj, b.T, out=gram)
     squares = gram.view(np.float64)  # Re(G) and Im(G), interleaved
     np.square(squares, out=squares)

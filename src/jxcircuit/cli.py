@@ -190,7 +190,13 @@ def _cmd_decompose(args) -> int:
         f"{result.iterations} iteration(s), stopped by {result.status}; "
         f"phases -> {args.out}"
     )
+    print(_fit_totals(result))
     return 0 if result.converged else 1
+
+
+def _fit_totals(result) -> str:
+    return (f"fit: {result.total_iterations} iteration(s) and {result.rejected_trials} "
+            f"rejected trial(s) over {result.restarts_used} restart(s)")
 
 
 def _cmd_apply(args) -> int:
@@ -219,16 +225,17 @@ def _cmd_calibrate(args) -> int:
                                 args.seed).with_program(program)
     loss_before = loss(compose(circuit), target)
     if loss_before < args.target_loss:
-        corrected, loss_after = program, loss_before
+        corrected, loss_after, totals = program, loss_before, "no fit: already on target"
     else:
         options = LmaOptions(max_iterations=args.iterations, restarts=args.attempts,
                              target_loss=args.target_loss)
         result = fit(circuit, target, options,
                      seed=derive_seed(args.seed, "calibrate", 0))
-        corrected, loss_after = result.phases, result.loss
+        corrected, loss_after, totals = result.phases, result.loss, _fit_totals(result)
     write_phases(args.out, corrected)
     print(f"loss_before {loss_before:.6e}")
     print(f"loss_after  {loss_after:.6e}")
+    print(totals)
     print(f"corrected phases -> {args.out}")
     return 0 if loss_after < args.target_loss else 1
 

@@ -20,10 +20,19 @@ On this model class the acceleration lifts the per-descent success rate
 of truncated runs substantially, because random starts otherwise crawl
 through narrow curved valleys.
 
+Each point is composed once: the normal equations at an accepted point
+read the prefix products of the pass that evaluated it, so an iteration
+makes two composition passes (the probe pass and, when the acceleration
+is tried, the accelerated trial).  The descent is a generator that yields
+each composition it needs and resumes with the result; one driver
+(``_drive``) advances several descents side by side and composes all their
+requests in one stacked sweep per tick.
+
 Termination mirrors the usual trio of tolerances (function, step,
 optimality) plus a hard loss target and an iteration cap; ``fit`` wraps
-the descent in independent seeded restarts.  Recalibration against
-perturbed mixers is a ``fit`` with ``restarts=attempts`` and a truncated
+the descent in independent seeded restarts, run in batches of such lanes
+whose outcomes count in restart order.  Recalibration against perturbed
+mixers is a ``fit`` with ``restarts=attempts`` and a truncated
 ``max_iterations``.
 """
 
@@ -31,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +50,7 @@ from .circuit import (
     PhaseProgram,
     loss,
     normal_equations,
-    transfer_matrices,
+    prefix_products,
     transfer_matrix,
 )
 from .numerics import SpdSolver, as_complex_matrix
@@ -63,6 +73,13 @@ _DAMPING_FACTOR = 2.0
 _DAMPING_MAX = 1e10
 #: extra steps after target_loss to reach the noise floor
 _POLISH_ITERATIONS = 3
+#: restart lanes (below the transition, see _lane_cap): a fit's first batch
+#: runs one descent, each next batch this many times as many side by side, up
+#: to _MAX_WIDTH and to as many as keep their J'J and damped-solver (P, P)
+#: buffers within _LANE_BYTES
+_WIDTH_GROWTH = 4
+_MAX_WIDTH = 64
+_LANE_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -99,52 +116,135 @@ class FromVector:
         object.__setattr__(self, "phases", phases)
 
 
+class _Point(NamedTuple):
+    """An evaluated point: free values, loss, and the prefix products of the
+    composition that gave the loss (a view into a lane's sweep buffer,
+    valid until the lane's next request of that buffer)."""
+
+    x: np.ndarray
+    loss: float
+    prefixes: np.ndarray
+
+
 class _Problem:
     """Least-squares view of one phase fit: free vector -> loss/residuals.
 
-    Instances keep a scratch phase grid and the buffers of the normal
-    equations and the damped solver, all allocated once, so a single
-    instance must not be evaluated from two threads at once (each fit owns
-    its own).  G and J'J share one block: freeing it lifts glibc's mmap
+    An instance is one lane of the fit: a descent (``_minimize``) runs on
+    it, asking it for compositions.  It keeps the phase grids of its
+    requests, the sweep buffers its compositions are written into (one grid,
+    and the three of a probe pass), J'J and the damped solver, all
+    allocated once, so a lane must not be evaluated from two threads at once
+    (each fit owns its own).  ``lanes`` makes more lanes of the same fit,
+    which share the complex Gram buffer (scratch of ``normal_equations``),
+    and the first lane answers the requests of all (``compose``).  The first
+    lane's G and J'J share one block: freeing it lifts glibc's mmap
     threshold above the next fit's buffers, which then reuse resident pages.
     """
 
-    def __init__(self, mixers: np.ndarray, program: PhaseProgram, target: np.ndarray):
+    def __init__(self, mixers: np.ndarray, program: PhaseProgram, target: np.ndarray,
+                 gram: np.ndarray | None = None):
         self.mixers = mixers
+        self.program = program
         self.free = program.free_mask
         self.target = target
-        p = program.free_count
+        p, m, n = program.free_count, program.layers, program.ports
         self.solver = SpdSolver(p)
-        block = np.empty(3 * p * p)
-        self._gram = block[:2 * p * p].view(np.complex128).reshape(p, p)
-        self._jtj = block[2 * p * p:].reshape(p, p)
-        self._theta = program.theta.copy()
-        self._nsq = program.ports * program.ports
+        if gram is None:
+            block = np.empty(3 * p * p)
+            gram = block[:2 * p * p].view(np.complex128).reshape(p, p)
+            self._jtj = block[2 * p * p:].reshape(p, p)
+        else:
+            self._jtj = np.empty((p, p))
+        self._gram = gram
+        self._grid = program.theta[None].copy()
+        self._grids = np.repeat(self._grid, 3, axis=0)
+        self._single = np.empty((m + 1, 1, n, n), dtype=np.complex128)
+        self._triple = np.empty((m + 1, 3, n, n), dtype=np.complex128)
+        self._nsq = n * n
+        self._others = []  # not this lane itself: a cycle would outlive the fit
+        self._stacked = None
 
-    def theta_of(self, x: np.ndarray) -> np.ndarray:
-        self._theta[self.free] = x
-        return self._theta
+    def lanes(self, count: int) -> list["_Problem"]:
+        """``count`` lanes of this fit, this one first, made on first use."""
+        while len(self._others) < count - 1:
+            self._others.append(_Problem(self.mixers, self.program, self.target, self._gram))
+        return [self] + self._others[:count - 1]
 
-    def loss_of(self, x: np.ndarray) -> float:
-        u = transfer_matrix(self.mixers, self.theta_of(x))
-        diff = (u - self.target).ravel()
-        return float(np.vdot(diff, diff).real) / self._nsq
+    def compose(self, requests: list) -> list:
+        """Answer composition requests ``(grids, buffer)`` in one sweep, each
+        with ``(U stack, prefixes)`` in its own buffer: one request is swept
+        straight into its buffer; several are swept together in a stacked
+        buffer, kept for the fit and grown as needed, and copied out."""
+        if len(requests) == 1:
+            grids, out = requests[0]
+            return [(prefix_products(self.mixers, grids, out), out)]
+        grids = np.concatenate([grids for grids, _ in requests])
+        if self._stacked is None or self._stacked.shape[1] < len(grids):
+            self._stacked = np.empty((len(self._single), len(grids)) + self.target.shape,
+                                     dtype=np.complex128)
+        stacked = self._stacked[:, :len(grids)]
+        prefix_products(self.mixers, grids, stacked)
+        answers, end = [], 0
+        for grids, out in requests:
+            start, end = end, end + len(grids)
+            np.copyto(out, stacked[:, start:end])
+            answers.append((out[-1], out))
+        return answers
 
-    def normal_equations(self, x: np.ndarray):
-        """``circuit.normal_equations`` at ``x``, written into this fit's buffers."""
-        return normal_equations(self.mixers, self.theta_of(x), self.free, self.target,
-                                self._gram, self._jtj)
+    def loss_of(self, x: np.ndarray):
+        """The evaluated point ``x``, from one single-grid composition (a
+        generator, like ``_minimize``)."""
+        self._grid[0, self.free] = x
+        u, prefixes = yield self._grid, self._single
+        diff = (u[0] - self.target).ravel()
+        return _Point(x, float(np.vdot(diff, diff).real) / self._nsq, prefixes[:, 0])
+
+    def normal_equations(self, point: _Point):
+        """``circuit.normal_equations`` at an evaluated point, from the
+        prefixes of its composition, written into this lane's buffers."""
+        return normal_equations(point.prefixes, self.free, self.target, self._gram, self._jtj)
 
     def probes_and_trial(self, x: np.ndarray, delta: np.ndarray, h: float):
         """Residual matrices at ``x + h delta`` and ``x - h delta`` and the
-        loss at ``x + delta`` from one stacked composition, bitwise as
-        ``normal_equations`` and ``loss_of`` give them one by one."""
-        thetas = np.repeat(self._theta[None], 3, axis=0)
-        thetas[:, self.free] = (x + h * delta, x - h * delta, x + delta)
-        diff = transfer_matrices(self.mixers, thetas) - self.target
+        evaluated point ``x + delta`` from one stacked composition (a
+        generator), bitwise as ``normal_equations`` and ``loss_of`` give
+        them one by one."""
+        trial = x + delta
+        self._grids[:, self.free] = (x + h * delta, x - h * delta, trial)
+        u, prefixes = yield self._grids, self._triple
+        diff = u - self.target
         ahead, behind = diff[:2] / self.target.shape[0]
-        trial = diff[2].ravel()
-        return ahead, behind, float(np.vdot(trial, trial).real) / self._nsq
+        plain = diff[2].ravel()
+        return ahead, behind, _Point(trial, float(np.vdot(plain, plain).real) / self._nsq,
+                                     prefixes[:, 2])
+
+
+def _drive(problem, descents: list, final=lambda value: False) -> list:
+    """Run generators side by side and return their values in order.
+
+    Each generator yields a composition request and resumes with its
+    answer.  Each tick takes one request from every live generator, in
+    order, and ``problem.compose`` answers them all in one sweep.  When a
+    generator's value is ``final``, the later ones are dropped and give None.
+    """
+    results = [None] * len(descents)
+    live = dict(enumerate(descents))
+    answers = dict.fromkeys(live)
+    while live:
+        requests = {}
+        for i in list(live):
+            if i not in live:
+                continue
+            try:
+                requests[i] = live[i].send(answers[i])
+            except StopIteration as stop:
+                results[i] = stop.value
+                del live[i]
+                if final(stop.value):
+                    live = {j: descent for j, descent in live.items() if j < i}
+        if requests:
+            answers = dict(zip(requests, problem.compose(list(requests.values()))))
+    return results
 
 
 def _norm(v: np.ndarray) -> float:
@@ -160,103 +260,114 @@ def _gain_damping(lam, current, new_loss, predicted):
     return max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-15)
 
 
-def _attempt_step(problem, x, current, equations, diag, lam):
-    """Grow the damping until a loss-decreasing step is found or give up.
+@dataclass
+class _Descent:
+    """State of one descent, and its outcome once it returns: the point
+    reached, its damping, accepted steps, rejected damping trials, status."""
+
+    point: _Point
+    lam: float | None = None
+    iterations: int = 0
+    rejected: int = 0
+    status: str = "maxiter"
+
+
+def _attempt_step(problem, descent: _Descent, equations, diag):
+    """Grow the damping until a loss-decreasing step is found or give up (a
+    generator, like ``_minimize``).
 
     At each damping value the damped matrix is factored once, and the
     geodesic-accelerated step is tried first (when its correction is not
     disproportionate), then the plain damped step; only if both fail, or
     the factorization or the plain step does, does the damping grow.  The two
-    curvature probes and the plain trial share one stacked evaluation, so
+    curvature probes and the plain trial share one stacked composition, so
     only the accelerated trial is composed on its own.  ``equations`` is
-    what ``normal_equations`` returned at ``x``.  Returns
-    (x, loss, lam, step_norm, accepted), with the gain-ratio damping for
-    the next iteration; on failure the incoming state comes back unchanged
-    with the damping that exceeded the cap.
+    what ``normal_equations`` returned at the descent's point.  On success
+    the descent moves to the evaluated trial point, with the gain-ratio
+    damping for the next iteration, and the step's length is returned; on
+    failure it keeps its point, with the damping that exceeded the cap, and
+    None is returned.
     """
     diff, jtj, g, jtv = equations
     solver = problem.solver
+    current = descent.point.loss
     while True:
+        lam = descent.lam
         delta = solver.solve(-g) if solver.factor(jtj, lam * diag) else None
         if delta is not None:
             # the Gauss-Newton model's decrease of the loss for the plain step
             predicted = float(delta.dot(lam * diag * delta - g))
             h = _ACCEL_PROBE
-            ahead, behind, plain_loss = problem.probes_and_trial(x, delta, h)
+            ahead, behind, plain = yield from problem.probes_and_trial(
+                descent.point.x, delta, h)
             fvv = (ahead - 2.0 * diff + behind) / (h * h)
             acc = solver.solve(-jtv(fvv))
             if acc is not None and _norm(acc) <= 2.0 * _ACCEL_RATIO_LIMIT * _norm(delta):
                 step = delta + 0.5 * acc
-                trial = x + step
-                trial_loss = problem.loss_of(trial)
-                if trial_loss < current:
-                    lam = _gain_damping(lam, current, trial_loss, predicted)
-                    return trial, trial_loss, lam, _norm(step), True
-            if plain_loss < current:
-                lam = _gain_damping(lam, current, plain_loss, predicted)
-                return x + delta, plain_loss, lam, _norm(delta), True
-        lam *= _DAMPING_FACTOR
-        if not lam <= _DAMPING_MAX:  # a NaN damping gives up too
-            return x, current, lam, 0.0, False
+                trial = yield from problem.loss_of(descent.point.x + step)
+                if trial.loss < current:
+                    descent.lam = _gain_damping(lam, current, trial.loss, predicted)
+                    descent.point = trial
+                    return _norm(step)
+            if plain.loss < current:
+                descent.lam = _gain_damping(lam, current, plain.loss, predicted)
+                descent.point = plain
+                return _norm(delta)
+        descent.rejected += 1
+        descent.lam = lam * _DAMPING_FACTOR
+        if not descent.lam <= _DAMPING_MAX:  # a NaN damping gives up too
+            return None
 
 
-@dataclass
-class _RunOutcome:
-    x: np.ndarray
-    loss: float
-    iterations: int
-    status: str
+def _minimize(problem, x0: np.ndarray, options: LmaOptions):
+    """One descent from ``x0``, as a generator: it yields composition
+    requests, resumes with their answers (see ``_drive``) and returns the
+    final ``_Descent``."""
+    descent = _Descent((yield from problem.loss_of(x0)))
+    if descent.point.loss < options.target_loss:
+        descent.status = "target"
+        return descent
+    if x0.size == 0:
+        descent.status = "no-free-parameters"
+        return descent
 
-
-def _minimize(problem: _Problem, x0: np.ndarray, options: LmaOptions) -> _RunOutcome:
-    x = np.asarray(x0, dtype=float).copy()
-    current = problem.loss_of(x)
-    if current < options.target_loss:
-        return _RunOutcome(x, current, 0, "target")
-    if x.size == 0:
-        return _RunOutcome(x, current, 0, "no-free-parameters")
-
-    lam = None
-    iterations = 0
     polishing = False
     polish_left = _POLISH_ITERATIONS
-    status = "maxiter"
-    while iterations < options.max_iterations:
-        equations = problem.normal_equations(x)
+    while descent.iterations < options.max_iterations:
+        equations = problem.normal_equations(descent.point)
         _, jtj, g, _ = equations
         if not polishing and float(np.abs(g).max()) < _OPTIMALITY_TOLERANCE:
-            status = "gtol"
+            descent.status = "gtol"
             break
         diag = np.maximum(np.diagonal(jtj), 1e-30)
-        if lam is None:
-            lam = _DAMPING_SCALE * float(diag.max())
-        x, new_loss, lam, step, accepted = _attempt_step(
-            problem, x, current, equations, diag, lam
-        )
-        if not accepted:
-            status = "target" if polishing else "stalled"
+        if descent.lam is None:
+            descent.lam = _DAMPING_SCALE * float(diag.max())
+        previous = descent.point.loss
+        step = yield from _attempt_step(problem, descent, equations, diag)
+        if step is None:
+            descent.status = "target" if polishing else "stalled"
             break
-        previous, current = current, new_loss
-        iterations += 1
+        current = descent.point.loss
+        descent.iterations += 1
         if polishing:
             polish_left -= 1
             if polish_left <= 0 or current > 0.1 * previous:
-                status = "target"
+                descent.status = "target"
                 break
             continue
         if current < options.target_loss:
             if polish_left <= 0:
-                status = "target"
+                descent.status = "target"
                 break
             polishing = True
             continue
         if abs(previous - current) <= _FUNCTION_TOLERANCE * current:
-            status = "ftol"
+            descent.status = "ftol"
             break
-        if step <= _STEP_TOLERANCE * (_norm(x) + _STEP_TOLERANCE):
-            status = "xtol"
+        if step <= _STEP_TOLERANCE * (_norm(descent.point.x) + _STEP_TOLERANCE):
+            descent.status = "xtol"
             break
-    return _RunOutcome(x, current, iterations, status)
+    return descent
 
 
 def _initial_free_values(
@@ -272,6 +383,24 @@ def _initial_free_values(
     return grid[program.free_mask]
 
 
+def _lane_cap(program: PhaseProgram) -> int:
+    """Most restarts of a fit on ``program`` to run side by side.
+
+    A uniform shift of a layer with no frozen phase moves U only by a global
+    phase, so such layers add one direction between them, and the free
+    phases span at most ``P - (layers fully free - 1)`` directions.  With
+    fewer than U(N)'s N^2 (the paper's transition, M <= N, or faults
+    clustered in few layers) no descent fits exactly, every restart runs,
+    and lanes only save.  Above it, descents that a converged earlier
+    restart makes moot would run beside it, so the fit stays serial.
+    """
+    p = program.free_count
+    redundant = max(int(program.free_mask.all(axis=1).sum()) - 1, 0)
+    if p - redundant >= program.ports ** 2:
+        return 1
+    return max(1, min(_MAX_WIDTH, _LANE_BYTES // max(16 * p * p, 1)))
+
+
 def fit(
     circuit: InterlacedCircuit,
     target,
@@ -282,8 +411,13 @@ def fit(
     """Best-of-restarts phase fit of the circuit to a target unitary.
 
     Up to ``options.restarts`` independent descents run from fresh seeded
-    initializations (uniform phases, or ``init`` jittered); the loop stops
-    early once the loss target is met.
+    initializations (uniform phases, or ``init`` jittered); the fit stops
+    early once the loss target is met.  Below the universality transition
+    (``_lane_cap``) the descents run in batches of lanes, side by side: the
+    first batch holds one, each next one ``_WIDTH_GROWTH`` times as many, up
+    to ``_MAX_WIDTH`` and to what ``_LANE_BYTES`` holds.  Their outcomes
+    count in restart order, up to the first that meets the target, so the
+    result is the serial loop's at any width.
     Frozen (faulty) phases are never modified.  The returned loss is
     recomputed from the composed transfer matrix, so it is consistent
     with ``loss(compose(...), target)`` by construction.
@@ -293,19 +427,30 @@ def fit(
     program = circuit.program
     mixers = circuit.mixer_stack()
     problem = _Problem(mixers, program, target)
+    cap = _lane_cap(program)
 
-    best: _RunOutcome | None = None
-    restarts_used = 0
-    for k in range(options.restarts):
-        restarts_used = k + 1
-        x0 = _initial_free_values(program, init, derive_seed(seed, "lma-restart", k))
-        outcome = _minimize(problem, x0, options)
-        if best is None or outcome.loss < best.loss:
-            best = outcome
-        if best.loss < options.target_loss:
+    def reached(descent):
+        return descent.point.loss < options.target_loss
+
+    outcomes: list[_Descent] = []
+    width = 1
+    while len(outcomes) < options.restarts:
+        batch = range(len(outcomes), min(len(outcomes) + width, options.restarts))
+        descents = [
+            _minimize(lane, _initial_free_values(
+                program, init, derive_seed(seed, "lma-restart", k)), options)
+            for lane, k in zip(problem.lanes(len(batch)), batch)
+        ]
+        for outcome in _drive(problem, descents, reached):
+            outcomes.append(outcome)
+            if reached(outcome):
+                break
+        if reached(outcomes[-1]):
             break
+        width = min(width * _WIDTH_GROWTH, cap)
 
-    phases = program.with_free_values(best.x)
+    best = min(outcomes, key=lambda descent: descent.point.loss)
+    phases = program.with_free_values(best.point.x)
     final_loss = loss(transfer_matrix(mixers, phases.theta), target)
     if not np.array_equal(phases.theta[program.fixed], program.theta[program.fixed]):
         raise AssertionError("optimizer modified frozen phase entries")
@@ -313,9 +458,10 @@ def fit(
         phases=phases,
         loss=final_loss,
         iterations=best.iterations,
-        restarts_used=restarts_used,
+        restarts_used=len(outcomes),
         converged=final_loss < options.target_loss,
         seed=seed,
         status=best.status,
+        total_iterations=sum(descent.iterations for descent in outcomes),
+        rejected_trials=sum(descent.rejected for descent in outcomes),
     )
-

@@ -11,13 +11,17 @@ against finite differences and against the evaluator's products.
 
 import numpy as np
 
-from jxcircuit.circuit import normal_equations, transfer_matrix
+from jxcircuit.circuit import normal_equations, prefix_products, transfer_matrix
 
 
 def evaluate(mixers, theta, free_mask, target):
-    """``normal_equations`` on buffers allocated for this call."""
+    """``normal_equations`` at ``theta``, from a sweep of that grid alone,
+    on buffers allocated for this call."""
+    m, n = theta.shape
+    prefixes = np.empty((m + 1, 1, n, n), np.complex128)
+    prefix_products(mixers, theta[None], prefixes)
     p = int(np.count_nonzero(free_mask))
-    return normal_equations(mixers, theta, free_mask, target,
+    return normal_equations(prefixes[:, 0], free_mask, target,
                             np.empty((p, p), np.complex128), np.empty((p, p)))
 
 

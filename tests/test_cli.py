@@ -56,6 +56,7 @@ class TestDecomposeCommand:
         assert code == 0
         summary = capsys.readouterr().out
         assert "loss" in summary and "stopped by target" in summary
+        assert "rejected trial(s) over 1 restart(s)" in summary
         program = read_phases(out)
         assert program.layers == 4 and program.ports == 3
 
@@ -163,6 +164,7 @@ class TestCalibrateCommand:
         after = float(text.split("loss_after")[1].split()[0])
         assert after < 1e-10
         assert before / after > 1e6
+        assert "\nfit: " in text and "rejected trial(s) over" in text
 
     def test_zero_attempts_is_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(jxcircuit.cli, "fit", lambda *args, **kw: pytest.fail("a fit ran"))

@@ -1,12 +1,12 @@
 """Property tests: the evaluator's normal equations equal the explicit products.
 
 ``circuit.normal_equations`` forms J'J and J'D from the prefix products
-alone, through the unitarity of the mixers, without forming J; here J is
-assembled from both sweeps (``jacobian_reference``, which assumes no
-unitarity) and multiplied out.  Both sides agree to rounding and the
-mixers' unitarity defect: the bound is 1e-12 relative to the sums of
-absolute terms, |J|'|J| and |J|'|v|.  Mixers are Haar-random or perturbed
-Jx lattices (the paper's disorder model, sigma_k up to 0.006).
+of one sweep alone, through the unitarity of the mixers, without forming
+J; here J is assembled from both sweeps (``jacobian_reference``, which
+assumes no unitarity) and multiplied out.  Both sides agree to rounding
+and the mixers' unitarity defect: the bound is 1e-12 relative to the sums
+of absolute terms, |J|'|J| and |J|'|v|.  Mixers are Haar-random or
+perturbed Jx lattices (the paper's disorder model, sigma_k up to 0.006).
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jxcircuit.circuit import PhaseProgram, perturbed_circuit, transfer_matrix
-from jxcircuit.optimizer import _Problem
+from jxcircuit.optimizer import _Problem, _drive
 from jxcircuit.sampling import derive_seed, haar_unitary
 from jacobian_reference import evaluate, explicit_jacobian, residual_vector
 
@@ -77,8 +77,18 @@ def test_one_fit_writes_every_evaluation_into_one_buffer():
     mixers, program, target = instance(3, 4, 5, np.eye(4, 3, dtype=bool))
     problem = _Problem(mixers, program, target)
     x = program.theta[program.free_mask]
-    first = problem.normal_equations(x)[1]
-    second = problem.normal_equations(x + 0.5)[1]
+
+    def evaluated(point):
+        return _drive(problem, [problem.loss_of(point)])[0]
+
+    first_point, second_point = evaluated(x), evaluated(x + 0.5)
+    assert first_point.prefixes.base is second_point.prefixes.base is problem._single
+    first = problem.normal_equations(first_point)[1]
+    second = problem.normal_equations(second_point)[1]
     assert first is second is problem._jtj
     assert problem._jtj.flags.c_contiguous
     assert problem._gram.shape == problem._jtj.shape == (x.size, x.size)
+    # the lanes of one fit share the Gram scratch, each with its own J'J
+    lanes = problem.lanes(3)
+    assert lanes[0] is problem and all(lane._gram is problem._gram for lane in lanes)
+    assert len({id(lane._jtj) for lane in lanes}) == 3

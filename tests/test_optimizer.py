@@ -18,7 +18,7 @@ from jxcircuit.circuit import (
     perturbed_circuit,
 )
 from jxcircuit.numerics import CholeskySolver, SpdSolver
-from jxcircuit.optimizer import FromVector, LmaOptions, _minimize, fit
+from jxcircuit.optimizer import FromVector, LmaOptions, _drive, _minimize, fit
 from jxcircuit.sampling import derive_seed, haar_unitary, uniform_phases
 from jacobian_reference import residuals_and_jacobian
 
@@ -27,27 +27,35 @@ class LinearProblem:
     """Synthetic zero-residual linear least squares: r(x) = A x - b.
 
     The residual is the (1, k) matrix (A x - b)^T, so J'V is A^T V^T for
-    any residual matrix V.
+    any residual matrix V.  It answers its own requests (``compose``): a
+    request is a list of points, its answer their residual matrices, and an
+    evaluated point keeps its residual where a circuit keeps its prefixes.
     """
 
     def __init__(self, a, b):
         self.a, self.b = a, b
         self.solver = SpdSolver(a.shape[1])
 
-    def residual(self, x):
-        return (self.a @ x - self.b)[None, :]
+    def compose(self, requests):
+        return [[(self.a @ x - self.b)[None, :] for x in points] for points in requests]
 
     def loss_of(self, x):
-        r = self.a @ x - self.b
-        return float(r @ r)
+        (r,) = yield [x]
+        return optimizer._Point(x, float(r[0] @ r[0]), r)
 
     def probes_and_trial(self, x, delta, h):
-        return (self.residual(x + h * delta), self.residual(x - h * delta),
-                self.loss_of(x + delta))
+        ahead, behind, r = yield [x + h * delta, x - h * delta, x + delta]
+        return ahead, behind, optimizer._Point(x + delta, float(r[0] @ r[0]), r)
 
-    def normal_equations(self, x):
-        r = self.residual(x)
+    def normal_equations(self, point):
+        r = point.prefixes
         return r, self.a.T @ self.a, self.a.T @ r[0], lambda v: self.a.T @ v[0]
+
+
+def descend(problem, x0, options):
+    """The final state of one descent, run alone."""
+    (out,) = _drive(problem, [_minimize(problem, x0, options)])
+    return out
 
 
 def test_options_validation():
@@ -94,7 +102,7 @@ def test_nan_damping_gives_up_instead_of_looping():
     x0 = np.zeros(circ.program.free_count)
     x0[0] = np.nan
     with deadline(20):
-        out = _minimize(problem, x0, LmaOptions(restarts=1, max_iterations=5))
+        out = descend(problem, x0, LmaOptions(restarts=1, max_iterations=5))
     assert out.status == "stalled" and out.iterations == 0
 
 
@@ -105,9 +113,9 @@ def test_gauss_newton_exact_on_linear_problem(monkeypatch):
     problem = LinearProblem(a, a @ x_true)
     # almost undamped, so the first step is the Gauss-Newton step
     monkeypatch.setattr(optimizer, "_DAMPING_SCALE", 1e-13)
-    out = _minimize(problem, np.zeros(4), LmaOptions())
-    assert out.loss < 1e-10
-    assert np.abs(out.x - x_true).max() < 1e-8
+    out = descend(problem, np.zeros(4), LmaOptions())
+    assert out.point.loss < 1e-10
+    assert np.abs(out.point.x - x_true).max() < 1e-8
     assert out.iterations <= 1 + optimizer._POLISH_ITERATIONS
 
 
@@ -120,12 +128,12 @@ def test_accepted_exact_step_shrinks_damping_threefold(monkeypatch):
     lams = []
     attempt_step = optimizer._attempt_step
 
-    def recording(problem, x, current, equations, diag, lam):
-        lams.append(lam)
-        return attempt_step(problem, x, current, equations, diag, lam)
+    def recording(problem, descent, equations, diag):
+        lams.append(descent.lam)
+        return (yield from attempt_step(problem, descent, equations, diag))
 
     monkeypatch.setattr(optimizer, "_attempt_step", recording)
-    _minimize(problem, np.zeros(4), LmaOptions())
+    descend(problem, np.zeros(4), LmaOptions())
     assert lams[1] == lams[0] * (1.0 / 3.0)
 
 
@@ -156,14 +164,19 @@ def test_indefinite_damped_matrix_grows_damping():
     problem = LinearProblem(np.eye(2), np.ones(2))
     problem.probes_and_trial = lambda *args: pytest.fail("a step was tried")
     x = np.zeros(2)
-    r, _, g, jtv = problem.normal_equations(x)
+    (start,) = _drive(problem, [problem.loss_of(x)])
+    r, _, g, jtv = problem.normal_equations(start)
     jtj = np.array([[0.0, 1.0], [1.0, 0.0]])
     diag = np.maximum(np.diagonal(jtj), 1e-30)
-    out, current, lam, step, accepted = optimizer._attempt_step(
-        problem, x, problem.loss_of(x), (r, jtj, g, jtv), diag, 1.0)
+    descent = optimizer._Descent(start, lam=1.0)
+    (step,) = _drive(problem, [optimizer._attempt_step(
+        problem, descent, (r, jtj, g, jtv), diag)])
+    accepted = step is not None
     assert not accepted
-    assert lam > optimizer._DAMPING_MAX
-    assert out is x and current == problem.loss_of(x) and step == 0.0
+    assert descent.lam > optimizer._DAMPING_MAX
+    assert descent.point is start and descent.point.x is x
+    assert descent.point.loss == _drive(problem, [problem.loss_of(x)])[0].loss
+    assert descent.rejected > 0
 
 
 def test_fit_imports_no_scipy():
@@ -281,7 +294,7 @@ def test_fit_loss_matches_recomposition():
     assert abs(result.loss - recomputed) < 1e-14
 
 
-def test_recalibrate_returns_original_when_already_optimal():
+def test_fit_from_an_exact_start_keeps_it_without_iterating():
     n, m = 4, 5
     ideal = ideal_circuit(n, m)
     target = haar_unitary(n, 70)
@@ -295,7 +308,7 @@ def test_recalibrate_returns_original_when_already_optimal():
     assert result.iterations == 0
 
 
-def test_recalibrate_fixes_perturbed_circuit():
+def test_truncated_restarts_refit_a_perturbed_circuit():
     n, m = 4, 5
     target = haar_unitary(n, 71)
     fitted = fit(ideal_circuit(n, m), target, LmaOptions(restarts=20), seed=14)
@@ -306,7 +319,7 @@ def test_recalibrate_fixes_perturbed_circuit():
     assert result.loss < 1e-10
 
 
-def test_init_strategies_differ_per_restart():
+def test_initial_free_values_are_seeded_draws_or_a_jittered_grid():
     from jxcircuit.optimizer import _initial_free_values
 
     program = PhaseProgram.zeros(3, 3)

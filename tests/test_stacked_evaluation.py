@@ -1,8 +1,11 @@
 """Property tests: stacked circuit evaluations equal the per-point ones bitwise.
 
 The optimizer composes both curvature probes and the plain trial step of a
-damping trial in one stacked pass; records stay bit-identical only if every
-slice of that pass is exactly what the single-grid functions give.
+damping trial in one stacked pass, and the requests of a fit's restart lanes
+in one sweep; records stay bit-identical only if every slice of such a pass
+is exactly what a sweep of its grid alone gives, wherever the grid sits in
+the stack.  The reference is the per-grid loop that composed one grid
+before the sweeps kept their prefix products.
 """
 
 import numpy as np
@@ -12,10 +15,10 @@ from hypothesis import strategies as st
 from jxcircuit.circuit import (
     PhaseProgram,
     loss,
-    transfer_matrices,
+    prefix_products,
     transfer_matrix,
 )
-from jxcircuit.optimizer import _ACCEL_PROBE, _Problem
+from jxcircuit.optimizer import _ACCEL_PROBE, _Problem, _drive
 from jxcircuit.sampling import derive_seed, haar_unitary
 from jacobian_reference import evaluate
 
@@ -24,10 +27,10 @@ SETTINGS = settings(max_examples=100, deadline=None)
 
 @st.composite
 def cases(draw):
-    """(ports, layers, batch, seed, frozen mask) with N 1-6, M 1-7, batch 1-4."""
+    """(ports, layers, batch, seed, frozen mask) with N 1-6, M 1-7, batch 1-8."""
     n = draw(st.integers(1, 6))
     m = draw(st.integers(1, 7))
-    batch = draw(st.integers(1, 4))
+    batch = draw(st.integers(1, 8))
     seed = draw(st.integers(0, 2**32 - 1))
     fixed = draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
     return n, m, batch, seed, np.array(fixed).reshape(m, n)
@@ -44,12 +47,18 @@ def test_stacked_slices_equal_single_compositions(case):
     n, m, batch, seed, _ = case
     mixers, target = mixers_and_target(n, m, seed)
     thetas = np.random.default_rng(seed).uniform(-10.0, 10.0, (batch, m, n))
-    stacked = transfer_matrices(mixers, thetas)
-    assert stacked.shape == (batch, n, n)
-    for theta, u in zip(thetas, stacked):
-        single = transfer_matrix(mixers, theta)
+    prefixes = np.empty((m + 1, batch, n, n), dtype=np.complex128)
+    stacked = prefix_products(mixers, thetas, prefixes)
+    assert stacked.shape == (batch, n, n) and stacked.base is prefixes
+    for b, (theta, u) in enumerate(zip(thetas, stacked)):
+        single = mixers[0]  # the per-grid loop
+        for ell, factors in enumerate(np.exp(1j * theta)[:, :, None]):
+            single = mixers[ell + 1] @ (factors * single)
+            assert np.array_equal(prefixes[ell + 1, b], single)
         assert np.array_equal(u, single)
+        assert np.array_equal(transfer_matrix(mixers, theta), single)
         assert loss(u, target) == loss(single, target)
+        assert np.array_equal(prefixes[0, b], mixers[0])
 
 
 @SETTINGS
@@ -69,8 +78,9 @@ def test_probes_and_trial_equal_per_point_evaluations(case):
     def residuals(point):
         return evaluate(mixers, grid(point), program.free_mask, target)[0]
 
-    ahead, behind, trial_loss = _Problem(mixers, program, target).probes_and_trial(
-        x, delta, h)
+    problem = _Problem(mixers, program, target)
+    ((ahead, behind, trial),) = _drive(problem, [problem.probes_and_trial(x, delta, h)])
     assert np.array_equal(ahead, residuals(x + h * delta))
     assert np.array_equal(behind, residuals(x - h * delta))
-    assert trial_loss == loss(transfer_matrix(mixers, grid(x + delta)), target)
+    assert np.array_equal(trial.x, x + delta)
+    assert trial.loss == loss(transfer_matrix(mixers, grid(x + delta)), target)
