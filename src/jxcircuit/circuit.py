@@ -24,7 +24,7 @@ Conventions, fixed throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -220,8 +220,8 @@ def normal_equations(
     target: np.ndarray,
     gram: np.ndarray,
     jtj: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """Residual matrix and Gauss-Newton normal equations w.r.t. the free phases.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Newton normal equations w.r.t. the free phases.
 
     ``prefixes`` are the (M+1, N, N) prefix products of one phase grid, as
     ``prefix_products`` wrote them (a slice of its buffer); no sweep runs
@@ -240,26 +240,22 @@ def normal_equations(
     between their layers::
 
         J'J = |G|^2   with G = conj(b) b^T / N, so diag(J'J) = 1 / N^2
-        J'V = jtv(V) = Im(rowsum((b U^H V) o conj(b))) / N   for any residual V
+        J'D = Im(rowsum((b U^H D) o conj(b))) / N
 
     G goes into the complex (P, P) buffer ``gram``, J'J into the real one
-    ``jtj`` (both reused by the next call).  Returns ``(D, J'J, J'D, jtv)``.
+    ``jtj`` (both reused by the next call).  Returns ``(J'J, J'D)``.
     """
     u = prefixes[-1]
     n = u.shape[0]
     diff = (u - target) / n
 
     b = prefixes[:-1][free_mask]
-    b_conj, u_h = b.conj() / n, u.conj().T
+    b_conj = b.conj() / n
     np.matmul(b_conj, b.T, out=gram)
     squares = gram.view(np.float64)  # Re(G) and Im(G), interleaved
     np.square(squares, out=squares)
     np.add(gram.real, gram.imag, out=jtj)
-
-    def jtv(v):
-        return ((b @ (u_h @ v)) * b_conj).sum(axis=1).imag
-
-    return diff, jtj, jtv(diff), jtv
+    return jtj, ((b @ (u.conj().T @ diff)) * b_conj).sum(axis=1).imag
 
 
 def apply_fault_plan(

@@ -11,20 +11,11 @@ which case ``lambda`` follows Nielsen's gain-ratio update (H. B. Nielsen,
 predicts, and grows by up to 2x when it falls far less); otherwise it grows by
 a factor of 2 and the solve is retried (as it is when the damped matrix is not
 numerically positive definite).
-Each candidate step carries a geodesic-acceleration correction
-(a second-order term from the directional curvature of the residuals,
-estimated with two extra residual evaluations); the plain step is tried
-as a fallback at the same damping before the damping grows; both
-curvature probes and the plain trial are composed in one stacked pass.
-On this model class the acceleration lifts the per-descent success rate
-of truncated runs substantially, because random starts otherwise crawl
-through narrow curved valleys.
 
-Each point is composed once: the normal equations at an accepted point
-read the prefix products of the pass that evaluated it, so an iteration
-makes two composition passes (the probe pass and, when the acceleration
-is tried, the accelerated trial).  The descent is a generator that yields
-each composition it needs and resumes with the result; one driver
+Each damping trial makes one composition pass, of its trial point alone,
+and the normal equations at an accepted point read the prefix products of
+that pass, so no point is composed twice.  The descent is a generator that
+yields each composition it needs and resumes with the result; one driver
 (``_drive``) advances several descents side by side and composes all their
 requests in one stacked sweep per tick.
 
@@ -59,10 +50,6 @@ from .sampling import derive_seed, jitter_phases, uniform_phases
 __all__ = ["LmaOptions", "FromVector", "fit"]
 
 
-#: relative length of the probe used for the curvature (acceleration) estimate
-_ACCEL_PROBE = 0.1
-#: acceleration is skipped when ||acc|| exceeds this multiple of 2 ||delta||
-_ACCEL_RATIO_LIMIT = 0.75
 #: stopping tolerances: relative loss change, relative step length, gradient entries
 _FUNCTION_TOLERANCE = 1e-6
 _STEP_TOLERANCE = 1e-6
@@ -119,7 +106,7 @@ class FromVector:
 class _Point(NamedTuple):
     """An evaluated point: free values, loss, and the prefix products of the
     composition that gave the loss (a view into a lane's sweep buffer,
-    valid until the lane's next request of that buffer)."""
+    valid until the lane's next composition)."""
 
     x: np.ndarray
     loss: float
@@ -130,15 +117,17 @@ class _Problem:
     """Least-squares view of one phase fit: free vector -> loss/residuals.
 
     An instance is one lane of the fit: a descent (``_minimize``) runs on
-    it, asking it for compositions.  It keeps the phase grids of its
-    requests, the sweep buffers its compositions are written into (one grid,
-    and the three of a probe pass), J'J and the damped solver, all
-    allocated once, so a lane must not be evaluated from two threads at once
-    (each fit owns its own).  ``lanes`` makes more lanes of the same fit,
-    which share the complex Gram buffer (scratch of ``normal_equations``),
-    and the first lane answers the requests of all (``compose``).  The first
-    lane's G and J'J share one block: freeing it lifts glibc's mmap
-    threshold above the next fit's buffers, which then reuse resident pages.
+    it, asking it for compositions.  It keeps the phase grid of its
+    requests, the sweep buffer its compositions are written into, J'J and
+    the damped solver, all allocated once, so a lane must not be evaluated
+    from two threads at once (each fit owns its own).  A composition
+    overwrites the prefixes of the lane's previous point, so the normal
+    equations at a point are read before its lane composes again.  ``lanes``
+    makes more lanes of the same fit, which share the complex Gram buffer
+    (scratch of ``normal_equations``), and the first lane answers the
+    requests of all (``compose``).  The first lane's G and J'J share one
+    block: freeing it lifts glibc's mmap threshold above the next fit's
+    buffers, which then reuse resident pages.
     """
 
     def __init__(self, mixers: np.ndarray, program: PhaseProgram, target: np.ndarray,
@@ -157,9 +146,7 @@ class _Problem:
             self._jtj = np.empty((p, p))
         self._gram = gram
         self._grid = program.theta[None].copy()
-        self._grids = np.repeat(self._grid, 3, axis=0)
         self._single = np.empty((m + 1, 1, n, n), dtype=np.complex128)
-        self._triple = np.empty((m + 1, 3, n, n), dtype=np.complex128)
         self._nsq = n * n
         self._others = []  # not this lane itself: a cycle would outlive the fit
         self._stacked = None
@@ -204,20 +191,6 @@ class _Problem:
         prefixes of its composition, written into this lane's buffers."""
         return normal_equations(point.prefixes, self.free, self.target, self._gram, self._jtj)
 
-    def probes_and_trial(self, x: np.ndarray, delta: np.ndarray, h: float):
-        """Residual matrices at ``x + h delta`` and ``x - h delta`` and the
-        evaluated point ``x + delta`` from one stacked composition (a
-        generator), bitwise as ``normal_equations`` and ``loss_of`` give
-        them one by one."""
-        trial = x + delta
-        self._grids[:, self.free] = (x + h * delta, x - h * delta, trial)
-        u, prefixes = yield self._grids, self._triple
-        diff = u - self.target
-        ahead, behind = diff[:2] / self.target.shape[0]
-        plain = diff[2].ravel()
-        return ahead, behind, _Point(trial, float(np.vdot(plain, plain).real) / self._nsq,
-                                     prefixes[:, 2])
-
 
 def _drive(problem, descents: list, final=lambda value: False) -> list:
     """Run generators side by side and return their values in order.
@@ -255,7 +228,7 @@ def _gain_damping(lam, current, new_loss, predicted):
     """Nielsen's damping after an accepted step: the gain ratio rho of the
     actual to the predicted decrease scales lambda by 1 - (2 rho - 1)^3,
     clipped to [1/3, 2]; a step the model predicts no decrease for counts as
-    rho = 1.  An accelerated step is scored against the plain step's model."""
+    rho = 1."""
     rho = (current - new_loss) / predicted if predicted > 0 else 1.0
     return max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-15)
 
@@ -276,42 +249,28 @@ def _attempt_step(problem, descent: _Descent, equations, diag):
     """Grow the damping until a loss-decreasing step is found or give up (a
     generator, like ``_minimize``).
 
-    At each damping value the damped matrix is factored once, and the
-    geodesic-accelerated step is tried first (when its correction is not
-    disproportionate), then the plain damped step; only if both fail, or
-    the factorization or the plain step does, does the damping grow.  The two
-    curvature probes and the plain trial share one stacked composition, so
-    only the accelerated trial is composed on its own.  ``equations`` is
-    what ``normal_equations`` returned at the descent's point.  On success
-    the descent moves to the evaluated trial point, with the gain-ratio
-    damping for the next iteration, and the step's length is returned; on
-    failure it keeps its point, with the damping that exceeded the cap, and
-    None is returned.
+    At each damping value the damped matrix is factored once, the damped
+    step solved from it and its trial point composed (``loss_of``); if the
+    factorization fails or the loss does not fall, the damping grows.
+    ``equations`` is what ``normal_equations`` returned at the descent's
+    point.  On success the descent moves to the evaluated trial point, with
+    the gain-ratio damping for the next iteration, and the step's length is
+    returned; on failure it keeps its point, with the damping that exceeded
+    the cap, and None is returned.
     """
-    diff, jtj, g, jtv = equations
+    jtj, g = equations
     solver = problem.solver
     current = descent.point.loss
     while True:
         lam = descent.lam
         delta = solver.solve(-g) if solver.factor(jtj, lam * diag) else None
         if delta is not None:
-            # the Gauss-Newton model's decrease of the loss for the plain step
-            predicted = float(delta.dot(lam * diag * delta - g))
-            h = _ACCEL_PROBE
-            ahead, behind, plain = yield from problem.probes_and_trial(
-                descent.point.x, delta, h)
-            fvv = (ahead - 2.0 * diff + behind) / (h * h)
-            acc = solver.solve(-jtv(fvv))
-            if acc is not None and _norm(acc) <= 2.0 * _ACCEL_RATIO_LIMIT * _norm(delta):
-                step = delta + 0.5 * acc
-                trial = yield from problem.loss_of(descent.point.x + step)
-                if trial.loss < current:
-                    descent.lam = _gain_damping(lam, current, trial.loss, predicted)
-                    descent.point = trial
-                    return _norm(step)
-            if plain.loss < current:
-                descent.lam = _gain_damping(lam, current, plain.loss, predicted)
-                descent.point = plain
+            trial = yield from problem.loss_of(descent.point.x + delta)
+            if trial.loss < current:
+                # the Gauss-Newton model's decrease of the loss for the step
+                predicted = float(delta.dot(lam * diag * delta - g))
+                descent.lam = _gain_damping(lam, current, trial.loss, predicted)
+                descent.point = trial
                 return _norm(delta)
         descent.rejected += 1
         descent.lam = lam * _DAMPING_FACTOR
@@ -335,7 +294,7 @@ def _minimize(problem, x0: np.ndarray, options: LmaOptions):
     polish_left = _POLISH_ITERATIONS
     while descent.iterations < options.max_iterations:
         equations = problem.normal_equations(descent.point)
-        _, jtj, g, _ = equations
+        jtj, g = equations
         if not polishing and float(np.abs(g).max()) < _OPTIMALITY_TOLERANCE:
             descent.status = "gtol"
             break

@@ -8,12 +8,13 @@ digest mismatch.  The CLI cases hash the record CSV (without its
 and stdout of ``jxcircuit experiment`` for every study name.
 
 The digests were taken with numpy 2.4.6 on OpenBLAS 0.3.31 (Python 3.11,
-x86-64) from jxcircuit 0.6.0, the first version to form the normal
-equations from the prefix products alone (through the unitarity of the
-mixers), solving each damping trial from one Cholesky factorization
-(``"damped_solve": "dpotrf"`` in the metadata), once the full acceptance
-suite had passed on it; they are the same with one BLAS thread and with
-OpenBLAS's default threading. Another numpy or BLAS build may round the
+x86-64) from jxcircuit 0.8.0, the first version to try only the plain
+damped step in each damping trial (no geodesic correction), with the
+normal equations formed from the prefix products alone (through the
+unitarity of the mixers) and each damping trial solved from one Cholesky
+factorization (``"damped_solve": "dpotrf"`` in the metadata), once the
+full acceptance suite had passed on it; they are the same with one BLAS
+thread and with OpenBLAS's default threading. Another numpy or BLAS build may round the
 last bits differently; ``python tests/test_golden_records.py`` prints the
 digests of the code it imports, laid out as ``GOLDEN`` and ``CLI_GOLDEN``,
 to compare against or to re-pin from a trusted revision.
@@ -58,7 +59,8 @@ STUDIES = {
     "faulty": lambda **kw: faulty_shifter_grid(
         [1, 3], 2, 2, LmaOptions(restarts=4), 11, n=3, m=4, **kw),
     # the sizes the benchmark runs, where whole-iteration paths such as the
-    # stacked probe pass see more than a handful of parameters
+    # stacked sweep of a fit's restart lanes see more than a handful of
+    # parameters
     "universality-n4": lambda **kw: universality_sweep(
         [4], [3, 4, 6], 3, LmaOptions(restarts=3, max_iterations=40), 21, **kw),
     "phasediff-n8": lambda **kw: phase_difference_study(
@@ -83,77 +85,77 @@ CLI_CONFIGS = {
 GOLDEN = {
     "universality": (
         18,
-        "2e7664a389aabc7e6cb688fadeb7c42b159a3e2aa3b34d069e7d4bc0d7728734",
-        "46a7c1d249513bb61c3e6d5b560500e8c770ea3f3bbaef02a5ee96126f1b3d34",
+        "f21017bb40a38ed98ad54a2468ea48ae7a32c5703fad709b86062b39e9b75287",
+        "4ce4cee846c2de4e564f7d6610b4a71f5642b5430bbe1b5cc1522197a4c7e2bb",
     ),
     "table1": (
         6,
-        "1e4bdf4bd1cd448a70f22815a63d52cc95929502269239bc2aad423da91bca97",
-        "27602fa375ccd91227d187436a26451912051e587b20df62f4dbb8cfdd76897a",
+        "2851d17819a24b368c7dadc0f87519bf84a85c9c7afd04e0b93ee05f833b2d13",
+        "031fec73cea54adca558e4b314cf13a3b197fb67e037ab935d19d95a7250afb8",
     ),
     "recalibration": (
         6,
-        "9709bc08b69c5eab5cffb0825a54d94baadc3ddc58b6c19471ce3d42998d5e39",
-        "48b8789f18ffb4a8a755148b7c0d361ef9f4f86826ee5b38b637306e50729784",
+        "ffaef1cd70b5121aa2ba1344802786dc8e4415d7dc8cc58353394e5ab2beb594",
+        "556143aa7473dce6c459b745069dbf213ae257b1d76e68bb6b591dad33a3028a",
     ),
     "phasediff": (
         24,
-        "78877a7f99391b057c91abcfe90635154c541c9c88f6c7759f24027d6ffde8b5",
-        "31f2eb468cd83a219018b9dfa461ffe06167694d6ea82bdd30ed51136230e03f",
+        "55a05f901a40d49aa3e9b10d2bba74dafde08d9c034a5b583745fdc67ac2c1fa",
+        "c821db25b10089d950310b24474cd345309a130913c51e9aa98dd379c36fc90f",
     ),
     "faulty": (
         8,
-        "4d757ad06c82963588cdd0d30da68c820bde2ff0bef28fb15cf3fce5396e8f4f",
-        "33286bcb7bcff20f1c0e1e2dbbaa18bb3dfe88c4ea83cb144142545c920daeca",
+        "3f25a3e4caf5b76f99e830b0f6cdc4eb7a84641c0bf4e09dda24239950eaa539",
+        "09d5fc1ecfc507d2bfda6c34d2f83419488ba57a0a3be5e3b4eebfcd78267d09",
     ),
     "universality-n4": (
         9,
-        "13288b57afe214a095eba17ba90c0b805bf8eac0a5f09b5434e94fc0b3626525",
-        "575b45aff0550d267fd46701fd6d70b8518e8f906455f9145333357dabef6c8b",
+        "751351946784857ae49fec4fbe36413f9069d2f9daca2408f286c64096cc0f18",
+        "6a5f9a2a2063f9db37774f54a70cccbfb2167bd3948e10319249002c112bf0b5",
     ),
     "phasediff-n8": (
         8,
-        "af50dea50b54ceda132701ddca8613b656527b3fd0afc39650f86011ad512167",
-        "dc81160ee207cba11753cababda3d09d50c572394452b842dcbfc8afbe2ac131",
+        "d96895a38e81129c3151b8325627e67c54a5f8471167d1783feef0ec6ae76ddf",
+        "fe8032fb3301ba12f6f07c3e48c73e762b87910d22cbe3deb218a6b5ebb70631",
     ),
     "faulty-n4": (
         4,
-        "b2a07fcb8f795980739e1baeb52c733df49d09907cf5de4793887248408e958d",
-        "0f84eb63e2942b6294d4366686d3b93899d8d7c7a36fc1ec65702db14b6e4b4a",
+        "bba3d335c493fd3f1240d0046be739154c9bc0a5d5dd1f668dcf60211f977d92",
+        "253b719517aaeb3aba25a1ecc2d4dff8db36531d6decc520589d9cf3b83b2668",
     ),
 }
 
 #: study -> digests of (CSV without wall_time, metadata without versions, SVG, stdout)
 CLI_GOLDEN = {
     "universality": (
-        "44203d62cf8a0883767e623e732b5c3593188993d50b130b3cef1f1ca4282d8e",
+        "53ae20ee3639d98bc1b817b699c38bb880891d3b0498d71dcb7b3b5a2886ae98",
         "72b5223981ac26b1bed90d3cdc8584c7fc3e9ff84a71200d9406aee2a53e5db6",
-        "226709b6243e41a5c989dba68f7daf346df6d70248a8041f973b39ed3068d330",
-        "66c9041bb072e09dd6d35aa01b7685b6ad8e0f0ecd754cd2b118c3e9b36b85bf",
+        "422316ae82b2504399aa916209356d27ea387034691bacc7af746a90c1c7ab0f",
+        "3e6ae8ebb58fa8b797cdbdc53a74ec1037896531dd0546d813008f12a53654a5",
     ),
     "table1": (
-        "7c7fb82824aec9ee973e94157a3c8058a28e99f8b578960244041f9553a9907f",
+        "755ead30c0e14b70bf49005cda64aaa8b0035e9ff18da2f6eb6ba93b9dc20965",
         "8337850ed42a00c0b353720fca6135214e43129d3d8ef61e8ea673f12a58d43c",
         "f066b355017a9a92cb5faf1e0b4fcbf6f01ef5cb0b90baa650aa5720fff3fcf4",
         "f60032277eb85eaee25a6d779436692030d8702e14ee9c06cde3a4f8057bdbdc",
     ),
     "recalibration": (
-        "d3459c3e24e072d0ead92907aad07f1b0dad57cdb5a9caf777e5b746bb23c4d2",
+        "a735f1aaf77c8d02cf743f4ddc416d34429e9bba2ce4fac22e55da0d8b4480b8",
         "dc01673d033356d541315feaf6935781901c9bd7e272a6a9d8ab2c5f39fd5e09",
-        "8a45357cf98cd7e33509698e85bc9a8b2e290ecc82a70226b495d931b3d084ca",
+        "3487466aca738e67a462ae0c4b7015dc875ce1a5877c61a33909f773be4ec16a",
         "8069b2832ed0fb245706e58f721ae894170ffe546b72383538cede51e2dfb173",
     ),
     "phasediff": (
-        "b75902438d24cd5bcdcd5ef21081386662c5a1b76d2bb82b95ad4899a62d476e",
+        "96e0fe8f0deb2d45124fc107823e49e8e49f37286b871d422a8043b4b9afb871",
         "4723d4381680c9447a010118345f22ab73759e6722154b8bd7dc521287eae1d4",
         "f7b4aa86ac13ff7bf931547573031c467eaa74151b81ac8624efad46520fd616",
         "d17151012e4c3935d2df2e6db773405fc22a1d9a569160dc9b023475c03ecad4",
     ),
     "faulty": (
-        "12df50f9206021414369052738b4fd2e78928aaccda28062d13e328e0d5c5639",
+        "c5a5e8fa1f87b2350dbe33f08016076f8b91ed4af2e0f119f63e344ba36d4342",
         "6e663e21449bca3ec5dceffd5fdad03c0f131d1215776b5bdee37301d2d4f395",
-        "a26ae0b79fdf265919f026556f7ddc64dd6a8a98a9be9e34f335f54c9d76396e",
-        "7558726b653d02be3f73bdeb33a462d7ade14844fac8c4a875c3aa7c642b5371",
+        "fc26d20fbd8581d77f66715fd0cf838b10bf821b218d42ef3d6d443c770c732a",
+        "3782be5d6ffc9975206aaf67291bc2545a8bba043c90c868f375511f8db7ed43",
     ),
 }
 

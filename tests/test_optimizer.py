@@ -26,10 +26,10 @@ from jacobian_reference import residuals_and_jacobian
 class LinearProblem:
     """Synthetic zero-residual linear least squares: r(x) = A x - b.
 
-    The residual is the (1, k) matrix (A x - b)^T, so J'V is A^T V^T for
-    any residual matrix V.  It answers its own requests (``compose``): a
-    request is a list of points, its answer their residual matrices, and an
-    evaluated point keeps its residual where a circuit keeps its prefixes.
+    The residual is the (1, k) matrix (A x - b)^T, so J is A.  It answers
+    its own requests (``compose``): a request is a list of points, its
+    answer their residual matrices, and an evaluated point keeps its
+    residual where a circuit keeps its prefixes.
     """
 
     def __init__(self, a, b):
@@ -43,13 +43,9 @@ class LinearProblem:
         (r,) = yield [x]
         return optimizer._Point(x, float(r[0] @ r[0]), r)
 
-    def probes_and_trial(self, x, delta, h):
-        ahead, behind, r = yield [x + h * delta, x - h * delta, x + delta]
-        return ahead, behind, optimizer._Point(x + delta, float(r[0] @ r[0]), r)
-
     def normal_equations(self, point):
         r = point.prefixes
-        return r, self.a.T @ self.a, self.a.T @ r[0], lambda v: self.a.T @ v[0]
+        return self.a.T @ self.a, self.a.T @ r[0]
 
 
 def descend(problem, x0, options):
@@ -162,15 +158,16 @@ def test_indefinite_damped_matrix_grows_damping():
     # cap, so each trial's factorization fails, no step is tried and the
     # step gives up
     problem = LinearProblem(np.eye(2), np.ones(2))
-    problem.probes_and_trial = lambda *args: pytest.fail("a step was tried")
     x = np.zeros(2)
     (start,) = _drive(problem, [problem.loss_of(x)])
-    r, _, g, jtv = problem.normal_equations(start)
+    _, g = problem.normal_equations(start)
     jtj = np.array([[0.0, 1.0], [1.0, 0.0]])
     diag = np.maximum(np.diagonal(jtj), 1e-30)
     descent = optimizer._Descent(start, lam=1.0)
+    problem.loss_of = lambda x: pytest.fail("a step was tried")
     (step,) = _drive(problem, [optimizer._attempt_step(
-        problem, descent, (r, jtj, g, jtv), diag)])
+        problem, descent, (jtj, g), diag)])
+    del problem.loss_of
     accepted = step is not None
     assert not accepted
     assert descent.lam > optimizer._DAMPING_MAX

@@ -23,7 +23,7 @@ from jxcircuit import optimizer
 from jxcircuit.circuit import InterlacedCircuit, PhaseProgram, apply_fault_plan, ideal_circuit
 from jxcircuit.lattice import MixingLayer
 from jxcircuit.numerics import SpdSolver
-from jxcircuit.optimizer import _ACCEL_PROBE, LmaOptions, _drive, _Problem, fit
+from jxcircuit.optimizer import LmaOptions, _drive, _Problem, fit
 from jxcircuit.sampling import derive_seed, haar_unitary
 from jacobian_reference import evaluate
 
@@ -104,7 +104,7 @@ def test_a_target_reached_mid_batch_stops_the_fit_there(monkeypatch):
     # below the transition no restart reaches 1e-10; a target between two
     # successive best losses of the serial loop is first reached where the
     # serial loop reaches it, inside the 4-wide second batch (restarts 2-5)
-    circuit, target = ideal_circuit(4, 4), haar_unitary(4, 5)
+    circuit, target = ideal_circuit(4, 4), haar_unitary(4, 9)
     best = [fit_at_width_one(circuit, target, LmaOptions(restarts=k, max_iterations=30),
                              seed=3).loss for k in range(1, 6)]
     goals = [np.sqrt(a * b) for a, b in zip(best, best[1:]) if b < a]
@@ -129,7 +129,7 @@ def test_a_target_reached_mid_batch_stops_the_fit_there(monkeypatch):
     monkeypatch.setattr(optimizer, "prefix_products", counted)
     full = fit(circuit, target, LmaOptions(restarts=21, max_iterations=30), seed=3)
     assert full.restarts_used == 21 and not full.converged
-    assert max(sweeps) == 3 * 16  # the third batch: 16 lanes, each at a probe pass
+    assert max(sweeps) == 16  # the third batch: 16 lanes, one grid each
 
 
 @settings(max_examples=100, deadline=None)
@@ -142,39 +142,59 @@ def test_normal_equations_from_stored_prefixes_equal_a_fresh_sweep(n, m, seed, d
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 2 * np.pi, program.free_count)
     delta = rng.standard_normal(x.size)
-    v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     problem = _Problem(mixers, program, target)
     lane = problem.lanes(2)[1]
 
     def check(owner, point):  # before the owner's next request overwrites it
-        diff, jtj, g, jtv = owner.normal_equations(point)
+        jtj, g = owner.normal_equations(point)
         theta = program.with_free_values(point.x).theta
-        fresh = evaluate(mixers, theta, program.free_mask, target)
-        assert np.array_equal(diff, fresh[0])
-        assert np.array_equal(jtj, fresh[1])
-        assert np.array_equal(g, fresh[2])
-        assert np.array_equal(jtv(v), fresh[3](v))
+        fresh_jtj, fresh_g = evaluate(mixers, theta, program.free_mask, target)
+        assert np.array_equal(jtj, fresh_jtj)
+        assert np.array_equal(g, fresh_g)
 
-    # alone: a single-grid pass, then slice 2 of a probe pass
+    # alone: a single-grid pass
     check(problem, _drive(problem, [problem.loss_of(x)])[0])
-    check(problem, _drive(problem, [problem.probes_and_trial(x, delta, _ACCEL_PROBE)])[0][2])
     # side by side in one stacked sweep, copied out to each lane's buffers
-    single, (_, _, plain) = _drive(problem, [
-        lane.loss_of(x - delta), problem.probes_and_trial(x, delta, _ACCEL_PROBE)])
-    check(lane, single)
-    check(problem, plain)
+    behind, ahead = _drive(problem, [lane.loss_of(x - delta), problem.loss_of(x + delta)])
+    check(lane, behind)
+    check(problem, ahead)
 
 
-def test_one_sweep_per_start_probe_pass_and_accelerated_trial(monkeypatch):
-    # at width 1: a descent's start is one single-grid sweep; each damping
-    # trial whose factorization succeeds makes one probe pass and at most
-    # one accelerated single-grid pass; the normal equations sweep nothing
+@pytest.mark.parametrize("lanes", [False, True])
+def test_every_fit_reads_the_normal_equations_of_its_current_point(monkeypatch, lanes):
+    # a lane's compositions share one sweep buffer, so a rejected trial
+    # overwrites the prefixes its current point views; every call of the
+    # normal equations during a fit must still see the current point's
+    if not lanes:
+        monkeypatch.setattr(optimizer, "_WIDTH_GROWTH", 1)
+    checked = []
+    normal_equations = _Problem.normal_equations
+
+    def fresh(self, point):
+        jtj, g = normal_equations(self, point)
+        theta = self.program.with_free_values(point.x).theta
+        want_jtj, want_g = evaluate(self.mixers, theta, self.free, self.target)
+        assert np.array_equal(jtj, want_jtj) and np.array_equal(g, want_g)
+        checked.append(self)
+        return jtj, g
+
+    monkeypatch.setattr(_Problem, "normal_equations", fresh)
+    # below the transition every restart runs: 21 in batches of 1, 4 and 16
+    result = fit(ideal_circuit(4, 4), haar_unitary(4, 9),
+                 LmaOptions(restarts=21, max_iterations=30), seed=3)
+    assert result.restarts_used == 21 and result.rejected_trials > 0
+    assert len(set(map(id, checked))) == (16 if lanes else 1)
+
+
+def test_one_single_grid_sweep_per_start_and_per_successful_factorization(monkeypatch):
+    # at width 1: a descent's start is one single-grid sweep, and so is each
+    # damping trial whose factorization succeeds; the normal equations
+    # sweep nothing
     monkeypatch.setattr(optimizer, "_WIDTH_GROWTH", 1)
-    counts = {"sweeps": [], "starts": 0, "loss_of": 0, "factored": 0}
+    counts = {"sweeps": [], "starts": 0, "factored": 0}
     prefix_products = optimizer.prefix_products
     normal_equations = optimizer.normal_equations
     minimize = optimizer._minimize
-    loss_of = _Problem.loss_of
     factor = SpdSolver.factor
 
     def sweep(mixers, thetas, out):
@@ -191,10 +211,6 @@ def test_one_sweep_per_start_probe_pass_and_accelerated_trial(monkeypatch):
         counts["starts"] += 1
         return minimize(*args)
 
-    def evaluated(self, x):
-        counts["loss_of"] += 1
-        return loss_of(self, x)
-
     def factored(self, *args):
         ok = factor(self, *args)
         counts["factored"] += ok
@@ -203,20 +219,14 @@ def test_one_sweep_per_start_probe_pass_and_accelerated_trial(monkeypatch):
     monkeypatch.setattr(optimizer, "prefix_products", sweep)
     monkeypatch.setattr(optimizer, "normal_equations", equations)
     monkeypatch.setattr(optimizer, "_minimize", started)
-    monkeypatch.setattr(_Problem, "loss_of", evaluated)
     monkeypatch.setattr(SpdSolver, "factor", factored)
     result = fit(ideal_circuit(4, 4), haar_unitary(4, 8), LmaOptions(restarts=3), seed=4)
     assert result.restarts_used == 3 and not result.converged
     sweeps = counts["sweeps"]
-    assert set(sweeps) == {1, 3}
+    assert set(sweeps) == {1}
     assert counts["starts"] == result.restarts_used
-    assert sweeps.count(3) == counts["factored"] > 0
-    assert sweeps.count(1) == counts["loss_of"]
-    accelerated = counts["loss_of"] - counts["starts"]
-    assert 0 < accelerated <= counts["factored"]
-    # two composition passes per accepted iteration, at most, plus the
-    # rejected trials' probe passes and the starts
-    assert len(sweeps) <= 2 * (result.total_iterations + result.rejected_trials) + 3
+    assert len(sweeps) == counts["starts"] + counts["factored"]
+    assert counts["factored"] >= result.total_iterations > 0
 
 
 @pytest.mark.parametrize("restarts", [1, 6])
