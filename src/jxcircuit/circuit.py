@@ -186,8 +186,8 @@ def prefix_products(mixers: np.ndarray, thetas: np.ndarray, out: np.ndarray) -> 
     factors = np.exp(1j * thetas).transpose(1, 0, 2)[:, :, :, None]
     out[0] = mixers[0]
     u = mixers[:1]
-    for ell, layer in enumerate(factors):
-        u = np.matmul(mixers[ell + 1], layer * u, out=out[ell + 1])
+    for mixer, layer, prefix in zip(mixers[1:], factors, out[1:]):
+        u = np.matmul(mixer, layer * u, out=prefix)
     return out[-1]
 
 
@@ -223,11 +223,12 @@ def normal_equations(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Newton normal equations w.r.t. the free phases.
 
-    ``prefixes`` are the (M+1, N, N) prefix products of one phase grid, as
-    ``prefix_products`` wrote them (a slice of its buffer); no sweep runs
-    here.  The residual is the complex matrix ``D = (U - U_t) / N``, with
-    ``U = prefixes[M]``: the stacked Re/Im entries of D are the
-    least-squares residuals, so ``||D||_F^2`` is the loss.
+    ``prefixes`` are the (M+1, N, N) prefix products of one phase grid, or
+    the (M+1, L, N, N) ones of a stack of L grids, as ``prefix_products``
+    wrote them (a slice of its buffer); no sweep runs here.  Each grid's
+    residual is the complex matrix ``D = (U - U_t) / N``, with ``U =
+    prefixes[M]``: the stacked Re/Im entries of D are the least-squares
+    residuals, so ``||D||_F^2`` is the loss.
 
     Splitting the product at layer ``ell`` as ``U = A . diag(e^{i theta}) . B``
     gives the rank-one derivative
@@ -242,20 +243,22 @@ def normal_equations(
         J'J = |G|^2   with G = conj(b) b^T / N, so diag(J'J) = 1 / N^2
         J'D = Im(rowsum((b U^H D) o conj(b))) / N
 
-    G goes into the complex (P, P) buffer ``gram``, J'J into the real one
-    ``jtj`` (both reused by the next call).  Returns ``(J'J, J'D)``.
+    G goes into the complex (P, P) or (L, P, P) buffer ``gram``, J'J into
+    the real one ``jtj`` (both reused by the next call).  Returns ``(J'J,
+    J'D)``.  A stack's products are stacked ``matmul`` calls, so slice
+    ``l`` of each is bitwise what grid l alone gives.
     """
     u = prefixes[-1]
-    n = u.shape[0]
+    n = u.shape[-1]
     diff = (u - target) / n
 
-    b = prefixes[:-1][free_mask]
+    b = prefixes[:-1].swapaxes(0, -3)[..., free_mask, :]  # (P, N) or (L, P, N)
     b_conj = b.conj() / n
-    np.matmul(b_conj, b.T, out=gram)
+    np.matmul(b_conj, b.swapaxes(-1, -2), out=gram)
     squares = gram.view(np.float64)  # Re(G) and Im(G), interleaved
     np.square(squares, out=squares)
     np.add(gram.real, gram.imag, out=jtj)
-    return jtj, ((b @ (u.conj().T @ diff)) * b_conj).sum(axis=1).imag
+    return jtj, ((b @ (u.conj().swapaxes(-1, -2) @ diff)) * b_conj).sum(axis=-1).imag
 
 
 def apply_fault_plan(

@@ -7,16 +7,18 @@ Hermitian generators are unitary by construction (spectral form), and QR
 follows the positive-diagonal convention so that the Q factor of a
 complex Gaussian matrix is already correctly phase-normalized.
 
-:class:`SpdSolver` solves the optimizer's damped normal equations.  Where
-the LAPACK that ``numpy.linalg`` links exports ``dpotrf``/``dpotrs`` it is
-:class:`CholeskySolver`, which calls them through ``ctypes`` on buffers it
-owns; elsewhere it is :class:`LuSolver`, ``numpy.linalg.solve`` per
-right-hand side.  The choice is made once, at import.
+:class:`SpdSolver` solves the optimizer's damped normal equations, for a
+stack of restart lanes at once.  Where the LAPACK that ``numpy.linalg``
+links exports ``dpotrf``/``dpotrs`` it is :class:`CholeskySolver`, which
+calls them through ``ctypes``, once per lane, on buffers it owns; elsewhere
+it is :class:`LuSolver`, ``numpy.linalg.solve`` per right-hand side.  The
+choice is made once, at import.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 
 import numpy as np
 
@@ -127,8 +129,9 @@ def qr_unitary(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bind_potrf_potrs():
-    """``(dpotrf, dpotrs, integer type)`` of the LAPACK that numpy.linalg
-    links, or None where that library exports them under neither name."""
+    """``(dpotrf, dpotrs, LAPACK's integer dtype)`` of the LAPACK that
+    numpy.linalg links, or None where that library exports them under
+    neither name."""
     try:
         from numpy.linalg import _umath_linalg
 
@@ -149,88 +152,124 @@ def _bind_potrf_potrs():
         potrf.argtypes = [pointer] * 5 + [length]
         potrs.argtypes = [pointer] * 8 + [length]
         potrf.restype = potrs.restype = None
-        return potrf, potrs, ctypes.c_int64 if ilp64 else ctypes.c_int32
+        return potrf, potrs, np.int64 if ilp64 else np.int32
     return None
 
 
 _LAPACK = _bind_potrf_potrs()
 
 
+def _address(array: np.ndarray) -> int:
+    """Where a writable array's data starts (a third of what ``.ctypes.data``
+    costs); 0 for an empty one, whose LAPACK calls (N = 0) touch no data."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(array)) if array.size else 0
+
+
 class LuSolver:
-    """Solves ``(a + diag(shift)) x = rhs`` by ``numpy.linalg.solve`` (LAPACK
-    gesv, an LU factorization per right-hand side) for matrices of one size.
+    """Solves the Marquardt-damped systems ``(a_s + lam_s D_s) x = -g_s`` of a
+    stack of slots, each a symmetric matrix of one size, where ``D_s`` is
+    diag(a_s) kept off zero, by ``numpy.linalg.solve`` (LAPACK gesv, an LU
+    factorization per right-hand side).
 
     The reference for :class:`CholeskySolver`, and the solver where the
-    LAPACK of numpy.linalg exports no ``dpotrf``.
+    LAPACK of numpy.linalg exports no ``dpotrf``.  One instance must not be
+    used from two threads at once.
     """
 
     lapack = "gesv"
+    #: the least diagonal scale of the damping
+    floor = 1e-30
 
-    def __init__(self, size: int):
-        self._a = np.zeros((size, size))
-        self._diagonal = self._a.reshape(-1)[:: size + 1]
+    def __init__(self, size: int, slots: int):
+        self._a = np.zeros((slots, size, size))
+        self._diagonals = self._a.reshape(slots, size * size)[:, :: size + 1]
 
-    def factor(self, a: np.ndarray, shift: np.ndarray) -> bool:
-        """Take ``a + diag(shift)`` as the matrix of the next solves."""
-        np.copyto(self._a, a)
-        self._diagonal += shift
-        return True
+    def _damp(self, a: np.ndarray, lam: np.ndarray):
+        """Load ``a`` into the first slots, damped by ``lam`` (one per
+        matrix, as a column); returns those slots' matrices, their diagonals
+        and the damping ``lam D`` added."""
+        count = len(a)
+        matrices, diagonals = self._a[:count], self._diagonals[:count]
+        np.copyto(matrices, a)
+        shift = np.maximum(diagonals, self.floor)
+        shift *= lam
+        diagonals += shift
+        return matrices, diagonals, shift
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray | None:
-        """The solution for ``rhs``, or None for a singular or non-finite one."""
-        try:
-            x = np.linalg.solve(self._a, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        return x if np.isfinite(x).all() else None
+    def solve(self, a: np.ndarray, lam: np.ndarray, g: np.ndarray):
+        """The solutions ``x[s]`` of the damped systems of ``a[s]``, ``lam[s]``
+        and ``g[s]``, and the damping ``lam D`` of each; a row of ``x`` is not
+        finite where its matrix is singular or its solution overflows."""
+        matrices, _, shift = self._damp(a, lam)
+        x = np.empty_like(g)
+        for s, matrix in enumerate(matrices):
+            try:
+                x[s] = np.linalg.solve(matrix, -g[s])
+            except np.linalg.LinAlgError:
+                x[s] = np.nan
+        return x, shift
 
 
 class CholeskySolver(LuSolver):
-    """Solves ``(a + diag(shift)) x = rhs`` for symmetric positive definite
-    matrices of one size: ``factor`` runs LAPACK dpotrf once on the matrix
-    :class:`LuSolver` forms, and each ``solve`` back-substitutes with dpotrs
-    from that factor.
+    """Solves the damped systems of :class:`LuSolver`, which are symmetric
+    positive definite: LAPACK dpotrf factors each slot's matrix once, and
+    dpotrs back-substitutes from it.
 
-    The matrix and the right-hand side live in buffers allocated here once;
-    LAPACK gets their cached addresses (taking ``.ctypes.data`` costs
-    microseconds per call, and the address of a temporary would not keep it
-    alive).  One instance must not be used from two threads at once.
+    LAPACK runs once per slot at every size: numpy's batched Cholesky
+    loses to it for all but the smallest matrices.  The matrices and the
+    right-hand sides live in buffers allocated here once, and each slot's
+    LAPACK arguments are cached (taking ``.ctypes.data`` costs microseconds
+    per call, and the address of a temporary would not keep it alive).
     """
 
     lapack = "dpotrf"
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, slots: int):
         if _LAPACK is None:
             raise RuntimeError("numpy.linalg's LAPACK exports no dpotrf/dpotrs")
-        super().__init__(size)
+        super().__init__(size, slots)
         self._potrf, self._potrs, integer = _LAPACK
-        self._b = np.zeros(size)
-        # the matrix is symmetric, so LAPACK's column-major view of this
-        # row-major buffer is the same matrix
+        self._b = np.zeros((slots, size))
+        # N, NRHS, the leading dimension and each slot's INFO, passed by address
+        self._integers = np.array([size, 1, max(size, 1)] + [0] * slots, dtype=integer)
+        self._info = self._integers[3:]
+        # the matrices are symmetric, so LAPACK's column-major view of each
+        # row-major slot is the same matrix
         self._uplo = ctypes.c_char(b"L")
-        self._n = integer(size)
-        self._nrhs = integer(1)
-        self._info = integer(0)
-        uplo, n, nrhs, info = map(ctypes.addressof,
-                                  (self._uplo, self._n, self._nrhs, self._info))
-        a, b = self._a.ctypes.data, self._b.ctypes.data
-        self._potrf_args = (uplo, n, a, n, info, 1)
-        self._potrs_args = (uplo, n, nrhs, a, n, b, n, info, 1)
+        uplo = ctypes.addressof(self._uplo)
+        a, b, n = map(_address, (self._a, self._b, self._integers))
+        a_step, b_step, step = self._a.strides[0], self._b.strides[0], self._integers.itemsize
+        nrhs, lda = n + step, n + 2 * step
+        self._potrf_args, self._potrs_args = [], []
+        for s in range(slots):
+            slot_a, slot_b, info = a + s * a_step, b + s * b_step, n + (3 + s) * step
+            self._potrf_args.append((uplo, n, slot_a, lda, info, 1))
+            self._potrs_args.append((uplo, n, nrhs, slot_a, lda, slot_b, lda, info, 1))
 
-    def factor(self, a: np.ndarray, shift: np.ndarray) -> bool:
-        """Factor ``a + diag(shift)``; False when it is not positive definite
-        or not finite (a NaN passes dpotrf's pivot test, but not the factor's
-        diagonal)."""
-        super().factor(a, shift)
-        self._potrf(*self._potrf_args)
-        return self._info.value == 0 and bool(np.isfinite(self._diagonal).all())
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray | None:
-        """The solution for ``rhs`` from the last successful ``factor``, or
-        None when it is not finite."""
-        np.copyto(self._b, rhs)
-        self._potrs(*self._potrs_args)
-        return self._b.copy() if np.isfinite(self._b).all() else None
+    def solve(self, a: np.ndarray, lam: np.ndarray, g: np.ndarray):
+        """As :meth:`LuSolver.solve`, with ``x`` in a buffer that the next
+        call overwrites; a row of ``x`` is not finite where its matrix is not
+        positive definite or not finite (a NaN passes dpotrf's pivot test,
+        but not the factor's diagonal), or its solution overflows."""
+        _, diagonals, shift = self._damp(a, lam)
+        count = len(a)
+        potrf, potrs = self._potrf, self._potrs
+        for args in self._potrf_args[:count]:
+            potrf(*args)
+        factored = [info == 0 for info in self._info[:count].tolist()]
+        # a sum is finite only if every term is (an overflowing one falls
+        # through to the test by rows)
+        if not math.isfinite(np.add.reduce(diagonals, axis=None)):
+            finite = np.isfinite(diagonals).all(axis=1).tolist()
+            factored = [ok and good for ok, good in zip(factored, finite)]
+        b = self._b[:count]
+        np.negative(g, out=b)
+        for args, ok in zip(self._potrs_args, factored):
+            if ok:
+                potrs(*args)
+        if not all(factored):
+            b[np.logical_not(factored)] = np.nan
+        return b, shift
 
 
 #: the damped normal equations' solver on this platform

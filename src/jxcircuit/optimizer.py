@@ -12,26 +12,32 @@ predicts, and grows by up to 2x when it falls far less); otherwise it grows by
 a factor of 2 and the solve is retried (as it is when the damped matrix is not
 numerically positive definite).
 
-Each damping trial makes one composition pass, of its trial point alone,
-and the normal equations at an accepted point read the prefix products of
-that pass, so no point is composed twice.  The descent is a generator that
-yields each composition it needs and resumes with the result; one driver
-(``_drive``) advances several descents side by side and composes all their
-requests in one stacked sweep per tick.
+A fit's restarts run as the lanes of one descent (``_descend``), a stack of
+L lanes advanced together in ticks: L is 1 above the universality
+transition and up to 64 below it, on the same code path.  One tick composes
+every live lane's point in one stacked sweep and takes the losses, step
+lengths and predicted decreases as stacked dot products; forms the normal
+equations of the lanes that start an iteration from that sweep's prefix
+products, as stacked products; and factors and solves the damped systems
+of every lane that needs a step, one LAPACK call per lane.  The accept,
+damping, polish and stop rules run in one scalar pass over the lanes: the
+gain-ratio update must round as Python floats do, and on small arrays a
+numpy call costs more than the whole pass does per lane.  Each lane's
+numbers are bitwise what it would get alone, and no point is composed
+twice: the normal equations at an accepted point read the prefixes of the
+sweep that composed it.
 
 Termination mirrors the usual trio of tolerances (function, step,
-optimality) plus a hard loss target and an iteration cap; ``fit`` wraps
-the descent in independent seeded restarts, run in batches of such lanes
-whose outcomes count in restart order.  Recalibration against perturbed
-mixers is a ``fit`` with ``restarts=attempts`` and a truncated
-``max_iterations``.
+optimality) plus a hard loss target and an iteration cap; ``fit`` runs its
+seeded restarts in batches of such lanes, whose outcomes count in restart
+order.  Recalibration against perturbed mixers is a ``fit`` with
+``restarts=attempts`` and a truncated ``max_iterations``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +68,8 @@ _DAMPING_MAX = 1e10
 _POLISH_ITERATIONS = 3
 #: restart lanes (below the transition, see _lane_cap): a fit's first batch
 #: runs one descent, each next batch this many times as many side by side, up
-#: to _MAX_WIDTH and to as many as keep their J'J and damped-solver (P, P)
-#: buffers within _LANE_BYTES
+#: to _MAX_WIDTH and to as many as keep their (P, P) buffers within
+#: _LANE_BYTES
 _WIDTH_GROWTH = 4
 _MAX_WIDTH = 64
 _LANE_BYTES = 4 << 20
@@ -103,237 +109,240 @@ class FromVector:
         object.__setattr__(self, "phases", phases)
 
 
-class _Point(NamedTuple):
-    """An evaluated point: free values, loss, and the prefix products of the
-    composition that gave the loss (a view into a lane's sweep buffer,
-    valid until the lane's next composition)."""
-
-    x: np.ndarray
-    loss: float
-    prefixes: np.ndarray
-
-
 class _Problem:
-    """Least-squares view of one phase fit: free vector -> loss/residuals.
+    """Least-squares view of one phase fit, for a stack of lanes.
 
-    An instance is one lane of the fit: a descent (``_minimize``) runs on
-    it, asking it for compositions.  It keeps the phase grid of its
-    requests, the sweep buffer its compositions are written into, J'J and
-    the damped solver, all allocated once, so a lane must not be evaluated
-    from two threads at once (each fit owns its own).  A composition
-    overwrites the prefixes of the lane's previous point, so the normal
-    equations at a point are read before its lane composes again.  ``lanes``
-    makes more lanes of the same fit, which share the complex Gram buffer
-    (scratch of ``normal_equations``), and the first lane answers the
-    requests of all (``compose``).  The first lane's G and J'J share one
-    block: freeing it lifts glibc's mmap threshold above the next fit's
-    buffers, which then reuse resident pages.
+    ``losses`` composes one free vector per lane in one sweep, and
+    ``normal_equations`` reads the prefix products that sweep kept, so the
+    equations at a point are read before the next composition overwrites
+    them.  The phase grids and the sweep buffer are allocated for the
+    widest stack so far and reused, so a problem must not be used from two
+    threads at once (each fit owns its own).
     """
 
-    def __init__(self, mixers: np.ndarray, program: PhaseProgram, target: np.ndarray,
-                 gram: np.ndarray | None = None):
+    def __init__(self, mixers: np.ndarray, program: PhaseProgram, target: np.ndarray):
         self.mixers = mixers
         self.program = program
         self.free = program.free_mask
         self.target = target
-        p, m, n = program.free_count, program.layers, program.ports
-        self.solver = SpdSolver(p)
-        if gram is None:
-            block = np.empty(3 * p * p)
-            gram = block[:2 * p * p].view(np.complex128).reshape(p, p)
-            self._jtj = block[2 * p * p:].reshape(p, p)
-        else:
-            self._jtj = np.empty((p, p))
-        self._gram = gram
-        self._grid = program.theta[None].copy()
-        self._single = np.empty((m + 1, 1, n, n), dtype=np.complex128)
-        self._nsq = n * n
-        self._others = []  # not this lane itself: a cycle would outlive the fit
-        self._stacked = None
+        self._positions = np.flatnonzero(self.free)  # of the free phases in a flat grid
+        self._grids = program.theta[None][:0]
+        self._flat = self._sweep = None
 
-    def lanes(self, count: int) -> list["_Problem"]:
-        """``count`` lanes of this fit, this one first, made on first use."""
-        while len(self._others) < count - 1:
-            self._others.append(_Problem(self.mixers, self.program, self.target, self._gram))
-        return [self] + self._others[:count - 1]
+    def losses(self, xs: np.ndarray) -> np.ndarray:
+        """The loss at each row of ``xs`` (the free values of one lane),
+        from one stacked sweep straight into the lanes' slots."""
+        count = len(xs)
+        if len(self._grids) < count:
+            m, n = self.free.shape
+            self._grids = np.repeat(self.program.theta[None], count, axis=0)
+            self._flat = self._grids.reshape(count, m * n)
+            self._sweep = np.empty((m + 1, count, n, n), dtype=np.complex128)
+        self._flat[:count, self._positions] = xs
+        u = prefix_products(self.mixers, self._grids[:count], self._sweep[:, :count])
+        diff = (u - self.target).reshape(count, -1)
+        # per row the BLAS dot of np.vdot, so each loss is bitwise a lone lane's
+        return np.vecdot(diff, diff).real / diff.shape[1]
 
-    def compose(self, requests: list) -> list:
-        """Answer composition requests ``(grids, buffer)`` in one sweep, each
-        with ``(U stack, prefixes)`` in its own buffer: one request is swept
-        straight into its buffer; several are swept together in a stacked
-        buffer, kept for the fit and grown as needed, and copied out."""
-        if len(requests) == 1:
-            grids, out = requests[0]
-            return [(prefix_products(self.mixers, grids, out), out)]
-        grids = np.concatenate([grids for grids, _ in requests])
-        if self._stacked is None or self._stacked.shape[1] < len(grids):
-            self._stacked = np.empty((len(self._single), len(grids)) + self.target.shape,
-                                     dtype=np.complex128)
-        stacked = self._stacked[:, :len(grids)]
-        prefix_products(self.mixers, grids, stacked)
-        answers, end = [], 0
-        for grids, out in requests:
-            start, end = end, end + len(grids)
-            np.copyto(out, stacked[:, start:end])
-            answers.append((out[-1], out))
-        return answers
-
-    def loss_of(self, x: np.ndarray):
-        """The evaluated point ``x``, from one single-grid composition (a
-        generator, like ``_minimize``)."""
-        self._grid[0, self.free] = x
-        u, prefixes = yield self._grid, self._single
-        diff = (u[0] - self.target).ravel()
-        return _Point(x, float(np.vdot(diff, diff).real) / self._nsq, prefixes[:, 0])
-
-    def normal_equations(self, point: _Point):
-        """``circuit.normal_equations`` at an evaluated point, from the
-        prefixes of its composition, written into this lane's buffers."""
-        return normal_equations(point.prefixes, self.free, self.target, self._gram, self._jtj)
-
-
-def _drive(problem, descents: list, final=lambda value: False) -> list:
-    """Run generators side by side and return their values in order.
-
-    Each generator yields a composition request and resumes with its
-    answer.  Each tick takes one request from every live generator, in
-    order, and ``problem.compose`` answers them all in one sweep.  When a
-    generator's value is ``final``, the later ones are dropped and give None.
-    """
-    results = [None] * len(descents)
-    live = dict(enumerate(descents))
-    answers = dict.fromkeys(live)
-    while live:
-        requests = {}
-        for i in list(live):
-            if i not in live:
-                continue
-            try:
-                requests[i] = live[i].send(answers[i])
-            except StopIteration as stop:
-                results[i] = stop.value
-                del live[i]
-                if final(stop.value):
-                    live = {j: descent for j, descent in live.items() if j < i}
-        if requests:
-            answers = dict(zip(requests, problem.compose(list(requests.values()))))
-    return results
-
-
-def _norm(v: np.ndarray) -> float:
-    return math.sqrt(v.dot(v))  # numpy.linalg.norm's arithmetic, without its overhead
+    def normal_equations(self, rows, gram: np.ndarray, jtj: np.ndarray) -> np.ndarray:
+        """``circuit.normal_equations`` at the points that ``rows`` (a slice
+        or positions) picks from the last ``losses``, as stacked products:
+        G goes into the scratch ``gram`` and J'J into ``jtj``, and J'D is
+        returned."""
+        return normal_equations(self._sweep[:, rows], self.free, self.target, gram, jtj)[1]
 
 
 def _gain_damping(lam, current, new_loss, predicted):
     """Nielsen's damping after an accepted step: the gain ratio rho of the
     actual to the predicted decrease scales lambda by 1 - (2 rho - 1)^3,
     clipped to [1/3, 2]; a step the model predicts no decrease for counts as
-    rho = 1."""
+    rho = 1.  Python floats: numpy's vectorized power may round the cube
+    differently."""
     rho = (current - new_loss) / predicted if predicted > 0 else 1.0
     return max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-15)
 
 
-@dataclass
-class _Descent:
-    """State of one descent, and its outcome once it returns: the point
-    reached, its damping, accepted steps, rejected damping trials, status."""
+@dataclass(slots=True)
+class _Lane:
+    """The scalars of one descent: its restart position in the batch, the
+    loss at its point, damping, accepted steps, rejected damping trials, the
+    polish phase, and why it stopped (empty while it runs).  The point
+    itself lives in the stacked arrays of ``_descend``, and in ``x`` once
+    the lane stops."""
 
-    point: _Point
-    lam: float | None = None
+    index: int
+    loss: float
+    lam: float = 0.0
     iterations: int = 0
     rejected: int = 0
-    status: str = "maxiter"
+    polishing: bool = False
+    polish_left: int = _POLISH_ITERATIONS
+    status: str = ""
+    x: np.ndarray | None = None
+
+    def reject(self) -> None:
+        """No step at this damping: grow it, and stop past the cap (a NaN
+        damping stops too)."""
+        self.rejected += 1
+        self.lam *= _DAMPING_FACTOR
+        if not self.lam <= _DAMPING_MAX:
+            self.status = "target" if self.polishing else "stalled"
+
+    def accept(self, new_loss: float, predicted: float, step: float, norm: float,
+               options: LmaOptions) -> None:
+        """Move to the trial point (its loss ``new_loss``, the model's
+        predicted decrease, the step's length and the new point's norm),
+        then apply the polish and stop rules."""
+        previous = self.loss
+        self.lam = _gain_damping(self.lam, previous, new_loss, predicted)
+        self.loss = new_loss
+        self.iterations += 1
+        if self.polishing:
+            self.polish_left -= 1
+            if self.polish_left <= 0 or new_loss > 0.1 * previous:
+                self.status = "target"
+        elif new_loss < options.target_loss:
+            if self.polish_left <= 0:
+                self.status = "target"
+            else:
+                self.polishing = True
+        elif abs(previous - new_loss) <= _FUNCTION_TOLERANCE * new_loss:
+            self.status = "ftol"
+        elif step <= _STEP_TOLERANCE * (norm + _STEP_TOLERANCE):
+            self.status = "xtol"
+        if not self.status and self.iterations >= options.max_iterations:
+            self.status = "maxiter"
 
 
-def _attempt_step(problem, descent: _Descent, equations, diag):
-    """Grow the damping until a loss-decreasing step is found or give up (a
-    generator, like ``_minimize``).
+def _rows(positions: list, count: int):
+    """Index of ``positions`` among ``count`` lanes: a slice when it is all
+    of them, so that indexing makes views, not copies."""
+    return slice(None, count) if len(positions) == count else np.array(positions, dtype=int)
 
-    At each damping value the damped matrix is factored once, the damped
-    step solved from it and its trial point composed (``loss_of``); if the
-    factorization fails or the loss does not fall, the damping grows.
-    ``equations`` is what ``normal_equations`` returned at the descent's
-    point.  On success the descent moves to the evaluated trial point, with
-    the gain-ratio damping for the next iteration, and the step's length is
-    returned; on failure it keeps its point, with the damping that exceeded
-    the cap, and None is returned.
+
+def _descend(problem, starts: np.ndarray, options: LmaOptions) -> list[_Lane]:
+    """Descents from the rows of ``starts``, one lane each, advanced together
+    in ticks; the stopped lanes in restart order, up to the first that meets
+    the loss target (once one does, the lanes after it are dropped).
+
+    A tick composes every live lane's point in one sweep
+    (``problem.losses``) and, when a trial lowered some lane's loss, takes
+    the model's predicted decreases, the step lengths and the points' norms
+    as stacked dot products.  One pass over the lanes then accepts each
+    trial that lowers the loss, or rejects it, and applies the damping,
+    polish and stop rules.  The lanes that start an iteration get their
+    normal equations as stacked products (``problem.normal_equations``).
+    Every lane that needs a step has its damped system factored and solved,
+    one LAPACK call per lane; a lane whose matrix fails to factor grows its
+    damping and is solved again, until it steps or passes the cap.  Live
+    lanes hold the first positions of every stacked array, in restart
+    order; stopped lanes are compacted out at the end of the tick.
     """
-    jtj, g = equations
-    solver = problem.solver
-    current = descent.point.loss
+    count, p = starts.shape
+    goal = options.target_loss
+    x = trial = np.array(starts, dtype=float)
+    delta, g, shift = np.empty((count, p)), np.empty((count, p)), np.empty((count, p))
+    # the lanes' complex G and their J'J share one block: freeing it lifts
+    # glibc's mmap threshold above the next descent's buffers, which then
+    # reuse resident pages instead of faulting in fresh ones
+    block = np.empty(3 * count * p * p)
+    gram = block[:2 * count * p * p].view(np.complex128).reshape(count, p, p)
+    jtj = block[2 * count * p * p:].reshape(count, p, p)
+    solver = SpdSolver(p, count)
+    lanes: list[_Lane] = []
+    outcomes: list[_Lane | None] = [None] * count
     while True:
-        lam = descent.lam
-        delta = solver.solve(-g) if solver.factor(jtj, lam * diag) else None
-        if delta is not None:
-            trial = yield from problem.loss_of(descent.point.x + delta)
-            if trial.loss < current:
-                # the Gauss-Newton model's decrease of the loss for the step
-                predicted = float(delta.dot(lam * diag * delta - g))
-                descent.lam = _gain_damping(lam, current, trial.loss, predicted)
-                descent.point = trial
-                return _norm(delta)
-        descent.rejected += 1
-        descent.lam = lam * _DAMPING_FACTOR
-        if not descent.lam <= _DAMPING_MAX:  # a NaN damping gives up too
-            return None
+        new = problem.losses(trial).tolist()
+        starting = not lanes
+        if starting:
+            lanes = [_Lane(k, loss) for k, loss in enumerate(new)]
+            for lane in lanes:
+                if lane.loss < goal:
+                    lane.status = "target"
+                elif p == 0:
+                    lane.status = "no-free-parameters"
+            begin = [i for i, lane in enumerate(lanes) if not lane.status]
+        else:
+            accepted = [i for i, lane in enumerate(lanes) if new[i] < lane.loss]
+            if accepted:
+                # the Gauss-Newton model's decrease of the loss for each step
+                predicted = np.vecdot(delta, shift * delta - g).tolist()
+                steps = np.vecdot(delta, delta).tolist()
+                norms = np.vecdot(trial, trial).tolist()
+            for i, lane in enumerate(lanes):
+                if new[i] < lane.loss:
+                    lane.accept(new[i], predicted[i], math.sqrt(steps[i]),
+                                math.sqrt(norms[i]), options)
+                else:
+                    lane.reject()
+            if len(accepted) == count:
+                x = trial
+            elif accepted:
+                x[accepted] = trial[accepted]
+            begin = [i for i in accepted if not lanes[i].status]
 
+        if begin:
+            rows = _rows(begin, count)
+            if isinstance(rows, slice):  # every lane: J'J straight into its slots
+                g = problem.normal_equations(rows, gram[rows], jtj[rows])
+            else:
+                equations = np.empty((len(begin), p, p))
+                g[rows] = problem.normal_equations(rows, gram[:len(begin)], equations)
+                jtj[rows] = equations
+            if starting:
+                diagonals = np.maximum(jtj.diagonal(0, 1, 2)[rows], SpdSolver.floor)
+                scales = _DAMPING_SCALE * np.maximum.reduce(diagonals, axis=1)
+                for i, scale in zip(begin, scales.tolist()):
+                    lanes[i].lam = scale
+            small = np.maximum.reduce(np.abs(g[rows]), axis=1) < _OPTIMALITY_TOLERANCE
+            for i, flat in zip(begin, small.tolist()):
+                if flat and not lanes[i].polishing:
+                    lanes[i].status = "gtol"
 
-def _minimize(problem, x0: np.ndarray, options: LmaOptions):
-    """One descent from ``x0``, as a generator: it yields composition
-    requests, resumes with their answers (see ``_drive``) and returns the
-    final ``_Descent``."""
-    descent = _Descent((yield from problem.loss_of(x0)))
-    if descent.point.loss < options.target_loss:
-        descent.status = "target"
-        return descent
-    if x0.size == 0:
-        descent.status = "no-free-parameters"
-        return descent
-
-    polishing = False
-    polish_left = _POLISH_ITERATIONS
-    while descent.iterations < options.max_iterations:
-        equations = problem.normal_equations(descent.point)
-        jtj, g = equations
-        if not polishing and float(np.abs(g).max()) < _OPTIMALITY_TOLERANCE:
-            descent.status = "gtol"
-            break
-        diag = np.maximum(np.diagonal(jtj), 1e-30)
-        if descent.lam is None:
-            descent.lam = _DAMPING_SCALE * float(diag.max())
-        previous = descent.point.loss
-        step = yield from _attempt_step(problem, descent, equations, diag)
-        if step is None:
-            descent.status = "target" if polishing else "stalled"
-            break
-        current = descent.point.loss
-        descent.iterations += 1
-        if polishing:
-            polish_left -= 1
-            if polish_left <= 0 or current > 0.1 * previous:
-                descent.status = "target"
+        pending = [i for i, lane in enumerate(lanes) if not lane.status]
+        while pending:
+            rows = _rows(pending, count)
+            lam = np.array([[lanes[i].lam] for i in pending])
+            solved, shift[rows] = solver.solve(jtj[rows], lam, g[rows])
+            delta[rows] = solved
+            # a sum is finite only if every term is (an overflowing one falls
+            # through to the test by rows)
+            if math.isfinite(np.add.reduce(solved, axis=None)):
                 break
-            continue
-        if current < options.target_loss:
-            if polish_left <= 0:
-                descent.status = "target"
+            finite = np.isfinite(solved).all(axis=1).tolist()
+            pending = [i for i, ok in zip(pending, finite) if not ok]
+            for i in pending:
+                lanes[i].reject()
+            pending = [i for i in pending if not lanes[i].status]
+
+        stopped = [i for i, lane in enumerate(lanes) if lane.status]
+        if stopped:
+            for i in stopped:
+                lanes[i].x = x[i].copy()
+                outcomes[lanes[i].index] = lanes[i]
+            met = [lanes[i].index for i in stopped if lanes[i].loss < goal]
+            cut = min(met, default=len(outcomes))
+            keep = [i for i, lane in enumerate(lanes) if not lane.status and lane.index < cut]
+            if not keep:
                 break
-            polishing = True
-            continue
-        if abs(previous - current) <= _FUNCTION_TOLERANCE * current:
-            descent.status = "ftol"
-            break
-        if step <= _STEP_TOLERANCE * (_norm(descent.point.x) + _STEP_TOLERANCE):
-            descent.status = "xtol"
-            break
-    return descent
+            lanes = [lanes[i] for i in keep]
+            count = len(keep)
+            jtj[:count] = jtj[keep]
+            x, delta, g, shift = (a[keep] for a in (x, delta, g, shift))
+        trial = x + delta
+
+    for k, outcome in enumerate(outcomes):
+        if outcome.loss < goal:
+            return outcomes[:k + 1]
+    return outcomes
 
 
 def _initial_free_values(
     program: PhaseProgram, init: FromVector | None, restart_seed: int
 ) -> np.ndarray:
     """Start of one restart: fresh i.i.d. U[0, 2 pi) phases when ``init`` is
-    None, else ``init``'s grid jittered by its fraction."""
+    None, else ``init``'s grid (of a shape ``fit`` checked) jittered by its
+    fraction."""
     if init is None:
         grid = uniform_phases(program.layers, program.ports, restart_seed)
     else:
@@ -351,13 +360,15 @@ def _lane_cap(program: PhaseProgram) -> int:
     fewer than U(N)'s N^2 (the paper's transition, M <= N, or faults
     clustered in few layers) no descent fits exactly, every restart runs,
     and lanes only save.  Above it, descents that a converged earlier
-    restart makes moot would run beside it, so the fit stays serial.
+    restart makes moot would run beside it, so the fit runs one lane at a
+    time.  Each lane keeps its own complex G, J'J and damped matrix, 32 P^2
+    bytes, and the lanes of a batch share ``_LANE_BYTES``.
     """
     p = program.free_count
     redundant = max(int(program.free_mask.all(axis=1).sum()) - 1, 0)
     if p - redundant >= program.ports ** 2:
         return 1
-    return max(1, min(_MAX_WIDTH, _LANE_BYTES // max(16 * p * p, 1)))
+    return max(1, min(_MAX_WIDTH, _LANE_BYTES // max(32 * p * p, 1)))
 
 
 def fit(
@@ -370,13 +381,17 @@ def fit(
     """Best-of-restarts phase fit of the circuit to a target unitary.
 
     Up to ``options.restarts`` independent descents run from fresh seeded
-    initializations (uniform phases, or ``init`` jittered); the fit stops
-    early once the loss target is met.  Below the universality transition
-    (``_lane_cap``) the descents run in batches of lanes, side by side: the
-    first batch holds one, each next one ``_WIDTH_GROWTH`` times as many, up
-    to ``_MAX_WIDTH`` and to what ``_LANE_BYTES`` holds.  Their outcomes
+    initializations (uniform phases, or ``init`` jittered: its grid is the
+    circuit's (M, N) phase grid or that grid flattened layer-major); the fit
+    stops early once the loss target is met.  The descents run as the lanes
+    of ``_descend``, in batches: the first batch holds one, and below the
+    universality transition (``_lane_cap``) each next one holds
+    ``_WIDTH_GROWTH`` times as many, up to ``_MAX_WIDTH`` and to what
+    ``_LANE_BYTES`` holds; above it every batch holds one.  Their outcomes
     count in restart order, up to the first that meets the target, so the
-    result is the serial loop's at any width.
+    result is the serial loop's at any width.  A target that is not
+    N x N, or a start grid of another shape, raises ``ValueError`` before
+    anything is composed.
     Frozen (faulty) phases are never modified.  The returned loss is
     recomputed from the composed transfer matrix, so it is consistent
     with ``loss(compose(...), target)`` by construction.
@@ -384,32 +399,30 @@ def fit(
     options = options if options is not None else LmaOptions()
     target = as_complex_matrix(target)
     program = circuit.program
+    m, n = program.layers, program.ports
+    if target.shape != (n, n):
+        raise ValueError(f"target shape {target.shape} does not match the circuit's "
+                         f"{(n, n)} transfer matrix")
+    if init is not None and init.phases.shape not in ((m, n), (m * n,)):
+        raise ValueError(f"start grid shape {init.phases.shape} is neither the circuit's "
+                         f"phase grid {(m, n)} nor its flat form {(m * n,)}")
     mixers = circuit.mixer_stack()
     problem = _Problem(mixers, program, target)
     cap = _lane_cap(program)
 
-    def reached(descent):
-        return descent.point.loss < options.target_loss
-
-    outcomes: list[_Descent] = []
+    outcomes: list[_Lane] = []
     width = 1
     while len(outcomes) < options.restarts:
         batch = range(len(outcomes), min(len(outcomes) + width, options.restarts))
-        descents = [
-            _minimize(lane, _initial_free_values(
-                program, init, derive_seed(seed, "lma-restart", k)), options)
-            for lane, k in zip(problem.lanes(len(batch)), batch)
-        ]
-        for outcome in _drive(problem, descents, reached):
-            outcomes.append(outcome)
-            if reached(outcome):
-                break
-        if reached(outcomes[-1]):
+        starts = np.array([_initial_free_values(program, init, derive_seed(seed, "lma-restart", k))
+                           for k in batch])
+        outcomes += _descend(problem, starts, options)
+        if outcomes[-1].loss < options.target_loss:
             break
         width = min(width * _WIDTH_GROWTH, cap)
 
-    best = min(outcomes, key=lambda descent: descent.point.loss)
-    phases = program.with_free_values(best.point.x)
+    best = min(outcomes, key=lambda outcome: outcome.loss)
+    phases = program.with_free_values(best.x)
     final_loss = loss(transfer_matrix(mixers, phases.theta), target)
     if not np.array_equal(phases.theta[program.fixed], program.theta[program.fixed]):
         raise AssertionError("optimizer modified frozen phase entries")
@@ -421,6 +434,6 @@ def fit(
         converged=final_loss < options.target_loss,
         seed=seed,
         status=best.status,
-        total_iterations=sum(descent.iterations for descent in outcomes),
-        rejected_trials=sum(descent.rejected for descent in outcomes),
+        total_iterations=sum(outcome.iterations for outcome in outcomes),
+        rejected_trials=sum(outcome.rejected for outcome in outcomes),
     )

@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jxcircuit.circuit import PhaseProgram, perturbed_circuit, transfer_matrix
-from jxcircuit.optimizer import _Problem, _drive
+from jxcircuit.optimizer import LmaOptions, fit
+from jxcircuit import optimizer
+from jxcircuit.optimizer import _Problem
 from jxcircuit.sampling import derive_seed, haar_unitary
 from jacobian_reference import evaluate, explicit_jacobian, residual_vector
 
@@ -67,22 +69,46 @@ def test_gram_products_equal_explicit_jacobian_products(case):
     assert_close(g, jac.T @ r, np.abs(jac).T @ np.abs(r))
 
 
-def test_one_fit_writes_every_evaluation_into_one_buffer():
+def test_one_fit_writes_every_evaluation_into_one_buffer(monkeypatch):
     mixers, program, target = instance(3, 4, 5, np.eye(4, 3, dtype=bool))
     problem = _Problem(mixers, program, target)
     x = program.theta[program.free_mask]
+    written = []
+    prefix_products = optimizer.prefix_products
 
-    def evaluated(point):
-        return _drive(problem, [problem.loss_of(point)])[0]
+    def sweep(mixers, thetas, out):
+        written.append(out)
+        return prefix_products(mixers, thetas, out)
 
-    first_point, second_point = evaluated(x), evaluated(x + 0.5)
-    assert first_point.prefixes.base is second_point.prefixes.base is problem._single
-    first = problem.normal_equations(first_point)[0]
-    second = problem.normal_equations(second_point)[0]
-    assert first is second is problem._jtj
-    assert problem._jtj.flags.c_contiguous
-    assert problem._gram.shape == problem._jtj.shape == (x.size, x.size)
-    # the lanes of one fit share the Gram scratch, each with its own J'J
-    lanes = problem.lanes(3)
-    assert lanes[0] is problem and all(lane._gram is problem._gram for lane in lanes)
-    assert len({id(lane._jtj) for lane in lanes}) == 3
+    monkeypatch.setattr(optimizer, "prefix_products", sweep)
+    problem.losses(x[None])
+    sweep_buffer = problem._sweep
+    problem.losses((x + 0.5)[None])
+    assert problem._sweep is sweep_buffer
+    assert all(out.base is sweep_buffer for out in written)
+    # a wider stack grows the buffer once, and narrower ones reuse it; each
+    # sweep writes straight into its lanes' slots
+    problem.losses(np.stack([x] * 3))
+    wide = problem._sweep
+    assert wide.shape[1] == 3
+    problem.losses(np.stack([x] * 2))
+    assert problem._sweep is wide
+    assert written[-1].base is wide and written[-1].shape[1] == 2
+
+
+def test_a_descent_keeps_its_gram_scratch_and_normal_equations_in_one_block(monkeypatch):
+    # freeing that one block lifts glibc's mmap threshold above the next
+    # descent's buffers, so they reuse resident pages: a study of N = 16
+    # fits otherwise faults in every fit's buffers afresh
+    blocks = []
+    normal_equations = _Problem.normal_equations
+
+    def recorded(self, rows, gram, jtj):
+        blocks.append((gram.base, jtj.base))
+        return normal_equations(self, rows, gram, jtj)
+
+    monkeypatch.setattr(_Problem, "normal_equations", recorded)
+    circuit = perturbed_circuit(3, 3, 0.0, 1)
+    fit(circuit, haar_unitary(3, 2), LmaOptions(restarts=5, max_iterations=5), seed=1)
+    assert blocks and all(gram is not None and gram is jtj for gram, jtj in blocks)
+    assert len({id(gram) for gram, _ in blocks}) == 2  # a batch of 1, then one of 4

@@ -168,31 +168,42 @@ def test_as_complex_matrix_rejects_non_2d():
 @pytest.mark.skipif(SpdSolver is not CholeskySolver,
                     reason="numpy.linalg's LAPACK exports no dpotrf here")
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 40), st.integers(0, 4), st.integers(0, 2**32 - 1))
-def test_cholesky_solver_agrees_with_lu(p, extra_rows, seed):
-    # damped normal equations as the optimizer forms them; the LU pair
-    # (numpy.linalg.solve per right-hand side) is the reference
+@given(st.integers(1, 40), st.integers(0, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_cholesky_solver_agrees_with_lu(p, extra_rows, slots, seed):
+    # damped normal equations of a stack of lanes as the optimizer forms
+    # them; the LU solver (numpy.linalg.solve per right-hand side) is the
+    # reference, slot by slot
     rng = np.random.default_rng(seed)
-    jac = rng.standard_normal((p + extra_rows, p))
-    jtj = jac.T @ jac
-    shift = 10.0 ** rng.uniform(-6, 0) * np.diagonal(jtj)
-    cholesky, lu = CholeskySolver(p), LuSolver(p)
-    assert cholesky.factor(jtj, shift) and lu.factor(jtj, shift)
-    damped = jtj + np.diag(shift)
-    tolerance = 100 * np.linalg.cond(damped) * np.finfo(float).eps
-    for _ in range(2):  # both right-hand sides of a trial come from one factor
-        rhs = rng.standard_normal(p)
-        x, reference = cholesky.solve(rhs), lu.solve(rhs)
-        assert np.abs(x - reference).max() <= tolerance * np.abs(reference).max()
+    jac = rng.standard_normal((slots, p + extra_rows, p))
+    jtj = jac.transpose(0, 2, 1) @ jac
+    lam = 10.0 ** rng.uniform(-6, 0, (slots, 1))
+    cholesky, lu = CholeskySolver(p, slots), LuSolver(p, slots)
+    g = rng.standard_normal((slots, p))
+    x, shift = cholesky.solve(jtj, lam, g)
+    x = x.copy()  # the solver's buffer, overwritten by its next call
+    reference, reference_shift = lu.solve(jtj, lam, g)
+    assert np.array_equal(shift, lam * np.maximum(np.diagonal(jtj, 0, 1, 2), LuSolver.floor))
+    assert np.array_equal(shift, reference_shift)
+    for s in range(slots):
+        # the systems solved are (J'J + lam D) x = -g
+        damped = jtj[s] + np.diag(shift[s])
+        tolerance = 100 * np.linalg.cond(damped) * np.finfo(float).eps
+        assert np.abs(x[s] - reference[s]).max() <= tolerance * np.abs(reference[s]).max()
+    # fewer matrices than slots use the first slots
+    assert np.array_equal(cholesky.solve(jtj[:1], lam[:1], g[:1])[0][0], x[0])
 
-    # a negative diagonal entry makes the matrix indefinite
-    k = rng.integers(p)
-    indefinite = shift.copy()
-    indefinite[k] = -2.0 * jtj[k, k]
-    assert not cholesky.factor(jtj, indefinite)
-    # a non-finite entry gives no solution
+    # a damping that makes one slot's matrix indefinite gives that slot, and
+    # only that slot, no finite solution
+    k = rng.integers(slots)
+    indefinite = lam.copy()
+    indefinite[k] = -2.0
+    x, _ = cholesky.solve(jtj, indefinite, g)
+    finite = np.isfinite(x).all(axis=1)
+    assert not finite[k] and finite.sum() == slots - 1
+    # a non-finite entry gives no finite solution
     i, j = rng.integers(p, size=2)
     for bad in (np.nan, np.inf, -np.inf):
         a = jtj.copy()
-        a[i, j] = a[j, i] = bad
-        assert not cholesky.factor(a, shift) or cholesky.solve(rhs) is None
+        a[k, i, j] = a[k, j, i] = bad
+        x, _ = cholesky.solve(a, lam, g)
+        assert not np.isfinite(x[k]).all()

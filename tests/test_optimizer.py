@@ -17,40 +17,36 @@ from jxcircuit.circuit import (
     loss,
     perturbed_circuit,
 )
-from jxcircuit.numerics import CholeskySolver, SpdSolver
-from jxcircuit.optimizer import FromVector, LmaOptions, _drive, _minimize, fit
+from jxcircuit import numerics
+from jxcircuit.numerics import CholeskySolver, LuSolver, SpdSolver
+from jxcircuit.optimizer import FromVector, LmaOptions, _descend, fit
 from jxcircuit.sampling import derive_seed, haar_unitary, uniform_phases
 from jacobian_reference import residuals_and_jacobian
 
 
 class LinearProblem:
-    """Synthetic zero-residual linear least squares: r(x) = A x - b.
+    """Synthetic zero-residual linear least squares: r(x) = A x - b, so J is A.
 
-    The residual is the (1, k) matrix (A x - b)^T, so J is A.  It answers
-    its own requests (``compose``): a request is a list of points, its
-    answer their residual matrices, and an evaluated point keeps its
-    residual where a circuit keeps its prefixes.
+    It answers a descent as ``optimizer._Problem`` does: ``losses``
+    evaluates a stack of points and keeps their residuals, where a circuit
+    keeps its prefix products, and ``normal_equations`` reads them.
     """
 
     def __init__(self, a, b):
         self.a, self.b = a, b
-        self.solver = SpdSolver(a.shape[1])
 
-    def compose(self, requests):
-        return [[(self.a @ x - self.b)[None, :] for x in points] for points in requests]
+    def losses(self, xs):
+        self.residuals = xs @ self.a.T - self.b
+        return np.vecdot(self.residuals, self.residuals)
 
-    def loss_of(self, x):
-        (r,) = yield [x]
-        return optimizer._Point(x, float(r[0] @ r[0]), r)
-
-    def normal_equations(self, point):
-        r = point.prefixes
-        return self.a.T @ self.a, self.a.T @ r[0]
+    def normal_equations(self, rows, gram, jtj):
+        jtj[...] = self.a.T @ self.a
+        return self.residuals[rows] @ self.a
 
 
 def descend(problem, x0, options):
-    """The final state of one descent, run alone."""
-    (out,) = _drive(problem, [_minimize(problem, x0, options)])
+    """The stopped lane of one descent, run alone."""
+    (out,) = _descend(problem, x0[None], options)
     return out
 
 
@@ -110,8 +106,8 @@ def test_gauss_newton_exact_on_linear_problem(monkeypatch):
     # almost undamped, so the first step is the Gauss-Newton step
     monkeypatch.setattr(optimizer, "_DAMPING_SCALE", 1e-13)
     out = descend(problem, np.zeros(4), LmaOptions())
-    assert out.point.loss < 1e-10
-    assert np.abs(out.point.x - x_true).max() < 1e-8
+    assert out.loss < 1e-10
+    assert np.abs(out.x - x_true).max() < 1e-8
     assert out.iterations <= 1 + optimizer._POLISH_ITERATIONS
 
 
@@ -121,32 +117,37 @@ def test_accepted_exact_step_shrinks_damping_threefold(monkeypatch):
     rng = np.random.default_rng(1)
     a = rng.standard_normal((6, 4))
     problem = LinearProblem(a, a @ rng.standard_normal(4))
-    lams = []
-    attempt_step = optimizer._attempt_step
+    updates = []
+    gain_damping = optimizer._gain_damping
 
-    def recording(problem, descent, equations, diag):
-        lams.append(descent.lam)
-        return (yield from attempt_step(problem, descent, equations, diag))
+    def recording(lam, *args):
+        updates.append((lam, gain_damping(lam, *args)))
+        return updates[-1][1]
 
-    monkeypatch.setattr(optimizer, "_attempt_step", recording)
+    monkeypatch.setattr(optimizer, "_gain_damping", recording)
     descend(problem, np.zeros(4), LmaOptions())
-    assert lams[1] == lams[0] * (1.0 / 3.0)
+    first, after = updates[0]
+    # the first damping, so the first trial was accepted
+    assert first == optimizer._DAMPING_SCALE * np.diagonal(a.T @ a).max()
+    assert after == first * (1.0 / 3.0)
 
 
 def test_n16_fit_pays_few_solves_per_jacobian(monkeypatch):
     # every rejected damping trial costs one O(P^3) factorization; the
     # gain-ratio update keeps rejections rare after accepted steps
     calls = {"factor": 0, "jacobian": 0}
+    solve, normal_equations = SpdSolver.solve, optimizer._Problem.normal_equations
 
-    def counted(name, func):
-        def wrapper(*args):
-            calls[name] += 1
-            return func(*args)
-        return wrapper
+    def solving(self, a, lam, rhs):
+        calls["factor"] += len(a)
+        return solve(self, a, lam, rhs)
 
-    monkeypatch.setattr(SpdSolver, "factor", counted("factor", SpdSolver.factor))
-    monkeypatch.setattr(optimizer._Problem, "normal_equations",
-                        counted("jacobian", optimizer._Problem.normal_equations))
+    def equations(self, rows, gram, jtj):
+        calls["jacobian"] += len(jtj)
+        return normal_equations(self, rows, gram, jtj)
+
+    monkeypatch.setattr(SpdSolver, "solve", solving)
+    monkeypatch.setattr(optimizer._Problem, "normal_equations", equations)
     fit(ideal_circuit(16, 18), haar_unitary(16, 5), LmaOptions(restarts=1), seed=1)
     assert calls["factor"] <= 3.5 * calls["jacobian"], calls
 
@@ -156,24 +157,47 @@ def test_n16_fit_pays_few_solves_per_jacobian(monkeypatch):
 def test_indefinite_damped_matrix_grows_damping():
     # J'J with a zero diagonal stays indefinite for every damping below the
     # cap, so each trial's factorization fails, no step is tried and the
-    # step gives up
+    # descent gives up where it started
     problem = LinearProblem(np.eye(2), np.ones(2))
+    normal_equations, losses = problem.normal_equations, problem.losses
+    composed = []
+
+    def indefinite(rows, gram, jtj):
+        g = normal_equations(rows, gram, jtj)
+        jtj[...] = [[0.0, 1.0], [1.0, 0.0]]
+        return g
+
+    def evaluated(xs):
+        composed.append(xs.copy())
+        return losses(xs)
+
+    problem.normal_equations, problem.losses = indefinite, evaluated
     x = np.zeros(2)
-    (start,) = _drive(problem, [problem.loss_of(x)])
-    _, g = problem.normal_equations(start)
-    jtj = np.array([[0.0, 1.0], [1.0, 0.0]])
-    diag = np.maximum(np.diagonal(jtj), 1e-30)
-    descent = optimizer._Descent(start, lam=1.0)
-    problem.loss_of = lambda x: pytest.fail("a step was tried")
-    (step,) = _drive(problem, [optimizer._attempt_step(
-        problem, descent, (jtj, g), diag)])
-    del problem.loss_of
-    accepted = step is not None
-    assert not accepted
-    assert descent.lam > optimizer._DAMPING_MAX
-    assert descent.point is start and descent.point.x is x
-    assert descent.point.loss == _drive(problem, [problem.loss_of(x)])[0].loss
-    assert descent.rejected > 0
+    out = descend(problem, x, LmaOptions())
+    assert len(composed) == 1, "a step was tried"
+    assert out.status == "stalled" and out.iterations == 0
+    assert np.array_equal(out.x, x) and out.loss == losses(x[None])[0]
+    assert out.lam > optimizer._DAMPING_MAX
+    # the damping doubled from its first value (diag J'J is floored at
+    # 1e-30) once per failed factorization, until it passed the cap
+    lam, doublings = optimizer._DAMPING_SCALE * 1e-30, 0
+    while lam <= optimizer._DAMPING_MAX:
+        lam, doublings = lam * optimizer._DAMPING_FACTOR, doublings + 1
+    assert out.rejected == doublings and out.lam == lam
+
+
+def test_fits_run_on_the_lu_fallback(monkeypatch):
+    # where numpy's LAPACK exports no dpotrf the damped systems are solved
+    # by numpy.linalg.solve; both sides of the transition still fit
+    monkeypatch.setattr(numerics, "_LAPACK", None)
+    monkeypatch.setattr(optimizer, "SpdSolver", LuSolver)
+    with pytest.raises(RuntimeError, match="dpotrf"):
+        CholeskySolver(3, 1)
+    above = fit(ideal_circuit(4, 5), haar_unitary(4, 77), LmaOptions(restarts=20), seed=5)
+    assert above.converged and above.status == "target"
+    below = fit(ideal_circuit(4, 4), haar_unitary(4, 78), LmaOptions(restarts=6), seed=6)
+    assert below.restarts_used == 6 and not below.converged
+    assert below.loss > 1e-8 and below.total_iterations > below.iterations
 
 
 def test_fit_imports_no_scipy():
@@ -328,3 +352,40 @@ def test_initial_free_values_are_seeded_draws_or_a_jittered_grid():
     assert np.array_equal(c, base.ravel())
     d = _initial_free_values(program, FromVector(base, 0.1), 124)
     assert np.abs(d / base.ravel() - 1.0).max() <= 0.1
+
+
+def refuse_compositions(monkeypatch):
+    def composed(*args):
+        pytest.fail("a fit with a wrong-shaped input composed its circuit")
+
+    monkeypatch.setattr(optimizer, "prefix_products", composed)
+    monkeypatch.setattr(optimizer, "transfer_matrix", composed)
+
+
+@pytest.mark.parametrize("shape", [(4, 1), (1, 4), (1, 1), (5, 5)])
+def test_a_wrong_shaped_target_is_refused_before_any_composition(monkeypatch, shape):
+    refuse_compositions(monkeypatch)
+    target = np.eye(*shape, dtype=complex)
+    with pytest.raises(ValueError, match=rf"target shape \({shape[0]}, {shape[1]}\).*\(4, 4\)"):
+        fit(ideal_circuit(4, 6), target, LmaOptions(restarts=3))
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (7, 4), (3, 8), (6, 4, 1), (23,)])
+def test_a_wrong_shaped_start_grid_is_refused_before_any_composition(monkeypatch, shape):
+    # a 6 x 4 circuit takes its (6, 4) grid or the flat 24 phases; a
+    # transposed, taller or reshaped grid of the same size would be read
+    # layer-major as some other grid
+    refuse_compositions(monkeypatch)
+    init = FromVector(np.zeros(shape))
+    with pytest.raises(ValueError, match=r"start grid shape .*\(6, 4\).*\(24,\)"):
+        fit(ideal_circuit(4, 6), haar_unitary(4, 1), LmaOptions(restarts=2), init)
+
+
+def test_a_start_grid_may_be_flat():
+    circ, target = ideal_circuit(4, 6), haar_unitary(4, 2)
+    grid = uniform_phases(6, 4, 3)
+    options = LmaOptions(restarts=2, max_iterations=20)
+    as_grid = fit(circ, target, options, FromVector(grid, 0.1), seed=4)
+    as_vector = fit(circ, target, options, FromVector(grid.ravel(), 0.1), seed=4)
+    assert np.array_equal(as_grid.phases.theta, as_vector.phases.theta)
+    assert as_grid.loss == as_vector.loss

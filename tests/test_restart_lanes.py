@@ -1,13 +1,15 @@
 """Restart lanes and compose-once: what a fit gets does not depend on how its
 descents are batched, and no point is composed twice.
 
-``fit`` runs its restarts in batches of lanes, side by side, each tick
-composing every live lane's request in one stacked sweep.  Its result must
-be the serial loop's: here the default widths are compared with width
-pinned to 1 (``_WIDTH_GROWTH = 1``), on loss targets that some restarts of
-a batch reach and others do not.  The normal equations at a point are read
-from the prefix products of the composition that gave the point, which
-must equal those of a fresh sweep bitwise.
+``fit`` runs its restarts in batches of lanes, advanced together in ticks:
+each tick composes every live lane's point in one stacked sweep, forms the
+normal equations of the lanes that start an iteration as stacked products
+and solves every lane's damped system.  Its result must be the serial
+loop's: here the default widths are compared with width pinned to 1
+(``_WIDTH_GROWTH = 1``), on loss targets that some restarts of a batch
+reach and others do not.  The normal equations at a point are read from
+the prefix products of the sweep that composed it, and every lane's slice
+of a stacked tick must equal what that lane alone gets, bitwise.
 """
 
 import gc
@@ -20,11 +22,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jxcircuit import optimizer
-from jxcircuit.circuit import InterlacedCircuit, PhaseProgram, apply_fault_plan, ideal_circuit
+from jxcircuit.circuit import (
+    InterlacedCircuit,
+    PhaseProgram,
+    apply_fault_plan,
+    ideal_circuit,
+    loss,
+    normal_equations,
+    transfer_matrix,
+)
 from jxcircuit.lattice import MixingLayer
 from jxcircuit.numerics import SpdSolver
-from jxcircuit.optimizer import LmaOptions, _drive, _Problem, fit
-from jxcircuit.sampling import derive_seed, haar_unitary
+from jxcircuit.optimizer import FromVector, LmaOptions, _Lane, _Problem, fit
+from jxcircuit.sampling import derive_seed, haar_unitary, uniform_phases
 from jacobian_reference import evaluate
 
 
@@ -36,10 +46,12 @@ def haar_circuit(n, m, seed, fixed):
 
 @st.composite
 def fits(draw):
-    """(circuit, target, options, seed): N 1-5, M 1-6, any mask, restarts
-    1-12, 1-40 iterations per descent.  The loss target is either drawn
-    log-uniformly from [1e-10, 1], or a fraction (0.5-1) of the loss the
-    first restart reaches, so that restart fails and a later one may not."""
+    """(circuit, target, options, init, seed): N 1-5, M 1-6, any mask,
+    restarts 1-12, 1-40 iterations per descent, and seeded uniform starts
+    or a jittered start grid (as a grid or flat).  The loss target is either
+    drawn log-uniformly from [1e-10, 1], or a fraction (0.5-1) of the loss
+    the first restart reaches, so that restart fails and a later one may
+    not."""
     n = draw(st.integers(1, 5))
     m = draw(st.integers(1, 6))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -49,11 +61,16 @@ def fits(draw):
     options = LmaOptions(max_iterations=draw(st.integers(1, 40)),
                          restarts=draw(st.integers(1, 12)),
                          target_loss=10.0 ** draw(st.floats(-10.0, 0.0)))
+    init = None
+    if draw(st.booleans()):
+        grid = uniform_phases(m, n, derive_seed(seed, "start"))
+        init = FromVector(grid.ravel() if draw(st.booleans()) else grid,
+                          draw(st.floats(0.0, 0.5)))
     fraction = draw(st.none() | st.floats(0.5, 1.0))
     if fraction is not None:
-        first = fit(circuit, target, replace(options, restarts=1), seed=seed).loss
+        first = fit(circuit, target, replace(options, restarts=1), init, seed=seed).loss
         options = replace(options, target_loss=max(first * fraction, 1e-300))
-    return circuit, target, options, seed
+    return circuit, target, options, init, seed
 
 
 def fit_at_width_one(*args, **kwargs):
@@ -67,17 +84,43 @@ def fit_in_lanes(*args, **kwargs):
         return fit(*args, **kwargs)
 
 
+def assert_same_fit(wide, serial):
+    assert np.array_equal(wide.phases.theta, serial.phases.theta)
+    for field in ("loss", "iterations", "restarts_used", "status", "converged",
+                  "total_iterations", "rejected_trials"):
+        assert getattr(wide, field) == getattr(serial, field), field
+
+
 @settings(max_examples=150, deadline=None)
 @given(fits())
 def test_lanes_give_the_serial_fit(case):
-    circuit, target, options, seed = case
-    serial = fit_at_width_one(circuit, target, options, seed=seed)
-    for wide in (fit(circuit, target, options, seed=seed),
-                 fit_in_lanes(circuit, target, options, seed=seed)):
-        assert np.array_equal(wide.phases.theta, serial.phases.theta)
-        for field in ("loss", "iterations", "restarts_used", "status", "converged",
-                      "total_iterations", "rejected_trials"):
-            assert getattr(wide, field) == getattr(serial, field), field
+    circuit, target, options, init, seed = case
+    serial = fit_at_width_one(circuit, target, options, init, seed=seed)
+    assert_same_fit(fit(circuit, target, options, init, seed=seed), serial)
+    assert_same_fit(fit_in_lanes(circuit, target, options, init, seed=seed), serial)
+
+
+def test_lanes_that_stop_on_different_ticks_give_the_serial_fit(monkeypatch):
+    # with the step and gradient tests off and a function tolerance near
+    # rounding, the second batch's four lanes stop by ftol after 27 and 33
+    # steps, stall after 27, and hit the cap of 36
+    monkeypatch.setattr(optimizer, "_FUNCTION_TOLERANCE", 3e-16)
+    monkeypatch.setattr(optimizer, "_STEP_TOLERANCE", 0.0)
+    monkeypatch.setattr(optimizer, "_OPTIMALITY_TOLERANCE", 0.0)
+    batches = []
+    descend = optimizer._descend
+
+    def recorded(problem, starts, options):
+        batches.append(descend(problem, starts, options))
+        return batches[-1]
+
+    monkeypatch.setattr(optimizer, "_descend", recorded)
+    circuit, target = ideal_circuit(3, 3), haar_unitary(3, 1)
+    options = LmaOptions(restarts=5, max_iterations=36)
+    wide = fit(circuit, target, options, seed=0)
+    assert [(lane.status, lane.iterations) for lane in batches[1]] == [
+        ("ftol", 27), ("stalled", 27), ("ftol", 33), ("maxiter", 36)]
+    assert_same_fit(wide, fit_at_width_one(circuit, target, options, seed=0))
 
 
 @pytest.mark.parametrize("n, m, faults, lanes", [
@@ -95,9 +138,9 @@ def test_lanes_run_only_below_the_transition(n, m, faults, lanes):
 
 
 def test_lane_buffers_stay_within_their_budget():
-    # N = 16, M = 16: 256 free phases, so J'J and the solver's matrix take
-    # 1 MiB per lane
-    assert optimizer._lane_cap(PhaseProgram.zeros(16, 16)) == optimizer._LANE_BYTES >> 20
+    # N = 16, M = 16: 256 free phases, so each lane's complex G, J'J and
+    # damped matrix take 32 * 256^2 bytes, 2 MiB
+    assert optimizer._lane_cap(PhaseProgram.zeros(16, 16)) == optimizer._LANE_BYTES >> 21
 
 
 def test_a_target_reached_mid_batch_stops_the_fit_there(monkeypatch):
@@ -143,59 +186,104 @@ def test_normal_equations_from_stored_prefixes_equal_a_fresh_sweep(n, m, seed, d
     x = rng.uniform(0.0, 2 * np.pi, program.free_count)
     delta = rng.standard_normal(x.size)
     problem = _Problem(mixers, program, target)
-    lane = problem.lanes(2)[1]
 
-    def check(owner, point):  # before the owner's next request overwrites it
-        jtj, g = owner.normal_equations(point)
-        theta = program.with_free_values(point.x).theta
-        fresh_jtj, fresh_g = evaluate(mixers, theta, program.free_mask, target)
-        assert np.array_equal(jtj, fresh_jtj)
-        assert np.array_equal(g, fresh_g)
+    def check(points, rows, losses):  # before the next sweep overwrites them
+        p = program.free_count
+        jtj = np.empty((len(points), p, p))
+        g = problem.normal_equations(rows, np.empty(jtj.shape, complex), jtj)
+        for k, point in enumerate(points):
+            theta = program.with_free_values(point).theta
+            assert losses[k] == loss(transfer_matrix(mixers, theta), target)
+            fresh_jtj, fresh_g = evaluate(mixers, theta, program.free_mask, target)
+            assert np.array_equal(jtj[k], fresh_jtj)
+            assert np.array_equal(g[k], fresh_g)
 
-    # alone: a single-grid pass
-    check(problem, _drive(problem, [problem.loss_of(x)])[0])
-    # side by side in one stacked sweep, copied out to each lane's buffers
-    behind, ahead = _drive(problem, [lane.loss_of(x - delta), problem.loss_of(x + delta)])
-    check(lane, behind)
-    check(problem, ahead)
+    # alone: a one-lane sweep
+    check([x], slice(None, 1), problem.losses(x[None]))
+    # side by side in one stacked sweep, read all together or picked out
+    points = np.stack([x - delta, x + delta, x])
+    losses = problem.losses(points)
+    check(points, slice(None, 3), losses)
+    check(points[[2, 0]], np.array([2, 0]), losses[[2, 0]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 9), st.integers(0, 2**32 - 1), st.data())
+def test_each_tick_stacks_the_normal_equations_of_its_lanes(n, m, seed, data):
+    # every stacked call of a fit in lanes (widths 1, 4 and 16 here, with
+    # lanes dropping out as they stop) gives each lane bitwise what
+    # circuit.normal_equations gives on that lane's prefixes alone
+    fixed = np.array(data.draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n)))
+    circuit = haar_circuit(n, m, seed, fixed.reshape(m, n))
+    target = haar_unitary(n, derive_seed(seed, "target"))
+    options = LmaOptions(restarts=data.draw(st.integers(1, 21)),
+                         max_iterations=data.draw(st.integers(1, 8)))
+    widths = []
+
+    def stacked(prefixes, free_mask, target, gram, jtj):
+        out_jtj, out_g = normal_equations(prefixes, free_mask, target, gram, jtj)
+        p = out_jtj.shape[-1]
+        widths.append(prefixes.shape[1])
+        for lane in range(prefixes.shape[1]):
+            alone = np.ascontiguousarray(prefixes[:, lane])
+            want_jtj, want_g = normal_equations(alone, free_mask, target,
+                                                np.empty((p, p), complex), np.empty((p, p)))
+            assert np.array_equal(out_jtj[lane], want_jtj)
+            assert np.array_equal(out_g[lane], want_g)
+        return out_jtj, out_g
+
+    with mock.patch.object(optimizer, "normal_equations", stacked):
+        fit_in_lanes(circuit, target, options, seed=seed)
+    assert circuit.program.free_count == 0 or widths
 
 
 @pytest.mark.parametrize("lanes", [False, True])
 def test_every_fit_reads_the_normal_equations_of_its_current_point(monkeypatch, lanes):
-    # a lane's compositions share one sweep buffer, so a rejected trial
-    # overwrites the prefixes its current point views; every call of the
-    # normal equations during a fit must still see the current point's
+    # each tick's sweep writes every live lane's trial point into the lane's
+    # slot, so a rejected trial overwrites the prefixes of the lane's current
+    # point: the normal equations must be read only at starts and at
+    # accepted points, from the slot of the sweep that composed them
     if not lanes:
         monkeypatch.setattr(optimizer, "_WIDTH_GROWTH", 1)
-    checked = []
-    normal_equations = _Problem.normal_equations
+    counts = {"rows": 0, "starts": 0, "steps": 0}
+    normal_equations, descend, accept = (
+        _Problem.normal_equations, optimizer._descend, _Lane.accept)
 
-    def fresh(self, point):
-        jtj, g = normal_equations(self, point)
-        theta = self.program.with_free_values(point.x).theta
-        want_jtj, want_g = evaluate(self.mixers, theta, self.free, self.target)
-        assert np.array_equal(jtj, want_jtj) and np.array_equal(g, want_g)
-        checked.append(self)
-        return jtj, g
+    def fresh(self, rows, gram, jtj):
+        g = normal_equations(self, rows, gram, jtj)
+        for k, grid in enumerate(self._grids[rows]):
+            want_jtj, want_g = evaluate(self.mixers, grid, self.free, self.target)
+            assert np.array_equal(jtj[k], want_jtj) and np.array_equal(g[k], want_g)
+        counts["rows"] += len(jtj)
+        return g
+
+    def started(problem, starts, options):
+        counts["starts"] += len(starts)
+        return descend(problem, starts, options)
+
+    def stepped(self, *args):
+        accept(self, *args)
+        counts["steps"] += not self.status  # the lane starts another iteration
 
     monkeypatch.setattr(_Problem, "normal_equations", fresh)
+    monkeypatch.setattr(optimizer, "_descend", started)
+    monkeypatch.setattr(_Lane, "accept", stepped)
     # below the transition every restart runs: 21 in batches of 1, 4 and 16
     result = fit(ideal_circuit(4, 4), haar_unitary(4, 9),
                  LmaOptions(restarts=21, max_iterations=30), seed=3)
     assert result.restarts_used == 21 and result.rejected_trials > 0
-    assert len(set(map(id, checked))) == (16 if lanes else 1)
+    assert counts["rows"] == counts["starts"] + counts["steps"]
 
 
-def test_one_single_grid_sweep_per_start_and_per_successful_factorization(monkeypatch):
-    # at width 1: a descent's start is one single-grid sweep, and so is each
-    # damping trial whose factorization succeeds; the normal equations
-    # sweep nothing
-    monkeypatch.setattr(optimizer, "_WIDTH_GROWTH", 1)
+def count_sweeps_and_factorizations(monkeypatch):
+    """Fit N = 4, M = 4 with 6 restarts, counting the grids of every sweep,
+    the lanes started and the damped systems solved; the normal equations
+    must compose nothing."""
     counts = {"sweeps": [], "starts": 0, "factored": 0}
     prefix_products = optimizer.prefix_products
     normal_equations = optimizer.normal_equations
-    minimize = optimizer._minimize
-    factor = SpdSolver.factor
+    descend = optimizer._descend
+    solve = SpdSolver.solve
 
     def sweep(mixers, thetas, out):
         counts["sweeps"].append(len(thetas))
@@ -207,26 +295,38 @@ def test_one_single_grid_sweep_per_start_and_per_successful_factorization(monkey
         assert len(counts["sweeps"]) == before, "normal_equations composed"
         return out
 
-    def started(*args):
-        counts["starts"] += 1
-        return minimize(*args)
+    def started(problem, starts, options):
+        counts["starts"] += len(starts)
+        return descend(problem, starts, options)
 
     def factored(self, *args):
-        ok = factor(self, *args)
-        counts["factored"] += ok
-        return ok
+        x, shift = solve(self, *args)
+        counts["factored"] += int(np.isfinite(x).all(axis=1).sum())
+        return x, shift
 
     monkeypatch.setattr(optimizer, "prefix_products", sweep)
     monkeypatch.setattr(optimizer, "normal_equations", equations)
-    monkeypatch.setattr(optimizer, "_minimize", started)
-    monkeypatch.setattr(SpdSolver, "factor", factored)
-    result = fit(ideal_circuit(4, 4), haar_unitary(4, 8), LmaOptions(restarts=3), seed=4)
-    assert result.restarts_used == 3 and not result.converged
-    sweeps = counts["sweeps"]
-    assert set(sweeps) == {1}
+    monkeypatch.setattr(optimizer, "_descend", started)
+    monkeypatch.setattr(SpdSolver, "solve", factored)
+    result = fit(ideal_circuit(4, 4), haar_unitary(4, 8), LmaOptions(restarts=6), seed=4)
+    assert result.restarts_used == 6 and not result.converged
+    # a descent's start is one grid of a sweep, and so is each damping trial
+    # whose factorization succeeds
     assert counts["starts"] == result.restarts_used
-    assert len(sweeps) == counts["starts"] + counts["factored"]
+    assert sum(counts["sweeps"]) == counts["starts"] + counts["factored"]
     assert counts["factored"] >= result.total_iterations > 0
+    return counts["sweeps"]
+
+
+def test_one_single_grid_sweep_per_start_and_per_successful_factorization(monkeypatch):
+    monkeypatch.setattr(optimizer, "_WIDTH_GROWTH", 1)
+    assert set(count_sweeps_and_factorizations(monkeypatch)) == {1}
+
+
+def test_one_sweep_slot_per_start_and_per_successful_factorization_in_lanes(monkeypatch):
+    # the batches of 1 and 4 lanes compose every live lane's point in one
+    # sweep per tick
+    assert max(count_sweeps_and_factorizations(monkeypatch)) == 4
 
 
 @pytest.mark.parametrize("restarts", [1, 6])
@@ -249,7 +349,7 @@ def test_a_fit_frees_its_lanes_without_the_cycle_collector():
     gc.disable()
     try:
         result = fit(ideal_circuit(3, 3), haar_unitary(3, 2), LmaOptions(restarts=6), seed=1)
-        alive = [o for o in gc.get_objects() if isinstance(o, _Problem)]
+        alive = [o for o in gc.get_objects() if isinstance(o, (_Problem, _Lane))]
     finally:
         gc.enable()
     assert result.restarts_used == 6  # two batches, the second of 4 lanes
