@@ -13,9 +13,10 @@ a factor of 2 and the solve is retried (as it is when the damped matrix is not
 numerically positive definite).
 
 A fit's restarts run as the lanes of one descent (``_descend``), a stack of
-L lanes advanced together in ticks: L is 1 above the universality
-transition and up to 64 below it, on the same code path.  One tick composes
-every live lane's point in one stacked sweep and takes the losses, step
+up to L live lanes advanced together in ticks: L is 1 above the
+universality transition and up to 64 below it, on the same code path, and
+a stopped lane's slot goes to the next restart.  One tick composes every
+live lane's point in one stacked sweep and takes the losses, step
 lengths and predicted decreases as stacked dot products; forms the normal
 equations of the lanes that start an iteration from that sweep's prefix
 products, as stacked products; and factors and solves the damped systems
@@ -29,7 +30,7 @@ sweep that composed it.
 
 Termination mirrors the usual trio of tolerances (function, step,
 optimality) plus a hard loss target and an iteration cap; ``fit`` runs its
-seeded restarts in batches of such lanes, whose outcomes count in restart
+seeded restarts through one such descent, whose outcomes count in restart
 order.  Recalibration against perturbed mixers is a ``fit`` with
 ``restarts=attempts`` and a truncated ``max_iterations``.
 """
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -66,11 +68,8 @@ _DAMPING_FACTOR = 2.0
 _DAMPING_MAX = 1e10
 #: extra steps after target_loss to reach the noise floor
 _POLISH_ITERATIONS = 3
-#: restart lanes (below the transition, see _lane_cap): a fit's first batch
-#: runs one descent, each next batch this many times as many side by side, up
-#: to _MAX_WIDTH and to as many as keep their (P, P) buffers within
-#: _LANE_BYTES
-_WIDTH_GROWTH = 4
+#: live restart lanes below the transition (see _lane_cap): at most
+#: _MAX_WIDTH, and as many as keep their (P, P) buffers within _LANE_BYTES
 _MAX_WIDTH = 64
 _LANE_BYTES = 4 << 20
 
@@ -164,7 +163,7 @@ def _gain_damping(lam, current, new_loss, predicted):
 
 @dataclass(slots=True)
 class _Lane:
-    """The scalars of one descent: its restart position in the batch, the
+    """The scalars of one descent: its restart position, the
     loss at its point, damping, accepted steps, rejected damping trials, the
     polish phase, and why it stopped (empty while it runs).  The point
     itself lives in the stacked arrays of ``_descend``, and in ``x`` once
@@ -220,66 +219,91 @@ def _rows(positions: list, count: int):
     return slice(None, count) if len(positions) == count else np.array(positions, dtype=int)
 
 
-def _descend(problem, starts: np.ndarray, options: LmaOptions) -> list[_Lane]:
-    """Descents from the rows of ``starts``, one lane each, advanced together
-    in ticks; the stopped lanes in restart order, up to the first that meets
-    the loss target (once one does, the lanes after it are dropped).
+def _descend(problem, starts, options: LmaOptions, width: int) -> list[_Lane]:
+    """Descents from ``starts`` (one start vector per restart), advanced
+    together in ticks as up to ``width`` live lanes; the stopped lanes in
+    restart order, up to the first that meets the loss target.
 
-    A tick composes every live lane's point in one sweep
-    (``problem.losses``) and, when a trial lowered some lane's loss, takes
-    the model's predicted decreases, the step lengths and the points' norms
-    as stacked dot products.  One pass over the lanes then accepts each
+    Restarts open in order: the first ``width`` on the first tick, then
+    each in the slot of a lane that stopped, its start composed in the next
+    tick's sweep; once one meets the target, no later one opens and the
+    live lanes after it are dropped.  A tick composes every live lane's
+    point in one sweep (``problem.losses``) and, when a trial lowered some
+    lane's loss, takes the predicted decreases, step lengths and point
+    norms as stacked dot products.  One pass over the lanes accepts each
     trial that lowers the loss, or rejects it, and applies the damping,
-    polish and stop rules.  The lanes that start an iteration get their
-    normal equations as stacked products (``problem.normal_equations``).
-    Every lane that needs a step has its damped system factored and solved,
-    one LAPACK call per lane; a lane whose matrix fails to factor grows its
-    damping and is solved again, until it steps or passes the cap.  Live
-    lanes hold the first positions of every stacked array, in restart
-    order; stopped lanes are compacted out at the end of the tick.
+    polish and stop rules.  The lanes that open or start an iteration get
+    their normal equations as stacked products (``problem.normal_equations``),
+    and every lane that needs a step has its damped system factored and
+    solved, one LAPACK call per lane; one whose matrix fails to factor grows
+    its damping and is solved again, until it steps or passes the cap.
+    Live lanes hold the first positions of every stacked array, in restart
+    order; the solver and the G/J'J block have ``width`` slots.
     """
-    count, p = starts.shape
     goal = options.target_loss
-    x = trial = np.array(starts, dtype=float)
-    delta, g, shift = np.empty((count, p)), np.empty((count, p)), np.empty((count, p))
+    queue = enumerate(starts)  # each restart's position and start, taken in order
+    fresh = [next(queue)]
+    p = len(fresh[0][1])
     # the lanes' complex G and their J'J share one block: freeing it lifts
     # glibc's mmap threshold above the next descent's buffers, which then
     # reuse resident pages instead of faulting in fresh ones
-    block = np.empty(3 * count * p * p)
-    gram = block[:2 * count * p * p].view(np.complex128).reshape(count, p, p)
-    jtj = block[2 * count * p * p:].reshape(count, p, p)
-    solver = SpdSolver(p, count)
+    block = np.empty(3 * width * p * p)
+    gram = block[:2 * width * p * p].view(np.complex128).reshape(width, p, p)
+    jtj = block[2 * width * p * p:].reshape(width, p, p)
+    solver = SpdSolver(p, width)
+    x = delta = g = shift = np.empty((0, p))
     lanes: list[_Lane] = []
-    outcomes: list[_Lane | None] = [None] * count
+    outcomes: list[_Lane | None] = []
+    stopped, cut = [], math.inf
     while True:
-        new = problem.losses(trial).tolist()
-        starting = not lanes
-        if starting:
-            lanes = [_Lane(k, loss) for k, loss in enumerate(new)]
-            for lane in lanes:
-                if lane.loss < goal:
-                    lane.status = "target"
-                elif p == 0:
-                    lane.status = "no-free-parameters"
-            begin = [i for i, lane in enumerate(lanes) if not lane.status]
+        if stopped or not lanes:  # record the stopped lanes and refill their slots
+            for i in stopped:
+                lanes[i].x = x[i].copy()
+                outcomes[lanes[i].index] = lanes[i]
+            cut = min((lanes[i].index for i in stopped if lanes[i].loss < goal), default=cut)
+            keep = [i for i, lane in enumerate(lanes) if not lane.status and lane.index < cut]
+            if cut == math.inf:
+                fresh += islice(queue, width - len(keep) - len(fresh))
+            if not keep and not fresh:
+                break
+            admitted, zeros = [start for _, start in fresh], np.zeros((len(fresh), p))
+            trial = np.vstack([x[keep] + delta[keep], *admitted])
+            x = np.vstack([x[keep], *admitted])
+            delta, g, shift = (np.vstack([a[keep], zeros]) for a in (delta, g, shift))
+            jtj[:len(keep)] = jtj[keep]
+            lanes, count = [lanes[i] for i in keep], len(x)
+            outcomes += [None] * len(fresh)
         else:
-            accepted = [i for i, lane in enumerate(lanes) if new[i] < lane.loss]
-            if accepted:
-                # the Gauss-Newton model's decrease of the loss for each step
-                predicted = np.vecdot(delta, shift * delta - g).tolist()
-                steps = np.vecdot(delta, delta).tolist()
-                norms = np.vecdot(trial, trial).tolist()
-            for i, lane in enumerate(lanes):
-                if new[i] < lane.loss:
-                    lane.accept(new[i], predicted[i], math.sqrt(steps[i]),
-                                math.sqrt(norms[i]), options)
+            trial = x + delta
+        new = problem.losses(trial).tolist()
+        accepted = [i for i, lane in enumerate(lanes) if new[i] < lane.loss]
+        if accepted:
+            # the Gauss-Newton model's decrease of the loss for each step
+            predicted = np.vecdot(delta, shift * delta - g).tolist()
+            steps = np.vecdot(delta, delta).tolist()
+            norms = np.vecdot(trial, trial).tolist()
+        for i, lane in enumerate(lanes):
+            if new[i] < lane.loss:
+                lane.accept(new[i], predicted[i], math.sqrt(steps[i]),
+                            math.sqrt(norms[i]), options)
+            else:
+                lane.reject()
+        if len(accepted) == len(lanes):  # the admitted lanes' trials are their starts
+            x = trial
+        elif accepted:
+            x[accepted] = trial[accepted]
+        begin = [i for i in accepted if not lanes[i].status]
+        opening = len(begin)  # begin[opening:] open on this tick
+        if fresh:
+            for i, (k, _) in enumerate(fresh, len(lanes)):
+                lanes.append(_Lane(k, new[i]))
+                if new[i] < goal:
+                    lanes[i].status = "target"
+                elif p == 0:
+                    lanes[i].status = "no-free-parameters"
                 else:
-                    lane.reject()
-            if len(accepted) == count:
-                x = trial
-            elif accepted:
-                x[accepted] = trial[accepted]
-            begin = [i for i in accepted if not lanes[i].status]
+                    begin.append(i)
+            fresh = []
 
         if begin:
             rows = _rows(begin, count)
@@ -289,10 +313,10 @@ def _descend(problem, starts: np.ndarray, options: LmaOptions) -> list[_Lane]:
                 equations = np.empty((len(begin), p, p))
                 g[rows] = problem.normal_equations(rows, gram[:len(begin)], equations)
                 jtj[rows] = equations
-            if starting:
-                diagonals = np.maximum(jtj.diagonal(0, 1, 2)[rows], SpdSolver.floor)
+            if opening < len(begin):  # first damping: a multiple of the largest diag J'J
+                diagonals = np.maximum(jtj.diagonal(0, 1, 2)[begin[opening:]], SpdSolver.floor)
                 scales = _DAMPING_SCALE * np.maximum.reduce(diagonals, axis=1)
-                for i, scale in zip(begin, scales.tolist()):
+                for i, scale in zip(begin[opening:], scales.tolist()):
                     lanes[i].lam = scale
             small = np.maximum.reduce(np.abs(g[rows]), axis=1) < _OPTIMALITY_TOLERANCE
             for i, flat in zip(begin, small.tolist()):
@@ -314,22 +338,7 @@ def _descend(problem, starts: np.ndarray, options: LmaOptions) -> list[_Lane]:
             for i in pending:
                 lanes[i].reject()
             pending = [i for i in pending if not lanes[i].status]
-
         stopped = [i for i, lane in enumerate(lanes) if lane.status]
-        if stopped:
-            for i in stopped:
-                lanes[i].x = x[i].copy()
-                outcomes[lanes[i].index] = lanes[i]
-            met = [lanes[i].index for i in stopped if lanes[i].loss < goal]
-            cut = min(met, default=len(outcomes))
-            keep = [i for i, lane in enumerate(lanes) if not lane.status and lane.index < cut]
-            if not keep:
-                break
-            lanes = [lanes[i] for i in keep]
-            count = len(keep)
-            jtj[:count] = jtj[keep]
-            x, delta, g, shift = (a[keep] for a in (x, delta, g, shift))
-        trial = x + delta
 
     for k, outcome in enumerate(outcomes):
         if outcome.loss < goal:
@@ -362,7 +371,7 @@ def _lane_cap(program: PhaseProgram) -> int:
     and lanes only save.  Above it, descents that a converged earlier
     restart makes moot would run beside it, so the fit runs one lane at a
     time.  Each lane keeps its own complex G, J'J and damped matrix, 32 P^2
-    bytes, and the lanes of a batch share ``_LANE_BYTES``.
+    bytes, and the live lanes share ``_LANE_BYTES``.
     """
     p = program.free_count
     redundant = max(int(program.free_mask.all(axis=1).sum()) - 1, 0)
@@ -384,14 +393,12 @@ def fit(
     initializations (uniform phases, or ``init`` jittered: its grid is the
     circuit's (M, N) phase grid or that grid flattened layer-major); the fit
     stops early once the loss target is met.  The descents run as the lanes
-    of ``_descend``, in batches: the first batch holds one, and below the
-    universality transition (``_lane_cap``) each next one holds
-    ``_WIDTH_GROWTH`` times as many, up to ``_MAX_WIDTH`` and to what
-    ``_LANE_BYTES`` holds; above it every batch holds one.  Their outcomes
-    count in restart order, up to the first that meets the target, so the
-    result is the serial loop's at any width.  A target that is not
-    N x N, or a start grid of another shape, raises ``ValueError`` before
-    anything is composed.
+    of one ``_descend``, as many live at once as ``_lane_cap`` allows (one
+    above the universality transition), each stopped lane's slot going to
+    the next restart.  Their outcomes count in restart order, up to the
+    first that meets the target, so the result is the serial loop's at any
+    width.  A target that is not N x N or not finite, or a start grid of
+    another shape, raises ``ValueError`` before anything is composed.
     Frozen (faulty) phases are never modified.  The returned loss is
     recomputed from the composed transfer matrix, so it is consistent
     with ``loss(compose(...), target)`` by construction.
@@ -403,23 +410,16 @@ def fit(
     if target.shape != (n, n):
         raise ValueError(f"target shape {target.shape} does not match the circuit's "
                          f"{(n, n)} transfer matrix")
+    if not np.isfinite(target).all():
+        raise ValueError("target has non-finite entries")
     if init is not None and init.phases.shape not in ((m, n), (m * n,)):
         raise ValueError(f"start grid shape {init.phases.shape} is neither the circuit's "
                          f"phase grid {(m, n)} nor its flat form {(m * n,)}")
     mixers = circuit.mixer_stack()
     problem = _Problem(mixers, program, target)
-    cap = _lane_cap(program)
-
-    outcomes: list[_Lane] = []
-    width = 1
-    while len(outcomes) < options.restarts:
-        batch = range(len(outcomes), min(len(outcomes) + width, options.restarts))
-        starts = np.array([_initial_free_values(program, init, derive_seed(seed, "lma-restart", k))
-                           for k in batch])
-        outcomes += _descend(problem, starts, options)
-        if outcomes[-1].loss < options.target_loss:
-            break
-        width = min(width * _WIDTH_GROWTH, cap)
+    starts = (_initial_free_values(program, init, derive_seed(seed, "lma-restart", k))
+              for k in range(options.restarts))
+    outcomes = _descend(problem, starts, options, min(_lane_cap(program), options.restarts))
 
     best = min(outcomes, key=lambda outcome: outcome.loss)
     phases = program.with_free_values(best.x)

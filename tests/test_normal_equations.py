@@ -111,4 +111,4 @@ def test_a_descent_keeps_its_gram_scratch_and_normal_equations_in_one_block(monk
     circuit = perturbed_circuit(3, 3, 0.0, 1)
     fit(circuit, haar_unitary(3, 2), LmaOptions(restarts=5, max_iterations=5), seed=1)
     assert blocks and all(gram is not None and gram is jtj for gram, jtj in blocks)
-    assert len({id(gram) for gram, _ in blocks}) == 2  # a batch of 1, then one of 4
+    assert len({id(gram) for gram, _ in blocks}) == 1  # one descent of 5 lanes

@@ -46,7 +46,7 @@ class LinearProblem:
 
 def descend(problem, x0, options):
     """The stopped lane of one descent, run alone."""
-    (out,) = _descend(problem, x0[None], options)
+    (out,) = _descend(problem, x0[None], options, 1)
     return out
 
 
@@ -356,7 +356,7 @@ def test_initial_free_values_are_seeded_draws_or_a_jittered_grid():
 
 def refuse_compositions(monkeypatch):
     def composed(*args):
-        pytest.fail("a fit with a wrong-shaped input composed its circuit")
+        pytest.fail("a fit with a refused input composed its circuit")
 
     monkeypatch.setattr(optimizer, "prefix_products", composed)
     monkeypatch.setattr(optimizer, "transfer_matrix", composed)
@@ -368,6 +368,18 @@ def test_a_wrong_shaped_target_is_refused_before_any_composition(monkeypatch, sh
     target = np.eye(*shape, dtype=complex)
     with pytest.raises(ValueError, match=rf"target shape \({shape[0]}, {shape[1]}\).*\(4, 4\)"):
         fit(ideal_circuit(4, 6), target, LmaOptions(restarts=3))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0, np.nan),
+                                   complex(1, -np.inf)])
+def test_a_non_finite_target_is_refused_before_any_composition(monkeypatch, entry):
+    # a NaN loss is never below a trial's, so every restart would reject
+    # every step until its damping passed the cap
+    refuse_compositions(monkeypatch)
+    target = haar_unitary(4, 1)
+    target[0, 0] = entry
+    with pytest.raises(ValueError, match="target has non-finite entries"):
+        fit(ideal_circuit(4, 5), target, LmaOptions(restarts=10))
 
 
 @pytest.mark.parametrize("shape", [(4, 6), (7, 4), (3, 8), (6, 4, 1), (23,)])

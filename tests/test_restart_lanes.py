@@ -1,15 +1,17 @@
-"""Restart lanes and compose-once: what a fit gets does not depend on how its
-descents are batched, and no point is composed twice.
+"""Restart lanes and compose-once: what a fit gets does not depend on how
+many of its descents run side by side, and no point is composed twice.
 
-``fit`` runs its restarts in batches of lanes, advanced together in ticks:
-each tick composes every live lane's point in one stacked sweep, forms the
-normal equations of the lanes that start an iteration as stacked products
-and solves every lane's damped system.  Its result must be the serial
-loop's: here the default widths are compared with width pinned to 1
-(``_WIDTH_GROWTH = 1``), on loss targets that some restarts of a batch
-reach and others do not.  The normal equations at a point are read from
-the prefix products of the sweep that composed it, and every lane's slice
-of a stacked tick must equal what that lane alone gets, bitwise.
+``fit`` runs its restarts through one descent of up to ``_lane_cap`` live
+lanes, advanced together in ticks: each tick composes every live lane's
+point in one stacked sweep, forms the normal equations of the lanes that
+open or start an iteration as stacked products and solves every lane's
+damped system, and a stopped lane's slot goes to the next restart.  Its
+result must be the serial loop's: here the default widths are compared
+with the cap pinned to 1 (one lane at a time), on loss targets that some
+restarts reach and others do not.  The normal equations at a point are
+read from the prefix products of the sweep that composed it, and every
+lane's slice of a stacked tick must equal what that lane alone gets,
+bitwise.
 """
 
 import gc
@@ -74,7 +76,7 @@ def fits(draw):
 
 
 def fit_at_width_one(*args, **kwargs):
-    with mock.patch.object(optimizer, "_WIDTH_GROWTH", 1):
+    with mock.patch.object(optimizer, "_lane_cap", lambda program: 1):
         return fit(*args, **kwargs)
 
 
@@ -102,24 +104,25 @@ def test_lanes_give_the_serial_fit(case):
 
 def test_lanes_that_stop_on_different_ticks_give_the_serial_fit(monkeypatch):
     # with the step and gradient tests off and a function tolerance near
-    # rounding, the second batch's four lanes stop by ftol after 27 and 33
-    # steps, stall after 27, and hit the cap of 36
+    # rounding, the five lanes of the fit's one descent stop by ftol after
+    # 35, 27 and 33 steps, stall after 27, and hit the cap of 36
     monkeypatch.setattr(optimizer, "_FUNCTION_TOLERANCE", 3e-16)
     monkeypatch.setattr(optimizer, "_STEP_TOLERANCE", 0.0)
     monkeypatch.setattr(optimizer, "_OPTIMALITY_TOLERANCE", 0.0)
-    batches = []
+    descents = []
     descend = optimizer._descend
 
-    def recorded(problem, starts, options):
-        batches.append(descend(problem, starts, options))
-        return batches[-1]
+    def recorded(problem, starts, options, width):
+        descents.append(descend(problem, starts, options, width))
+        return descents[-1]
 
     monkeypatch.setattr(optimizer, "_descend", recorded)
     circuit, target = ideal_circuit(3, 3), haar_unitary(3, 1)
     options = LmaOptions(restarts=5, max_iterations=36)
     wide = fit(circuit, target, options, seed=0)
-    assert [(lane.status, lane.iterations) for lane in batches[1]] == [
-        ("ftol", 27), ("stalled", 27), ("ftol", 33), ("maxiter", 36)]
+    (lanes,) = descents
+    assert [(lane.status, lane.iterations) for lane in lanes] == [
+        ("ftol", 35), ("ftol", 27), ("stalled", 27), ("ftol", 33), ("maxiter", 36)]
     assert_same_fit(wide, fit_at_width_one(circuit, target, options, seed=0))
 
 
@@ -146,7 +149,7 @@ def test_lane_buffers_stay_within_their_budget():
 def test_a_target_reached_mid_batch_stops_the_fit_there(monkeypatch):
     # below the transition no restart reaches 1e-10; a target between two
     # successive best losses of the serial loop is first reached where the
-    # serial loop reaches it, inside the 4-wide second batch (restarts 2-5)
+    # serial loop reaches it, while all 21 restarts run side by side
     circuit, target = ideal_circuit(4, 4), haar_unitary(4, 9)
     best = [fit_at_width_one(circuit, target, LmaOptions(restarts=k, max_iterations=30),
                              seed=3).loss for k in range(1, 6)]
@@ -160,7 +163,7 @@ def test_a_target_reached_mid_batch_stops_the_fit_there(monkeypatch):
         assert (wide.restarts_used, wide.loss, wide.total_iterations, wide.rejected_trials) == (
             serial.restarts_used, serial.loss, serial.total_iterations, serial.rejected_trials)
         used.append(wide.restarts_used)
-    assert {2, 3, 4} & set(used), used  # later lanes of the batch were dropped
+    assert {2, 3, 4} & set(used), used  # the live lanes after it were dropped
 
     sweeps = []
     prefix_products = optimizer.prefix_products
@@ -172,7 +175,8 @@ def test_a_target_reached_mid_batch_stops_the_fit_there(monkeypatch):
     monkeypatch.setattr(optimizer, "prefix_products", counted)
     full = fit(circuit, target, LmaOptions(restarts=21, max_iterations=30), seed=3)
     assert full.restarts_used == 21 and not full.converged
-    assert max(sweeps) == 16  # the third batch: 16 lanes, one grid each
+    # every restart opens on the first tick, one grid each
+    assert sweeps[0] == max(sweeps) == min(21, optimizer._lane_cap(circuit.program)) == 21
 
 
 @settings(max_examples=100, deadline=None)
@@ -210,8 +214,8 @@ def test_normal_equations_from_stored_prefixes_equal_a_fresh_sweep(n, m, seed, d
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 9), st.integers(0, 2**32 - 1), st.data())
 def test_each_tick_stacks_the_normal_equations_of_its_lanes(n, m, seed, data):
-    # every stacked call of a fit in lanes (widths 1, 4 and 16 here, with
-    # lanes dropping out as they stop) gives each lane bitwise what
+    # every stacked call of a fit in lanes (up to 21 here, with lanes
+    # dropping out as they stop) gives each lane bitwise what
     # circuit.normal_equations gives on that lane's prefixes alone
     fixed = np.array(data.draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n)))
     circuit = haar_circuit(n, m, seed, fixed.reshape(m, n))
@@ -244,10 +248,10 @@ def test_every_fit_reads_the_normal_equations_of_its_current_point(monkeypatch, 
     # point: the normal equations must be read only at starts and at
     # accepted points, from the slot of the sweep that composed them
     if not lanes:
-        monkeypatch.setattr(optimizer, "_WIDTH_GROWTH", 1)
+        monkeypatch.setattr(optimizer, "_lane_cap", lambda program: 1)
     counts = {"rows": 0, "starts": 0, "steps": 0}
-    normal_equations, descend, accept = (
-        _Problem.normal_equations, optimizer._descend, _Lane.accept)
+    normal_equations, initial, accept = (
+        _Problem.normal_equations, optimizer._initial_free_values, _Lane.accept)
 
     def fresh(self, rows, gram, jtj):
         g = normal_equations(self, rows, gram, jtj)
@@ -257,18 +261,18 @@ def test_every_fit_reads_the_normal_equations_of_its_current_point(monkeypatch, 
         counts["rows"] += len(jtj)
         return g
 
-    def started(problem, starts, options):
-        counts["starts"] += len(starts)
-        return descend(problem, starts, options)
+    def started(*args):
+        counts["starts"] += 1
+        return initial(*args)
 
     def stepped(self, *args):
         accept(self, *args)
         counts["steps"] += not self.status  # the lane starts another iteration
 
     monkeypatch.setattr(_Problem, "normal_equations", fresh)
-    monkeypatch.setattr(optimizer, "_descend", started)
+    monkeypatch.setattr(optimizer, "_initial_free_values", started)
     monkeypatch.setattr(_Lane, "accept", stepped)
-    # below the transition every restart runs: 21 in batches of 1, 4 and 16
+    # below the transition every restart runs: 21 side by side, or one at a time
     result = fit(ideal_circuit(4, 4), haar_unitary(4, 9),
                  LmaOptions(restarts=21, max_iterations=30), seed=3)
     assert result.restarts_used == 21 and result.rejected_trials > 0
@@ -282,7 +286,7 @@ def count_sweeps_and_factorizations(monkeypatch):
     counts = {"sweeps": [], "starts": 0, "factored": 0}
     prefix_products = optimizer.prefix_products
     normal_equations = optimizer.normal_equations
-    descend = optimizer._descend
+    initial = optimizer._initial_free_values
     solve = SpdSolver.solve
 
     def sweep(mixers, thetas, out):
@@ -295,9 +299,9 @@ def count_sweeps_and_factorizations(monkeypatch):
         assert len(counts["sweeps"]) == before, "normal_equations composed"
         return out
 
-    def started(problem, starts, options):
-        counts["starts"] += len(starts)
-        return descend(problem, starts, options)
+    def started(*args):
+        counts["starts"] += 1
+        return initial(*args)
 
     def factored(self, *args):
         x, shift = solve(self, *args)
@@ -306,7 +310,7 @@ def count_sweeps_and_factorizations(monkeypatch):
 
     monkeypatch.setattr(optimizer, "prefix_products", sweep)
     monkeypatch.setattr(optimizer, "normal_equations", equations)
-    monkeypatch.setattr(optimizer, "_descend", started)
+    monkeypatch.setattr(optimizer, "_initial_free_values", started)
     monkeypatch.setattr(SpdSolver, "solve", factored)
     result = fit(ideal_circuit(4, 4), haar_unitary(4, 8), LmaOptions(restarts=6), seed=4)
     assert result.restarts_used == 6 and not result.converged
@@ -319,14 +323,15 @@ def count_sweeps_and_factorizations(monkeypatch):
 
 
 def test_one_single_grid_sweep_per_start_and_per_successful_factorization(monkeypatch):
-    monkeypatch.setattr(optimizer, "_WIDTH_GROWTH", 1)
+    monkeypatch.setattr(optimizer, "_lane_cap", lambda program: 1)
     assert set(count_sweeps_and_factorizations(monkeypatch)) == {1}
 
 
 def test_one_sweep_slot_per_start_and_per_successful_factorization_in_lanes(monkeypatch):
-    # the batches of 1 and 4 lanes compose every live lane's point in one
-    # sweep per tick
-    assert max(count_sweeps_and_factorizations(monkeypatch)) == 4
+    # all six restarts open on the first tick, and each tick composes every
+    # live lane's point in one sweep
+    sweeps = count_sweeps_and_factorizations(monkeypatch)
+    assert sweeps[0] == max(sweeps) == 6
 
 
 @pytest.mark.parametrize("restarts", [1, 6])
@@ -352,5 +357,106 @@ def test_a_fit_frees_its_lanes_without_the_cycle_collector():
         alive = [o for o in gc.get_objects() if isinstance(o, (_Problem, _Lane))]
     finally:
         gc.enable()
-    assert result.restarts_used == 6  # two batches, the second of 4 lanes
+    assert result.restarts_used == 6  # one descent of 6 lanes
     assert alive == []
+
+
+def composed_grids(circuit, target, options, seed):
+    """The fit's result and, per sweep, the free values of each grid it composed."""
+    sweeps = []
+    prefix_products, free = optimizer.prefix_products, circuit.program.free_mask
+
+    def recorded(mixers, thetas, out):
+        sweeps.append(thetas[:, free].copy())
+        return prefix_products(mixers, thetas, out)
+
+    with mock.patch.object(optimizer, "prefix_products", recorded):
+        return fit(circuit, target, options, seed=seed), sweeps
+
+
+def opening_ticks(sweeps, starts):
+    """For each start, the sweeps whose grids include it."""
+    return [[t for t, grids in enumerate(sweeps) for grid in grids if np.array_equal(grid, start)]
+            for start in starts]
+
+
+def schedule(ticks, cap):
+    """The width of each sweep, and the tick each restart opens on, when
+    restarts that take ``ticks`` sweeps each run in order with at most
+    ``cap`` live: every tick sweeps min(cap, live + not yet admitted)."""
+    widths, opened, live, waiting = [], [], [], list(ticks)
+    while live or waiting:
+        while len(live) < cap and waiting:
+            opened.append(len(widths))
+            live.append(waiting.pop(0))
+        widths.append(len(live))
+        live = [left - 1 for left in live if left > 1]
+    return widths, opened
+
+
+def test_a_stopped_lane_slot_goes_to_the_next_restart(monkeypatch):
+    # 11 restarts below the transition with at most 4 live: each lane's
+    # tick count (sweeps from its start to its stop) comes from the serial
+    # fit, where each restart's sweeps follow the previous one's
+    circuit, target, seed = ideal_circuit(4, 4), haar_unitary(4, 2), 4
+    starts = [optimizer._initial_free_values(circuit.program, None,
+                                             derive_seed(seed, "lma-restart", k))
+              for k in range(11)]
+    options = LmaOptions(restarts=11, max_iterations=30)
+    with mock.patch.object(optimizer, "_lane_cap", lambda program: 1):
+        serial, alone = composed_grids(circuit, target, options, seed)
+    opened = [found[0] for found in opening_ticks(alone, starts)]
+    ticks = np.diff(opened + [len(alone)]).tolist()
+    assert min(ticks) < max(ticks)  # the lanes stop on different ticks
+
+    monkeypatch.setattr(optimizer, "_MAX_WIDTH", 4)
+    assert optimizer._lane_cap(circuit.program) == 4
+    refilled, sweeps = composed_grids(circuit, target, options, seed)
+    assert_same_fit(refilled, serial)
+    widths, opens = schedule(ticks, 4)
+    assert [len(grids) for grids in sweeps] == widths
+    # each start is composed once, on the tick its restart takes a slot
+    assert opening_ticks(sweeps, starts) == [[t] for t in opens]
+
+    # a target between the serial loop's best losses after 5 and 6 restarts
+    # is met first, on tick 49, by restart 7: no later restart opens after
+    # it, though slots free up; restart 5 then meets it too, which drops
+    # restart 6, and the fit's result is the serial loop's
+    best = [fit_at_width_one(circuit, target, replace(options, restarts=k), seed=seed).loss
+            for k in (5, 6)]
+    goal = replace(options, target_loss=float(np.sqrt(best[0] * best[1])))
+    with mock.patch.object(optimizer, "_lane_cap", lambda program: 1):
+        serial, alone = composed_grids(circuit, target, goal, seed)
+    assert serial.converged and serial.restarts_used == 6
+    last = len(alone) - opening_ticks(alone, starts[5:6])[0][0]  # restart 5's sweeps
+    refilled, sweeps = composed_grids(circuit, target, goal, seed)
+    assert_same_fit(refilled, serial)
+    opens = opening_ticks(sweeps, starts)
+    assert [len(found) for found in opens] == [1] * 8 + [0] * 3
+    stop = opens[5][0] + last - 1  # the tick restart 5 met the target on
+    assert max(found[0] for found in opens[:8]) < 49 < stop < len(sweeps) - 1
+    # lanes 4, 5 and 6 run on three wide after tick 49, and restart 4 alone
+    # after restart 5 stops
+    assert [len(grids) for grids in sweeps] == (
+        [4] * 50 + [3] * (stop - 49) + [1] * (len(sweeps) - stop - 1))
+
+
+@pytest.mark.parametrize("n, m, restarts, max_iterations", [
+    (4, 4, 1, 30), (4, 4, 6, 30), (4, 4, 70, 5),  # below the transition: cap 64
+    (4, 5, 1, 3), (4, 5, 5, 3),  # above it: cap 1, and no restart converges
+])
+def test_a_fit_builds_one_solver_for_its_live_lanes(monkeypatch, n, m, restarts, max_iterations):
+    made = []
+
+    class Counted(SpdSolver):
+        def __init__(self, size, slots):
+            made.append((size, slots))
+            super().__init__(size, slots)
+
+    monkeypatch.setattr(optimizer, "SpdSolver", Counted)
+    circuit = ideal_circuit(n, m)
+    result = fit(circuit, haar_unitary(n, 2), LmaOptions(restarts=restarts,
+                                                         max_iterations=max_iterations))
+    assert result.restarts_used == restarts
+    cap = optimizer._lane_cap(circuit.program)
+    assert made == [(circuit.program.free_count, min(cap, restarts))]
