@@ -2,7 +2,8 @@
 auto-recalibration, phase-difference statistics and the faulty-shifter grid.
 
 Every study is deterministic given its master seed: each unit of work
-derives a private seed from (master seed, label, index), so records are
+derives a private seed from (master seed, label, index) with
+:func:`~jxcircuit.sampling.derive_seed`, so records are
 bit-identical across reruns and worker counts (``wall_time`` excepted,
 which is informational only).  Functions return flat lists of
 :class:`ExperimentRecord`, ready for CSV serialization, sorted by their
@@ -12,7 +13,8 @@ A study splits into independent jobs, each owing a few records, and one
 runner skips already-done records, fans the jobs out to worker processes
 and flattens their records in job order.  :data:`STUDIES` registers
 every study under its CLI name with its config defaults, summary lines
-and plot.
+and plot; those defaults are the only ones, as a study function takes
+every config setting as a required argument.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .circuit import (
 )
 from .lattice import JxSpec, dfrft, relative_deviation
 from .optimizer import FromVector, LmaOptions, fit
-from .sampling import SeedPlan, haar_unitary, uniform_phases
+from .sampling import derive_seed, haar_unitary, uniform_phases
 from .svgplot import histogram_svg, scatter_svg
 
 __all__ = [
@@ -178,7 +180,6 @@ def universality_sweep(
     the layer count where the error norm collapses to numerical noise.
     Targets are shared across M for a given N.
     """
-    plan = SeedPlan(seed)
     jobs = []
     for n in n_list:
         m_list = (list(m_values) if m_values is not None else
@@ -187,10 +188,10 @@ def universality_sweep(
         for i in range(targets):
             owed = [ExperimentRecord(
                 experiment_label="universality", n=n, m=m, target_index=i,
-                seed=plan.seed(f"universality/n={n}/m={m}/fit", i),
+                seed=derive_seed(seed, f"universality/n={n}/m={m}/fit", i),
             ) for m in m_list]
             jobs.append((owed, partial(
-                _haar_fits, n=n, target_seed=plan.seed(f"universality/n={n}/target", i),
+                _haar_fits, n=n, target_seed=derive_seed(seed, f"universality/n={n}/target", i),
                 fits=[(circuits[rec.m], rec.seed) for rec in owed], options=options)))
     return _run_jobs(jobs, threads, done)
 
@@ -224,19 +225,18 @@ def _ideal_fit_rows(label, index_name, sigma_k_list, count, options, seed, n, m,
     shared across the rows of one index, and ``wall_time`` runs from before
     the target draw.
     """
-    plan = SeedPlan(seed)
     ideal = ideal_circuit(n, m)
     rows = [float(sk) for sk in sigma_k_list]
     jobs = []
     for i in range(count):
-        target_seed = plan.seed(f"{label}/target", i)
+        target_seed = derive_seed(seed, f"{label}/target", i)
         owed = [ExperimentRecord(experiment_label=label, n=n, m=m, sigma_k=sk,
                                  target_index=i, seed=target_seed) for sk in rows]
         disorder = [(sk, f"{label}/h1/row={r}/{index_name}={i}")
                     for r, sk in enumerate(rows)]
         jobs.append((owed, partial(
             _ideal_fit_measure, i=i, ideal=ideal, target_seed=target_seed,
-            fit_seed=plan.seed(f"{label}/fit", i), options=options,
+            fit_seed=derive_seed(seed, f"{label}/fit", i), options=options,
             disorder=disorder, seed=seed, measure_row=measure_row)))
     return _run_jobs(jobs, threads, done)
 
@@ -256,8 +256,8 @@ def perturbation_table(
     options: LmaOptions,
     seed: int,
     *,
-    n: int = 8,
-    m: int = 9,
+    n: int,
+    m: int,
     threads: int = 1,
     done: set | None = None,
 ) -> list[ExperimentRecord]:
@@ -274,9 +274,9 @@ def perturbation_table(
                            options, seed, n, m, threads, done, measure_row)
 
 
-def _recalibration_row(r, i, perturbed, target, fitted, *, truncated, plan):
+def _recalibration_row(r, i, perturbed, target, fitted, *, truncated, seed):
     recal = fit(perturbed, target, truncated,
-                seed=plan.seed(f"recalibration/refit/row={r}", i))
+                seed=derive_seed(seed, f"recalibration/refit/row={r}", i))
     return recal, dict(loss_before=loss(compose(perturbed), target))
 
 
@@ -286,10 +286,10 @@ def recalibration_histogram(
     options: LmaOptions,
     seed: int,
     *,
-    n: int = 8,
-    m: int = 9,
-    attempts: int = 10,
-    truncated_iterations: int = 50,
+    n: int,
+    m: int,
+    attempts: int,
+    truncated_iterations: int,
     threads: int = 1,
     done: set | None = None,
 ) -> list[ExperimentRecord]:
@@ -302,7 +302,7 @@ def recalibration_histogram(
     """
     truncated = dataclasses.replace(options, max_iterations=truncated_iterations,
                                     restarts=attempts)
-    measure_row = partial(_recalibration_row, truncated=truncated, plan=SeedPlan(seed))
+    measure_row = partial(_recalibration_row, truncated=truncated, seed=seed)
     return _ideal_fit_rows("recalibration", "target", sigma_k_list, targets,
                            options, seed, n, m, threads, done, measure_row)
 
@@ -336,15 +336,14 @@ def _phasediff_fits(todo, *, given, target, fits, seed, jitter_fraction, options
 def phase_difference_study(
     sigma_k_list: Sequence[float],
     runs: int,
-    options: LmaOptions | None,
     seed: int,
     *,
-    n: int = 8,
-    m: int = 9,
-    init_modes: Sequence[str] = ("jittered", "random"),
-    jitter_fraction: float = 0.1,
-    truncated_iterations: int = 50,
-    targets: int = 1,
+    n: int,
+    m: int,
+    init_modes: Sequence[str],
+    jitter_fraction: float,
+    truncated_iterations: int,
+    targets: int,
     threads: int = 1,
     done: set | None = None,
 ) -> list[ExperimentRecord]:
@@ -358,11 +357,7 @@ def phase_difference_study(
     correlation (``None`` when either vector is constant).  The
     difference uses raw (non-canonicalized) recovered phases.
     """
-    options = options if options is not None else LmaOptions()
-    # each run of the study is a single truncated descent
-    truncated = dataclasses.replace(options, max_iterations=truncated_iterations,
-                                    restarts=1)
-    plan = SeedPlan(seed)
+    truncated = LmaOptions(max_iterations=truncated_iterations, restarts=1)
     stack = ideal_circuit(n, m).mixer_stack()
     rows = [float(sk) for sk in sigma_k_list]
     for mode in init_modes:
@@ -372,13 +367,13 @@ def phase_difference_study(
 
     jobs = []
     for t in range(targets):
-        given = uniform_phases(m, n, plan.seed("phasediff/given", t))
+        given = uniform_phases(m, n, derive_seed(seed, "phasediff/given", t))
         target = transfer_matrix(stack, given)
         for j in range(runs):
             owed = [ExperimentRecord(
                 experiment_label=f"phasediff/init={mode}", n=n, m=m, sigma_k=rows[r],
                 target_index=t * runs + j,
-                seed=plan.seed(f"phasediff/fit/{mode}/row={r}/t={t}", j),
+                seed=derive_seed(seed, f"phasediff/fit/{mode}/row={r}/t={t}", j),
             ) for mode, r in cells]
             fits = [(mode, rows[r], f"phasediff/h1/row={r}/t={t}/run={j}", rec.seed)
                     for (mode, r), rec in zip(cells, owed)]
@@ -429,8 +424,8 @@ def faulty_shifter_grid(
     options: LmaOptions,
     seed: int,
     *,
-    n: int = 4,
-    m: int = 5,
+    n: int,
+    m: int,
     threads: int = 1,
     done: set | None = None,
 ) -> list[ExperimentRecord]:
@@ -442,11 +437,10 @@ def faulty_shifter_grid(
     fault plan is drawn before any fit runs, so an impossible placement
     fails at once.
     """
-    plan = SeedPlan(seed)
     jobs = []
     for k in k_list:
         for c in range(combos_per_k):
-            rng = plan.rng(f"faulty/plan/k={k}", c)
+            rng = np.random.default_rng(derive_seed(seed, f"faulty/plan/k={k}", c))
             if k == n:
                 mode = "spread" if c < (combos_per_k + 1) // 2 else "clustered"
             else:
@@ -457,11 +451,11 @@ def faulty_shifter_grid(
             program = apply_fault_plan(PhaseProgram.zeros(m, n), fault_plan)
             circuit = ideal_circuit(n, m).with_program(program)
             for i in range(targets):
-                fit_seed = plan.seed(f"{label}/fit", i)
+                fit_seed = derive_seed(seed, f"{label}/fit", i)
                 jobs.append(([ExperimentRecord(
                     experiment_label=label, n=n, m=m, fault_plan=plan_str,
                     target_index=i, seed=fit_seed,
-                )], partial(_haar_fits, n=n, target_seed=plan.seed(f"{label}/target", i),
+                )], partial(_haar_fits, n=n, target_seed=derive_seed(seed, f"{label}/target", i),
                             fits=[(circuit, fit_seed)], options=options)))
     return _run_jobs(jobs, threads, done)
 
@@ -667,7 +661,7 @@ STUDIES: dict[str, Study] = {
                   "init_modes": ["jittered", "random"], "jitter_fraction": 0.1,
                   "truncated_iterations": 50, "targets": 1},
         run=lambda cfg, threads, done: phase_difference_study(
-            cfg["sigma_k_list"], cfg["runs"], None, cfg["master_seed"],
+            cfg["sigma_k_list"], cfg["runs"], cfg["master_seed"],
             n=cfg["n"], m=cfg["m"], init_modes=cfg["init_modes"],
             jitter_fraction=cfg["jitter_fraction"],
             truncated_iterations=cfg["truncated_iterations"],

@@ -225,10 +225,7 @@ def write_metadata(path, experiment: str, master_seed: int, parameters: dict) ->
     because the last bits of the records at N = 16 depend on it."""
     from . import __version__
 
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except TypeError:  # numpy < 1.26 only prints its config
-        blas = {}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     doc = {
         "schema_version": METADATA_SCHEMA_VERSION,
         "experiment": experiment,

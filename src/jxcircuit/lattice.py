@@ -1,7 +1,7 @@
 """Jx waveguide-lattice Hamiltonians and the fixed mixing layers they generate.
 
-A lattice of N coupled waveguides with hopping rates
-``kappa_p = (kappa/2) * sqrt((N - p) p)`` has an equidistant eigenvalue
+A lattice of N coupled waveguides with unit coupling scale and hopping
+rates ``kappa_p = sqrt((N - p) p) / 2`` has an equidistant eigenvalue
 ladder, so propagating through the normalized length pi/2 realizes the
 discrete fractional Fourier transform that serves as the fixed mixing
 operation between programmable phase layers.  Fabrication disorder is
@@ -11,6 +11,7 @@ exponentiated the same way so the perturbed mixer stays exactly unitary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,27 +43,20 @@ _UNITARITY_ATOL = 1e-12
 
 @dataclass(frozen=True)
 class JxSpec:
-    """Lattice size and coupling scale; hopping rates are derived.
-
-    ``kappa`` defaults to 1 so the fixed length pi/2 yields the canonical
-    quarter-cycle transform; it stays an explicit field because hopping
-    rates scale with it.
-    """
+    """Lattice size; the hopping rates are derived at unit coupling scale,
+    so the fixed length pi/2 yields the canonical quarter-cycle transform."""
 
     n: int
-    kappa: float = 1.0
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"port count must be >= 1, got {self.n}")
-        if not self.kappa > 0:
-            raise ValueError(f"coupling scale must be positive, got {self.kappa}")
 
     @property
     def hopping(self) -> np.ndarray:
-        """Nearest-neighbor rates ``kappa_p = (kappa/2) sqrt((n-p) p)``, p = 1..n-1."""
+        """Nearest-neighbor rates ``kappa_p = sqrt((n-p) p) / 2``, p = 1..n-1."""
         p = np.arange(1, self.n)
-        return 0.5 * self.kappa * np.sqrt((self.n - p) * p)
+        return 0.5 * np.sqrt((self.n - p) * p)
 
     @property
     def kappa_max(self) -> float:
@@ -112,8 +106,8 @@ def dfrft(spec: JxSpec) -> MixingLayer:
 
 def perturb_hamiltonian(spec: JxSpec, sigma_k: float, h1) -> np.ndarray:
     """``H + (sigma_k * kappa_max) * H1`` with ``H1`` Hermitian of matching size."""
-    if sigma_k < 0:
-        raise ValueError(f"sigma_k must be >= 0, got {sigma_k}")
+    if not (math.isfinite(sigma_k) and sigma_k >= 0):
+        raise ValueError(f"sigma_k must be finite and >= 0, got {sigma_k}")
     h1 = require_hermitian(h1)
     if h1.shape != (spec.n, spec.n):
         raise ValueError(

@@ -45,11 +45,11 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-def require_hermitian(a, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+def require_hermitian(a) -> np.ndarray:
     """Return ``a`` as a complex matrix, rejecting non-Hermitian input.
 
-    The deviation ``max |A - A†|`` is compared against ``rtol`` times the
-    largest-magnitude entry, so the check is scale free.
+    The deviation ``max |A - A†|`` is compared against ``HERMITICITY_RTOL``
+    times the largest-magnitude entry, so the check is scale free.
     """
     m = as_complex_matrix(a)
     if m.shape[0] != m.shape[1]:
@@ -58,10 +58,10 @@ def require_hermitian(a, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
         return m
     scale = float(np.abs(m).max())
     deviation = float(np.abs(m - m.conj().T).max())
-    if deviation > rtol * scale:
+    if deviation > HERMITICITY_RTOL * scale:
         raise ValueError(
             f"matrix is not Hermitian: max |A - A†| = {deviation:.3e} exceeds "
-            f"{rtol:.1e} of max |A| = {scale:.3e}"
+            f"{HERMITICITY_RTOL:.1e} of max |A| = {scale:.3e}"
         )
     return m
 

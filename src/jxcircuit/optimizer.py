@@ -109,34 +109,31 @@ class FromVector:
 
 
 class _Problem:
-    """Least-squares view of one phase fit, for a stack of lanes.
+    """Least-squares view of one phase fit, for a stack of up to ``width`` lanes.
 
     ``losses`` composes one free vector per lane in one sweep, and
     ``normal_equations`` reads the prefix products that sweep kept, so the
     equations at a point are read before the next composition overwrites
-    them.  The phase grids and the sweep buffer are allocated for the
-    widest stack so far and reused, so a problem must not be used from two
+    them.  The phase grids and the sweep buffer have ``width`` slots,
+    allocated once and reused, so a problem must not be used from two
     threads at once (each fit owns its own).
     """
 
-    def __init__(self, mixers: np.ndarray, program: PhaseProgram, target: np.ndarray):
+    def __init__(self, mixers: np.ndarray, program: PhaseProgram, target: np.ndarray,
+                 width: int):
+        m, n = program.layers, program.ports
         self.mixers = mixers
-        self.program = program
         self.free = program.free_mask
         self.target = target
         self._positions = np.flatnonzero(self.free)  # of the free phases in a flat grid
-        self._grids = program.theta[None][:0]
-        self._flat = self._sweep = None
+        self._grids = np.repeat(program.theta[None], width, axis=0)
+        self._flat = self._grids.reshape(width, m * n)
+        self._sweep = np.empty((m + 1, width, n, n), dtype=np.complex128)
 
     def losses(self, xs: np.ndarray) -> np.ndarray:
         """The loss at each row of ``xs`` (the free values of one lane),
         from one stacked sweep straight into the lanes' slots."""
         count = len(xs)
-        if len(self._grids) < count:
-            m, n = self.free.shape
-            self._grids = np.repeat(self.program.theta[None], count, axis=0)
-            self._flat = self._grids.reshape(count, m * n)
-            self._sweep = np.empty((m + 1, count, n, n), dtype=np.complex128)
         self._flat[:count, self._positions] = xs
         u = prefix_products(self.mixers, self._grids[:count], self._sweep[:, :count])
         diff = (u - self.target).reshape(count, -1)
@@ -201,10 +198,7 @@ class _Lane:
             if self.polish_left <= 0 or new_loss > 0.1 * previous:
                 self.status = "target"
         elif new_loss < options.target_loss:
-            if self.polish_left <= 0:
-                self.status = "target"
-            else:
-                self.polishing = True
+            self.polishing = True
         elif abs(previous - new_loss) <= _FUNCTION_TOLERANCE * new_loss:
             self.status = "ftol"
         elif step <= _STEP_TOLERANCE * (norm + _STEP_TOLERANCE):
@@ -416,10 +410,11 @@ def fit(
         raise ValueError(f"start grid shape {init.phases.shape} is neither the circuit's "
                          f"phase grid {(m, n)} nor its flat form {(m * n,)}")
     mixers = circuit.mixer_stack()
-    problem = _Problem(mixers, program, target)
+    width = min(_lane_cap(program), options.restarts)
+    problem = _Problem(mixers, program, target, width)
     starts = (_initial_free_values(program, init, derive_seed(seed, "lma-restart", k))
               for k in range(options.restarts))
-    outcomes = _descend(problem, starts, options, min(_lane_cap(program), options.restarts))
+    outcomes = _descend(problem, starts, options, width)
 
     best = min(outcomes, key=lambda outcome: outcome.loss)
     phases = program.with_free_values(best.x)

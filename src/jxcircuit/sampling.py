@@ -1,16 +1,15 @@
 """Deterministic, seedable randomness for targets, disorder and phase inits.
 
-Every stochastic task derives its own 64-bit seed as the first 8 bytes
-(little-endian) of ``sha256(master_seed | label | index)`` and owns a
-private PCG64 generator (``numpy.random.default_rng``), so results never
-depend on scheduling or call order and distinct task indices cannot
-collide in practice.
+Every stochastic task derives its own 64-bit seed with :func:`derive_seed`,
+the first 8 bytes (little-endian) of ``sha256(master_seed | label | index)``,
+and owns a private PCG64 generator (``numpy.random.default_rng``) seeded
+with it, so results never depend on scheduling or call order and distinct
+task indices cannot collide in practice.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +17,6 @@ from .numerics import qr_unitary
 
 __all__ = [
     "derive_seed",
-    "SeedPlan",
     "haar_unitary",
     "gaussian_hermitian",
     "uniform_phases",
@@ -32,19 +30,6 @@ def derive_seed(master_seed: int, label: str, index: int = 0) -> int:
     """Collision-resistant task seed from (master seed, label, index)."""
     payload = f"{int(master_seed)}|{label}|{int(index)}".encode()
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
-
-
-@dataclass(frozen=True)
-class SeedPlan:
-    """Derives per-task seeds and generators from one master seed."""
-
-    master_seed: int
-
-    def seed(self, label: str, index: int = 0) -> int:
-        return derive_seed(self.master_seed, label, index)
-
-    def rng(self, label: str, index: int = 0) -> np.random.Generator:
-        return np.random.default_rng(self.seed(label, index))
 
 
 def _generator(seed) -> np.random.Generator:

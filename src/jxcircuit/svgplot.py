@@ -16,7 +16,11 @@ PALETTE = [
     "#9467bd", "#8c564b", "#17becf", "#7f7f7f",
 ]
 
+_WIDTH, _HEIGHT = 640, 440
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 34.0, 46.0
+#: ticks per axis, and bins of a histogram
+_TICKS = 5
+_BINS = 24
 
 
 def escape(text: str) -> str:
@@ -32,18 +36,17 @@ def _finite(values):
     return [v for v in values if v is not None and math.isfinite(v)]
 
 
-def _axis_ticks(lo: float, hi: float, count: int = 5):
+def _axis_ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    step = (hi - lo) / (_TICKS - 1)
+    return [lo + i * step for i in range(_TICKS)]
 
 
 class _Frame:
     """Maps data coordinates onto the pixel frame, optionally log-y."""
 
-    def __init__(self, xs, ys, width, height, ylog):
-        self.width, self.height = width, height
+    def __init__(self, xs, ys, ylog):
         self.ylog = ylog
         xs = _finite(xs) or [0.0, 1.0]
         ys = _finite(ys) or [0.1, 1.0]
@@ -67,30 +70,30 @@ class _Frame:
 
     def px(self, x: float) -> float:
         span = self.x_hi - self.x_lo
-        return _MARGIN_L + (x - self.x_lo) / span * (self.width - _MARGIN_L - _MARGIN_R)
+        return _MARGIN_L + (x - self.x_lo) / span * (_WIDTH - _MARGIN_L - _MARGIN_R)
 
     def py(self, y: float) -> float:
         span = self.y_hi - self.y_lo
         frac = (self.y_value(y) - self.y_lo) / span
-        return self.height - _MARGIN_B - frac * (self.height - _MARGIN_T - _MARGIN_B)
+        return _HEIGHT - _MARGIN_B - frac * (_HEIGHT - _MARGIN_T - _MARGIN_B)
 
     def y_tick_label(self, tick: float) -> str:
         return f"1e{tick:.3g}" if self.ylog else _fmt(tick)
 
 
-def _document_head(width, height, title):
+def _document_head(title):
     return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{escape(title)}</text>',
     ]
 
 
-def _axes(parts, frame, xlabel, ylabel, width, height):
-    x0, x1 = _MARGIN_L, width - _MARGIN_R
-    y0, y1 = height - _MARGIN_B, _MARGIN_T
+def _axes(parts, frame, xlabel, ylabel):
+    x0, x1 = _MARGIN_L, _WIDTH - _MARGIN_R
+    y0, y1 = _HEIGHT - _MARGIN_B, _MARGIN_T
     parts.append(
         f'<path d="M {x0} {y1} L {x0} {y0} L {x1} {y0}" fill="none" '
         'stroke="black" stroke-width="1"/>'
@@ -111,7 +114,7 @@ def _axes(parts, frame, xlabel, ylabel, width, height):
             f'font-family="sans-serif" font-size="11">{escape(frame.y_tick_label(ty))}</text>'
         )
     parts.append(
-        f'<text x="{(x0 + x1) / 2:.1f}" y="{height - 8}" text-anchor="middle" '
+        f'<text x="{(x0 + x1) / 2:.1f}" y="{_HEIGHT - 8}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12">{escape(xlabel)}</text>'
     )
     parts.append(
@@ -121,27 +124,26 @@ def _axes(parts, frame, xlabel, ylabel, width, height):
     )
 
 
-def _legend(parts, names, width):
+def _legend(parts, names):
     for i, name in enumerate(names):
         color = PALETTE[i % len(PALETTE)]
         y = _MARGIN_T + 6 + 14 * i
         parts.append(
-            f'<circle cx="{width - _MARGIN_R - 130}" cy="{y - 4}" r="3.5" fill="{color}"/>'
+            f'<circle cx="{_WIDTH - _MARGIN_R - 130}" cy="{y - 4}" r="3.5" fill="{color}"/>'
         )
         parts.append(
-            f'<text x="{width - _MARGIN_R - 122}" y="{y}" font-family="sans-serif" '
+            f'<text x="{_WIDTH - _MARGIN_R - 122}" y="{y}" font-family="sans-serif" '
             f'font-size="11">{escape(name)}</text>'
         )
 
 
-def scatter_svg(series: dict, *, title="", xlabel="", ylabel="", ylog=False,
-                width=640, height=440) -> str:
+def scatter_svg(series: dict, *, title="", xlabel="", ylabel="", ylog=False) -> str:
     """Scatter plot of ``{name: (xs, ys)}`` series."""
     all_x = [x for xs, _ in series.values() for x in xs]
     all_y = [y for _, ys in series.values() for y in ys]
-    frame = _Frame(all_x, all_y, width, height, ylog)
-    parts = _document_head(width, height, title)
-    _axes(parts, frame, xlabel, ylabel, width, height)
+    frame = _Frame(all_x, all_y, ylog)
+    parts = _document_head(title)
+    _axes(parts, frame, xlabel, ylabel)
     for i, (name, (xs, ys)) in enumerate(series.items()):
         color = PALETTE[i % len(PALETTE)]
         for x, y in zip(xs, ys):
@@ -151,14 +153,14 @@ def scatter_svg(series: dict, *, title="", xlabel="", ylabel="", ylog=False,
                 f'<circle cx="{frame.px(x):.1f}" cy="{frame.py(y):.1f}" r="2.5" '
                 f'fill="{color}" fill-opacity="0.7"/>'
             )
-    _legend(parts, list(series), width)
+    _legend(parts, list(series))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def histogram_svg(series: dict, *, bins=24, title="", xlabel="", ylabel="count",
-                  width=640, height=440) -> str:
-    """Grouped histogram of ``{name: values}`` over a shared bin range."""
+def histogram_svg(series: dict, *, title="", xlabel="") -> str:
+    """Grouped histogram of ``{name: values}`` over a shared range of
+    ``_BINS`` bins, with counts on the y axis."""
     pooled = _finite([v for vals in series.values() for v in vals])
     if not pooled:
         pooled = [0.0, 1.0]
@@ -166,18 +168,18 @@ def histogram_svg(series: dict, *, bins=24, title="", xlabel="", ylabel="count",
     if hi == lo:
         lo -= 0.5
         hi += 0.5
-    edges = [lo + (hi - lo) * i / bins for i in range(bins + 1)]
+    edges = [lo + (hi - lo) * i / _BINS for i in range(_BINS + 1)]
     counts = {}
     for name, vals in series.items():
-        hist = [0] * bins
+        hist = [0] * _BINS
         for v in _finite(vals):
-            idx = min(int((v - lo) / (hi - lo) * bins), bins - 1)
+            idx = min(int((v - lo) / (hi - lo) * _BINS), _BINS - 1)
             hist[idx] += 1
         counts[name] = hist
     max_count = max(max(h) for h in counts.values()) or 1
-    frame = _Frame([lo, hi], [0, max_count], width, height, ylog=False)
-    parts = _document_head(width, height, title)
-    _axes(parts, frame, xlabel, ylabel, width, height)
+    frame = _Frame([lo, hi], [0, max_count], ylog=False)
+    parts = _document_head(title)
+    _axes(parts, frame, xlabel, "count")
     n_series = len(counts)
     for i, (name, hist) in enumerate(counts.items()):
         color = PALETTE[i % len(PALETTE)]
@@ -194,6 +196,6 @@ def histogram_svg(series: dict, *, bins=24, title="", xlabel="", ylabel="count",
                 f'width="{max(slot - 1, 1):.1f}" height="{bottom - top:.1f}" '
                 f'fill="{color}" fill-opacity="0.75"/>'
             )
-    _legend(parts, list(counts), width)
+    _legend(parts, list(counts))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -165,8 +165,9 @@ def test_criterion_4_faulty_shifter_resilience():
 
 def test_criterion_5_phase_difference_statistics():
     records = phase_difference_study(
-        [0.0, 0.001, 0.003, 0.006], runs=28, options=None, seed=1005, n=8, m=9,
-        truncated_iterations=50, threads=2,
+        [0.0, 0.001, 0.003, 0.006], runs=28, seed=1005, n=8, m=9,
+        init_modes=("jittered", "random"), jitter_fraction=0.1,
+        truncated_iterations=50, targets=1, threads=2,
     )
     by_mode = collections.defaultdict(list)
     for rec in records:

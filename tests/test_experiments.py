@@ -114,7 +114,8 @@ class TestPerturbationTable:
 class TestRecalibrationHistogram:
     def test_recovery_below_noise(self):
         records = recalibration_histogram(
-            [0.003], targets=4, options=LmaOptions(restarts=30), seed=31, n=4, m=5
+            [0.003], targets=4, options=LmaOptions(restarts=30), seed=31, n=4, m=5,
+            attempts=10, truncated_iterations=50,
         )
         assert len(records) == 4
         for rec in records:
@@ -123,18 +124,25 @@ class TestRecalibrationHistogram:
 
     def test_zero_sigma_before_already_converged(self):
         records = recalibration_histogram(
-            [0.0], targets=2, options=LmaOptions(restarts=30), seed=32, n=4, m=5
+            [0.0], targets=2, options=LmaOptions(restarts=30), seed=32, n=4, m=5,
+            attempts=10, truncated_iterations=50,
         )
         for rec in records:
             assert rec.loss_before < 1e-10
             assert rec.loss_after < 1e-10
 
 
+#: the phasediff study's config defaults (``STUDIES["phasediff"].defaults``)
+PHASEDIFF = dict(init_modes=("jittered", "random"), jitter_fraction=0.1,
+                 truncated_iterations=50, targets=1)
+
+
 class TestPhaseDifferenceStudy:
     def test_exact_given_vector_recovers_zero_difference(self):
         records = phase_difference_study(
-            [0.0], runs=2, options=None, seed=41, n=4, m=5,
-            init_modes=["jittered"], jitter_fraction=0.0,
+            [0.0], runs=2, seed=41, n=4, m=5,
+            init_modes=["jittered"], jitter_fraction=0.0, truncated_iterations=50,
+            targets=1,
         )
         for rec in records:
             assert rec.loss_after < 1e-10
@@ -144,7 +152,7 @@ class TestPhaseDifferenceStudy:
 
     def test_jittered_solutions_closer_than_random(self):
         records = phase_difference_study(
-            [0.0, 0.002], runs=12, options=None, seed=42, n=4, m=5,
+            [0.0, 0.002], runs=12, seed=42, n=4, m=5, **PHASEDIFF,
         )
         by_mode = {}
         for rec in records:
@@ -157,7 +165,7 @@ class TestPhaseDifferenceStudy:
         # at N = M = 1 both phase vectors hold a single entry
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            records = phase_difference_study([0.0], 1, None, 1, n=1, m=1)
+            records = phase_difference_study([0.0], 1, 1, n=1, m=1, **PHASEDIFF)
         assert len(records) == 2
         assert all(rec.corr_x is None for rec in records)
 
@@ -167,14 +175,15 @@ class TestPhaseDifferenceStudy:
         messages = []
         for threads in (1, 2):
             with pytest.raises(ValueError) as info:
-                phase_difference_study([0.0], 2, None, 44, n=2, m=3,
-                                       jitter_fraction=1.5, threads=threads)
+                phase_difference_study([0.0], 2, 44, n=2, m=3,
+                                       **{**PHASEDIFF, "jitter_fraction": 1.5},
+                                       threads=threads)
             messages.append(str(info.value))
         assert messages == ["jitter_fraction must lie in [0, 1)"] * 2
 
     def test_labels_and_counts(self):
         records = phase_difference_study(
-            [0.0], runs=3, options=None, seed=43, n=2, m=3,
+            [0.0], runs=3, seed=43, n=2, m=3, **PHASEDIFF,
         )
         labels = {rec.experiment_label for rec in records}
         assert labels == {"phasediff/init=jittered", "phasediff/init=random"}

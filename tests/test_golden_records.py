@@ -54,8 +54,8 @@ STUDIES = {
         [0.002, 0.005], 3, LmaOptions(restarts=5), 9, n=3, m=4, attempts=3,
         truncated_iterations=30, **kw),
     "phasediff": lambda **kw: phase_difference_study(
-        [0.0, 0.004], 3, None, 10, n=3, m=4, truncated_iterations=20, targets=2,
-        **kw),
+        [0.0, 0.004], 3, 10, n=3, m=4, init_modes=("jittered", "random"),
+        jitter_fraction=0.1, truncated_iterations=20, targets=2, **kw),
     "faulty": lambda **kw: faulty_shifter_grid(
         [1, 3], 2, 2, LmaOptions(restarts=4), 11, n=3, m=4, **kw),
     # the sizes the benchmark runs, where whole-iteration paths such as the
@@ -64,7 +64,8 @@ STUDIES = {
     "universality-n4": lambda **kw: universality_sweep(
         [4], [3, 4, 6], 3, LmaOptions(restarts=3, max_iterations=40), 21, **kw),
     "phasediff-n8": lambda **kw: phase_difference_study(
-        [0.0, 0.003], 2, None, 22, n=8, m=9, truncated_iterations=50, **kw),
+        [0.0, 0.003], 2, 22, n=8, m=9, init_modes=("jittered", "random"),
+        jitter_fraction=0.1, truncated_iterations=50, targets=1, **kw),
     "faulty-n4": lambda **kw: faulty_shifter_grid(
         [1, 4], 2, 1, LmaOptions(restarts=4), 23, n=4, m=5, **kw),
 }

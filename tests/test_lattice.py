@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jxcircuit.circuit import perturbed_circuit
 from jxcircuit.lattice import (
     DFRFT_LENGTH,
     JxSpec,
@@ -22,10 +23,6 @@ def test_hopping_formula_and_symmetry():
         h = JxSpec(n).hopping
         assert np.allclose(h, h[::-1], atol=1e-15)  # kappa_p == kappa_{n-p}
     assert JxSpec(2).hopping[0] == 0.5
-
-
-def test_hopping_scales_with_kappa():
-    assert np.allclose(JxSpec(5, kappa=3.0).hopping, 3.0 * JxSpec(5).hopping)
 
 
 def test_jx_hamiltonian_structure():
@@ -51,8 +48,6 @@ def test_jx_two_port_example():
 def test_invalid_spec_rejected():
     with pytest.raises(ValueError):
         JxSpec(0)
-    with pytest.raises(ValueError):
-        JxSpec(4, kappa=0.0)
 
 
 def test_equidistant_spectrum():
@@ -92,8 +87,12 @@ def test_perturb_two_port_example():
 
 def test_perturb_validates_input():
     spec = JxSpec(4)
-    with pytest.raises(ValueError):
-        perturb_hamiltonian(spec, -0.1, np.eye(4))
+    for bad in (-0.1, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="sigma_k must be finite and >= 0"):
+            perturb_hamiltonian(spec, bad, np.eye(4))
+        # named before any eigendecomposition is tried
+        with pytest.raises(ValueError, match="sigma_k must be finite and >= 0"):
+            perturbed_circuit(4, 5, bad, 0)
     with pytest.raises(ValueError):
         perturb_hamiltonian(spec, 0.1, np.eye(3))
     with pytest.raises(ValueError):

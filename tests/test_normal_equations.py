@@ -70,9 +70,6 @@ def test_gram_products_equal_explicit_jacobian_products(case):
 
 
 def test_one_fit_writes_every_evaluation_into_one_buffer(monkeypatch):
-    mixers, program, target = instance(3, 4, 5, np.eye(4, 3, dtype=bool))
-    problem = _Problem(mixers, program, target)
-    x = program.theta[program.free_mask]
     written = []
     prefix_products = optimizer.prefix_products
 
@@ -81,19 +78,24 @@ def test_one_fit_writes_every_evaluation_into_one_buffer(monkeypatch):
         return prefix_products(mixers, thetas, out)
 
     monkeypatch.setattr(optimizer, "prefix_products", sweep)
-    problem.losses(x[None])
+    # the problem allocates its width's slots at construction, and each
+    # sweep writes straight into the slots of its lanes
+    mixers, program, target = instance(3, 4, 5, np.eye(4, 3, dtype=bool))
+    problem = _Problem(mixers, program, target, 3)
     sweep_buffer = problem._sweep
-    problem.losses((x + 0.5)[None])
+    assert sweep_buffer.shape == (5, 3, 3, 3)
+    x = program.theta[program.free_mask]
+    for lanes in ([x], [x + 0.5], [x] * 3, [x] * 2):
+        problem.losses(np.stack(lanes))
     assert problem._sweep is sweep_buffer
+    assert [out.shape[1] for out in written] == [1, 1, 3, 2]
     assert all(out.base is sweep_buffer for out in written)
-    # a wider stack grows the buffer once, and narrower ones reuse it; each
-    # sweep writes straight into its lanes' slots
-    problem.losses(np.stack([x] * 3))
-    wide = problem._sweep
-    assert wide.shape[1] == 3
-    problem.losses(np.stack([x] * 2))
-    assert problem._sweep is wide
-    assert written[-1].base is wide and written[-1].shape[1] == 2
+    # a fit of 5 restarts below the transition: 5 slots, one buffer
+    written.clear()
+    circuit = perturbed_circuit(3, 3, 0.0, 1)
+    fit(circuit, haar_unitary(3, 2), LmaOptions(restarts=5, max_iterations=5), seed=1)
+    buffers = {id(out.base) for out in written}
+    assert len(buffers) == 1 and written[0].base.shape[1] == 5
 
 
 def test_a_descent_keeps_its_gram_scratch_and_normal_equations_in_one_block(monkeypatch):

@@ -90,7 +90,7 @@ def test_nan_damping_gives_up_instead_of_looping():
     # diag(J'J) and so the damping NaN; the damping loop counts a NaN as over
     # the cap, since NaN > cap is never true
     circ = ideal_circuit(3, 4)
-    problem = optimizer._Problem(circ.mixer_stack(), circ.program, haar_unitary(3, 1))
+    problem = optimizer._Problem(circ.mixer_stack(), circ.program, haar_unitary(3, 1), 1)
     x0 = np.zeros(circ.program.free_count)
     x0[0] = np.nan
     with deadline(20):

@@ -3,8 +3,12 @@
 A name in a module's ``__all__`` must be read somewhere in
 ``src/jxcircuit`` (as a name, an attribute, or an explicit
 ``from ... import``); a name that only the tests use is not public API
-but dead weight.  Only the standard library's ``ast`` is used, so that
-check needs no import of the package.  ``jxcircuit.__version__`` must be
+but dead weight.  Likewise a defaulted parameter of a public function, or
+a defaulted field of a public dataclass, must be passed by some call in
+the package (by keyword, by position, or through ``*``/``**``); a
+setting the package never turns is a constant.  Only the standard
+library's ``ast`` is used, so these checks need no import of the
+package.  ``jxcircuit.__version__`` must be
 the version ``pyproject.toml`` declares.
 """
 
@@ -39,8 +43,98 @@ def used_names(tree: ast.Module) -> set[str]:
     return used
 
 
+def defaulted_settings(node) -> list[tuple[int | None, str]]:
+    """(position, name) of each defaulted parameter of a function, or of
+    each defaulted field of a dataclass (position None when it can only be
+    passed by keyword)."""
+    if isinstance(node, ast.FunctionDef):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        return ([(k, a.arg) for k, a in enumerate(positional) if k >= first]
+                + [(None, a.arg) for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                   if default is not None])
+    if not isinstance(node, ast.ClassDef):
+        return []
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+        return []
+    keyword_only = any(isinstance(d, ast.Call) and any(
+        k.arg == "kw_only" and getattr(k.value, "value", False) for k in d.keywords)
+        for d in node.decorator_list)
+    fields = [s for s in node.body
+              if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    return [(None if keyword_only else k, s.target.id)
+            for k, s in enumerate(fields) if s.value is not None]
+
+
+def calls_by_callee(trees) -> dict[str, list[ast.Call]]:
+    """Every call in the package, by the name (or attribute) it calls."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def passes(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether ``call`` may set the parameter ``name`` at ``position``."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or position < len(call.args))
+
+
+def unturned_settings(trees: dict[str, ast.Module]) -> list[str]:
+    """Defaulted settings of public names that no call in the package passes."""
+    calls = calls_by_callee(trees.values())
+    unturned = []
+    for module, tree in trees.items():
+        public = set(declared_public(tree))
+        for node in tree.body:
+            if getattr(node, "name", None) not in public:
+                continue
+            unturned += [f"{module}:{node.name}.{name}"
+                         for position, name in defaulted_settings(node)
+                         if not any(passes(call, position, name)
+                                    for call in calls.get(node.name, []))]
+    return unturned
+
+
+def package_trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_every_defaulted_setting_of_a_public_name_is_passed_in_the_package():
+    unturned = unturned_settings(package_trees())
+    assert unturned == [], f"settings the package never passes: {unturned}"
+
+
+def test_a_setting_counts_as_passed_by_keyword_position_or_unpacking():
+    tree = ast.parse(
+        "__all__ = ['f', 'Spec']\n"
+        "def f(a, b=1, *, c=2, d=3): pass\n"
+        "@dataclass(frozen=True)\n"
+        "class Spec:\n"
+        "    n: int\n"
+        "    k: float = 1.0\n"
+        "    j: float = 2.0\n"
+        "def use(args, kw):\n"
+        "    f(0, c=1)\n"
+        "    f(*args)\n"
+        "    Spec(3, 0.5)\n")
+    assert unturned_settings({"m.py": tree}) == ["m.py:f.d", "m.py:Spec.j"]
+    tree.body.append(ast.parse("f(0, **kw)").body[0])
+    assert unturned_settings({"m.py": tree}) == ["m.py:Spec.j"]
+
+
 def test_every_public_name_is_used_in_the_package():
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    trees = package_trees()
     used = set().union(*(used_names(tree) for tree in trees.values()))
     declared = {name: declared_public(tree) for name, tree in trees.items()}
     assert sum(map(len, declared.values())) > 0

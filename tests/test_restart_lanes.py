@@ -189,7 +189,7 @@ def test_normal_equations_from_stored_prefixes_equal_a_fresh_sweep(n, m, seed, d
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 2 * np.pi, program.free_count)
     delta = rng.standard_normal(x.size)
-    problem = _Problem(mixers, program, target)
+    problem = _Problem(mixers, program, target, 3)
 
     def check(points, rows, losses):  # before the next sweep overwrites them
         p = program.free_count

@@ -4,7 +4,6 @@ import scipy.stats
 
 from jxcircuit.numerics import frobenius_norm, unitarity_defect
 from jxcircuit.sampling import (
-    SeedPlan,
     derive_seed,
     gaussian_hermitian,
     haar_unitary,
@@ -116,12 +115,3 @@ def test_derive_seed_determinism_and_spread():
 def test_derive_seed_collision_free_over_many_indices():
     seeds = {derive_seed(123, "collision-check", i) for i in range(1_000_000)}
     assert len(seeds) == 1_000_000
-
-
-def test_seed_plan_generators_independent():
-    plan = SeedPlan(99)
-    a = plan.rng("x", 0).standard_normal(4)
-    b = plan.rng("x", 0).standard_normal(4)
-    c = plan.rng("x", 1).standard_normal(4)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
