@@ -8,7 +8,8 @@ composed it, so no point is composed twice.
 
 Conventions, fixed throughout the package:
 
-* A circuit with M phase layers has M+1 mixing slots.  ``mixers[0]`` is
+* A circuit with M phase layers has M+1 mixing slots, held as one
+  read-only (M+1, N, N) array of unitary matrices.  ``mixers[0]`` is
   the *rightmost* factor of the operator product, i.e. the first slot
   light passes through, and ``theta[0]`` is the phase layer applied
   directly after it::
@@ -28,8 +29,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .lattice import JxSpec, MixingLayer, dfrft, perturbed_mixer
-from .numerics import as_complex_matrix
+from .lattice import dfrft, perturbed_mixer
+from .numerics import as_complex_matrix, unitarity_defect
 from .sampling import derive_seed, gaussian_hermitian
 
 __all__ = [
@@ -47,6 +48,8 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+#: largest ||X†X - I||_F a mixing slot may have
+_UNITARITY_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -111,24 +114,29 @@ class PhaseProgram:
 
 @dataclass(frozen=True)
 class InterlacedCircuit:
-    """M+1 mixing layers (slot 0 acts first) around an M-layer phase program."""
+    """M+1 mixing matrices (slot 0 acts first) around an M-layer phase program.
 
-    mixers: tuple[MixingLayer, ...]
+    ``mixers`` is stored as a read-only complex128 copy of shape
+    (M+1, N, N).  A stack of another shape, or with a slot whose
+    ``||X†X - I||_F`` is not within ``_UNITARITY_ATOL`` (a NaN defect
+    included), is refused, naming the first such slot.
+    """
+
+    mixers: np.ndarray
     program: PhaseProgram
 
     def __post_init__(self):
-        mixers = tuple(self.mixers)
-        if len(mixers) != self.program.layers + 1:
-            raise ValueError(
-                f"need {self.program.layers + 1} mixing layers for "
-                f"{self.program.layers} phase layers, got {len(mixers)}"
-            )
-        for layer in mixers:
-            if layer.n != self.program.ports:
-                raise ValueError(
-                    f"mixer size {layer.n} does not match port count "
-                    f"{self.program.ports}"
-                )
+        mixers = np.array(self.mixers, dtype=np.complex128)
+        m, n = self.program.layers, self.program.ports
+        if mixers.shape != (m + 1, n, n):
+            raise ValueError(f"mixer stack has shape {mixers.shape}, but {m} phase layers "
+                             f"of {n} ports need {(m + 1, n, n)}")
+        defects = unitarity_defect(mixers)
+        if not (defects <= _UNITARITY_ATOL).all():
+            slot = int(np.argmin(defects <= _UNITARITY_ATOL))
+            raise ValueError(f"mixer slot {slot} is not unitary: "
+                             f"||X†X - I||_F = {defects[slot]:.3e}")
+        mixers.flags.writeable = False
         object.__setattr__(self, "mixers", mixers)
 
     @property
@@ -138,10 +146,6 @@ class InterlacedCircuit:
     @property
     def layers(self) -> int:
         return self.program.layers
-
-    def mixer_stack(self) -> np.ndarray:
-        """Mixing matrices as one (M+1, N, N) array, slot order preserved."""
-        return np.stack([layer.matrix for layer in self.mixers])
 
     def with_program(self, program: PhaseProgram) -> "InterlacedCircuit":
         return InterlacedCircuit(self.mixers, program)
@@ -164,7 +168,6 @@ class FitResult:
     iterations: int
     restarts_used: int
     converged: bool
-    seed: int
     status: str
     total_iterations: int
     rejected_trials: int
@@ -200,7 +203,7 @@ def transfer_matrix(mixers: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 def compose(circuit: InterlacedCircuit) -> np.ndarray:
     """Transfer matrix of the circuit (unitary for any phase setting)."""
-    return transfer_matrix(circuit.mixer_stack(), circuit.program.theta)
+    return transfer_matrix(circuit.mixers, circuit.program.theta)
 
 
 def loss(u, target) -> float:
@@ -233,7 +236,7 @@ def normal_equations(
     Splitting the product at layer ``ell`` as ``U = A . diag(e^{i theta}) . B``
     gives the rank-one derivative
     ``dU/dtheta_p = i e^{i theta_p} outer(A[:, p], B[p, :])``.  The mixers
-    are unitary (``MixingLayer`` guarantees it), so ``A diag(e^{i theta}) =
+    are unitary (``InterlacedCircuit`` guarantees it), so ``A diag(e^{i theta}) =
     U B^H``: the prefix products B that composed U give every derivative.
     With the rows ``b = B[p, :]`` of the free phases stacked (layer-major,
     as the flat phase vector) into a (P, N) array, J is never formed; the
@@ -294,8 +297,7 @@ def ideal_circuit(n: int, m: int) -> InterlacedCircuit:
     """Circuit of m+1 identical ideal mixing layers with all phases zero."""
     if m < 1:
         raise ValueError(f"need at least one phase layer, got {m}")
-    layer = dfrft(JxSpec(n))
-    return InterlacedCircuit((layer,) * (m + 1), PhaseProgram.zeros(m, n))
+    return InterlacedCircuit([dfrft(n)] * (m + 1), PhaseProgram.zeros(m, n))
 
 
 def perturbed_circuit(
@@ -317,9 +319,6 @@ def perturbed_circuit(
         return ideal_circuit(n, m)
     if m < 1:
         raise ValueError(f"need at least one phase layer, got {m}")
-    spec = JxSpec(n)
-    mixers = []
-    for slot in range(m + 1):
-        h1 = gaussian_hermitian(n, derive_seed(seed, label, slot))
-        mixers.append(perturbed_mixer(spec, sigma_k, h1))
-    return InterlacedCircuit(tuple(mixers), PhaseProgram.zeros(m, n))
+    mixers = [perturbed_mixer(n, sigma_k, gaussian_hermitian(n, derive_seed(seed, label, k)))
+              for k in range(m + 1)]
+    return InterlacedCircuit(mixers, PhaseProgram.zeros(m, n))

@@ -156,7 +156,7 @@ def _cmd_haar(args) -> int:
         ]
     for i, path in enumerate(paths):
         u = haar_unitary(args.ports, derive_seed(args.seed, "haar", i))
-        write_matrix(path, u, role="unitary")
+        write_matrix(path, u)
     print(f"wrote {len(paths)} unitary matrix file(s) (N={args.ports}, seed={args.seed})")
     return 0
 
@@ -164,7 +164,7 @@ def _cmd_haar(args) -> int:
 def _cmd_decompose(args) -> int:
     _check_counts(args, "--restarts", "--max-iterations")
     _check_target_loss(args)
-    target, _ = read_matrix(args.target)
+    target = read_matrix(args.target)
     n = target.shape[0]
     if args.ports is not None and args.ports != n:
         raise ValueError(f"--ports {args.ports} does not match target size {n}")
@@ -205,7 +205,7 @@ def _cmd_apply(args) -> int:
     circuit = perturbed_circuit(program.ports, program.layers, args.sigma_k,
                                 args.seed).with_program(program)
     u = compose(circuit)
-    write_matrix(args.out, u, role="unitary")
+    write_matrix(args.out, u)
     print(f"transfer matrix ({program.ports} ports, {program.layers} layers) -> {args.out}")
     return 0
 
@@ -214,7 +214,7 @@ def _cmd_calibrate(args) -> int:
     _check_counts(args, "--attempts", "--iterations")
     _check_sigma_k(args)
     _check_target_loss(args)
-    target, _ = read_matrix(args.target)
+    target = read_matrix(args.target)
     program = read_phases(args.phases)
     if target.shape[0] != program.ports:
         raise ValueError(

@@ -40,7 +40,7 @@ from .circuit import (
     perturbed_circuit,
     transfer_matrix,
 )
-from .lattice import JxSpec, dfrft, relative_deviation
+from .lattice import dfrft, relative_deviation
 from .optimizer import FromVector, LmaOptions, fit
 from .sampling import derive_seed, haar_unitary, uniform_phases
 from .svgplot import histogram_svg, scatter_svg
@@ -245,7 +245,7 @@ def _perturbation_row(r, i, perturbed, target, fitted, *, f_ideal):
     u_p = compose(perturbed)
     return fitted, dict(
         loss_before=loss(u_p, target),
-        delta_f=relative_deviation(f_ideal, perturbed.mixers[0].matrix),
+        delta_f=relative_deviation(f_ideal, perturbed.mixers[0]),
         delta_u=relative_deviation(target, u_p),
     )
 
@@ -269,7 +269,7 @@ def perturbation_table(
     of the composed matrix from the target (delta_u).  The ideal-mixer
     fit is shared across sigma_k rows of the same sample.
     """
-    measure_row = partial(_perturbation_row, f_ideal=dfrft(JxSpec(n)).matrix)
+    measure_row = partial(_perturbation_row, f_ideal=dfrft(n))
     return _ideal_fit_rows("perturbation-table", "sample", sigma_k_list, samples,
                            options, seed, n, m, threads, done, measure_row)
 
@@ -323,7 +323,7 @@ def _phasediff_fits(todo, *, given, target, fits, seed, jitter_fraction, options
         t0 = time.perf_counter()
         circ = perturbed_circuit(n, m, sigma_k, seed, label=slot_label)
         init = FromVector(given, jitter_fraction) if mode == "jittered" else None
-        result = fit(circ, target, options, init, fit_seed)
+        result = fit(circ, target, options, init, seed=fit_seed)
         recovered = result.phases.theta.ravel()
         dx = given.ravel() - recovered
         out.append(_fitted(
@@ -358,7 +358,7 @@ def phase_difference_study(
     difference uses raw (non-canonicalized) recovered phases.
     """
     truncated = LmaOptions(max_iterations=truncated_iterations, restarts=1)
-    stack = ideal_circuit(n, m).mixer_stack()
+    stack = ideal_circuit(n, m).mixers
     rows = [float(sk) for sk in sigma_k_list]
     for mode in init_modes:
         if mode not in ("jittered", "random"):

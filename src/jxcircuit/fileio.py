@@ -58,21 +58,27 @@ _CELL_PARSERS = {
 _COLUMN_PARSERS = [_CELL_PARSERS[f.type] for f in dataclasses.fields(ExperimentRecord)]
 
 
-def _check_major(found, expected: str, path) -> None:
-    major = str(found).split(".")[0]
-    if major != expected.split(".")[0]:
-        raise ValueError(
-            f"{path}: unsupported schema version {found!r} "
-            f"(supported major version {expected.split('.')[0]})"
-        )
-
-
-def _load_json(path):
+def _load_json(path, version: str, kind: str | None, keys: tuple[str, ...] = ()) -> dict:
+    """The JSON object in ``path``, of ``version``'s major schema version, of
+    ``kind`` (any, if None) and holding every key of ``keys``; any other
+    document is a ``ValueError`` that names the file."""
     text = Path(path).read_text()
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    found, major = doc.get("schema_version"), version.split(".")[0]
+    if str(found).split(".")[0] != major:
+        raise ValueError(
+            f"{path}: unsupported schema version {found!r} (supported major version {major})")
+    if kind is not None and doc.get("kind") != kind:
+        raise ValueError(f"{path}: not a {kind} file (kind={doc.get('kind')!r})")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{path}: missing key {key!r}")
+    return doc
 
 
 def write_text(path, text: str) -> None:
@@ -92,16 +98,15 @@ def write_text(path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def write_matrix(path, matrix, role: str = "general") -> None:
+def write_matrix(path, matrix) -> None:
+    """Write a unitary matrix as a file of role "unitary"."""
     m = as_complex_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix file stores square matrices, got {m.shape}")
-    if role not in ("general", "unitary"):
-        raise ValueError(f"unknown matrix role {role!r}")
     doc = {
         "schema_version": MATRIX_SCHEMA_VERSION,
         "kind": "matrix",
-        "role": role,
+        "role": "unitary",
         "n": m.shape[0],
         "re": m.real.tolist(),
         "im": m.imag.tolist(),
@@ -109,12 +114,10 @@ def write_matrix(path, matrix, role: str = "general") -> None:
     write_text(path, json.dumps(doc, indent=1, allow_nan=False) + "\n")
 
 
-def read_matrix(path) -> tuple[np.ndarray, str]:
-    """Load a matrix file, validating shape, finiteness and claimed role."""
-    doc = _load_json(path)
-    _check_major(doc.get("schema_version"), MATRIX_SCHEMA_VERSION, path)
-    if doc.get("kind") != "matrix":
-        raise ValueError(f"{path}: not a matrix file (kind={doc.get('kind')!r})")
+def read_matrix(path) -> np.ndarray:
+    """Load a matrix file, validating shape, finiteness and claimed role
+    (a file of role "general", or of none, may hold any finite matrix)."""
+    doc = _load_json(path, MATRIX_SCHEMA_VERSION, "matrix", ("n", "re", "im"))
     n = int(doc["n"])
     re = np.asarray(doc["re"], dtype=float)
     im = np.asarray(doc["im"], dtype=float)
@@ -125,14 +128,13 @@ def read_matrix(path) -> tuple[np.ndarray, str]:
     m = re + 1j * im
     if not np.isfinite(m).all():
         raise ValueError(f"{path}: matrix contains non-finite entries")
-    role = doc.get("role", "general")
-    if role == "unitary":
+    if doc.get("role", "general") == "unitary":
         defect = unitarity_defect(m)
         if defect > UNITARY_LOAD_TOLERANCE:
             raise ValueError(
                 f"{path}: claims role 'unitary' but ||U†U - I||_F = {defect:.3e}"
             )
-    return m, role
+    return m
 
 
 def write_phases(path, program: PhaseProgram) -> None:
@@ -156,10 +158,7 @@ def write_phases(path, program: PhaseProgram) -> None:
 
 
 def read_phases(path) -> PhaseProgram:
-    doc = _load_json(path)
-    _check_major(doc.get("schema_version"), PHASE_SCHEMA_VERSION, path)
-    if doc.get("kind") != "phases":
-        raise ValueError(f"{path}: not a phase file (kind={doc.get('kind')!r})")
+    doc = _load_json(path, PHASE_SCHEMA_VERSION, "phases", ("m", "n", "theta", "mask"))
     m, n = int(doc["m"]), int(doc["n"])
     theta = np.asarray(doc["theta"], dtype=float)
     if theta.shape != (m, n):
@@ -246,6 +245,4 @@ def write_metadata(path, experiment: str, master_seed: int, parameters: dict) ->
 
 
 def read_metadata(path) -> dict:
-    doc = _load_json(path)
-    _check_major(doc.get("schema_version"), METADATA_SCHEMA_VERSION, path)
-    return doc
+    return _load_json(path, METADATA_SCHEMA_VERSION, None)

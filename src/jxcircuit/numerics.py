@@ -97,10 +97,14 @@ def frobenius_norm(a) -> float:
     return float(np.sqrt((m.real**2 + m.imag**2).sum()))
 
 
-def unitarity_defect(a) -> float:
-    """Frobenius norm of ``A†A - I``."""
-    m = as_complex_matrix(a)
-    return frobenius_norm(m.conj().T @ m - np.eye(m.shape[1]))
+def unitarity_defect(a):
+    """Frobenius norm of ``A†A - I``: a float for a matrix, and an array of
+    one per matrix for a stack (..., N, N), from stacked products."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of them, got shape {m.shape}")
+    d = m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])
+    return np.sqrt((d.real**2 + d.imag**2).sum(axis=(-2, -1)))
 
 
 def qr_unitary(a) -> tuple[np.ndarray, np.ndarray]:

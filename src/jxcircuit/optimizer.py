@@ -2,7 +2,7 @@
 
 The damped normal equations ``(J'J + lambda diag(J'J)) delta = -J'r`` are
 formed from the circuit's prefix products alone (``circuit.normal_equations``:
-the mixers are unitary, as ``MixingLayer`` guarantees, so the coupling of two
+the mixers are unitary, as ``InterlacedCircuit`` guarantees, so the coupling of two
 phases is the squared modulus of the transfer matrix between their layers) and
 solved per step, from one Cholesky factorization per damping value
 (``numerics.SpdSolver``); a step is accepted only if it lowers the loss, in
@@ -377,9 +377,10 @@ def _lane_cap(program: PhaseProgram) -> int:
 def fit(
     circuit: InterlacedCircuit,
     target,
-    options: LmaOptions | None = None,
+    options: LmaOptions,
     init: FromVector | None = None,
-    seed: int = 0,
+    *,
+    seed: int,
 ) -> FitResult:
     """Best-of-restarts phase fit of the circuit to a target unitary.
 
@@ -397,7 +398,6 @@ def fit(
     recomputed from the composed transfer matrix, so it is consistent
     with ``loss(compose(...), target)`` by construction.
     """
-    options = options if options is not None else LmaOptions()
     target = as_complex_matrix(target)
     program = circuit.program
     m, n = program.layers, program.ports
@@ -409,7 +409,7 @@ def fit(
     if init is not None and init.phases.shape not in ((m, n), (m * n,)):
         raise ValueError(f"start grid shape {init.phases.shape} is neither the circuit's "
                          f"phase grid {(m, n)} nor its flat form {(m * n,)}")
-    mixers = circuit.mixer_stack()
+    mixers = circuit.mixers
     width = min(_lane_cap(program), options.restarts)
     problem = _Problem(mixers, program, target, width)
     starts = (_initial_free_values(program, init, derive_seed(seed, "lma-restart", k))
@@ -427,7 +427,6 @@ def fit(
         iterations=best.iterations,
         restarts_used=len(outcomes),
         converged=final_loss < options.target_loss,
-        seed=seed,
         status=best.status,
         total_iterations=sum(outcome.iterations for outcome in outcomes),
         rejected_trials=sum(outcome.rejected for outcome in outcomes),

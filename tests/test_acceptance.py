@@ -32,7 +32,7 @@ from jxcircuit.experiments import (
     summarize_universality,
     universality_sweep,
 )
-from jxcircuit.lattice import JxSpec, build_jx_hamiltonian, dfrft
+from jxcircuit.lattice import build_jx_hamiltonian, dfrft
 from jxcircuit.numerics import eig_hermitian, frobenius_norm, unitarity_defect
 from jxcircuit.optimizer import LmaOptions, fit
 from jxcircuit.sampling import haar_unitary
@@ -199,14 +199,14 @@ def test_criterion_6_property_suites():
         n = int(rng.integers(2, 17))
         m = int(rng.integers(1, 6))
         theta = rng.uniform(0, 2 * np.pi, (m, n))
-        u = transfer_matrix(ideal_circuit(n, m).mixer_stack(), theta)
+        u = transfer_matrix(ideal_circuit(n, m).mixers, theta)
         assert unitarity_defect(u) < 1e-11
 
     for n in range(2, 17):
-        f = dfrft(JxSpec(n)).matrix
+        f = dfrft(n)
         assert unitarity_defect(f) < 1e-11
         # equidistant spectrum at 1e-10
-        w, _ = eig_hermitian(build_jx_hamiltonian(JxSpec(n)))
+        w, _ = eig_hermitian(build_jx_hamiltonian(n))
         assert np.abs(w - (np.arange(n) - (n - 1) / 2)).max() < 1e-10
         # quarter-cycle periodicity at 1e-10
         assert frobenius_norm(
@@ -227,7 +227,7 @@ def test_criterion_6_property_suites():
             )
         circ = ideal_circuit(n, m).with_program(program)
         target = haar_unitary(n, int(rng.integers(1_000_000)))
-        stack = circ.mixer_stack()
+        stack = circ.mixers
         _, jac = residuals_and_jacobian(stack, program.theta, program.free_mask, target)
         step = 1e-6
         cols = []
@@ -252,7 +252,7 @@ def test_criterion_6_property_suites():
             PhaseProgram(rng.uniform(0, 2 * np.pi, (m, n)), np.zeros((m, n), bool))
         )
         target = haar_unitary(n, int(rng.integers(1_000_000)))
-        r, _ = residuals_and_jacobian(circ.mixer_stack(), circ.program.theta,
+        r, _ = residuals_and_jacobian(circ.mixers, circ.program.theta,
                                       circ.program.free_mask, target)
         assert abs(float(r @ r) - loss(compose(circ), target)) < 1e-14
 

@@ -11,7 +11,7 @@ from jxcircuit.circuit import (
     perturbed_circuit,
     transfer_matrix,
 )
-from jxcircuit.lattice import JxSpec, dfrft, perturbed_mixer
+from jxcircuit.lattice import dfrft, perturbed_mixer
 from jxcircuit.numerics import frobenius_norm, unitarity_defect
 from jxcircuit.sampling import derive_seed, gaussian_hermitian, haar_unitary, uniform_phases
 from jacobian_reference import residuals_and_jacobian
@@ -26,7 +26,7 @@ def free_program(theta):
 
 
 def residuals_and_jacobian_of(circ, target):
-    return residuals_and_jacobian(circ.mixer_stack(), circ.program.theta,
+    return residuals_and_jacobian(circ.mixers, circ.program.theta,
                                   circ.program.free_mask, target)
 
 
@@ -71,7 +71,7 @@ class TestCompose:
     def test_zero_phases_give_mixer_power(self):
         for n, m in ((2, 3), (4, 5)):
             circ = ideal_circuit(n, m)
-            f = dfrft(JxSpec(n)).matrix
+            f = dfrft(n)
             want = np.linalg.matrix_power(f, m + 1)
             assert frobenius_norm(compose(circ) - want) < 1e-12
 
@@ -94,7 +94,7 @@ class TestCompose:
             n = int(rng.integers(1, 17))
             m = int(rng.integers(1, 7))
             theta = rng.uniform(0, 2 * np.pi, (m, n))
-            u = transfer_matrix(ideal_circuit(n, m).mixer_stack(), theta)
+            u = transfer_matrix(ideal_circuit(n, m).mixers, theta)
             assert unitarity_defect(u) < 1e-11
 
     def test_global_phase_covariance(self):
@@ -102,17 +102,35 @@ class TestCompose:
         u = compose(circ)
         shifted = circ.program.theta.copy()
         shifted[2] += 0.7  # constant added to every phase of one layer
-        u2 = transfer_matrix(circ.mixer_stack(), shifted)
+        u2 = transfer_matrix(circ.mixers, shifted)
         assert frobenius_norm(u2 - np.exp(1j * 0.7) * u) < 1e-12
         assert abs(abs(np.linalg.det(u)) - 1.0) < 1e-12
         assert abs(abs(np.linalg.det(u2)) - 1.0) < 1e-12
 
     def test_mixer_count_validated(self):
-        layer = dfrft(JxSpec(2))
+        layer = dfrft(2)
         with pytest.raises(ValueError):
-            InterlacedCircuit((layer,), PhaseProgram.zeros(2, 2))
+            InterlacedCircuit([layer], PhaseProgram.zeros(2, 2))
         with pytest.raises(ValueError):
-            InterlacedCircuit((layer,) * 3, PhaseProgram.zeros(2, 3))
+            InterlacedCircuit([layer] * 3, PhaseProgram.zeros(2, 3))
+
+    def test_mixers_reject_non_unitary_slots_and_wrong_shapes(self):
+        program = PhaseProgram.zeros(2, 2)
+        for bad in ([[1.0, 0.1], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]],
+                    [[np.inf, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0 + 2e-12]]):
+            stack = [F2, np.array(bad), F2]
+            with pytest.raises(ValueError, match="mixer slot 1 is not unitary"):
+                InterlacedCircuit(stack, program)
+        # within the bound: a slot off unitary by roundoff is kept as given
+        near = np.diag([1.0, 1.0 + 1e-13])
+        circ = InterlacedCircuit([near, F2, F2], program)
+        assert np.array_equal(circ.mixers[0], near)
+        # a stack of the wrong shape, or with one slot too few or too many
+        for shape in ((3, 2, 3), (3, 3, 3), (2, 2), (2, 2, 2), (4, 2, 2)):
+            stack = np.zeros(shape, dtype=complex)
+            stack[..., range(min(shape[-2:])), range(min(shape[-2:]))] = 1.0
+            with pytest.raises(ValueError, match="mixer stack has shape"):
+                InterlacedCircuit(stack, program)
 
 
 class TestLoss:
@@ -237,11 +255,11 @@ class TestBuilders:
         ideal = ideal_circuit(3, 4)
         pert = perturbed_circuit(3, 4, 0.0, seed=5)
         for a, b in zip(ideal.mixers, pert.mixers):
-            assert np.array_equal(a.matrix, b.matrix)
+            assert np.array_equal(a, b)
 
     def test_perturbed_circuit_slots_independent(self):
         circ = perturbed_circuit(4, 3, 0.01, seed=6)
-        mats = [layer.matrix for layer in circ.mixers]
+        mats = list(circ.mixers)
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 assert frobenius_norm(mats[i] - mats[j]) > 1e-6
@@ -250,13 +268,26 @@ class TestBuilders:
         circ = perturbed_circuit(3, 2, 0.01, 7, label="study/row=1")
         for slot, layer in enumerate(circ.mixers):
             h1 = gaussian_hermitian(3, derive_seed(7, "study/row=1", slot))
-            want = perturbed_mixer(JxSpec(3), 0.01, h1).matrix
-            assert np.array_equal(layer.matrix, want)
+            want = perturbed_mixer(3, 0.01, h1)
+            assert np.array_equal(layer, want)
         default = perturbed_circuit(3, 2, 0.01, 7)
-        assert not np.array_equal(default.mixers[0].matrix, circ.mixers[0].matrix)
+        assert not np.array_equal(default.mixers[0], circ.mixers[0])
 
     def test_perturbed_circuit_deterministic(self):
         a = perturbed_circuit(4, 3, 0.01, seed=6)
         b = perturbed_circuit(4, 3, 0.01, seed=6)
         for la, lb in zip(a.mixers, b.mixers):
-            assert np.array_equal(la.matrix, lb.matrix)
+            assert np.array_equal(la, lb)
+
+    def test_mixers_are_one_read_only_copy(self):
+        given = np.stack([F2, F2, F2.T])
+        circ = InterlacedCircuit(given, PhaseProgram.zeros(2, 2))
+        assert circ.mixers.shape == (3, 2, 2) and circ.mixers.dtype == np.complex128
+        given[0] = np.eye(2)  # the circuit holds its own copy
+        assert np.array_equal(circ.mixers[0], F2)
+        for circuit in (circ, circ.with_program(PhaseProgram.zeros(2, 2)),
+                        ideal_circuit(3, 2), perturbed_circuit(3, 2, 0.01, 7)):
+            with pytest.raises(ValueError, match="read-only"):
+                circuit.mixers[0, 0, 0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                circuit.mixers[1] *= 1j

@@ -11,7 +11,7 @@ import jxcircuit
 from jxcircuit.cli import main
 from jxcircuit.circuit import PhaseProgram
 from jxcircuit.fileio import read_matrix, read_phases, read_records, write_matrix, write_phases
-from jxcircuit.lattice import JxSpec, dfrft
+from jxcircuit.lattice import dfrft
 from jxcircuit.numerics import frobenius_norm
 from jxcircuit.sampling import haar_unitary
 
@@ -31,14 +31,14 @@ class TestHaarCommand:
                    "--out-dir", tmp_path) == 0
         assert [p.read_bytes() for p in paths] == first_bytes
         for p in paths:
-            matrix, role = read_matrix(p)
-            assert role == "unitary"
+            read_matrix(p)
+            assert json.loads(p.read_text())["role"] == "unitary"
 
     def test_different_seeds_differ(self, tmp_path):
         run("haar", "--ports", 4, "--seed", 1, "--out", tmp_path / "a.json")
         run("haar", "--ports", 4, "--seed", 2, "--out", tmp_path / "b.json")
-        a, _ = read_matrix(tmp_path / "a.json")
-        b, _ = read_matrix(tmp_path / "b.json")
+        a = read_matrix(tmp_path / "a.json")
+        b = read_matrix(tmp_path / "b.json")
         assert frobenius_norm(a - b) > 1e-3
 
     def test_out_with_count_is_usage_error(self, tmp_path):
@@ -70,14 +70,17 @@ class TestDecomposeCommand:
 
     def test_identity_target_converges(self, tmp_path):
         target = tmp_path / "eye.json"
-        write_matrix(target, np.eye(3), role="unitary")
+        write_matrix(target, np.eye(3))
         code = run("decompose", "--target", target, "--layers", 4,
                    "--restarts", 20, "--seed", 2, "--out", tmp_path / "p.json")
         assert code == 0
 
     def test_non_unitary_target_hard_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        write_matrix(bad, np.eye(3) * 1.5)
+        write_matrix(bad, np.eye(3))
+        doc = json.loads(bad.read_text())
+        doc["role"], doc["re"] = "general", (np.eye(3) * 1.5).tolist()
+        bad.write_text(json.dumps(doc))
         code = run("decompose", "--target", bad, "--layers", 4,
                    "--out", tmp_path / "p.json")
         assert code == 2
@@ -110,8 +113,8 @@ class TestApplyCommand:
         write_phases(phases, PhaseProgram.zeros(1, 2))
         out = tmp_path / "u.json"
         assert run("apply", "--phases", phases, "--out", out) == 0
-        matrix, _ = read_matrix(out)
-        f = dfrft(JxSpec(2)).matrix
+        matrix = read_matrix(out)
+        f = dfrft(2)
         assert frobenius_norm(matrix - f @ f) < 1e-12
 
     def test_zero_sigma_matches_ideal(self, tmp_path):
@@ -128,8 +131,8 @@ class TestApplyCommand:
         assert run("decompose", "--target", tmp_path / "t.json", "--layers", 3,
                    "--restarts", 20, "--seed", 6, "--out", phases) == 0
         assert run("apply", "--phases", phases, "--out", tmp_path / "u.json") == 0
-        matrix, _ = read_matrix(tmp_path / "u.json")
-        target, _ = read_matrix(tmp_path / "t.json")
+        matrix = read_matrix(tmp_path / "u.json")
+        target = read_matrix(tmp_path / "t.json")
         assert frobenius_norm(matrix - target) ** 2 / 4 < 1e-10
 
 
@@ -175,6 +178,32 @@ class TestCalibrateCommand:
                    "--sigma-k", 0.003, "--attempts", 0, "--out", tmp_path / "c.json") == 2
         assert "--attempts" in capsys.readouterr().err
         assert not (tmp_path / "c.json").exists()
+
+
+def without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("decompose", without("n"), "missing key 'n'"),
+    ("decompose", lambda doc: [doc], "expected a JSON object, got list"),
+    ("apply", without("mask"), "missing key 'mask'"),
+], ids=["no-n", "list", "no-mask"])
+def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, edit, message):
+    path = tmp_path / "in.json"
+    if command == "decompose":
+        run("haar", "--ports", 2, "--seed", 1, "--out", path)
+        argv = ("decompose", "--target", path, "--layers", 1)
+    else:
+        write_phases(path, PhaseProgram.zeros(1, 2))
+        argv = ("apply", "--phases", path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert run(*argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{path}: {message}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -378,7 +407,11 @@ class TestExperimentCommand:
         cfg = self.config(tmp_path, 'n_list = [2]\nm_list = [3]\ntargets = 1\nrestarts = 3\n')
         out = tmp_path / "res"
         assert run("experiment", "universality", "--config", cfg, "--out-dir", out) == 0
-        (out / "universality_metadata.json").unlink()
+        meta = out / "universality_metadata.json"
+        meta.write_text("[]")  # a JSON document that is not an object
+        assert run("experiment", "universality", "--config", cfg, "--out-dir", out,
+                   "--resume") == 2
+        meta.unlink()
         assert run("experiment", "universality", "--config", cfg, "--out-dir", out,
                    "--resume") == 2
 

@@ -4,8 +4,7 @@ import pytest
 from jxcircuit.circuit import perturbed_circuit
 from jxcircuit.lattice import (
     DFRFT_LENGTH,
-    JxSpec,
-    MixingLayer,
+    _hopping_rates,
     build_jx_hamiltonian,
     dfrft,
     perturb_hamiltonian,
@@ -17,55 +16,55 @@ from jxcircuit.sampling import derive_seed, gaussian_hermitian
 
 
 def test_hopping_formula_and_symmetry():
-    spec = JxSpec(4)
-    assert np.allclose(spec.hopping, [np.sqrt(3) / 2, 1.0, np.sqrt(3) / 2], atol=1e-15)
+    assert np.allclose(_hopping_rates(4), [np.sqrt(3) / 2, 1.0, np.sqrt(3) / 2], atol=1e-15)
     for n in range(2, 33):
-        h = JxSpec(n).hopping
+        h = _hopping_rates(n)
         assert np.allclose(h, h[::-1], atol=1e-15)  # kappa_p == kappa_{n-p}
-    assert JxSpec(2).hopping[0] == 0.5
+    assert _hopping_rates(2)[0] == 0.5
 
 
 def test_jx_hamiltonian_structure():
-    h = build_jx_hamiltonian(JxSpec(4))
+    h = build_jx_hamiltonian(4)
     assert h.shape == (4, 4)
     assert np.allclose(np.diagonal(h), 0.0)
     assert np.allclose(h, h.conj().T)
-    assert np.allclose(np.diagonal(h, 1), JxSpec(4).hopping)
+    assert np.allclose(np.diagonal(h, 1), _hopping_rates(4))
     # no couplings beyond nearest neighbor
     assert frobenius_norm(np.triu(h, 2)) == 0.0
 
 
 def test_jx_single_port():
-    h = build_jx_hamiltonian(JxSpec(1))
+    h = build_jx_hamiltonian(1)
     assert h.shape == (1, 1)
     assert h[0, 0] == 0.0
 
 
 def test_jx_two_port_example():
-    assert np.allclose(build_jx_hamiltonian(JxSpec(2)), [[0, 0.5], [0.5, 0]])
+    assert np.allclose(build_jx_hamiltonian(2), [[0, 0.5], [0.5, 0]])
 
 
 def test_invalid_spec_rejected():
-    with pytest.raises(ValueError):
-        JxSpec(0)
+    for build in (_hopping_rates, build_jx_hamiltonian, dfrft):
+        with pytest.raises(ValueError, match="port count must be >= 1"):
+            build(0)
 
 
 def test_equidistant_spectrum():
     for n in range(2, 17):
-        w, _ = eig_hermitian(build_jx_hamiltonian(JxSpec(n)))
+        w, _ = eig_hermitian(build_jx_hamiltonian(n))
         want = np.arange(n) - (n - 1) / 2
         assert np.abs(w - want).max() < 1e-10
 
 
 def test_dfrft_two_port_closed_form():
-    layer = dfrft(JxSpec(2))
+    f = dfrft(2)
     want = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
-    assert frobenius_norm(layer.matrix - want) < 1e-13
+    assert frobenius_norm(f - want) < 1e-13
 
 
 def test_dfrft_unitary_and_quarter_cycle():
     for n in range(2, 17):
-        f = dfrft(JxSpec(n)).matrix
+        f = dfrft(n)
         assert unitarity_defect(f) < 1e-12
         f4 = np.linalg.matrix_power(f, 4)
         want = (-1) ** (n - 1) * np.eye(n)
@@ -73,44 +72,37 @@ def test_dfrft_unitary_and_quarter_cycle():
 
 
 def test_perturb_zero_sigma_is_exact():
-    spec = JxSpec(6)
     h1 = gaussian_hermitian(6, 42)
-    assert np.array_equal(perturb_hamiltonian(spec, 0.0, h1),
-                          build_jx_hamiltonian(spec))
+    assert np.array_equal(perturb_hamiltonian(6, 0.0, h1), build_jx_hamiltonian(6))
 
 
 def test_perturb_two_port_example():
     # kappa_max = 0.5 for N=2, so sigma_k=1 with H1=I adds 0.5 I
-    got = perturb_hamiltonian(JxSpec(2), 1.0, np.eye(2))
+    got = perturb_hamiltonian(2, 1.0, np.eye(2))
     assert np.allclose(got, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
 
 def test_perturb_validates_input():
-    spec = JxSpec(4)
     for bad in (-0.1, float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="sigma_k must be finite and >= 0"):
-            perturb_hamiltonian(spec, bad, np.eye(4))
+            perturb_hamiltonian(4, bad, np.eye(4))
         # named before any eigendecomposition is tried
         with pytest.raises(ValueError, match="sigma_k must be finite and >= 0"):
             perturbed_circuit(4, 5, bad, 0)
     with pytest.raises(ValueError):
-        perturb_hamiltonian(spec, 0.1, np.eye(3))
+        perturb_hamiltonian(4, 0.1, np.eye(3))
     with pytest.raises(ValueError):
-        perturb_hamiltonian(spec, 0.1, [[0, 1], [0, 0]])
+        perturb_hamiltonian(4, 0.1, [[0, 1], [0, 0]])
 
 
 def test_perturbed_mixer_zero_sigma_matches_ideal():
-    spec = JxSpec(5)
     h1 = gaussian_hermitian(5, 1)
-    layer = perturbed_mixer(spec, 0.0, h1)
-    assert np.array_equal(layer.matrix, dfrft(spec).matrix)
+    assert np.array_equal(perturbed_mixer(5, 0.0, h1), dfrft(5))
 
 
 def test_perturbed_mixer_unitarity():
-    spec = JxSpec(8)
     for s in range(10):
-        layer = perturbed_mixer(spec, 0.05, gaussian_hermitian(8, s))
-        assert unitarity_defect(layer.matrix) < 1e-12
+        assert unitarity_defect(perturbed_mixer(8, 0.05, gaussian_hermitian(8, s))) < 1e-12
 
 
 def test_first_order_deviation():
@@ -119,13 +111,12 @@ def test_first_order_deviation():
     # with this same construction and is pinned here.  Linearity in sigma
     # is checked by comparing two small sigma values.
     for n, lo, hi in ((2, 0.85, 1.0001), (8, 0.45, 0.78)):
-        spec = JxSpec(n)
-        f = dfrft(spec).matrix
+        f = dfrft(n)
         for s in range(5):
             h1 = gaussian_hermitian(n, derive_seed(77, f"fo{n}", s))
-            scale = DFRFT_LENGTH * spec.kappa_max * frobenius_norm(h1)
-            dev6 = frobenius_norm(f - perturbed_mixer(spec, 1e-6, h1).matrix)
-            dev7 = frobenius_norm(f - perturbed_mixer(spec, 1e-7, h1).matrix)
+            scale = DFRFT_LENGTH * _hopping_rates(n).max() * frobenius_norm(h1)
+            dev6 = frobenius_norm(f - perturbed_mixer(n, 1e-6, h1))
+            dev7 = frobenius_norm(f - perturbed_mixer(n, 1e-7, h1))
             ratio = dev6 / (1e-6 * scale)
             assert lo < ratio < hi
             assert abs(dev6 / dev7 - 10.0) < 0.01  # first order in sigma
@@ -133,25 +124,24 @@ def test_first_order_deviation():
 
 def test_deviation_linearity_ensemble():
     # ensemble mean of dF doubles when sigma_k doubles (within 5%)
-    spec = JxSpec(8)
-    f = dfrft(spec).matrix
+    f = dfrft(8)
     draws = 200
     for sigma_k in (0.002, 0.005):
         r1 = np.mean([
             relative_deviation(f, perturbed_mixer(
-                spec, sigma_k, gaussian_hermitian(8, derive_seed(6, "lin", s))).matrix)
+                8, sigma_k, gaussian_hermitian(8, derive_seed(6, "lin", s))))
             for s in range(draws)
         ])
         r2 = np.mean([
             relative_deviation(f, perturbed_mixer(
-                spec, 2 * sigma_k, gaussian_hermitian(8, derive_seed(6, "lin", s))).matrix)
+                8, 2 * sigma_k, gaussian_hermitian(8, derive_seed(6, "lin", s))))
             for s in range(draws)
         ])
         assert abs(r2 / r1 - 2.0) < 0.1
 
 
 def test_relative_deviation_examples():
-    f = dfrft(JxSpec(3)).matrix
+    f = dfrft(3)
     assert relative_deviation(f, f) == 0.0
     assert abs(relative_deviation(np.eye(2), -np.eye(2)) - 2.0) < 1e-15
     with pytest.raises(ValueError):
@@ -159,7 +149,3 @@ def test_relative_deviation_examples():
     with pytest.raises(ValueError):
         relative_deviation(np.eye(2), np.eye(3))
 
-
-def test_mixing_layer_rejects_non_unitary():
-    with pytest.raises(ValueError, match="not unitary"):
-        MixingLayer(np.array([[1.0, 0.1], [0.0, 1.0]]))

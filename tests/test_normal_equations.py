@@ -41,7 +41,7 @@ def instance(n, m, seed, fixed, sigma_k=None):
         mixers = np.stack([haar_unitary(n, derive_seed(seed, "slot", k))
                            for k in range(m + 1)])
     else:
-        mixers = perturbed_circuit(n, m, sigma_k, seed).mixer_stack()
+        mixers = perturbed_circuit(n, m, sigma_k, seed).mixers
     rng = np.random.default_rng(seed)
     program = PhaseProgram(rng.uniform(0.0, 2 * np.pi, (m, n)), fixed)
     return mixers, program, haar_unitary(n, derive_seed(seed, "target"))

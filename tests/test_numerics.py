@@ -16,7 +16,7 @@ from jxcircuit.numerics import (
     require_hermitian,
     unitarity_defect,
 )
-from jxcircuit.lattice import JxSpec, build_jx_hamiltonian
+from jxcircuit.lattice import build_jx_hamiltonian
 
 
 def random_hermitian(n, rng):
@@ -38,7 +38,7 @@ def test_eig_identity():
 
 
 def test_eig_jx4_equidistant():
-    h = build_jx_hamiltonian(JxSpec(4))
+    h = build_jx_hamiltonian(4)
     # independent oracle: the characteristic polynomial (via LU determinant)
     # vanishes at the claimed eigenvalues and not in between
     for lam in (-1.5, -0.5, 0.5, 1.5):
@@ -83,7 +83,7 @@ def test_expm_sigmax_closed_form():
 
 
 def test_expm_jx4_full_period():
-    h = build_jx_hamiltonian(JxSpec(4))
+    h = build_jx_hamiltonian(4)
     got = expm_i_scaled(h, 2 * np.pi)
     assert frobenius_norm(got - (-np.eye(4))) < 1e-11
 

@@ -3,13 +3,14 @@
 A name in a module's ``__all__`` must be read somewhere in
 ``src/jxcircuit`` (as a name, an attribute, or an explicit
 ``from ... import``); a name that only the tests use is not public API
-but dead weight.  Likewise a defaulted parameter of a public function, or
-a defaulted field of a public dataclass, must be passed by some call in
-the package (by keyword, by position, or through ``*``/``**``); a
-setting the package never turns is a constant.  Only the standard
-library's ``ast`` is used, so these checks need no import of the
-package.  ``jxcircuit.__version__`` must be
-the version ``pyproject.toml`` declares.
+but dead weight, and so is a method or property of a public class that
+no code in the package reads.  Likewise a defaulted parameter of a
+public function, or a defaulted field of a public dataclass, must be
+passed by some call in the package (by keyword, by position, or through
+``*``/``**``); a setting the package never turns is a constant.  Only
+the standard library's ``ast`` is used, so these checks need no import
+of the package.  ``jxcircuit.__version__`` must be the version
+``pyproject.toml`` declares.
 """
 
 import ast
@@ -41,6 +42,22 @@ def used_names(tree: ast.Module) -> set[str]:
         elif isinstance(node, ast.ImportFrom):
             used.update(alias.name for alias in node.names)
     return used
+
+
+def unread_members(trees: dict[str, ast.Module]) -> list[str]:
+    """Methods and properties (dunders aside) of the classes in a module's
+    ``__all__`` whose names the package never reads."""
+    used = set().union(*(used_names(tree) for tree in trees.values()))
+    unread = []
+    for module, tree in trees.items():
+        public = set(declared_public(tree))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name in public:
+                unread += [f"{module}:{node.name}.{member.name}" for member in node.body
+                           if isinstance(member, ast.FunctionDef)
+                           and not member.name.startswith("__")
+                           and member.name not in used]
+    return unread
 
 
 def defaulted_settings(node) -> list[tuple[int | None, str]]:
@@ -141,6 +158,30 @@ def test_every_public_name_is_used_in_the_package():
     unused = sorted(name for names in declared.values() for name in names
                     if name not in used)
     assert unused == [], f"public names used only outside the package: {unused}"
+
+
+def test_every_member_of_a_public_class_is_read_in_the_package():
+    unread = unread_members(package_trees())
+    assert unread == [], f"class members used only outside the package: {unread}"
+
+
+def test_a_member_counts_as_read_by_attribute_access():
+    tree = ast.parse(
+        "__all__ = ['C']\n"
+        "class C:\n"
+        "    def __post_init__(self): pass\n"
+        "    @property\n"
+        "    def size(self): return 1\n"
+        "    @classmethod\n"
+        "    def make(cls): return cls()\n"
+        "    def stack(self): return self.size\n"
+        "class Private:\n"
+        "    def hidden(self): pass\n"
+        "def use():\n"
+        "    return C.make()\n")
+    assert unread_members({"m.py": tree}) == ["m.py:C.stack"]
+    tree.body.append(ast.parse("def more(c): return c.stack()").body[0])
+    assert unread_members({"m.py": tree}) == []
 
 
 def test_package_version_matches_pyproject():

@@ -33,7 +33,6 @@ from jxcircuit.circuit import (
     normal_equations,
     transfer_matrix,
 )
-from jxcircuit.lattice import MixingLayer
 from jxcircuit.numerics import SpdSolver
 from jxcircuit.optimizer import FromVector, LmaOptions, _Lane, _Problem, fit
 from jxcircuit.sampling import derive_seed, haar_unitary, uniform_phases
@@ -41,9 +40,8 @@ from jacobian_reference import evaluate
 
 
 def haar_circuit(n, m, seed, fixed):
-    layers = tuple(MixingLayer(haar_unitary(n, derive_seed(seed, "slot", k)))
-                   for k in range(m + 1))
-    return InterlacedCircuit(layers, PhaseProgram(np.zeros((m, n)), fixed))
+    mixers = [haar_unitary(n, derive_seed(seed, "slot", k)) for k in range(m + 1)]
+    return InterlacedCircuit(mixers, PhaseProgram(np.zeros((m, n)), fixed))
 
 
 @st.composite
@@ -184,7 +182,7 @@ def test_a_target_reached_mid_batch_stops_the_fit_there(monkeypatch):
 def test_normal_equations_from_stored_prefixes_equal_a_fresh_sweep(n, m, seed, data):
     fixed = np.array(data.draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n)))
     circuit = haar_circuit(n, m, seed, fixed.reshape(m, n))
-    program, mixers = circuit.program, circuit.mixer_stack()
+    program, mixers = circuit.program, circuit.mixers
     target = haar_unitary(n, derive_seed(seed, "target"))
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 2 * np.pi, program.free_count)
@@ -456,7 +454,8 @@ def test_a_fit_builds_one_solver_for_its_live_lanes(monkeypatch, n, m, restarts,
     monkeypatch.setattr(optimizer, "SpdSolver", Counted)
     circuit = ideal_circuit(n, m)
     result = fit(circuit, haar_unitary(n, 2), LmaOptions(restarts=restarts,
-                                                         max_iterations=max_iterations))
+                                                         max_iterations=max_iterations),
+                 seed=0)
     assert result.restarts_used == restarts
     cap = optimizer._lane_cap(circuit.program)
     assert made == [(circuit.program.free_count, min(cap, restarts))]
