@@ -160,7 +160,10 @@ class FitResult:
     ``maxiter``, ``stalled`` (no damping up to the cap lowered the loss) or
     ``no-free-parameters``.  ``total_iterations`` and ``rejected_trials``
     (damping trials that found no lower loss) count over all
-    ``restarts_used`` descents.
+    ``restarts_used`` descents.  ``seconds`` is the fit's share of the wall
+    time of the descent it ran in (each tick's time split equally among the
+    lanes the tick advanced, of this fit or of others on the same circuit)
+    plus its own final composition.
     """
 
     phases: PhaseProgram
@@ -171,6 +174,7 @@ class FitResult:
     status: str
     total_iterations: int
     rejected_trials: int
+    seconds: float
 
 
 def prefix_products(mixers: np.ndarray, thetas: np.ndarray, out: np.ndarray) -> np.ndarray:

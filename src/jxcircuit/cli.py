@@ -275,7 +275,7 @@ def _cmd_experiment(args) -> int:
     if args.resume and csv_path.exists():
         _check_resumable(meta_path, cfg)
         existing = read_records(csv_path)
-        done = {record_key(rec) for rec in existing}
+        done = {record_key(rec): rec.seed for rec in existing}
         print(f"resuming: {len(existing)} record(s) already present")
     records = study.run(cfg, threads, done)
     merged = sorted(existing + records, key=record_sort_key)

@@ -9,9 +9,9 @@ which is informational only).  Functions return flat lists of
 :class:`ExperimentRecord`, ready for CSV serialization, sorted by their
 canonical task order rather than completion order.
 
-A study splits into independent jobs, each owing a few records, and one
-runner skips already-done records, fans the jobs out to worker processes
-and flattens their records in job order.  :data:`STUDIES` registers
+A study splits into independent jobs, each owing some records, and one
+runner skips already-done records (refusing any that no job owes), fans
+the jobs out to worker processes and flattens their records in job order.  :data:`STUDIES` registers
 every study under its CLI name with its config defaults, summary lines
 and plot; those defaults are the only ones, as a study function takes
 every config setting as a required argument.
@@ -41,7 +41,7 @@ from .circuit import (
     transfer_matrix,
 )
 from .lattice import dfrft, relative_deviation
-from .optimizer import FromVector, LmaOptions, fit
+from .optimizer import FromVector, LmaOptions, fit, fit_targets
 from .sampling import derive_seed, haar_unitary, uniform_phases
 from .svgplot import histogram_svg, scatter_svg
 
@@ -113,16 +113,24 @@ def record_key(record: ExperimentRecord) -> tuple:
 _Job = tuple[list[ExperimentRecord], Callable[[list[int]], list[dict]]]
 
 
-def _run_jobs(jobs: list[_Job], threads: int, done: set | None) -> list[ExperimentRecord]:
+def _run_jobs(jobs: list[_Job], threads: int, done: dict | None) -> list[ExperimentRecord]:
     """Measure the records of every job not in ``done``, in job order.
 
-    With ``threads > 1`` the pending jobs run on that many worker processes
-    (at most one per pending job).  A worker returns only the measured
-    fields, so the records are the same for any worker count.
+    ``done`` maps the key of each record already measured to its seed; one
+    that no job owes, or owes with another seed, is refused with a
+    ``ValueError`` naming it.  With ``threads > 1`` the pending jobs run on
+    that many worker processes (at most one per pending job).  A worker
+    returns only the measured fields, so the records are the same for any
+    worker count.
     """
+    done = done or {}
+    seeds = {record_key(rec): rec.seed for owed, _ in jobs for rec in owed}
+    for key, row_seed in done.items():
+        if seeds.get(key) != row_seed:
+            raise ValueError(f"existing record {key} with seed {row_seed} is not owed by this run")
     pending = []
     for owed, measure in jobs:
-        todo = [k for k, rec in enumerate(owed) if done is None or record_key(rec) not in done]
+        todo = [k for k, rec in enumerate(owed) if record_key(rec) not in done]
         if todo:
             pending.append((owed, measure, todo))
     workers = min(threads, len(pending))
@@ -141,27 +149,24 @@ def _run_jobs(jobs: list[_Job], threads: int, done: set | None) -> list[Experime
             for k, fields in zip(todo, rows)]
 
 
-def _fitted(result: FitResult, t0: float, **fields) -> dict:
+def _fitted(result: FitResult, seconds: float, **fields) -> dict:
     """Measured fields plus the record's fit (its loss, iteration and free-phase
-    counts) and the time since t0."""
-    return dict(
-        fields,
-        loss_after=result.loss,
-        iterations=result.iterations,
-        free_count=result.phases.free_count,
-        wall_time=time.perf_counter() - t0,
-    )
+    counts) and its wall time in ``seconds``."""
+    return dict(fields, loss_after=result.loss, iterations=result.iterations,
+                free_count=result.phases.free_count, wall_time=seconds)
 
 
-def _haar_fits(todo, *, n, target_seed, fits, options) -> list[dict]:
-    """Fit one N x N Haar target with each ``(circuit, fit seed)`` of ``fits`` at ``todo``."""
-    target = haar_unitary(n, target_seed)
-    out = []
-    for circuit, fit_seed in (fits[k] for k in todo):
+def _haar_fits(todo, *, circuit, seeds, options) -> list[dict]:
+    """Fit the circuit to one N x N Haar target per ``(target seed, fit seed)``
+    of ``seeds`` at ``todo``, all in one ``fit_targets`` call; each record's
+    ``wall_time`` is its target draw plus its fit's ``seconds``."""
+    targets, draws = [], []
+    for target_seed, _ in (seeds[k] for k in todo):
         t0 = time.perf_counter()
-        result = fit(circuit, target, options, seed=fit_seed)
-        out.append(_fitted(result, t0))
-    return out
+        targets.append(haar_unitary(circuit.ports, target_seed))
+        draws.append(time.perf_counter() - t0)
+    results = fit_targets(circuit, targets, options, [seeds[k][1] for k in todo])
+    return [_fitted(result, draw + result.seconds) for result, draw in zip(results, draws)]
 
 
 def universality_sweep(
@@ -172,28 +177,34 @@ def universality_sweep(
     seed: int,
     *,
     threads: int = 1,
-    done: set | None = None,
+    done: dict | None = None,
 ) -> list[ExperimentRecord]:
     """Best-of-restarts loss per (N, M, Haar target).
 
     ``m_values=None`` sweeps M = N-1 .. N+2 (M >= 1) for each N, which brackets
     the layer count where the error norm collapses to numerical noise.
-    Targets are shared across M for a given N.
+    Targets are shared across M for a given N.  The fits of one (N, M) share
+    one circuit and run in ``max(1, threads)`` jobs of contiguous targets,
+    each one batched descent; records come in (N, target, M) order.
     """
-    jobs = []
+    jobs, parts = [], max(1, threads)
     for n in n_list:
         m_list = (list(m_values) if m_values is not None else
                   [m for m in (n - 1, n, n + 1, n + 2) if m >= 1])
-        circuits = {m: ideal_circuit(n, m) for m in m_list}
-        for i in range(targets):
-            owed = [ExperimentRecord(
-                experiment_label="universality", n=n, m=m, target_index=i,
-                seed=derive_seed(seed, f"universality/n={n}/m={m}/fit", i),
-            ) for m in m_list]
-            jobs.append((owed, partial(
-                _haar_fits, n=n, target_seed=derive_seed(seed, f"universality/n={n}/target", i),
-                fits=[(circuits[rec.m], rec.seed) for rec in owed], options=options)))
-    return _run_jobs(jobs, threads, done)
+        target_seeds = [derive_seed(seed, f"universality/n={n}/target", i)
+                        for i in range(targets)]
+        for m in m_list:
+            circuit = ideal_circuit(n, m)
+            for b in range(parts):
+                owed = [ExperimentRecord(
+                    experiment_label="universality", n=n, m=m, target_index=i,
+                    seed=derive_seed(seed, f"universality/n={n}/m={m}/fit", i),
+                ) for i in range(b * targets // parts, (b + 1) * targets // parts)]
+                jobs.append((owed, partial(_haar_fits, circuit=circuit, options=options, seeds=[
+                    (target_seeds[rec.target_index], rec.seed) for rec in owed])))
+    rank = {n: k for k, n in enumerate(n_list)}
+    return sorted(_run_jobs(jobs, threads, done),
+                  key=lambda rec: (rank[rec.n], rec.target_index))
 
 
 def _ideal_fit_measure(todo, *, i, ideal, target_seed, fit_seed, options, disorder,
@@ -210,7 +221,7 @@ def _ideal_fit_measure(todo, *, i, ideal, target_seed, fit_seed, options, disord
             ideal.ports, ideal.layers, sigma_k, seed, label=slot_label
         ).with_program(fitted.phases)
         result, fields = measure_row(r, i, perturbed, target, fitted)
-        out.append(_fitted(result, t0, **fields))
+        out.append(_fitted(result, time.perf_counter() - t0, **fields))
     return out
 
 
@@ -259,7 +270,7 @@ def perturbation_table(
     n: int,
     m: int,
     threads: int = 1,
-    done: set | None = None,
+    done: dict | None = None,
 ) -> list[ExperimentRecord]:
     """Relative mixer error and end-to-end error under uncorrected phases.
 
@@ -291,7 +302,7 @@ def recalibration_histogram(
     attempts: int,
     truncated_iterations: int,
     threads: int = 1,
-    done: set | None = None,
+    done: dict | None = None,
 ) -> list[ExperimentRecord]:
     """Loss before/after re-optimizing phases against perturbed mixers.
 
@@ -327,7 +338,7 @@ def _phasediff_fits(todo, *, given, target, fits, seed, jitter_fraction, options
         recovered = result.phases.theta.ravel()
         dx = given.ravel() - recovered
         out.append(_fitted(
-            result, t0, mu_dx=float(dx.mean()), sigma_dx=float(dx.std()),
+            result, time.perf_counter() - t0, mu_dx=float(dx.mean()), sigma_dx=float(dx.std()),
             corr_x=_correlation(given.ravel(), recovered),
         ))
     return out
@@ -345,7 +356,7 @@ def phase_difference_study(
     truncated_iterations: int,
     targets: int,
     threads: int = 1,
-    done: set | None = None,
+    done: dict | None = None,
 ) -> list[ExperimentRecord]:
     """Statistics of recovered-vs-given phase vectors under truncated descents.
 
@@ -427,7 +438,7 @@ def faulty_shifter_grid(
     n: int,
     m: int,
     threads: int = 1,
-    done: set | None = None,
+    done: dict | None = None,
 ) -> list[ExperimentRecord]:
     """Best achievable loss with k shifters frozen at random values.
 
@@ -450,13 +461,11 @@ def faulty_shifter_grid(
             label = f"faulty/k={k}/combo={c:03d}"
             program = apply_fault_plan(PhaseProgram.zeros(m, n), fault_plan)
             circuit = ideal_circuit(n, m).with_program(program)
-            for i in range(targets):
-                fit_seed = derive_seed(seed, f"{label}/fit", i)
-                jobs.append(([ExperimentRecord(
-                    experiment_label=label, n=n, m=m, fault_plan=plan_str,
-                    target_index=i, seed=fit_seed,
-                )], partial(_haar_fits, n=n, target_seed=derive_seed(seed, f"{label}/target", i),
-                            fits=[(circuit, fit_seed)], options=options)))
+            owed = [ExperimentRecord(
+                experiment_label=label, n=n, m=m, fault_plan=plan_str, target_index=i,
+                seed=derive_seed(seed, f"{label}/fit", i)) for i in range(targets)]
+            jobs.append((owed, partial(_haar_fits, circuit=circuit, options=options, seeds=[
+                (derive_seed(seed, f"{label}/target", i), rec.seed) for i, rec in enumerate(owed)])))
     return _run_jobs(jobs, threads, done)
 
 
@@ -475,15 +484,8 @@ def summarize_universality(records: Iterable[ExperimentRecord]) -> list[dict]:
     out = []
     for (n, m), recs in _grouped(fitted, lambda rec: (rec.n, rec.m)):
         arr = np.asarray([rec.loss_after for rec in recs])
-        out.append(
-            {
-                "n": n,
-                "m": m,
-                "targets": len(arr),
-                "median_loss": float(np.median(arr)),
-                "fraction_below_1e-10": float((arr < 1e-10).mean()),
-            }
-        )
+        out.append({"n": n, "m": m, "targets": len(arr), "median_loss": float(np.median(arr)),
+                    "fraction_below_1e-10": float((arr < 1e-10).mean())})
     return out
 
 
@@ -496,15 +498,8 @@ def summarize_perturbation(records: Iterable[ExperimentRecord]) -> list[dict]:
     for sk, recs in _grouped(measured, lambda rec: rec.sigma_k):
         df = float(np.mean([rec.delta_f for rec in recs]))
         du = float(np.mean([rec.delta_u for rec in recs]))
-        out.append(
-            {
-                "sigma_k": sk,
-                "samples": len(recs),
-                "mean_delta_f": df,
-                "mean_delta_u": du,
-                "ratio": du / df if df > 0 else float("nan"),
-            }
-        )
+        out.append({"sigma_k": sk, "samples": len(recs), "mean_delta_f": df,
+                    "mean_delta_u": du, "ratio": du / df if df > 0 else float("nan")})
     return out
 
 
@@ -522,7 +517,7 @@ class Study:
     """
 
     defaults: dict
-    run: Callable[[dict, int, set | None], list[ExperimentRecord]]
+    run: Callable[[dict, int, dict | None], list[ExperimentRecord]]
     summary: Callable[[list[ExperimentRecord]], list[str]]
     plot: Callable[[list[ExperimentRecord]], str]
 

@@ -58,10 +58,32 @@ _CELL_PARSERS = {
 _COLUMN_PARSERS = [_CELL_PARSERS[f.type] for f in dataclasses.fields(ExperimentRecord)]
 
 
-def _load_json(path, version: str, kind: str | None, keys: tuple[str, ...] = ()) -> dict:
+#: the keys of a matrix and of a phase file, each with the value it must
+#: hold: None for a positive integer, else ``(dims, words)`` for a grid, a
+#: list of equal-length lists whose shape is the values of the keys ``dims``
+#: and whose entries are numbers or one of ``words``
+_MATRIX_KEYS = {"n": None, "re": (("n", "n"), ()), "im": (("n", "n"), ())}
+_PHASE_KEYS = {"m": None, "n": None, "theta": (("m", "n"), ()), "mask": (("m", "n"), ("free",))}
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _is_number(value) -> bool:
+    """A JSON number that converts to a float (an integer may be too large)."""
+    return isinstance(value, float) or (
+        isinstance(value, int) and not isinstance(value, bool) and abs(value) <= _FLOAT_MAX)
+
+
+def _is_grid(value, rows: int, cols: int, words: tuple) -> bool:
+    return isinstance(value, list) and len(value) == rows and all(
+        isinstance(row, list) and len(row) == cols
+        and all(_is_number(entry) or entry in words for entry in row) for row in value)
+
+
+def _load_json(path, version: str, kind: str | None, keys: dict | None = None) -> dict:
     """The JSON object in ``path``, of ``version``'s major schema version, of
-    ``kind`` (any, if None) and holding every key of ``keys``; any other
-    document is a ``ValueError`` that names the file."""
+    ``kind`` (any, if None) and holding every key of ``keys`` with a value
+    of the type and shape given there (see ``_MATRIX_KEYS``); any other
+    document is a ``ValueError`` that names the file (and the key)."""
     text = Path(path).read_text()
     try:
         doc = json.loads(text)
@@ -75,9 +97,17 @@ def _load_json(path, version: str, kind: str | None, keys: tuple[str, ...] = ())
             f"{path}: unsupported schema version {found!r} (supported major version {major})")
     if kind is not None and doc.get("kind") != kind:
         raise ValueError(f"{path}: not a {kind} file (kind={doc.get('kind')!r})")
-    for key in keys:
+    for key, spec in (keys or {}).items():
         if key not in doc:
             raise ValueError(f"{path}: missing key {key!r}")
+        value = doc[key]
+        if spec is None and not (isinstance(value, int) and not isinstance(value, bool)
+                                 and value >= 1):
+            raise ValueError(f"{path}: key {key!r} must be a positive integer, got {value!r}")
+        if spec is not None and not _is_grid(value, *(doc[d] for d in spec[0]), spec[1]):
+            shape = tuple(doc[d] for d in spec[0])
+            raise ValueError(f"{path}: key {key!r} is not a grid of shape {shape} of numbers"
+                             + "".join(f" or {word!r}" for word in spec[1]))
     return doc
 
 
@@ -117,15 +147,8 @@ def write_matrix(path, matrix) -> None:
 def read_matrix(path) -> np.ndarray:
     """Load a matrix file, validating shape, finiteness and claimed role
     (a file of role "general", or of none, may hold any finite matrix)."""
-    doc = _load_json(path, MATRIX_SCHEMA_VERSION, "matrix", ("n", "re", "im"))
-    n = int(doc["n"])
-    re = np.asarray(doc["re"], dtype=float)
-    im = np.asarray(doc["im"], dtype=float)
-    if re.shape != (n, n) or im.shape != (n, n):
-        raise ValueError(
-            f"{path}: grids have shape {re.shape}/{im.shape}, expected ({n}, {n})"
-        )
-    m = re + 1j * im
+    doc = _load_json(path, MATRIX_SCHEMA_VERSION, "matrix", _MATRIX_KEYS)
+    m = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
     if not np.isfinite(m).all():
         raise ValueError(f"{path}: matrix contains non-finite entries")
     if doc.get("role", "general") == "unitary":
@@ -158,14 +181,9 @@ def write_phases(path, program: PhaseProgram) -> None:
 
 
 def read_phases(path) -> PhaseProgram:
-    doc = _load_json(path, PHASE_SCHEMA_VERSION, "phases", ("m", "n", "theta", "mask"))
-    m, n = int(doc["m"]), int(doc["n"])
+    doc = _load_json(path, PHASE_SCHEMA_VERSION, "phases", _PHASE_KEYS)
+    m, n, mask = doc["m"], doc["n"], doc["mask"]
     theta = np.asarray(doc["theta"], dtype=float)
-    if theta.shape != (m, n):
-        raise ValueError(f"{path}: theta shape {theta.shape}, expected ({m}, {n})")
-    mask = doc["mask"]
-    if len(mask) != m or any(len(row) != n for row in mask):
-        raise ValueError(f"{path}: mask dimensions do not match theta")
     fixed = np.zeros((m, n), dtype=bool)
     for mm in range(m):
         for pp in range(n):

@@ -99,12 +99,14 @@ def frobenius_norm(a) -> float:
 
 def unitarity_defect(a):
     """Frobenius norm of ``A†A - I``: a float for a matrix, and an array of
-    one per matrix for a stack (..., N, N), from stacked products."""
+    one per matrix for a stack (..., N, N), from stacked products.  A
+    non-finite entry gives a NaN or infinite defect, without a warning."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim < 2:
         raise ValueError(f"expected a matrix or a stack of them, got shape {m.shape}")
-    d = m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])
-    return np.sqrt((d.real**2 + d.imag**2).sum(axis=(-2, -1)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])
+        return np.sqrt((d.real**2 + d.imag**2).sum(axis=(-2, -1)))
 
 
 def qr_unitary(a) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,14 @@ import pytest
 import jxcircuit
 from jxcircuit.cli import main
 from jxcircuit.circuit import PhaseProgram
-from jxcircuit.fileio import read_matrix, read_phases, read_records, write_matrix, write_phases
+from jxcircuit.fileio import (
+    read_matrix,
+    read_phases,
+    read_records,
+    write_matrix,
+    write_phases,
+    write_records,
+)
 from jxcircuit.lattice import dfrft
 from jxcircuit.numerics import frobenius_norm
 from jxcircuit.sampling import haar_unitary
@@ -188,7 +196,11 @@ def without(key):
     ("decompose", without("n"), "missing key 'n'"),
     ("decompose", lambda doc: [doc], "expected a JSON object, got list"),
     ("apply", without("mask"), "missing key 'mask'"),
-], ids=["no-n", "list", "no-mask"])
+    ("decompose", lambda doc: dict(doc, n=None), "key 'n' must be a positive integer"),
+    ("apply", lambda doc: dict(doc, mask=[1]), "key 'mask' is not a grid of shape (1, 2)"),
+    ("decompose", lambda doc: dict(doc, re=[[10**400, 0], [0, 1]]),
+     "key 're' is not a grid of shape (2, 2) of numbers"),
+], ids=["no-n", "list", "no-mask", "null-n", "flat-mask", "huge-entry"])
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, edit, message):
     path = tmp_path / "in.json"
     if command == "decompose":
@@ -303,6 +315,30 @@ class TestExperimentCommand:
         assert run("experiment", "universality", "--config", cfg,
                    "--out-dir", out, "--resume") == 0
         assert (out / "universality_records.csv").read_bytes() == before
+
+    @pytest.mark.parametrize("edit, row", [
+        (lambda rec: dataclasses.replace(rec, m=99), "('universality', 2, 99, "),
+        (lambda rec: dataclasses.replace(rec, experiment_label="universalityx"),
+         "('universalityx', 2, 3, "),
+        (lambda rec: dataclasses.replace(rec, seed=rec.seed + 1), "('universality', 2, 3, "),
+    ], ids=["m-99", "foreign-label", "changed-seed"])
+    def test_resume_refuses_rows_no_job_owes(self, tmp_path, capsys, edit, row):
+        cfg = self.config(
+            tmp_path, 'n_list = [2]\nm_list = [3]\ntargets = 2\nrestarts = 4\n'
+        )
+        out = tmp_path / "res"
+        csv_path = out / "universality_records.csv"
+        run("experiment", "universality", "--config", cfg, "--out-dir", out)
+        first, second = read_records(csv_path)
+        write_records(csv_path, [edit(first), second])
+        edited = csv_path.read_bytes()
+        capsys.readouterr()
+        assert run("experiment", "universality", "--config", cfg,
+                   "--out-dir", out, "--resume") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: existing record ") and row in err
+        assert "not owed by this run" in err
+        assert csv_path.read_bytes() == edited
 
     def test_faulty_smoke(self, tmp_path):
         cfg = self.config(

@@ -1,4 +1,5 @@
 import json
+import time
 import warnings
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jxcircuit.circuit import ideal_circuit
 from jxcircuit.experiments import (
+    _haar_fits,
     _random_fault_plan,
     faulty_shifter_grid,
     perturbation_table,
@@ -17,7 +20,8 @@ from jxcircuit.experiments import (
     summarize_universality,
     universality_sweep,
 )
-from jxcircuit.optimizer import LmaOptions
+from jxcircuit.optimizer import LmaOptions, fit
+from jxcircuit.sampling import derive_seed, haar_unitary
 
 
 def drop_wall_time(records):
@@ -76,9 +80,38 @@ class TestUniversalitySweep:
     def test_resume_skips_done_work(self):
         kwargs = dict(m_values=[3], targets=3, options=LmaOptions(restarts=4), seed=16)
         full = universality_sweep([2], **kwargs)
-        done = {record_key(r) for r in full[:2]}
+        done = {record_key(r): r.seed for r in full[:2]}
         rest = universality_sweep([2], **kwargs, done=done)
         assert drop_wall_time(rest) == drop_wall_time(full[2:])
+
+    def test_batched_jobs_keep_records_and_order_at_any_thread_count(self):
+        # each (N, M) splits its 5 targets into one batch, or two uneven ones
+        kwargs = dict(m_values=[2, 3, 4], targets=5, options=LmaOptions(restarts=3), seed=17)
+        one = universality_sweep([3, 2], **kwargs)
+        two = universality_sweep([3, 2], **kwargs, threads=2)
+        assert drop_wall_time(one) == drop_wall_time(two)
+        assert [(r.n, r.target_index, r.m) for r in one] == [
+            (n, i, m) for n in (3, 2) for i in range(5) for m in (2, 3, 4)]
+
+    def test_a_record_is_timed_by_its_own_share_of_the_batch(self):
+        # six fits share one descent: were each timed by the whole batch,
+        # their times would add up to six times the study's
+        t0 = time.perf_counter()
+        records = universality_sweep([3], [4], targets=6, options=LmaOptions(restarts=3),
+                                     seed=18)
+        elapsed = time.perf_counter() - t0
+        walls = [rec.wall_time for rec in records]
+        assert min(walls) > 0 and sum(walls) <= elapsed
+
+
+def test_a_done_subset_of_a_job_fits_only_the_targets_it_owes():
+    circuit, options = ideal_circuit(4, 6), LmaOptions(restarts=3, max_iterations=60)
+    seeds = [(derive_seed(2, "target", i), derive_seed(2, "fit", i)) for i in range(5)]
+    rows = _haar_fits([1, 3, 4], circuit=circuit, seeds=seeds, options=options)
+    for row, (target_seed, fit_seed) in zip(rows, [seeds[1], seeds[3], seeds[4]]):
+        alone = fit(circuit, haar_unitary(4, target_seed), options, seed=fit_seed)
+        assert (row["loss_after"], row["iterations"], row["free_count"]) == (
+            alone.loss, alone.iterations, alone.phases.free_count)
 
 
 class TestPerturbationTable:
@@ -233,6 +266,17 @@ class TestFaultyShifterGrid:
         a = faulty_shifter_grid([1], **kwargs)
         b = faulty_shifter_grid([1], **kwargs, threads=2)
         assert drop_wall_time(a) == drop_wall_time(b)
+
+    def test_one_job_per_combo_at_any_thread_count_and_on_resume(self):
+        kwargs = dict(combos_per_k=2, targets=4, options=LmaOptions(restarts=5),
+                      seed=55, n=4, m=5)
+        full = faulty_shifter_grid([1, 4], **kwargs)
+        assert drop_wall_time(faulty_shifter_grid([1, 4], **kwargs, threads=2)) == \
+            drop_wall_time(full)
+        done = {record_key(r): r.seed for r in full[1::3]}
+        rest = faulty_shifter_grid([1, 4], **kwargs, done=done, threads=2)
+        assert drop_wall_time(rest) == drop_wall_time(
+            [r for r in full if record_key(r) not in done])
 
 
 def test_record_key_uniqueness_across_experiments():

@@ -27,13 +27,18 @@ from jacobian_reference import residuals_and_jacobian
 class LinearProblem:
     """Synthetic zero-residual linear least squares: r(x) = A x - b, so J is A.
 
-    It answers a descent as ``optimizer._Problem`` does: ``losses``
-    evaluates a stack of points and keeps their residuals, where a circuit
-    keeps its prefix products, and ``normal_equations`` reads them.
+    It answers a descent of one fit as ``optimizer._Problem`` does:
+    ``losses`` evaluates a stack of points and keeps their residuals, where
+    a circuit keeps its prefix products, and ``normal_equations`` reads
+    them.
     """
 
     def __init__(self, a, b):
         self.a, self.b = a, b
+        self.free_count = a.shape[1]
+
+    def seat(self, fits):
+        assert set(fits) == {0}
 
     def losses(self, xs):
         self.residuals = xs @ self.a.T - self.b
@@ -46,7 +51,7 @@ class LinearProblem:
 
 def descend(problem, x0, options):
     """The stopped lane of one descent, run alone."""
-    (out,) = _descend(problem, x0[None], options, 1)
+    ((out,),), _ = _descend(problem, [x0[None]], options, 1, 1)
     return out
 
 
@@ -90,7 +95,7 @@ def test_nan_damping_gives_up_instead_of_looping():
     # diag(J'J) and so the damping NaN; the damping loop counts a NaN as over
     # the cap, since NaN > cap is never true
     circ = ideal_circuit(3, 4)
-    problem = optimizer._Problem(circ.mixers, circ.program, haar_unitary(3, 1), 1)
+    problem = optimizer._Problem(circ.mixers, circ.program, haar_unitary(3, 1)[None], 1)
     x0 = np.zeros(circ.program.free_count)
     x0[0] = np.nan
     with deadline(20):

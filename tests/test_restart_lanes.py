@@ -1,5 +1,6 @@
 """Restart lanes and compose-once: what a fit gets does not depend on how
-many of its descents run side by side, and no point is composed twice.
+many of its descents run side by side, nor on the fits that share its
+descent, and no point is composed twice.
 
 ``fit`` runs its restarts through one descent of up to ``_lane_cap`` live
 lanes, advanced together in ticks: each tick composes every live lane's
@@ -8,13 +9,16 @@ open or start an iteration as stacked products and solves every lane's
 damped system, and a stopped lane's slot goes to the next restart.  Its
 result must be the serial loop's: here the default widths are compared
 with the cap pinned to 1 (one lane at a time), on loss targets that some
-restarts reach and others do not.  The normal equations at a point are
-read from the prefix products of the sweep that composed it, and every
-lane's slice of a stacked tick must equal what that lane alone gets,
-bitwise.
+restarts reach and others do not.  ``fit_targets`` runs the restarts of
+several fits of one circuit through one such descent, each lane against
+its own fit's target, and each of its results must be what ``fit`` gives
+that target alone.  The normal equations at a point are read from the
+prefix products of the sweep that composed it, and every lane's slice of
+a stacked tick must equal what that lane alone gets, bitwise.
 """
 
 import gc
+import time
 from dataclasses import replace
 from unittest import mock
 
@@ -34,7 +38,7 @@ from jxcircuit.circuit import (
     transfer_matrix,
 )
 from jxcircuit.numerics import SpdSolver
-from jxcircuit.optimizer import FromVector, LmaOptions, _Lane, _Problem, fit
+from jxcircuit.optimizer import FromVector, LmaOptions, _Lane, _Problem, fit, fit_targets
 from jxcircuit.sampling import derive_seed, haar_unitary, uniform_phases
 from jacobian_reference import evaluate
 
@@ -84,6 +88,19 @@ def fit_in_lanes(*args, **kwargs):
         return fit(*args, **kwargs)
 
 
+def recorded_descents(monkeypatch):
+    """Record what every ``_descend`` call returns."""
+    descents = []
+    descend = optimizer._descend
+
+    def recorded(*args):
+        descents.append(descend(*args))
+        return descents[-1]
+
+    monkeypatch.setattr(optimizer, "_descend", recorded)
+    return descents
+
+
 def assert_same_fit(wide, serial):
     assert np.array_equal(wide.phases.theta, serial.phases.theta)
     for field in ("loss", "iterations", "restarts_used", "status", "converged",
@@ -107,18 +124,11 @@ def test_lanes_that_stop_on_different_ticks_give_the_serial_fit(monkeypatch):
     monkeypatch.setattr(optimizer, "_FUNCTION_TOLERANCE", 3e-16)
     monkeypatch.setattr(optimizer, "_STEP_TOLERANCE", 0.0)
     monkeypatch.setattr(optimizer, "_OPTIMALITY_TOLERANCE", 0.0)
-    descents = []
-    descend = optimizer._descend
-
-    def recorded(problem, starts, options, width):
-        descents.append(descend(problem, starts, options, width))
-        return descents[-1]
-
-    monkeypatch.setattr(optimizer, "_descend", recorded)
+    descents = recorded_descents(monkeypatch)
     circuit, target = ideal_circuit(3, 3), haar_unitary(3, 1)
     options = LmaOptions(restarts=5, max_iterations=36)
     wide = fit(circuit, target, options, seed=0)
-    (lanes,) = descents
+    (((lanes,), _),) = descents
     assert [(lane.status, lane.iterations) for lane in lanes] == [
         ("ftol", 35), ("ftol", 27), ("stalled", 27), ("ftol", 33), ("maxiter", 36)]
     assert_same_fit(wide, fit_at_width_one(circuit, target, options, seed=0))
@@ -187,7 +197,8 @@ def test_normal_equations_from_stored_prefixes_equal_a_fresh_sweep(n, m, seed, d
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 2 * np.pi, program.free_count)
     delta = rng.standard_normal(x.size)
-    problem = _Problem(mixers, program, target, 3)
+    problem = _Problem(mixers, program, target[None], 3)
+    problem.seat([0] * 3)
 
     def check(points, rows, losses):  # before the next sweep overwrites them
         p = program.free_count
@@ -228,7 +239,7 @@ def test_each_tick_stacks_the_normal_equations_of_its_lanes(n, m, seed, data):
         widths.append(prefixes.shape[1])
         for lane in range(prefixes.shape[1]):
             alone = np.ascontiguousarray(prefixes[:, lane])
-            want_jtj, want_g = normal_equations(alone, free_mask, target,
+            want_jtj, want_g = normal_equations(alone, free_mask, target[lane],
                                                 np.empty((p, p), complex), np.empty((p, p)))
             assert np.array_equal(out_jtj[lane], want_jtj)
             assert np.array_equal(out_g[lane], want_g)
@@ -254,7 +265,7 @@ def test_every_fit_reads_the_normal_equations_of_its_current_point(monkeypatch, 
     def fresh(self, rows, gram, jtj):
         g = normal_equations(self, rows, gram, jtj)
         for k, grid in enumerate(self._grids[rows]):
-            want_jtj, want_g = evaluate(self.mixers, grid, self.free, self.target)
+            want_jtj, want_g = evaluate(self.mixers, grid, self.free, self.targets[0])
             assert np.array_equal(jtj[k], want_jtj) and np.array_equal(g[k], want_g)
         counts["rows"] += len(jtj)
         return g
@@ -459,3 +470,124 @@ def test_a_fit_builds_one_solver_for_its_live_lanes(monkeypatch, n, m, restarts,
     assert result.restarts_used == restarts
     cap = optimizer._lane_cap(circuit.program)
     assert made == [(circuit.program.free_count, min(cap, restarts))]
+
+
+# -- lanes across fits: one descent for the fits of one circuit ---------------
+
+
+#: four faults in one layer of a 4 x 6 grid: still above the transition
+#: (20 free phases, 4 of them global-phase shifts), but some targets now
+#: take more than one restart
+CLUSTERED = [(2, 0, 0.5), (2, 1, 1.0), (2, 2, 2.0), (2, 3, 0.3)]
+
+
+@pytest.mark.parametrize("m, faults, restarts, used", [
+    (4, [], 7, {7}),  # below the transition: every restart of every fit runs
+    (6, [], 5, {1}),  # above it: each fit converges on its first restart
+    (6, CLUSTERED, 6, {1, 2, 3, 4}),  # above it, some fits need more restarts
+])
+def test_fits_of_one_circuit_share_one_descent_and_keep_their_serial_results(
+        monkeypatch, m, faults, restarts, used):
+    program = apply_fault_plan(PhaseProgram.zeros(m, 4), faults)
+    circuit = ideal_circuit(4, m).with_program(program)
+    targets = [haar_unitary(4, derive_seed(5, "t", i)) for i in range(8)]
+    options = LmaOptions(restarts=restarts, max_iterations=100)
+    alone = [fit(circuit, target, options, seed=k) for k, target in enumerate(targets)]
+    descents = recorded_descents(monkeypatch)
+    batched = fit_targets(circuit, targets, options, list(range(8)))
+    assert len(descents) == 1 and len(batched) == 8
+    for wide, serial in zip(batched, alone):
+        assert_same_fit(wide, serial)
+    assert {result.restarts_used for result in batched} == used
+
+
+@settings(max_examples=60, deadline=None)
+@given(fits(), st.integers(1, 5), st.booleans())
+def test_a_shared_descent_gives_every_fit_its_serial_result(case, count, serial):
+    # any circuit, mask, budget and start, with up to five targets whose
+    # fits stop after different restarts; against fits run one lane at a
+    # time, or with the default lanes
+    circuit, target, options, init, seed = case
+    n = circuit.ports
+    targets = [target] + [haar_unitary(n, derive_seed(seed, "more", k)) for k in range(1, count)]
+    seeds = [derive_seed(seed, "fit", k) for k in range(count)]
+    one = fit_at_width_one if serial else fit
+    alone = [one(circuit, t, options, init, seed=s) for t, s in zip(targets, seeds)]
+    for wide, want in zip(fit_targets(circuit, targets, options, seeds, init), alone):
+        assert_same_fit(wide, want)
+
+
+def test_fit_targets_refuses_mismatched_seeds_and_targets():
+    circuit = ideal_circuit(3, 3)
+    with pytest.raises(ValueError, match="2 seeds for 1 targets"):
+        fit_targets(circuit, [haar_unitary(3, 1)], LmaOptions(), [1, 2])
+    with pytest.raises(ValueError, match=r"target shape \(2, 2\)"):
+        fit_targets(circuit, [haar_unitary(3, 1), np.eye(2)], LmaOptions(), [1, 2])
+    assert fit_targets(circuit, [], LmaOptions(), []) == []
+
+
+@pytest.mark.parametrize("n, m, restarts, count, width, depth", [
+    (16, 16, 3, 3, 2, 2),  # below the transition: 2 MiB a lane, so 2 lanes in all
+    (16, 18, 2, 3, 1, 1),  # 288 free phases: one lane, as univ-n16 runs
+    (4, 6, 3, 30, 30, 1),  # above the transition: one lane per fit, 30 side by side
+    (4, 4, 5, 30, 64, 5),  # below it: 5 lanes per fit, at most 64 in all
+])
+def test_a_shared_descent_keeps_its_lanes_within_their_budget(
+        monkeypatch, n, m, restarts, count, width, depth):
+    made, seated = [], []
+
+    class Counted(SpdSolver):
+        def __init__(self, size, slots):
+            made.append((size, slots))
+            super().__init__(size, slots)
+
+    seat = _Problem.seat
+
+    def recorded(self, fits):
+        seated.append(list(fits))
+        seat(self, fits)
+
+    monkeypatch.setattr(optimizer, "SpdSolver", Counted)
+    monkeypatch.setattr(_Problem, "seat", recorded)
+    circuit = ideal_circuit(n, m)
+    targets = [haar_unitary(n, derive_seed(7, "t", i)) for i in range(count)]
+    results = fit_targets(circuit, targets, LmaOptions(restarts=restarts, max_iterations=2),
+                          list(range(count)))
+    assert len(results) == count
+    assert made == [(circuit.program.free_count, width)]
+    assert max(len(fits) for fits in seated) == width
+    assert max(fits.count(f) for fits in seated for f in fits) == depth
+    if n == 16 and m == 16:
+        assert width == optimizer._LANE_BYTES >> 21
+
+
+def test_no_lane_step_is_wasted_above_the_transition(monkeypatch):
+    # at M = 6 a fit runs one restart at a time, alone or beside 29 others,
+    # so the grids composed over the batch are the sum over serial fits
+    circuit = ideal_circuit(4, 6)
+    targets = [haar_unitary(4, derive_seed(9, "t", i)) for i in range(30)]
+    options = LmaOptions(restarts=5, max_iterations=40)
+    grids = []
+    prefix_products = optimizer.prefix_products
+
+    def counted(mixers, thetas, out):
+        grids.append(len(thetas))
+        return prefix_products(mixers, thetas, out)
+
+    monkeypatch.setattr(optimizer, "prefix_products", counted)
+    for k, target in enumerate(targets):
+        fit(circuit, target, options, seed=k)
+    serial, grids[:] = sum(grids), []
+    fit_targets(circuit, targets, options, list(range(30)))
+    assert sum(grids) == serial and max(grids) == 30
+
+
+def test_a_fit_is_timed_by_its_share_of_the_ticks():
+    circuit = ideal_circuit(4, 4)
+    targets = [haar_unitary(4, derive_seed(3, "t", i)) for i in range(6)]
+    options = LmaOptions(restarts=4, max_iterations=20)
+    t0 = time.perf_counter()
+    results = fit_targets(circuit, targets, options, list(range(6)))
+    elapsed = time.perf_counter() - t0
+    shares = [result.seconds for result in results]
+    assert min(shares) > 0 and 0.5 * elapsed < sum(shares) <= elapsed
