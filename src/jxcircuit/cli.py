@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import sys
 from pathlib import Path
@@ -43,20 +42,6 @@ from .sampling import derive_seed, haar_unitary
 UNITARY_WARN_TOLERANCE = 1e-8
 #: ... and refuses them beyond this
 UNITARY_ERROR_TOLERANCE = 1e-6
-
-
-def _default_threads() -> int:
-    """Worker processes from ``JXCIRCUIT_THREADS``: 1 when unset or empty."""
-    env = os.environ.get("JXCIRCUIT_THREADS", "")
-    if env == "":
-        return 1
-    try:
-        threads = int(env)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"JXCIRCUIT_THREADS must be an integer >= 1, got {env!r}")
-    return threads
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,9 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=Path, help="flat key = value config file")
     p.add_argument("--out-dir", type=Path, default=Path("results"))
     p.add_argument("--seed", type=int, help="overrides master_seed from the config")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default: JXCIRCUIT_THREADS or 1); "
-                        "1 runs every fit in this process")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes (default: 1, every fit in this process)")
     p.add_argument("--resume", action="store_true",
                    help="skip units of work already present in the output CSV "
                         "(refused unless its metadata matches this run)")
@@ -161,26 +145,28 @@ def _cmd_haar(args) -> int:
     return 0
 
 
+def _read_target(path: Path):
+    """The target matrix in ``path``, refused beyond the error tolerance of
+    unitarity and warned about beyond the warning one."""
+    target = read_matrix(path)
+    defect = unitarity_defect(target)
+    if not defect <= UNITARY_ERROR_TOLERANCE:  # a NaN defect too
+        raise ValueError(f"target is not unitary: ||U†U - I||_F = {defect:.3e} "
+                         f"exceeds {UNITARY_ERROR_TOLERANCE:.0e}")
+    if defect > UNITARY_WARN_TOLERANCE:
+        print(f"warning: target deviates from unitarity (||U†U - I||_F = {defect:.3e}); "
+              "fitting the raw matrix -- consider projecting onto the nearest unitary "
+              "(polar/Procrustes) first", file=sys.stderr)
+    return target
+
+
 def _cmd_decompose(args) -> int:
     _check_counts(args, "--restarts", "--max-iterations")
     _check_target_loss(args)
-    target = read_matrix(args.target)
+    target = _read_target(args.target)
     n = target.shape[0]
     if args.ports is not None and args.ports != n:
         raise ValueError(f"--ports {args.ports} does not match target size {n}")
-    defect = unitarity_defect(target)
-    if defect > UNITARY_ERROR_TOLERANCE:
-        raise ValueError(
-            f"target is not unitary: ||U†U - I||_F = {defect:.3e} "
-            f"exceeds {UNITARY_ERROR_TOLERANCE:.0e}"
-        )
-    if defect > UNITARY_WARN_TOLERANCE:
-        print(
-            f"warning: target deviates from unitarity (||U†U - I||_F = "
-            f"{defect:.3e}); fitting the raw matrix -- consider projecting onto "
-            "the nearest unitary (polar/Procrustes) first",
-            file=sys.stderr,
-        )
     options = LmaOptions(max_iterations=args.max_iterations, restarts=args.restarts,
                          target_loss=args.target_loss)
     result = fit(ideal_circuit(n, args.layers), target, options, seed=args.seed)
@@ -214,7 +200,7 @@ def _cmd_calibrate(args) -> int:
     _check_counts(args, "--attempts", "--iterations")
     _check_sigma_k(args)
     _check_target_loss(args)
-    target = read_matrix(args.target)
+    target = _read_target(args.target)
     program = read_phases(args.phases)
     if target.shape[0] != program.ports:
         raise ValueError(
@@ -261,11 +247,9 @@ def _check_resumable(meta_path: Path, cfg: dict) -> None:
 
 
 def _cmd_experiment(args) -> int:
+    _check_counts(args, "--threads")
     study = STUDIES[args.name]
     cfg = _experiment_config(args.name, args)
-    threads = args.threads if args.threads is not None else _default_threads()
-    if threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {threads}")
     out_dir: Path = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{args.name}_records.csv"
@@ -274,10 +258,15 @@ def _cmd_experiment(args) -> int:
     existing = []
     if args.resume and csv_path.exists():
         _check_resumable(meta_path, cfg)
-        existing = read_records(csv_path)
-        done = {record_key(rec): rec.seed for rec in existing}
+        existing, done = read_records(csv_path), {}
+        for rec in existing:  # the runner refuses a row that no job owes
+            empty = [name for name in study.measured if getattr(rec, name) is None]
+            if empty or record_key(rec) in done:
+                raise ValueError(f"--resume: {csv_path} holds a row {record_key(rec)} "
+                                 + (f"with no {empty[0]}" if empty else "twice"))
+            done[record_key(rec)] = rec.seed
         print(f"resuming: {len(existing)} record(s) already present")
-    records = study.run(cfg, threads, done)
+    records = study.run(cfg, args.threads, done)
     merged = sorted(existing + records, key=record_sort_key)
     write_records(csv_path, merged)
     write_metadata(meta_path, args.name, cfg["master_seed"], cfg)

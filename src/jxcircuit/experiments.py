@@ -512,11 +512,13 @@ class Study:
 
     ``defaults`` is the full config (every key a config file may set);
     ``run(cfg, threads, done)`` returns the records of a validated config
-    that are not in ``done``; ``summary`` and ``plot`` render the merged
-    records as report lines and an SVG document.
+    that are not in ``done``; ``measured`` names the optional fields that
+    every record of the study holds a value in; ``summary`` and ``plot``
+    render the merged records as report lines and an SVG document.
     """
 
     defaults: dict
+    measured: tuple[str, ...]
     run: Callable[[dict, int, dict | None], list[ExperimentRecord]]
     summary: Callable[[list[ExperimentRecord]], list[str]]
     plot: Callable[[list[ExperimentRecord]], str]
@@ -619,6 +621,7 @@ STUDIES: dict[str, Study] = {
     "universality": Study(
         defaults={"master_seed": 0, "n_list": [4], "m_list": None,
                   "targets": 100, "restarts": 100, "max_iterations": 400},
+        measured=("loss_after",),
         run=lambda cfg, threads, done: universality_sweep(
             cfg["n_list"], cfg["m_list"], cfg["targets"],
             LmaOptions(restarts=cfg["restarts"], max_iterations=cfg["max_iterations"]),
@@ -633,6 +636,7 @@ STUDIES: dict[str, Study] = {
         defaults={"master_seed": 0, "n": 8, "m": 9,
                   "sigma_k_list": [0.001, 0.003, 0.006], "samples": 100,
                   "restarts": 50},
+        measured=("loss_before", "loss_after", "delta_f", "delta_u"),
         run=lambda cfg, threads, done: perturbation_table(
             cfg["sigma_k_list"], cfg["samples"], LmaOptions(restarts=cfg["restarts"]),
             cfg["master_seed"], n=cfg["n"], m=cfg["m"], threads=threads, done=done),
@@ -643,6 +647,7 @@ STUDIES: dict[str, Study] = {
         defaults={"master_seed": 0, "n": 8, "m": 9,
                   "sigma_k_list": [0.001, 0.003, 0.006], "targets": 100,
                   "attempts": 10, "truncated_iterations": 50, "restarts": 50},
+        measured=("loss_before", "loss_after"),
         run=lambda cfg, threads, done: recalibration_histogram(
             cfg["sigma_k_list"], cfg["targets"], LmaOptions(restarts=cfg["restarts"]),
             cfg["master_seed"], n=cfg["n"], m=cfg["m"], attempts=cfg["attempts"],
@@ -655,6 +660,7 @@ STUDIES: dict[str, Study] = {
                   "sigma_k_list": [0.0, 0.001, 0.003, 0.006], "runs": 100,
                   "init_modes": ["jittered", "random"], "jitter_fraction": 0.1,
                   "truncated_iterations": 50, "targets": 1},
+        measured=("loss_after", "mu_dx", "sigma_dx"),
         run=lambda cfg, threads, done: phase_difference_study(
             cfg["sigma_k_list"], cfg["runs"], cfg["master_seed"],
             n=cfg["n"], m=cfg["m"], init_modes=cfg["init_modes"],
@@ -672,6 +678,7 @@ STUDIES: dict[str, Study] = {
         defaults={"master_seed": 0, "n": 4, "m": 5,
                   "k_list": [1, 2, 3, 4], "combos_per_k": 10, "targets": 100,
                   "restarts": 50},
+        measured=("loss_after",),
         run=lambda cfg, threads, done: faulty_shifter_grid(
             cfg["k_list"], cfg["combos_per_k"], cfg["targets"],
             LmaOptions(restarts=cfg["restarts"]), cfg["master_seed"],

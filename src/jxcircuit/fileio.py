@@ -21,7 +21,7 @@ import numpy as np
 
 from .circuit import PhaseProgram
 from .experiments import ExperimentRecord
-from .numerics import SpdSolver, as_complex_matrix, unitarity_defect
+from .numerics import SpdSolver, _blas_threads, as_complex_matrix, unitarity_defect
 
 __all__ = [
     "MATRIX_SCHEMA_VERSION",
@@ -153,7 +153,7 @@ def read_matrix(path) -> np.ndarray:
         raise ValueError(f"{path}: matrix contains non-finite entries")
     if doc.get("role", "general") == "unitary":
         defect = unitarity_defect(m)
-        if defect > UNITARY_LOAD_TOLERANCE:
+        if not defect <= UNITARY_LOAD_TOLERANCE:  # a NaN defect too
             raise ValueError(
                 f"{path}: claims role 'unitary' but ||U†U - I||_F = {defect:.3e}"
             )
@@ -163,12 +163,8 @@ def read_matrix(path) -> np.ndarray:
 def write_phases(path, program: PhaseProgram) -> None:
     """Serialize a phase program, canonicalizing phases into [0, 2 pi)."""
     canon = program.canonical()
-    mask_rows = []
-    for mm in range(canon.layers):
-        row: list = []
-        for pp in range(canon.ports):
-            row.append(float(canon.theta[mm, pp]) if canon.fixed[mm, pp] else "free")
-        mask_rows.append(row)
+    mask_rows = [[float(value) if frozen else "free" for value, frozen in zip(*rows)]
+                 for rows in zip(canon.theta, canon.fixed)]
     doc = {
         "schema_version": PHASE_SCHEMA_VERSION,
         "kind": "phases",
@@ -182,17 +178,10 @@ def write_phases(path, program: PhaseProgram) -> None:
 
 def read_phases(path) -> PhaseProgram:
     doc = _load_json(path, PHASE_SCHEMA_VERSION, "phases", _PHASE_KEYS)
-    m, n, mask = doc["m"], doc["n"], doc["mask"]
     theta = np.asarray(doc["theta"], dtype=float)
-    fixed = np.zeros((m, n), dtype=bool)
-    for mm in range(m):
-        for pp in range(n):
-            entry = mask[mm][pp]
-            if entry == "free":
-                continue
-            # the mask value is authoritative for frozen shifters
-            fixed[mm, pp] = True
-            theta[mm, pp] = float(entry)
+    fixed = np.array([[entry != "free" for entry in row] for row in doc["mask"]], dtype=bool)
+    # the mask value is authoritative for frozen shifters
+    theta[fixed] = [entry for row in doc["mask"] for entry in row if entry != "free"]
     return PhaseProgram(theta, fixed)
 
 
@@ -230,16 +219,20 @@ def read_records(path) -> list[ExperimentRecord]:
                     f"{path}:{reader.line_num}: {len(row)} cells, "
                     f"expected {len(RECORD_COLUMNS)}"
                 )
-            out.append(ExperimentRecord(**{
-                name: parse(cell)
-                for name, parse, cell in zip(RECORD_COLUMNS, _COLUMN_PARSERS, row)
-            }))
+            fields = {}
+            for name, parse, cell in zip(RECORD_COLUMNS, _COLUMN_PARSERS, row):
+                try:
+                    fields[name] = parse(cell)
+                except ValueError:
+                    raise ValueError(f"{path}:{reader.line_num}: bad {name} {cell!r}") from None
+            out.append(ExperimentRecord(**fields))
     return out
 
 
 def write_metadata(path, experiment: str, master_seed: int, parameters: dict) -> None:
-    """Write the run's metadata; ``versions`` records the numeric environment,
-    because the last bits of the records at N = 16 depend on it."""
+    """Write the run's metadata; ``versions`` records the numeric environment
+    (``blas_threads`` as numpy's OpenBLAS reports it), because the last bits
+    of the records at N = 16 depend on it."""
     from . import __version__
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -255,6 +248,7 @@ def write_metadata(path, experiment: str, master_seed: int, parameters: dict) ->
             "blas": blas.get("name"),
             "blas_version": blas.get("version"),
             "damped_solve": SpdSolver.lapack,
+            "blas_threads": _blas_threads(),
             **{name: os.environ.get(name)
                for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
         },

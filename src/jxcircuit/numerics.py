@@ -7,8 +7,9 @@ Hermitian generators are unitary by construction (spectral form), and QR
 follows the positive-diagonal convention so that the Q factor of a
 complex Gaussian matrix is already correctly phase-normalized.
 
-:class:`SpdSolver` solves the optimizer's damped normal equations, for a
-stack of restart lanes at once.  Where the LAPACK that ``numpy.linalg``
+:class:`SpdSolver` solves the optimizer's damped normal equations
+``(J'J + mu I) x = -g``, one scalar shift ``mu`` per lane, for a stack of
+restart lanes at once.  Where the LAPACK that ``numpy.linalg``
 links exports ``dpotrf``/``dpotrs`` it is :class:`CholeskySolver`, which
 calls them through ``ctypes``, once per lane, on buffers it owns; elsewhere
 it is :class:`LuSolver`, ``numpy.linalg.solve`` per right-hand side.  The
@@ -134,35 +135,48 @@ def qr_unitary(a) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
+try:  # numpy.linalg's library, with the LAPACK and BLAS it links
+    from numpy.linalg import _umath_linalg
+
+    _LINALG = ctypes.CDLL(_umath_linalg.__file__)
+    _ILP64 = bool(getattr(_umath_linalg, "_ilp64", False))  # 64-bit LAPACK integers
+except (ImportError, OSError):
+    _LINALG, _ILP64 = None, False
+
+
+def _exported(name: str):
+    """numpy.linalg's function ``name``, under the name numpy's wheels give
+    their OpenBLAS's symbols or its own, or None where it has neither."""
+    return getattr(_LINALG, f"scipy_{name}", None) or getattr(_LINALG, name, None)
+
+
 def _bind_potrf_potrs():
     """``(dpotrf, dpotrs, LAPACK's integer dtype)`` of the LAPACK that
-    numpy.linalg links, or None where that library exports them under
-    neither name."""
-    try:
-        from numpy.linalg import _umath_linalg
-
-        lib = ctypes.CDLL(_umath_linalg.__file__)
-    except (ImportError, OSError):
+    numpy.linalg links, or None where it does not export them."""
+    suffix = "_64_" if _ILP64 else "_"
+    potrf, potrs = _exported(f"dpotrf{suffix}"), _exported(f"dpotrs{suffix}")
+    if potrf is None or potrs is None:
         return None
-    ilp64 = bool(getattr(_umath_linalg, "_ilp64", False))
-    suffix = "_64_" if ilp64 else "_"
-    for prefix in ("scipy_", ""):  # numpy's wheels rename their OpenBLAS's symbols
-        try:
-            potrf = getattr(lib, f"{prefix}dpotrf{suffix}")
-            potrs = getattr(lib, f"{prefix}dpotrs{suffix}")
-        except AttributeError:
-            continue
-        # Fortran calling convention: every argument by address, plus the
-        # hidden length of the character argument UPLO
-        pointer, length = ctypes.c_void_p, ctypes.c_size_t
-        potrf.argtypes = [pointer] * 5 + [length]
-        potrs.argtypes = [pointer] * 8 + [length]
-        potrf.restype = potrs.restype = None
-        return potrf, potrs, np.int64 if ilp64 else np.int32
-    return None
+    # Fortran calling convention: every argument by address, plus the
+    # hidden length of the character argument UPLO
+    pointer, length = ctypes.c_void_p, ctypes.c_size_t
+    potrf.argtypes = [pointer] * 5 + [length]
+    potrs.argtypes = [pointer] * 8 + [length]
+    potrf.restype = potrs.restype = None
+    return potrf, potrs, np.int64 if _ILP64 else np.int32
 
 
 _LAPACK = _bind_potrf_potrs()
+
+
+def _blas_threads() -> int | None:
+    """How many threads numpy's OpenBLAS runs a call on now, or None where
+    its library exports no ``openblas_get_num_threads``."""
+    get = _exported("openblas_get_num_threads64_" if _ILP64 else "openblas_get_num_threads")
+    if get is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
 
 
 def _address(array: np.ndarray) -> int:
@@ -172,10 +186,10 @@ def _address(array: np.ndarray) -> int:
 
 
 class LuSolver:
-    """Solves the Marquardt-damped systems ``(a_s + lam_s D_s) x = -g_s`` of a
-    stack of slots, each a symmetric matrix of one size, where ``D_s`` is
-    diag(a_s) kept off zero, by ``numpy.linalg.solve`` (LAPACK gesv, an LU
-    factorization per right-hand side).
+    """Solves the damped systems ``(a_s + mu_s I) x = -g_s`` of a stack of
+    slots, each a symmetric matrix of one size with its own scalar shift
+    ``mu_s``, by ``numpy.linalg.solve`` (LAPACK gesv, an LU factorization
+    per right-hand side).
 
     The reference for :class:`CholeskySolver`, and the solver where the
     LAPACK of numpy.linalg exports no ``dpotrf``.  One instance must not be
@@ -183,37 +197,33 @@ class LuSolver:
     """
 
     lapack = "gesv"
-    #: the least diagonal scale of the damping
-    floor = 1e-30
 
     def __init__(self, size: int, slots: int):
         self._a = np.zeros((slots, size, size))
         self._diagonals = self._a.reshape(slots, size * size)[:, :: size + 1]
 
-    def _damp(self, a: np.ndarray, lam: np.ndarray):
-        """Load ``a`` into the first slots, damped by ``lam`` (one per
-        matrix, as a column); returns those slots' matrices, their diagonals
-        and the damping ``lam D`` added."""
+    def _damp(self, a: np.ndarray, mu: np.ndarray):
+        """Load ``a`` into the first slots, each diagonal shifted by its
+        ``mu`` (one per matrix, as a column); returns those slots' matrices
+        and their diagonals."""
         count = len(a)
         matrices, diagonals = self._a[:count], self._diagonals[:count]
         np.copyto(matrices, a)
-        shift = np.maximum(diagonals, self.floor)
-        shift *= lam
-        diagonals += shift
-        return matrices, diagonals, shift
+        diagonals += mu
+        return matrices, diagonals
 
-    def solve(self, a: np.ndarray, lam: np.ndarray, g: np.ndarray):
-        """The solutions ``x[s]`` of the damped systems of ``a[s]``, ``lam[s]``
-        and ``g[s]``, and the damping ``lam D`` of each; a row of ``x`` is not
-        finite where its matrix is singular or its solution overflows."""
-        matrices, _, shift = self._damp(a, lam)
+    def solve(self, a: np.ndarray, mu: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The solutions ``x[s]`` of the damped systems of ``a[s]``, ``mu[s]``
+        and ``g[s]``; a row of ``x`` is not finite where its matrix is
+        singular or its solution overflows."""
+        matrices, _ = self._damp(a, mu)
         x = np.empty_like(g)
         for s, matrix in enumerate(matrices):
             try:
                 x[s] = np.linalg.solve(matrix, -g[s])
             except np.linalg.LinAlgError:
                 x[s] = np.nan
-        return x, shift
+        return x
 
 
 class CholeskySolver(LuSolver):
@@ -252,12 +262,12 @@ class CholeskySolver(LuSolver):
             self._potrf_args.append((uplo, n, slot_a, lda, info, 1))
             self._potrs_args.append((uplo, n, nrhs, slot_a, lda, slot_b, lda, info, 1))
 
-    def solve(self, a: np.ndarray, lam: np.ndarray, g: np.ndarray):
+    def solve(self, a: np.ndarray, mu: np.ndarray, g: np.ndarray) -> np.ndarray:
         """As :meth:`LuSolver.solve`, with ``x`` in a buffer that the next
         call overwrites; a row of ``x`` is not finite where its matrix is not
         positive definite or not finite (a NaN passes dpotrf's pivot test,
         but not the factor's diagonal), or its solution overflows."""
-        _, diagonals, shift = self._damp(a, lam)
+        _, diagonals = self._damp(a, mu)
         count = len(a)
         potrf, potrs = self._potrf, self._potrs
         for args in self._potrf_args[:count]:
@@ -275,7 +285,7 @@ class CholeskySolver(LuSolver):
                 potrs(*args)
         if not all(factored):
             b[np.logical_not(factored)] = np.nan
-        return b, shift
+        return b
 
 
 #: the damped normal equations' solver on this platform

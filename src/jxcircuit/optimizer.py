@@ -1,16 +1,17 @@
 """Levenberg-Marquardt fitting of circuit phases to target unitaries.
 
-The damped normal equations ``(J'J + lambda diag(J'J)) delta = -J'r`` are
+The damped normal equations ``(J'J + (lambda / N^2) I) delta = -J'r`` are
+Marquardt's, since every free phase's diag(J'J) is 1 / N^2.  They are
 formed from the circuit's prefix products alone (``circuit.normal_equations``:
 the mixers are unitary, as ``InterlacedCircuit`` guarantees, so the coupling of two
 phases is the squared modulus of the transfer matrix between their layers) and
 solved per step, from one Cholesky factorization per damping value
 (``numerics.SpdSolver``); a step is accepted only if it lowers the loss, in
-which case ``lambda`` follows Nielsen's gain-ratio update (H. B. Nielsen,
-1999: it shrinks by up to 3x when the loss falls as the Gauss-Newton model
-predicts, and grows by up to 2x when it falls far less); otherwise it grows by
-a factor of 2 and the solve is retried (as it is when the damped matrix is not
-numerically positive definite).
+which case ``lambda`` (first 1e-3 / N^2) follows Nielsen's gain-ratio update
+(H. B. Nielsen, 1999: it shrinks by up to 3x when the loss falls as the
+Gauss-Newton model predicts, and grows by up to 2x when it falls far less);
+otherwise it grows by a factor of 2 and the solve is retried (as it is when
+the damped matrix is not numerically positive definite).
 
 The restarts of every fit of one circuit run as the lanes of one descent
 (``_descend``), a stack of live lanes advanced together in ticks, each
@@ -66,7 +67,7 @@ __all__ = ["LmaOptions", "FromVector", "fit", "fit_targets"]
 _FUNCTION_TOLERANCE = 1e-6
 _STEP_TOLERANCE = 1e-6
 _OPTIMALITY_TOLERANCE = 1e-10
-#: first damping (a multiple of max diag J'J), growth on rejection, give-up cap
+#: first damping (a multiple of the diagonal of J'J), growth on rejection, give-up cap
 _DAMPING_SCALE = 1e-3
 _DAMPING_FACTOR = 2.0
 _DAMPING_MAX = 1e10
@@ -119,10 +120,11 @@ class _Problem:
     ``seat`` gives each lane its fit's target.  ``losses`` composes one
     free vector per lane in one sweep, and ``normal_equations`` reads the
     prefix products that sweep kept, so the equations at a point are read
-    before the next composition overwrites them.  The phase grids, the
-    lanes' targets and the sweep buffer have ``width`` slots, allocated
-    once and reused, so a problem must not be used from two threads at
-    once (each descent owns its own).
+    before the next composition overwrites them.  ``diagonal`` is each
+    free phase's diag(J'J), 1 / N^2.  The phase grids, the lanes' targets
+    and the sweep buffer have ``width`` slots, allocated once and reused,
+    so a problem must not be used from two threads at once (each descent
+    owns its own).
     """
 
     def __init__(self, mixers: np.ndarray, program: PhaseProgram, targets: np.ndarray,
@@ -131,6 +133,7 @@ class _Problem:
         self.mixers = mixers
         self.free = program.free_mask
         self.free_count = program.free_count
+        self.diagonal = 1.0 / (n * n)
         self.targets = targets
         self._positions = np.flatnonzero(self.free)  # of the free phases in a flat grid
         self._grids = np.repeat(program.theta[None], width, axis=0)
@@ -183,7 +186,7 @@ class _Lane:
     fit: int
     index: int
     loss: float
-    lam: float = 0.0
+    lam: float
     iterations: int = 0
     rejected: int = 0
     polishing: bool = False
@@ -248,12 +251,13 @@ def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
     damping, polish and stop rules.  The lanes that open or start an
     iteration get their normal equations as stacked products
     (``problem.normal_equations``), and every lane that needs a step has its
-    damped system factored and solved, one LAPACK call per lane; one whose
+    damped system (its damping times ``problem.diagonal`` added to the
+    diagonal) factored and solved, one LAPACK call per lane; one whose
     matrix fails to factor grows its damping and is solved again, until it
     steps or passes the cap.  Live lanes hold the first positions of every
     stacked array; the solver and the G/J'J block have ``width`` slots.
     """
-    goal, p = options.target_loss, problem.free_count
+    goal, p, diagonal = options.target_loss, problem.free_count, problem.diagonal
     queues = [enumerate(starts) for starts in queues]
     outcomes: list[list[_Lane | None]] = [[] for _ in queues]
     cuts, seconds = [math.inf] * len(queues), [0.0] * len(queues)
@@ -265,7 +269,7 @@ def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
     gram = block[:2 * width * p * p].view(np.complex128).reshape(width, p, p)
     jtj = block[2 * width * p * p:].reshape(width, p, p)
     solver = SpdSolver(p, width)
-    x = delta = g = shift = np.empty((0, p))
+    x = delta = g = np.empty((0, p))
     lanes: list[_Lane] = []
     stopped, fresh = [], []
     clock = time.perf_counter()
@@ -299,7 +303,7 @@ def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
             admitted, zeros = [start for *_, start in fresh], np.zeros((len(fresh), p))
             trial = np.vstack([x[keep] + delta[keep], *admitted])
             x = np.vstack([x[keep], *admitted])
-            delta, g, shift = (np.vstack([a[keep], zeros]) for a in (delta, g, shift))
+            delta, g = (np.vstack([a[keep], zeros]) for a in (delta, g))
             jtj[:len(keep)] = jtj[keep]
             lanes, count = [lanes[i] for i in keep], len(x)
             problem.seat([lane.fit for lane in lanes] + [f for f, *_ in fresh])
@@ -308,8 +312,9 @@ def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
         new = problem.losses(trial).tolist()
         accepted = [i for i, lane in enumerate(lanes) if new[i] < lane.loss]
         if accepted:
-            # the Gauss-Newton model's decrease of the loss for each step
-            predicted = np.vecdot(delta, shift * delta - g).tolist()
+            # the Gauss-Newton model's decrease per stepped lane (admitted ones follow)
+            head, mu = slice(len(lanes)), np.array([[lane.lam] for lane in lanes]) * diagonal
+            predicted = np.vecdot(delta[head], mu * delta[head] - g[head]).tolist()
             steps = np.vecdot(delta, delta).tolist()
             norms = np.vecdot(trial, trial).tolist()
         for i, lane in enumerate(lanes):
@@ -323,10 +328,9 @@ def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
         elif accepted:
             x[accepted] = trial[accepted]
         begin = [i for i in accepted if not lanes[i].status]
-        opening = len(begin)  # begin[opening:] open on this tick
         if fresh:
             for i, (f, k, _) in enumerate(fresh, len(lanes)):
-                lanes.append(_Lane(f, k, new[i]))
+                lanes.append(_Lane(f, k, new[i], _DAMPING_SCALE * diagonal))
                 if new[i] < goal:
                     lanes[i].status = "target"
                 elif p == 0:
@@ -343,11 +347,6 @@ def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
                 equations = np.empty((len(begin), p, p))
                 g[rows] = problem.normal_equations(rows, gram[:len(begin)], equations)
                 jtj[rows] = equations
-            if opening < len(begin):  # first damping: a multiple of the largest diag J'J
-                diagonals = np.maximum(jtj.diagonal(0, 1, 2)[begin[opening:]], SpdSolver.floor)
-                scales = _DAMPING_SCALE * np.maximum.reduce(diagonals, axis=1)
-                for i, scale in zip(begin[opening:], scales.tolist()):
-                    lanes[i].lam = scale
             small = np.maximum.reduce(np.abs(g[rows]), axis=1) < _OPTIMALITY_TOLERANCE
             for i, flat in zip(begin, small.tolist()):
                 if flat and not lanes[i].polishing:
@@ -356,8 +355,8 @@ def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
         pending = [i for i, lane in enumerate(lanes) if not lane.status]
         while pending:
             rows = _rows(pending, count)
-            lam = np.array([[lanes[i].lam] for i in pending])
-            solved, shift[rows] = solver.solve(jtj[rows], lam, g[rows])
+            mu = np.array([[lanes[i].lam] for i in pending]) * diagonal
+            solved = solver.solve(jtj[rows], mu, g[rows])
             delta[rows] = solved
             # a sum is finite only if every term is (an overflowing one falls
             # through to the test by rows)

@@ -340,6 +340,34 @@ class TestExperimentCommand:
         assert "not owed by this run" in err
         assert csv_path.read_bytes() == edited
 
+    @pytest.mark.parametrize("name, edit, message", [
+        ("recalibration", lambda first, second: [
+            dataclasses.replace(first, loss_after=None), second], "with no loss_after"),
+        ("phasediff", lambda first, second: [
+            dataclasses.replace(first, sigma_dx=None), second], "with no sigma_dx"),
+        ("recalibration", lambda first, second: [
+            first, dataclasses.replace(second, sigma_k=first.sigma_k)], "twice"),
+    ], ids=["blank-loss-after", "blank-sigma-dx", "repeated-row"])
+    def test_resume_refuses_incomplete_or_repeated_rows(self, tmp_path, capsys, monkeypatch,
+                                                         name, edit, message):
+        # the summary and plot need every measured value, and a row repeated
+        # (with its seed) would be written twice
+        cfg = self.config(tmp_path, self.SMALL[name])
+        out = tmp_path / "res"
+        csv_path = out / f"{name}_records.csv"
+        assert run("experiment", name, "--config", cfg, "--out-dir", out) == 0
+        records = read_records(csv_path)
+        write_records(csv_path, edit(*records[:2]) + records[2:])
+        edited = csv_path.read_bytes()
+        monkeypatch.setattr(jxcircuit.experiments, "fit", lambda *args: pytest.fail("a fit ran"))
+        capsys.readouterr()
+        assert run("experiment", name, "--config", cfg, "--out-dir", out, "--resume") == 2
+        err = capsys.readouterr().err
+        label = records[0].experiment_label
+        assert err.startswith(f"error: --resume: {csv_path} holds a row ('{label}', ")
+        assert err.rstrip().endswith(message)
+        assert csv_path.read_bytes() == edited
+
     def test_faulty_smoke(self, tmp_path):
         cfg = self.config(
             tmp_path,
@@ -492,8 +520,9 @@ class TestExperimentCommand:
                                              name, line):
         # refused before any fit runs, by the config check: the message names
         # the file and the key
-        monkeypatch.setattr(jxcircuit.experiments, "fit",
-                            lambda *args: pytest.fail("a fit ran"))
+        for name_of_fit in ("fit", "fit_targets"):
+            monkeypatch.setattr(jxcircuit.experiments, name_of_fit,
+                                lambda *args: pytest.fail("a fit ran"))
         cfg = self.config(tmp_path, self.SMALL[name] + line + "\n")
         assert run("experiment", name, "--config", cfg, "--out-dir", tmp_path / "res") == 2
         err = capsys.readouterr().err
@@ -528,20 +557,23 @@ class TestExperimentCommand:
                    "--out-dir", tmp_path / "res") == 2
 
     @pytest.mark.parametrize("value", ["0", "-2", "two", "1.5", " "])
-    def test_bad_threads_variable_is_usage_error(self, tmp_path, capsys, monkeypatch,
-                                                 value):
-        monkeypatch.setattr(jxcircuit.experiments, "fit",
-                            lambda *args: pytest.fail("a fit ran"))
-        monkeypatch.setenv("JXCIRCUIT_THREADS", value)
+    def test_bad_threads_flag_is_usage_error(self, tmp_path, capsys, value):
+        # refused before any fit runs or any output is made, by the flag
+        # check or by argparse
         cfg = self.config(tmp_path, self.SMALL["universality"])
-        assert run("experiment", "universality", "--config", cfg,
-                   "--out-dir", tmp_path / "res") == 2
-        assert "JXCIRCUIT_THREADS" in capsys.readouterr().err
+        try:
+            code = run("experiment", "universality", "--config", cfg, "--threads", value,
+                       "--out-dir", tmp_path / "res")
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2 and "--threads" in capsys.readouterr().err
         assert not (tmp_path / "res").exists()
 
-    def test_empty_threads_variable_means_one(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("JXCIRCUIT_THREADS", "")
-        cfg = self.config(tmp_path, self.SMALL["universality"])
+    def test_threads_default_to_one(self, tmp_path, monkeypatch):
+        # two jobs, but without --threads they run in this process
+        monkeypatch.setattr(jxcircuit.experiments, "ProcessPoolExecutor",
+                            lambda *args: pytest.fail("a worker pool started"))
+        cfg = self.config(tmp_path, "n_list = [2]\nm_list = [3]\ntargets = 2\nrestarts = 1\n")
         assert run("experiment", "universality", "--config", cfg,
                    "--out-dir", tmp_path / "res") == 0
 

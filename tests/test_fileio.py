@@ -1,9 +1,14 @@
 import json
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jxcircuit
 from jxcircuit.circuit import PhaseProgram, apply_fault_plan
 from jxcircuit.experiments import ExperimentRecord
 from jxcircuit.fileio import (
@@ -18,7 +23,7 @@ from jxcircuit.fileio import (
     write_text,
 )
 from jxcircuit.config import load_config, parse_config_text
-from jxcircuit.numerics import SpdSolver
+from jxcircuit.numerics import SpdSolver, _blas_threads
 from jxcircuit.sampling import haar_unitary
 
 
@@ -185,6 +190,21 @@ class TestMetadata:
         assert versions["damped_solve"] == SpdSolver.lapack in ("dpotrf", "gesv")
         assert versions["OPENBLAS_NUM_THREADS"] is None
         assert versions["OMP_NUM_THREADS"] == "3"
+        threads = versions["blas_threads"]
+        assert threads == _blas_threads() and (threads is None or threads >= 1)
+
+    @pytest.mark.skipif(_blas_threads() is None, reason="numpy's BLAS is not OpenBLAS here")
+    def test_blas_threads_are_read_from_openblas(self, tmp_path):
+        # the count OpenBLAS reports, which follows OPENBLAS_NUM_THREADS
+        path = tmp_path / "meta.json"
+        code = ("import sys; from jxcircuit.fileio import write_metadata; "
+                "write_metadata(sys.argv[1], 'x', 0, {})")
+        src = str(Path(jxcircuit.__file__).parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True, timeout=60)
+        versions = read_metadata(path)["versions"]
+        assert versions["blas_threads"] == 1 and versions["OPENBLAS_NUM_THREADS"] == "1"
 
     def test_version_rejected(self, tmp_path):
         path = tmp_path / "meta.json"

@@ -7,13 +7,17 @@ digest mismatch.  The CLI cases hash the record CSV (without its
 ``wall_time`` column), the metadata (without its version block), the SVG
 and stdout of ``jxcircuit experiment`` for every study name.
 
-The digests were taken with numpy 2.4.6 on OpenBLAS 0.3.31 (Python 3.11,
-x86-64) from jxcircuit 0.8.0, the first version to try only the plain
-damped step in each damping trial (no geodesic correction), with the
-normal equations formed from the prefix products alone (through the
-unitarity of the mixers) and each damping trial solved from one Cholesky
-factorization (``"damped_solve": "dpotrf"`` in the metadata), once the
-full acceptance suite had passed on it.  At these sizes (N <= 8) they are
+The study digests were taken with numpy 2.4.6 on OpenBLAS 0.3.31 (Python
+3.11, x86-64) from jxcircuit 0.14.0, the first version to damp each
+descent by ``(lambda / N^2) I`` (Marquardt's ``lambda diag(J'J)`` with the
+diagonal that every free phase has, instead of reading and flooring it
+entry by entry), with only the plain damped step tried in each damping
+trial, the normal equations formed from the prefix products alone
+(through the unitarity of the mixers) and each damping trial solved from
+one Cholesky factorization (``"damped_solve": "dpotrf"`` in the
+metadata), once the full acceptance suite and the held-out recalibration
+seeds had passed on it.  The CLI digests (N = 2) are 0.8.0's: at N = 2
+the new damping gives the same records.  At these sizes (N <= 8) they are
 the same with one BLAS thread and with OpenBLAS's default threading; that
 does not hold in general: at N = 16 (288 free phases) the threaded
 ``dpotrf`` rounds differently, and records there differ in their last
@@ -89,43 +93,43 @@ CLI_CONFIGS = {
 GOLDEN = {
     "universality": (
         18,
-        "f21017bb40a38ed98ad54a2468ea48ae7a32c5703fad709b86062b39e9b75287",
-        "4ce4cee846c2de4e564f7d6610b4a71f5642b5430bbe1b5cc1522197a4c7e2bb",
+        "71597e36c23ec89bb211dbd9b2778af684ada877cd76e3485e43fd533f4079c9",
+        "1b144fc5c74fc900acdf6317e196e781d32eec87fb63970066d2936774efc2bd",
     ),
     "table1": (
         6,
-        "2851d17819a24b368c7dadc0f87519bf84a85c9c7afd04e0b93ee05f833b2d13",
-        "031fec73cea54adca558e4b314cf13a3b197fb67e037ab935d19d95a7250afb8",
+        "49607c65c9f5109d88c6db25b40c243b0c52d038c5d0b8cfd56e806e4e99840d",
+        "c58da1f8cbdecb35c3117092f712c174895d61d3d524621eccc1e0b9eeae67ea",
     ),
     "recalibration": (
         6,
-        "ffaef1cd70b5121aa2ba1344802786dc8e4415d7dc8cc58353394e5ab2beb594",
-        "556143aa7473dce6c459b745069dbf213ae257b1d76e68bb6b591dad33a3028a",
+        "64982dbea458e334fbade85e7f9bc36956890f1e7d680027fab82afc54380917",
+        "669c1427220cea8b1321b106d1b9076fddfe25de11c092cb6146867b32955362",
     ),
     "phasediff": (
         24,
-        "55a05f901a40d49aa3e9b10d2bba74dafde08d9c034a5b583745fdc67ac2c1fa",
-        "c821db25b10089d950310b24474cd345309a130913c51e9aa98dd379c36fc90f",
+        "fae4db051db50a68ac718241f644a974bf36810741263197e62f4bbbc5e0e8c8",
+        "80d94432eacba976469384dcac11263800b1afaa755de7607d937b1a23913741",
     ),
     "faulty": (
         8,
-        "3f25a3e4caf5b76f99e830b0f6cdc4eb7a84641c0bf4e09dda24239950eaa539",
-        "09d5fc1ecfc507d2bfda6c34d2f83419488ba57a0a3be5e3b4eebfcd78267d09",
+        "bca834ed9b77d2e1fbabfe04321c22d5e9293de0593a62f93481c37853f4cecc",
+        "edfbf69291a8440b2a32b7b4bc9750a8018273f4dda049e53d6353b9f994c80e",
     ),
     "universality-n4": (
         9,
-        "751351946784857ae49fec4fbe36413f9069d2f9daca2408f286c64096cc0f18",
-        "6a5f9a2a2063f9db37774f54a70cccbfb2167bd3948e10319249002c112bf0b5",
+        "ed6933a820b7553d875389c3ab96e8b62cbce47edfa09ed03c87017f66ac0b3a",
+        "c93f62fb85222fd78bb1942d12315a0335e49f299747784066419c464f598945",
     ),
     "phasediff-n8": (
         8,
-        "d96895a38e81129c3151b8325627e67c54a5f8471167d1783feef0ec6ae76ddf",
-        "fe8032fb3301ba12f6f07c3e48c73e762b87910d22cbe3deb218a6b5ebb70631",
+        "9b26391146f17834f65ff2ca13614931feea13bd7e54ebf73fdc4ceea83b3ab0",
+        "782ad2a5b047004cf1e3937439cb9b2811ba3471d9e6e0d13e278d74f29e8a74",
     ),
     "faulty-n4": (
         4,
-        "bba3d335c493fd3f1240d0046be739154c9bc0a5d5dd1f668dcf60211f977d92",
-        "253b719517aaeb3aba25a1ecc2d4dff8db36531d6decc520589d9cf3b83b2668",
+        "7150a2e6fa366d213e606766359216b132bda492730045bfe5847f723dbb7939",
+        "95fe653fb8ca9435edf5951cd2f0a05e022a4d9e0131320df70dd839838248c2",
     ),
 }
 

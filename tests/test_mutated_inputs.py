@@ -1,0 +1,138 @@
+"""Property tests: a mutated input file is used or refused, never a traceback.
+
+A valid record CSV (under ``experiment --resume``), matrix file (for
+``decompose`` and ``calibrate``) or phase file (for ``apply`` and
+``calibrate``) gets one mutation: a cell blanked, retyped or truncated, a
+key dropped or retyped, a grid entry retyped, or the file cut short.
+Every command must then exit 0, 1 or 2, with a refusal reported as one
+``error:`` line; an exception escaping ``main`` fails the test.
+"""
+
+import contextlib
+import csv
+import io
+import json
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jxcircuit.cli import main
+
+#: small configs of the studies whose rows hold optional measured values
+STUDIES = {
+    "universality": "n_list = [2]\nm_list = [3]\ntargets = 2\nrestarts = 1\n",
+    "recalibration": "n = 2\nm = 3\ntargets = 1\nrestarts = 1\nattempts = 1\n",
+    "phasediff": "n = 2\nm = 3\nruns = 1\n",
+}
+#: what a retyped CSV cell holds
+CELLS = ["x", "nan", "inf", "-inf", "1e400", "-1", "0", "1.5", "True", "None", "[]", '"1"']
+#: what a retyped JSON value holds
+VALUES = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3)
+          | st.lists(st.integers(0, 2), max_size=3)
+          | st.lists(st.lists(st.floats() | st.just("free"), max_size=3), max_size=3))
+
+
+def run(*argv) -> tuple[int, str]:
+    """The exit code and stderr of ``jxcircuit argv``."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+def assert_used_or_refused(code: int, err: str) -> None:
+    assert code in (0, 1, 2), err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """Each study's outputs, a target matrix and a phase file fitted to it."""
+    root = tmp_path_factory.mktemp("pristine")
+    for name, text in STUDIES.items():
+        (root / f"{name}.cfg").write_text(text)
+        assert run("experiment", name, "--config", root / f"{name}.cfg",
+                   "--out-dir", root / name)[0] == 0
+    assert run("haar", "--ports", 2, "--seed", 1, "--out", root / "target.json")[0] == 0
+    assert run("decompose", "--target", root / "target.json", "--layers", 3,
+               "--restarts", 2, "--out", root / "phases.json")[0] == 0
+    return root
+
+
+def cut(data, text: str) -> str:
+    return text[:data.draw(st.integers(0, max(len(text) - 1, 0)))]
+
+
+def mutate_csv(data, text: str) -> str:
+    """``text`` with one cell (the header's too) blanked, retyped or
+    truncated, or cut short."""
+    how = data.draw(st.sampled_from(["blank", "retype", "truncate cell", "truncate file"]))
+    if how == "truncate file":
+        return cut(data, text)
+    rows = list(csv.reader(io.StringIO(text)))
+    row = rows[data.draw(st.integers(0, len(rows) - 1))]
+    c = data.draw(st.integers(0, len(row) - 1))
+    row[c] = {"blank": lambda: "", "retype": lambda: data.draw(st.sampled_from(CELLS)),
+              "truncate cell": lambda: cut(data, row[c])}[how]()
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
+def mutate_json(data, text: str) -> str:
+    """``text`` with one key dropped or retyped, one grid entry retyped, or
+    cut short."""
+    how = data.draw(st.sampled_from(["drop", "retype", "entry", "truncate"]))
+    if how == "truncate":
+        return cut(data, text)
+    doc = json.loads(text)
+    key = data.draw(st.sampled_from(sorted(doc)))
+    if how == "drop":
+        del doc[key]
+    elif how == "entry" and isinstance(doc[key], list):
+        row = doc[key][data.draw(st.integers(0, len(doc[key]) - 1))]
+        row[data.draw(st.integers(0, len(row) - 1))] = data.draw(VALUES)
+    else:
+        doc[key] = data.draw(VALUES)
+    return json.dumps(doc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_a_mutated_record_csv_is_resumed_or_refused(pristine, data):
+    name = data.draw(st.sampled_from(sorted(STUDIES)))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / name
+        shutil.copytree(pristine / name, out)
+        csv_path = out / f"{name}_records.csv"
+        csv_path.write_text(mutate_csv(data, csv_path.read_text()))
+        assert_used_or_refused(*run("experiment", name, "--config", pristine / f"{name}.cfg",
+                                    "--out-dir", out, "--resume"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_a_mutated_matrix_or_phase_file_is_used_or_refused(pristine, data):
+    command, mutated = data.draw(st.sampled_from([
+        ("decompose", "target.json"), ("apply", "phases.json"),
+        ("calibrate", "target.json"), ("calibrate", "phases.json")]))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name in ("target.json", "phases.json"):
+            shutil.copy(pristine / name, tmp / name)
+        path = tmp / mutated
+        path.write_text(mutate_json(data, path.read_text()))
+        inputs = {"target": tmp / "target.json", "phases": tmp / "phases.json"}
+        argv = {
+            "decompose": ("--target", inputs["target"], "--layers", 3, "--restarts", 1,
+                          "--max-iterations", 5),
+            "apply": ("--phases", inputs["phases"], "--sigma-k", 0.003),
+            "calibrate": ("--target", inputs["target"], "--phases", inputs["phases"],
+                          "--sigma-k", 0.003, "--attempts", 1, "--iterations", 5),
+        }[command]
+        assert_used_or_refused(*run(command, *argv, "--out", tmp / "out.json"))

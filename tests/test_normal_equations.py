@@ -10,10 +10,11 @@ perturbed Jx lattices (the paper's disorder model, sigma_k up to 0.006).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jxcircuit.circuit import PhaseProgram, perturbed_circuit, transfer_matrix
+from jxcircuit.circuit import PhaseProgram, ideal_circuit, perturbed_circuit, transfer_matrix
 from jxcircuit.optimizer import LmaOptions, fit
 from jxcircuit import optimizer
 from jxcircuit.optimizer import _Problem
@@ -67,6 +68,25 @@ def test_gram_products_equal_explicit_jacobian_products(case):
     r = residual_vector((transfer_matrix(mixers, program.theta) - target) / n)
     assert_close(jtj, jac.T @ jac, np.abs(jac).T @ np.abs(jac))
     assert_close(g, jac.T @ r, np.abs(jac).T @ np.abs(r))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+@pytest.mark.parametrize("mixers", ["ideal", "perturbed"])
+@pytest.mark.parametrize("frozen", [False, True])
+def test_every_free_phase_has_unit_diagonal_times_n_squared(n, mixers, frozen):
+    # each row of a unitary prefix product has unit norm, so diag(J'J) is
+    # 1 / N^2 for every free phase: the optimizer damps by (lambda / N^2) I
+    m = n + 1
+    circuit = ideal_circuit(n, m) if mixers == "ideal" else perturbed_circuit(n, m, 0.006, n)
+    fixed = np.zeros((m, n), dtype=bool)
+    if frozen:
+        fixed[::2, ::3] = True
+    rng = np.random.default_rng(n)
+    program = PhaseProgram(rng.uniform(0.0, 2 * np.pi, (m, n)), fixed)
+    jtj, _ = evaluate(circuit.mixers, program.theta, program.free_mask,
+                      haar_unitary(n, derive_seed(n, "target")))
+    assert jtj.shape == (program.free_count,) * 2
+    assert np.abs(n * n * np.diagonal(jtj) - 1.0).max() <= 1e-13
 
 
 def test_one_fit_writes_every_evaluation_into_one_buffer(monkeypatch):

@@ -176,28 +176,26 @@ def test_cholesky_solver_agrees_with_lu(p, extra_rows, slots, seed):
     rng = np.random.default_rng(seed)
     jac = rng.standard_normal((slots, p + extra_rows, p))
     jtj = jac.transpose(0, 2, 1) @ jac
-    lam = 10.0 ** rng.uniform(-6, 0, (slots, 1))
+    mu = 10.0 ** rng.uniform(-6, 0, (slots, 1))
     cholesky, lu = CholeskySolver(p, slots), LuSolver(p, slots)
     g = rng.standard_normal((slots, p))
-    x, shift = cholesky.solve(jtj, lam, g)
-    x = x.copy()  # the solver's buffer, overwritten by its next call
-    reference, reference_shift = lu.solve(jtj, lam, g)
-    assert np.array_equal(shift, lam * np.maximum(np.diagonal(jtj, 0, 1, 2), LuSolver.floor))
-    assert np.array_equal(shift, reference_shift)
+    x = cholesky.solve(jtj, mu, g).copy()  # the solver's buffer, overwritten by its next call
+    reference = lu.solve(jtj, mu, g)
     for s in range(slots):
-        # the systems solved are (J'J + lam D) x = -g
-        damped = jtj[s] + np.diag(shift[s])
+        # the systems solved are (J'J + mu I) x = -g
+        damped = jtj[s] + mu[s] * np.eye(p)
+        assert np.array_equal(lu._a[s], damped)
         tolerance = 100 * np.linalg.cond(damped) * np.finfo(float).eps
         assert np.abs(x[s] - reference[s]).max() <= tolerance * np.abs(reference[s]).max()
     # fewer matrices than slots use the first slots
-    assert np.array_equal(cholesky.solve(jtj[:1], lam[:1], g[:1])[0][0], x[0])
+    assert np.array_equal(cholesky.solve(jtj[:1], mu[:1], g[:1])[0], x[0])
 
     # a damping that makes one slot's matrix indefinite gives that slot, and
     # only that slot, no finite solution
     k = rng.integers(slots)
-    indefinite = lam.copy()
-    indefinite[k] = -2.0
-    x, _ = cholesky.solve(jtj, indefinite, g)
+    indefinite = mu.copy()
+    indefinite[k] = -np.diagonal(jtj[k]).max() - 1.0
+    x = cholesky.solve(jtj, indefinite, g)
     finite = np.isfinite(x).all(axis=1)
     assert not finite[k] and finite.sum() == slots - 1
     # a non-finite entry gives no finite solution
@@ -205,5 +203,5 @@ def test_cholesky_solver_agrees_with_lu(p, extra_rows, slots, seed):
     for bad in (np.nan, np.inf, -np.inf):
         a = jtj.copy()
         a[k, i, j] = a[k, j, i] = bad
-        x, _ = cholesky.solve(a, lam, g)
+        x = cholesky.solve(a, mu, g)
         assert not np.isfinite(x[k]).all()

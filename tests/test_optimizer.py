@@ -30,12 +30,13 @@ class LinearProblem:
     It answers a descent of one fit as ``optimizer._Problem`` does:
     ``losses`` evaluates a stack of points and keeps their residuals, where
     a circuit keeps its prefix products, and ``normal_equations`` reads
-    them.
+    them.  Its damping is in units of the largest entry of diag(A'A).
     """
 
     def __init__(self, a, b):
         self.a, self.b = a, b
         self.free_count = a.shape[1]
+        self.diagonal = float(np.diagonal(a.T @ a).max())
 
     def seat(self, fits):
         assert set(fits) == {0}
@@ -91,9 +92,9 @@ def test_non_finite_start_phases_are_refused(bad):
 
 
 def test_nan_damping_gives_up_instead_of_looping():
-    # a NaN start phase in the first layer makes every later prefix product,
-    # diag(J'J) and so the damping NaN; the damping loop counts a NaN as over
-    # the cap, since NaN > cap is never true
+    # a NaN start phase in the first layer makes every later prefix product
+    # and so J'J NaN: no damped matrix factors, and the damping doubles past
+    # the cap
     circ = ideal_circuit(3, 4)
     problem = optimizer._Problem(circ.mixers, circ.program, haar_unitary(3, 1)[None], 1)
     x0 = np.zeros(circ.program.free_count)
@@ -133,7 +134,7 @@ def test_accepted_exact_step_shrinks_damping_threefold(monkeypatch):
     descend(problem, np.zeros(4), LmaOptions())
     first, after = updates[0]
     # the first damping, so the first trial was accepted
-    assert first == optimizer._DAMPING_SCALE * np.diagonal(a.T @ a).max()
+    assert first == optimizer._DAMPING_SCALE * problem.diagonal
     assert after == first * (1.0 / 3.0)
 
 
@@ -160,10 +161,11 @@ def test_n16_fit_pays_few_solves_per_jacobian(monkeypatch):
 @pytest.mark.skipif(SpdSolver is not CholeskySolver,
                     reason="numpy.linalg's LAPACK exports no dpotrf here")
 def test_indefinite_damped_matrix_grows_damping():
-    # J'J with a zero diagonal stays indefinite for every damping below the
-    # cap, so each trial's factorization fails, no step is tried and the
-    # descent gives up where it started
+    # J'J with a zero diagonal, shifted by at most the cap times a tiny
+    # diagonal scale, stays indefinite, so each trial's factorization fails,
+    # no step is tried and the descent gives up where it started
     problem = LinearProblem(np.eye(2), np.ones(2))
+    problem.diagonal = 1e-30
     normal_equations, losses = problem.normal_equations, problem.losses
     composed = []
 
@@ -183,9 +185,9 @@ def test_indefinite_damped_matrix_grows_damping():
     assert out.status == "stalled" and out.iterations == 0
     assert np.array_equal(out.x, x) and out.loss == losses(x[None])[0]
     assert out.lam > optimizer._DAMPING_MAX
-    # the damping doubled from its first value (diag J'J is floored at
-    # 1e-30) once per failed factorization, until it passed the cap
-    lam, doublings = optimizer._DAMPING_SCALE * 1e-30, 0
+    # the damping doubled from its first value once per failed
+    # factorization, until it passed the cap
+    lam, doublings = optimizer._DAMPING_SCALE * problem.diagonal, 0
     while lam <= optimizer._DAMPING_MAX:
         lam, doublings = lam * optimizer._DAMPING_FACTOR, doublings + 1
     assert out.rejected == doublings and out.lam == lam
