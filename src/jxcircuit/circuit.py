@@ -323,6 +323,5 @@ def perturbed_circuit(
         return ideal_circuit(n, m)
     if m < 1:
         raise ValueError(f"need at least one phase layer, got {m}")
-    mixers = [perturbed_mixer(n, sigma_k, gaussian_hermitian(n, derive_seed(seed, label, k)))
-              for k in range(m + 1)]
-    return InterlacedCircuit(mixers, PhaseProgram.zeros(m, n))
+    h1 = np.stack([gaussian_hermitian(n, derive_seed(seed, label, k)) for k in range(m + 1)])
+    return InterlacedCircuit(perturbed_mixer(n, sigma_k, h1), PhaseProgram.zeros(m, n))

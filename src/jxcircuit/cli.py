@@ -260,10 +260,12 @@ def _cmd_experiment(args) -> int:
         _check_resumable(meta_path, cfg)
         existing, done = read_records(csv_path), {}
         for rec in existing:  # the runner refuses a row that no job owes
-            empty = [name for name in study.measured if getattr(rec, name) is None]
-            if empty or record_key(rec) in done:
+            values = [(name, getattr(rec, name)) for name in study.measured]
+            unmeasured = [f"with no {name}" if value is None else f"with {name} = {value}"
+                          for name, value in values if value is None or not math.isfinite(value)]
+            if unmeasured or record_key(rec) in done:
                 raise ValueError(f"--resume: {csv_path} holds a row {record_key(rec)} "
-                                 + (f"with no {empty[0]}" if empty else "twice"))
+                                 + (unmeasured[0] if unmeasured else "twice"))
             done[record_key(rec)] = rec.seed
         print(f"resuming: {len(existing)} record(s) already present")
     records = study.run(cfg, args.threads, done)

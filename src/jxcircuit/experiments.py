@@ -23,6 +23,7 @@ import dataclasses
 import json
 import math
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -156,17 +157,28 @@ def _fitted(result: FitResult, seconds: float, **fields) -> dict:
                 free_count=result.phases.free_count, wall_time=seconds)
 
 
-def _haar_fits(todo, *, circuit, seeds, options) -> list[dict]:
-    """Fit the circuit to one N x N Haar target per ``(target seed, fit seed)``
-    of ``seeds`` at ``todo``, all in one ``fit_targets`` call; each record's
-    ``wall_time`` is its target draw plus its fit's ``seconds``."""
-    targets, draws = [], []
-    for target_seed, _ in (seeds[k] for k in todo):
+def _haar_fits(todo, *, circuit, seeds, options, rows=1, row=None) -> list[dict]:
+    """Fit the circuit, in one ``fit_targets`` call, to the Haar target of each
+    ``(index, target seed, fit seed)`` of ``seeds`` that owes one of its
+    ``rows`` records (in a row) at ``todo``.  A record holds that fit or, with
+    ``row``, the fit and fields that ``row(r, index, target, fit)`` returns for
+    its row ``r``; its ``wall_time`` is its own time plus an equal share of its
+    index's fit and target draw (the draws, timed together, split equally)."""
+    owing = Counter(k // rows for k in todo)
+    t0 = time.perf_counter()
+    targets = [haar_unitary(circuit.ports, seeds[b][1]) for b in owing]
+    draw = (time.perf_counter() - t0) / len(owing)
+    results = fit_targets(circuit, targets, options, [seeds[b][2] for b in owing])
+    fits = dict(zip(owing, zip(targets, results)))
+    out = []
+    for k in todo:
+        b, r = divmod(k, rows)
+        target, fitted = fits[b]
         t0 = time.perf_counter()
-        targets.append(haar_unitary(circuit.ports, target_seed))
-        draws.append(time.perf_counter() - t0)
-    results = fit_targets(circuit, targets, options, [seeds[k][1] for k in todo])
-    return [_fitted(result, draw + result.seconds) for result, draw in zip(results, draws)]
+        result, fields = (fitted, {}) if row is None else row(r, seeds[b][0], target, fitted)
+        share = (draw + fitted.seconds) / owing[b]
+        out.append(_fitted(result, share + time.perf_counter() - t0, **fields))
+    return out
 
 
 def universality_sweep(
@@ -191,64 +203,50 @@ def universality_sweep(
     for n in n_list:
         m_list = (list(m_values) if m_values is not None else
                   [m for m in (n - 1, n, n + 1, n + 2) if m >= 1])
-        target_seeds = [derive_seed(seed, f"universality/n={n}/target", i)
-                        for i in range(targets)]
         for m in m_list:
             circuit = ideal_circuit(n, m)
             for b in range(parts):
-                owed = [ExperimentRecord(
-                    experiment_label="universality", n=n, m=m, target_index=i,
-                    seed=derive_seed(seed, f"universality/n={n}/m={m}/fit", i),
-                ) for i in range(b * targets // parts, (b + 1) * targets // parts)]
-                jobs.append((owed, partial(_haar_fits, circuit=circuit, options=options, seeds=[
-                    (target_seeds[rec.target_index], rec.seed) for rec in owed])))
+                seeds = [(i, derive_seed(seed, f"universality/n={n}/target", i),
+                          derive_seed(seed, f"universality/n={n}/m={m}/fit", i))
+                         for i in range(b * targets // parts, (b + 1) * targets // parts)]
+                owed = [ExperimentRecord(experiment_label="universality", n=n, m=m,
+                                         target_index=i, seed=fit_seed) for i, _, fit_seed in seeds]
+                jobs.append((owed, partial(_haar_fits, circuit=circuit, options=options,
+                                           seeds=seeds)))
     rank = {n: k for k, n in enumerate(n_list)}
     return sorted(_run_jobs(jobs, threads, done),
                   key=lambda rec: (rank[rec.n], rec.target_index))
 
 
-def _ideal_fit_measure(todo, *, i, ideal, target_seed, fit_seed, options, disorder,
-                       seed, measure_row) -> list[dict]:
-    """Fit one Haar target against ideal mixers, then measure each sigma_k row
-    at ``todo`` with the fitted phases on its ``disorder`` (sigma_k, slot label)."""
-    t0 = time.perf_counter()
-    target = haar_unitary(ideal.ports, target_seed)
-    fitted = fit(ideal, target, options, seed=fit_seed)
-    out = []
-    for r in todo:
-        sigma_k, slot_label = disorder[r]
-        perturbed = perturbed_circuit(
-            ideal.ports, ideal.layers, sigma_k, seed, label=slot_label
-        ).with_program(fitted.phases)
-        result, fields = measure_row(r, i, perturbed, target, fitted)
-        out.append(_fitted(result, time.perf_counter() - t0, **fields))
-    return out
+def _on_disorder(r, i, target, fitted, *, label, index_name, sigma_k_list, seed, measure):
+    """``measure`` of row ``r`` of index ``i`` on its perturbed circuit."""
+    perturbed = perturbed_circuit(fitted.phases.ports, fitted.phases.layers, sigma_k_list[r], seed,
+                                  label=f"{label}/h1/row={r}/{index_name}={i}")
+    return measure(r, i, perturbed.with_program(fitted.phases), target, fitted)
 
 
 def _ideal_fit_rows(label, index_name, sigma_k_list, count, options, seed, n, m,
                     threads, done, measure_row) -> list[ExperimentRecord]:
     """Per index, fit a Haar target against ideal mixers, then one record per sigma_k row.
 
-    Each row puts the fitted phases on fresh independent disorder in every
-    mixing slot; ``measure_row(r, i, perturbed, target, fitted)``, a
-    module-level function or a partial of one, returns the fit the record
-    reports plus the row's other measured fields.  The ideal-mixer fit is
-    shared across the rows of one index, and ``wall_time`` runs from before
-    the target draw.
+    The indices run in ``max(1, threads)`` jobs of contiguous indices, each one
+    batched descent.  Each row puts the fitted phases on fresh independent
+    disorder in every mixing slot; ``measure_row(r, i, perturbed, target,
+    fitted)``, a module-level function or a partial of one, returns the fit
+    the record reports plus the row's other measured fields.
     """
-    ideal = ideal_circuit(n, m)
-    rows = [float(sk) for sk in sigma_k_list]
-    jobs = []
-    for i in range(count):
-        target_seed = derive_seed(seed, f"{label}/target", i)
+    ideal, rows = ideal_circuit(n, m), [float(sk) for sk in sigma_k_list]
+    row = partial(_on_disorder, label=label, index_name=index_name, sigma_k_list=rows,
+                  seed=seed, measure=measure_row)
+    jobs, parts = [], max(1, threads)
+    for b in range(parts):
+        seeds = [(i, derive_seed(seed, f"{label}/target", i), derive_seed(seed, f"{label}/fit", i))
+                 for i in range(b * count // parts, (b + 1) * count // parts)]
         owed = [ExperimentRecord(experiment_label=label, n=n, m=m, sigma_k=sk,
-                                 target_index=i, seed=target_seed) for sk in rows]
-        disorder = [(sk, f"{label}/h1/row={r}/{index_name}={i}")
-                    for r, sk in enumerate(rows)]
-        jobs.append((owed, partial(
-            _ideal_fit_measure, i=i, ideal=ideal, target_seed=target_seed,
-            fit_seed=derive_seed(seed, f"{label}/fit", i), options=options,
-            disorder=disorder, seed=seed, measure_row=measure_row)))
+                                 target_index=i, seed=target_seed)
+                for i, target_seed, _ in seeds for sk in rows]
+        jobs.append((owed, partial(_haar_fits, circuit=ideal, seeds=seeds, options=options,
+                                   rows=len(rows), row=row)))
     return _run_jobs(jobs, threads, done)
 
 
@@ -327,20 +325,26 @@ def _correlation(a: np.ndarray, b: np.ndarray) -> float | None:
 
 def _phasediff_fits(todo, *, given, target, fits, seed, jitter_fraction, options):
     """One descent per ``(init mode, sigma_k, slot label, fit seed)`` of ``fits``
-    at ``todo``, against mixers perturbed at sigma_k, compared with ``given``."""
+    at ``todo``, against mixers perturbed at sigma_k, compared with ``given``;
+    each (sigma_k, slot label) circuit is built once, its time split equally
+    among the records that use it."""
     m, n = given.shape
+    uses = Counter(fits[k][1:3] for k in todo)
+    built = {}
+    for sigma_k, slot_label in uses:
+        t0 = time.perf_counter()
+        circ = perturbed_circuit(n, m, sigma_k, seed, label=slot_label)
+        built[sigma_k, slot_label] = circ, (time.perf_counter() - t0) / uses[sigma_k, slot_label]
     out = []
     for mode, sigma_k, slot_label, fit_seed in (fits[k] for k in todo):
         t0 = time.perf_counter()
-        circ = perturbed_circuit(n, m, sigma_k, seed, label=slot_label)
+        circ, build = built[sigma_k, slot_label]
         init = FromVector(given, jitter_fraction) if mode == "jittered" else None
         result = fit(circ, target, options, init, seed=fit_seed)
         recovered = result.phases.theta.ravel()
         dx = given.ravel() - recovered
-        out.append(_fitted(
-            result, time.perf_counter() - t0, mu_dx=float(dx.mean()), sigma_dx=float(dx.std()),
-            corr_x=_correlation(given.ravel(), recovered),
-        ))
+        out.append(_fitted(result, build + time.perf_counter() - t0, mu_dx=float(dx.mean()),
+                           sigma_dx=float(dx.std()), corr_x=_correlation(given.ravel(), recovered)))
     return out
 
 
@@ -461,11 +465,11 @@ def faulty_shifter_grid(
             label = f"faulty/k={k}/combo={c:03d}"
             program = apply_fault_plan(PhaseProgram.zeros(m, n), fault_plan)
             circuit = ideal_circuit(n, m).with_program(program)
-            owed = [ExperimentRecord(
-                experiment_label=label, n=n, m=m, fault_plan=plan_str, target_index=i,
-                seed=derive_seed(seed, f"{label}/fit", i)) for i in range(targets)]
-            jobs.append((owed, partial(_haar_fits, circuit=circuit, options=options, seeds=[
-                (derive_seed(seed, f"{label}/target", i), rec.seed) for i, rec in enumerate(owed)])))
+            seeds = [(i, derive_seed(seed, f"{label}/target", i),
+                      derive_seed(seed, f"{label}/fit", i)) for i in range(targets)]
+            owed = [ExperimentRecord(experiment_label=label, n=n, m=m, fault_plan=plan_str,
+                                     target_index=i, seed=fit_seed) for i, _, fit_seed in seeds]
+            jobs.append((owed, partial(_haar_fits, circuit=circuit, options=options, seeds=seeds)))
     return _run_jobs(jobs, threads, done)
 
 
@@ -558,12 +562,9 @@ def _table1_lines(records) -> list[str]:
 
 def _table1_plot(records) -> str:
     rows = summarize_perturbation(records)
-    series = {
-        "mean dF %": ([r["sigma_k"] for r in rows],
-                      [100 * r["mean_delta_f"] for r in rows]),
-        "mean dU %": ([r["sigma_k"] for r in rows],
-                      [100 * r["mean_delta_u"] for r in rows]),
-    }
+    sigma_k = [r["sigma_k"] for r in rows]
+    series = {"mean dF %": (sigma_k, [100 * r["mean_delta_f"] for r in rows]),
+              "mean dU %": (sigma_k, [100 * r["mean_delta_u"] for r in rows])}
     return scatter_svg(series, title="Mixer and end-to-end relative error",
                        xlabel="sigma_k", ylabel="percent error")
 
@@ -596,12 +597,11 @@ def _phasediff_lines(records) -> list[str]:
 
 
 def _faulty_lines(records) -> list[str]:
-    lines = []
-    for label, recs in _grouped(records, lambda r: r.experiment_label):
-        losses = np.array([r.loss_after for r in recs])
-        lines.append(f"{label}: {100 * (losses < 1e-10).mean():.0f}% below 1e-10, "
-                     f"median {np.median(losses):.2e}")
-    return lines
+    return [
+        f"{label}: {100 * np.mean([r.loss_after < 1e-10 for r in recs]):.0f}% below 1e-10, "
+        f"median {np.median([r.loss_after for r in recs]):.2e}"
+        for label, recs in _grouped(records, lambda r: r.experiment_label)
+    ]
 
 
 def _faulty_plot(records) -> str:

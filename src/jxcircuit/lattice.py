@@ -7,7 +7,8 @@ discrete fractional Fourier transform that serves as the fixed mixing
 operation between programmable phase layers.  Fabrication disorder is
 modelled as an additive Hermitian perturbation of the Hamiltonian,
 exponentiated the same way so the perturbed mixer stays exactly unitary.
-Every function takes the port count N and returns a plain (N, N) matrix;
+Every function takes the port count N and returns a plain (N, N) matrix,
+or a stack of them for a stack of perturbations;
 ``circuit.InterlacedCircuit`` checks the unitarity of the mixers it holds.
 """
 
@@ -28,7 +29,6 @@ __all__ = [
     "DFRFT_LENGTH",
     "build_jx_hamiltonian",
     "dfrft",
-    "perturb_hamiltonian",
     "perturbed_mixer",
     "relative_deviation",
 ]
@@ -61,21 +61,18 @@ def dfrft(n: int) -> np.ndarray:
     return expm_i_scaled(build_jx_hamiltonian(n), DFRFT_LENGTH)
 
 
-def perturb_hamiltonian(n: int, sigma_k: float, h1) -> np.ndarray:
-    """``H + (sigma_k * kappa_max) * H1`` with ``H1`` Hermitian of size n,
-    where ``kappa_max`` is the largest hopping rate (0 for one port)."""
+def perturbed_mixer(n: int, sigma_k: float, h1) -> np.ndarray:
+    """Mixing matrix ``exp(i (pi/2) (H + sigma_k kappa_max H1))`` of the
+    n-port Hamiltonian ``H`` perturbed by a Hermitian ``H1``, where
+    ``kappa_max`` is the largest hopping rate (0 for one port); for a stack
+    (..., n, n) of perturbations, the stack of their mixers."""
     if not (math.isfinite(sigma_k) and sigma_k >= 0):
         raise ValueError(f"sigma_k must be finite and >= 0, got {sigma_k}")
     h1 = require_hermitian(h1)
-    if h1.shape != (n, n):
+    if h1.shape[-2:] != (n, n):
         raise ValueError(f"perturbation shape {h1.shape} does not match lattice size {n}")
     kappa_max = float(_hopping_rates(n).max(initial=0.0))
-    return build_jx_hamiltonian(n) + (sigma_k * kappa_max) * h1
-
-
-def perturbed_mixer(n: int, sigma_k: float, h1) -> np.ndarray:
-    """Mixing matrix generated by the perturbed n-port Hamiltonian."""
-    return expm_i_scaled(perturb_hamiltonian(n, sigma_k, h1), DFRFT_LENGTH)
+    return expm_i_scaled(build_jx_hamiltonian(n) + (sigma_k * kappa_max) * h1, DFRFT_LENGTH)
 
 
 def relative_deviation(a, b) -> float:

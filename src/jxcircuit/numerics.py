@@ -47,28 +47,33 @@ def as_complex_matrix(a) -> np.ndarray:
 
 
 def require_hermitian(a) -> np.ndarray:
-    """Return ``a`` as a complex matrix, rejecting non-Hermitian input.
+    """Return ``a`` as a complex matrix, or a stack of them (..., N, N),
+    rejecting one that is not Hermitian.
 
-    The deviation ``max |A - A†|`` is compared against ``HERMITICITY_RTOL``
-    times the largest-magnitude entry, so the check is scale free.
+    Each matrix's deviation ``max |A - A†|`` is compared against
+    ``HERMITICITY_RTOL`` times its own largest-magnitude entry, so the
+    check is scale free.
     """
-    m = as_complex_matrix(a)
-    if m.shape[0] != m.shape[1]:
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"Hermitian matrix must be square, got shape {m.shape}")
     if m.size == 0:
         return m
-    scale = float(np.abs(m).max())
-    deviation = float(np.abs(m - m.conj().T).max())
-    if deviation > HERMITICITY_RTOL * scale:
+    scale = np.abs(m).max(axis=(-2, -1)).ravel()
+    deviation = np.abs(m - m.conj().swapaxes(-2, -1)).max(axis=(-2, -1)).ravel()
+    bad = np.flatnonzero(deviation > HERMITICITY_RTOL * scale)
+    if bad.size:
+        k = bad[0]
         raise ValueError(
-            f"matrix is not Hermitian: max |A - A†| = {deviation:.3e} exceeds "
-            f"{HERMITICITY_RTOL:.1e} of max |A| = {scale:.3e}"
+            f"matrix is not Hermitian: max |A - A†| = {deviation[k]:.3e} exceeds "
+            f"{HERMITICITY_RTOL:.1e} of max |A| = {scale[k]:.3e}"
         )
     return m
 
 
 def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues ``w`` (ascending) and eigenvectors ``v`` with ``A = V diag(w) V†``.
+    """Eigenvalues ``w`` (ascending) and eigenvectors ``v`` with ``A = V diag(w) V†``,
+    for a matrix or for each matrix of a stack (..., N, N).
 
     Raises ``ValueError`` for non-Hermitian input and propagates
     ``numpy.linalg.LinAlgError`` if the iteration fails to converge, so a
@@ -82,14 +87,15 @@ def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def expm_i_scaled(a, t: float) -> np.ndarray:
-    """``exp(i t A)`` for Hermitian ``A``, computed spectrally.
+    """``exp(i t A)`` for Hermitian ``A``, or for each matrix of a stack
+    (..., N, N), computed spectrally.
 
     The result is ``V diag(e^{i t w}) V†``, unitary up to roundoff for any
     real ``t``; degenerate eigenvalues need no special handling.
     """
     w, v = eig_hermitian(a)
     phase = np.exp(1j * float(t) * w)
-    return (v * phase) @ v.conj().T
+    return (v * phase[..., None, :]) @ v.conj().swapaxes(-2, -1)
 
 
 def frobenius_norm(a) -> float:

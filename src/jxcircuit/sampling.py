@@ -32,12 +32,6 @@ def derive_seed(master_seed: int, label: str, index: int = 0) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
 
 
-def _generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def haar_unitary(n: int, seed) -> np.ndarray:
     """Haar-distributed n x n unitary.
 
@@ -47,7 +41,7 @@ def haar_unitary(n: int, seed) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    rng = _generator(seed)
+    rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, _ = qr_unitary(z)
     return q
@@ -63,7 +57,7 @@ def gaussian_hermitian(n: int, seed) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    rng = _generator(seed)
+    rng = np.random.default_rng(seed)
     re = rng.standard_normal((n, n))
     im = rng.standard_normal((n, n))
     h = np.zeros((n, n), dtype=np.complex128)
@@ -76,7 +70,7 @@ def gaussian_hermitian(n: int, seed) -> np.ndarray:
 
 def uniform_phases(m: int, n: int, seed) -> np.ndarray:
     """(m, n) grid of i.i.d. phases uniform in [0, 2 pi)."""
-    return _generator(seed).uniform(0.0, TWO_PI, size=(m, n))
+    return np.random.default_rng(seed).uniform(0.0, TWO_PI, size=(m, n))
 
 
 def jitter_phases(x, fraction: float, seed) -> np.ndarray:
@@ -84,5 +78,5 @@ def jitter_phases(x, fraction: float, seed) -> np.ndarray:
     if fraction < 0:
         raise ValueError(f"jitter fraction must be >= 0, got {fraction}")
     x = np.asarray(x, dtype=float)
-    u = _generator(seed).uniform(-fraction, fraction, size=x.shape)
+    u = np.random.default_rng(seed).uniform(-fraction, fraction, size=x.shape)
     return x * (1.0 + u)

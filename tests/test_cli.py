@@ -347,7 +347,15 @@ class TestExperimentCommand:
             dataclasses.replace(first, sigma_dx=None), second], "with no sigma_dx"),
         ("recalibration", lambda first, second: [
             first, dataclasses.replace(second, sigma_k=first.sigma_k)], "twice"),
-    ], ids=["blank-loss-after", "blank-sigma-dx", "repeated-row"])
+        ("table1", lambda first, second: [
+            dataclasses.replace(first, delta_u=float("nan")), second], "with delta_u = nan"),
+        ("phasediff", lambda first, second: [
+            first, dataclasses.replace(second, mu_dx=-float("inf"))], "with mu_dx = -inf"),
+        ("recalibration", lambda first, second: [
+            dataclasses.replace(first, loss_before=float("inf")), second],
+         "with loss_before = inf"),
+    ], ids=["blank-loss-after", "blank-sigma-dx", "repeated-row", "nan-delta-u",
+            "minus-inf-mu-dx", "inf-loss-before"])
     def test_resume_refuses_incomplete_or_repeated_rows(self, tmp_path, capsys, monkeypatch,
                                                          name, edit, message):
         # the summary and plot need every measured value, and a row repeated
@@ -359,7 +367,9 @@ class TestExperimentCommand:
         records = read_records(csv_path)
         write_records(csv_path, edit(*records[:2]) + records[2:])
         edited = csv_path.read_bytes()
-        monkeypatch.setattr(jxcircuit.experiments, "fit", lambda *args: pytest.fail("a fit ran"))
+        for fitter in ("fit", "fit_targets"):
+            monkeypatch.setattr(jxcircuit.experiments, fitter,
+                                lambda *args, **kwargs: pytest.fail("a fit ran"))
         capsys.readouterr()
         assert run("experiment", name, "--config", cfg, "--out-dir", out, "--resume") == 2
         err = capsys.readouterr().err

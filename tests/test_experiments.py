@@ -1,5 +1,6 @@
 import json
 import time
+from concurrent.futures import ThreadPoolExecutor
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jxcircuit.circuit import ideal_circuit
+from jxcircuit import experiments
+from jxcircuit.circuit import ideal_circuit, perturbed_circuit
 from jxcircuit.experiments import (
     _haar_fits,
     _random_fault_plan,
@@ -20,7 +22,7 @@ from jxcircuit.experiments import (
     summarize_universality,
     universality_sweep,
 )
-from jxcircuit.optimizer import LmaOptions, fit
+from jxcircuit.optimizer import LmaOptions, fit, fit_targets
 from jxcircuit.sampling import derive_seed, haar_unitary
 
 
@@ -106,12 +108,44 @@ class TestUniversalitySweep:
 
 def test_a_done_subset_of_a_job_fits_only_the_targets_it_owes():
     circuit, options = ideal_circuit(4, 6), LmaOptions(restarts=3, max_iterations=60)
-    seeds = [(derive_seed(2, "target", i), derive_seed(2, "fit", i)) for i in range(5)]
+    seeds = [(i, derive_seed(2, "target", i), derive_seed(2, "fit", i)) for i in range(5)]
     rows = _haar_fits([1, 3, 4], circuit=circuit, seeds=seeds, options=options)
-    for row, (target_seed, fit_seed) in zip(rows, [seeds[1], seeds[3], seeds[4]]):
+    for row, (_, target_seed, fit_seed) in zip(rows, [seeds[1], seeds[3], seeds[4]]):
         alone = fit(circuit, haar_unitary(4, target_seed), options, seed=fit_seed)
         assert (row["loss_after"], row["iterations"], row["free_count"]) == (
             alone.loss, alone.iterations, alone.phases.free_count)
+
+
+def fitted_target_counts(monkeypatch):
+    """The number of targets of each ``fit_targets`` call the studies make,
+    with the jobs of a pool run one at a time in this process."""
+    counts = []
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", lambda workers: ThreadPoolExecutor(1))
+
+    def counting(circuit, targets, *args):
+        counts.append(len(targets))
+        return fit_targets(circuit, targets, *args)
+
+    monkeypatch.setattr(experiments, "fit_targets", counting)
+    return counts
+
+
+@pytest.mark.parametrize("study", [
+    lambda **kw: perturbation_table([0.0, 0.003], 5, LmaOptions(restarts=5), 24, n=3, m=4,
+                                    **kw),
+    lambda **kw: recalibration_histogram([0.002, 0.005], 5, LmaOptions(restarts=5), 25,
+                                         n=3, m=4, attempts=3, truncated_iterations=30, **kw),
+], ids=["table1", "recalibration"])
+def test_a_done_subset_of_a_block_fits_each_owing_index_once(study, monkeypatch):
+    full = study(threads=2)
+    # blocks of indices 0-1 and 2-4, two rows each: index 0 is done, index 2
+    # owes one row, indices 1, 3 and 4 owe both
+    done = {record_key(rec): rec.seed for rec in full[:2] + full[5:6]}
+    counts = fitted_target_counts(monkeypatch)
+    rest = study(threads=2, done=done)
+    assert sorted(counts) == [1, 3]
+    assert drop_wall_time(rest) == drop_wall_time(
+        [rec for rec in full if record_key(rec) not in done])
 
 
 class TestPerturbationTable:
@@ -142,6 +176,24 @@ class TestPerturbationTable:
         a = perturbation_table([0.003], **kwargs)
         b = perturbation_table([0.003], **kwargs, threads=2)
         assert drop_wall_time(a) == drop_wall_time(b)
+
+    def test_one_batched_descent_per_block(self, monkeypatch):
+        counts = fitted_target_counts(monkeypatch)
+        records = perturbation_table([0.0, 0.003], 5, LmaOptions(restarts=5), 26, n=3, m=4,
+                                     threads=2)
+        assert sorted(counts) == [2, 3]
+        assert [(r.target_index, r.sigma_k) for r in records] == [
+            (i, sk) for i in range(5) for sk in (0.0, 0.003)]
+
+    def test_a_record_is_timed_by_its_own_share_of_the_batch(self):
+        # the rows of a sample share its fit, and the samples of a block share
+        # one descent: the rows' times add up to at most the study's
+        t0 = time.perf_counter()
+        records = perturbation_table([0.0, 0.002, 0.004], 4, LmaOptions(restarts=5), 27,
+                                     n=3, m=4)
+        elapsed = time.perf_counter() - t0
+        walls = [rec.wall_time for rec in records]
+        assert min(walls) > 0 and sum(walls) <= elapsed
 
 
 class TestRecalibrationHistogram:
@@ -213,6 +265,21 @@ class TestPhaseDifferenceStudy:
                                        threads=threads)
             messages.append(str(info.value))
         assert messages == ["jitter_fraction must lie in [0, 1)"] * 2
+
+    def test_each_perturbed_circuit_is_built_once(self, monkeypatch):
+        # the jittered and random fits of a (run, row) share one disorder draw
+        labels = []
+
+        def counting(n, m, sigma_k, seed, *, label):
+            labels.append(label)
+            return perturbed_circuit(n, m, sigma_k, seed, label=label)
+
+        kwargs = dict(runs=3, seed=45, n=3, m=4, **{**PHASEDIFF, "targets": 2})
+        plain = phase_difference_study([0.0, 0.004], **kwargs)
+        monkeypatch.setattr(experiments, "perturbed_circuit", counting)
+        counted = phase_difference_study([0.0, 0.004], **kwargs)
+        assert len(labels) == len(set(labels)) == 2 * 3 * 2
+        assert drop_wall_time(counted) == drop_wall_time(plain)
 
     def test_labels_and_counts(self):
         records = phase_difference_study(

@@ -7,7 +7,6 @@ from jxcircuit.lattice import (
     _hopping_rates,
     build_jx_hamiltonian,
     dfrft,
-    perturb_hamiltonian,
     perturbed_mixer,
     relative_deviation,
 )
@@ -72,27 +71,49 @@ def test_dfrft_unitary_and_quarter_cycle():
 
 
 def test_perturb_zero_sigma_is_exact():
-    h1 = gaussian_hermitian(6, 42)
-    assert np.array_equal(perturb_hamiltonian(6, 0.0, h1), build_jx_hamiltonian(6))
+    h1 = np.stack([gaussian_hermitian(6, 42 + k) for k in range(3)])
+    got = perturbed_mixer(6, 0.0, h1)
+    assert got.shape == (3, 6, 6)
+    assert all(np.array_equal(slot, dfrft(6)) for slot in got)
 
 
 def test_perturb_two_port_example():
-    # kappa_max = 0.5 for N=2, so sigma_k=1 with H1=I adds 0.5 I
-    got = perturb_hamiltonian(2, 1.0, np.eye(2))
-    assert np.allclose(got, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+    # kappa_max = 0.5 for N=2, so sigma_k=1 with H1=I adds 0.5 I to H = X / 2:
+    # exp(i (pi/4) (I + X)) = e^{i pi/4} (I + i X) / sqrt(2)
+    got = perturbed_mixer(2, 1.0, np.eye(2))
+    want = np.exp(1j * np.pi / 4) * np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
+    assert frobenius_norm(got - want) < 1e-14
 
 
 def test_perturb_validates_input():
     for bad in (-0.1, float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="sigma_k must be finite and >= 0"):
-            perturb_hamiltonian(4, bad, np.eye(4))
+            perturbed_mixer(4, bad, np.eye(4))
         # named before any eigendecomposition is tried
         with pytest.raises(ValueError, match="sigma_k must be finite and >= 0"):
             perturbed_circuit(4, 5, bad, 0)
-    with pytest.raises(ValueError):
-        perturb_hamiltonian(4, 0.1, np.eye(3))
-    with pytest.raises(ValueError):
-        perturb_hamiltonian(4, 0.1, [[0, 1], [0, 0]])
+    with pytest.raises(ValueError, match="does not match lattice size 4"):
+        perturbed_mixer(4, 0.1, np.eye(3))
+    with pytest.raises(ValueError, match="does not match lattice size 4"):
+        perturbed_mixer(4, 0.1, np.stack([np.eye(3)] * 2))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        perturbed_mixer(4, 0.1, [[0, 1], [0, 0]])
+    # one non-Hermitian slot in a stack is refused
+    stack = np.stack([gaussian_hermitian(4, k) for k in range(3)])
+    stack[1, 0, 1] += 1.0
+    with pytest.raises(ValueError, match="not Hermitian"):
+        perturbed_mixer(4, 0.1, stack)
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 4), (4, 5), (8, 9), (16, 17)])
+def test_a_stack_of_perturbations_gives_the_mixers_of_its_slots_bitwise(n, m):
+    for sigma_k in (0.001, 0.003, 0.05):
+        for s in range(5):
+            h1 = np.stack([gaussian_hermitian(n, derive_seed(s, "stack", k))
+                           for k in range(m + 1)])
+            stacked = perturbed_mixer(n, sigma_k, h1)
+            for k in range(m + 1):
+                assert np.array_equal(stacked[k], perturbed_mixer(n, sigma_k, h1[k]))
 
 
 def test_perturbed_mixer_zero_sigma_matches_ideal():

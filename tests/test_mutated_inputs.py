@@ -5,13 +5,16 @@ A valid record CSV (under ``experiment --resume``), matrix file (for
 ``calibrate``) gets one mutation: a cell blanked, retyped or truncated, a
 key dropped or retyped, a grid entry retyped, or the file cut short.
 Every command must then exit 0, 1 or 2, with a refusal reported as one
-``error:`` line; an exception escaping ``main`` fails the test.
+``error:`` line; an exception escaping ``main`` fails the test.  A resumed
+study keeps only rows whose measured values are finite: one whose measured
+cell reads ``nan``, ``inf``, ``-inf`` or overflows is refused.
 """
 
 import contextlib
 import csv
 import io
 import json
+import math
 import shutil
 import tempfile
 from pathlib import Path
@@ -20,7 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jxcircuit import experiments
 from jxcircuit.cli import main
+from jxcircuit.fileio import read_records
 
 #: small configs of the studies whose rows hold optional measured values
 STUDIES = {
@@ -111,8 +116,33 @@ def test_a_mutated_record_csv_is_resumed_or_refused(pristine, data):
         shutil.copytree(pristine / name, out)
         csv_path = out / f"{name}_records.csv"
         csv_path.write_text(mutate_csv(data, csv_path.read_text()))
-        assert_used_or_refused(*run("experiment", name, "--config", pristine / f"{name}.cfg",
-                                    "--out-dir", out, "--resume"))
+        code, err = run("experiment", name, "--config", pristine / f"{name}.cfg",
+                        "--out-dir", out, "--resume")
+        assert_used_or_refused(code, err)
+        if code == 0:  # a resumed run keeps only measured, finite values
+            for rec in read_records(csv_path):
+                for field in experiments.STUDIES[name].measured:
+                    assert math.isfinite(getattr(rec, field)), (field, rec)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_a_non_finite_measured_cell_is_refused(pristine, data):
+    name = data.draw(st.sampled_from(sorted(STUDIES)))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / name
+        shutil.copytree(pristine / name, out)
+        csv_path = out / f"{name}_records.csv"
+        rows = list(csv.reader(io.StringIO(csv_path.read_text())))
+        column = data.draw(st.sampled_from(experiments.STUDIES[name].measured))
+        row = rows[data.draw(st.integers(1, len(rows) - 1))]
+        row[rows[0].index(column)] = data.draw(st.sampled_from(["nan", "inf", "-inf", "1e400"]))
+        text = io.StringIO()
+        csv.writer(text).writerows(rows)
+        csv_path.write_text(text.getvalue())
+        code, err = run("experiment", name, "--config", pristine / f"{name}.cfg",
+                        "--out-dir", out, "--resume")
+        assert code == 2 and f"with {column} = " in err, err
 
 
 @settings(max_examples=30, deadline=None)

@@ -160,6 +160,30 @@ def test_require_hermitian_scale_free():
         require_hermitian(big + np.array([[0, 1e-3], [0, 0]]))
 
 
+def test_require_hermitian_checks_each_matrix_of_a_stack_at_its_own_scale():
+    big = np.array([[1e9, 1e9 * 1j], [-1e9 * 1j, 1e9]])
+    near = np.array([[1.0, 1e-8], [0.0, 1.0]])  # within 1e-14 of max |A| = 1e9, not of 1
+    assert require_hermitian(np.stack([big, big.conj()])).shape == (2, 2, 2)
+    with pytest.raises(ValueError, match="1.000e-08 exceeds 1.0e-14 of max"):
+        require_hermitian(np.stack([[big, near]]))
+    for bad in ([1, 2, 3], np.zeros((2, 3, 4))):
+        with pytest.raises(ValueError, match="must be square"):
+            require_hermitian(bad)
+
+
+def test_stacked_eig_and_expm_equal_each_matrix_bitwise():
+    rng = np.random.default_rng(7)
+    stack = np.stack([random_hermitian(6, rng) for _ in range(4)]).reshape(2, 2, 6, 6)
+    w, v = eig_hermitian(stack)
+    u = expm_i_scaled(stack, np.pi / 2)
+    assert w.shape == (2, 2, 6) and v.shape == u.shape == (2, 2, 6, 6)
+    for j in range(2):
+        for k in range(2):
+            wk, vk = eig_hermitian(stack[j, k])
+            assert np.array_equal(w[j, k], wk) and np.array_equal(v[j, k], vk)
+            assert np.array_equal(u[j, k], expm_i_scaled(stack[j, k], np.pi / 2))
+
+
 def test_as_complex_matrix_rejects_non_2d():
     with pytest.raises(ValueError):
         as_complex_matrix([1, 2, 3])
