@@ -143,10 +143,6 @@ class InterlacedCircuit:
     def ports(self) -> int:
         return self.program.ports
 
-    @property
-    def layers(self) -> int:
-        return self.program.layers
-
     def with_program(self, program: PhaseProgram) -> "InterlacedCircuit":
         return InterlacedCircuit(self.mixers, program)
 
@@ -162,7 +158,7 @@ class FitResult:
     (damping trials that found no lower loss) count over all
     ``restarts_used`` descents.  ``seconds`` is the fit's share of the wall
     time of the descent it ran in (each tick's time split equally among the
-    lanes the tick advanced, of this fit or of others on the same circuit)
+    lanes the tick advanced, of this fit or of others of the same call)
     plus its own final composition.
     """
 
@@ -178,21 +174,19 @@ class FitResult:
 
 
 def prefix_products(mixers: np.ndarray, thetas: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Compose the mixers with a stack of phase grids (B, M, N) in one sweep.
+    """Compose a stack of phase grids (B, M, N) with their mixers in one sweep.
 
-    Writes the prefix products into the caller's (M+1, B, N, N) buffer
-    ``out`` (``out[ell, b]`` is grid b's product up to mixer ell, the
-    matrices ``normal_equations`` reads) and returns ``out[M]``, the B
-    transfer matrices.  Slice ``b`` is bitwise the same for any B and any
-    place of the grid in the stack.  The first mixer enters as a (1, N, N)
-    slice, of the same rank as the phase factors: numpy picks its
-    elementwise loop by operand shapes, and at N = B = 1 a (1, 1) mixer
-    against (1, 1, 1) factors takes a loop that rounds the complex product
-    differently.
+    ``mixers`` is (M+1, B, N, N), grid b's mixer stack at ``mixers[:, b]``,
+    or (M+1, 1, N, N), one stack for every grid.  Writes the prefix
+    products into the caller's (M+1, B, N, N) buffer ``out`` (``out[ell,
+    b]`` is grid b's product up to mixer ell, the matrices
+    ``normal_equations`` reads) and returns ``out[M]``, the B transfer
+    matrices.  Slice ``b`` is bitwise the same for any B, any place of the
+    grid in the stack and either mixer layout.
     """
     factors = np.exp(1j * thetas).transpose(1, 0, 2)[:, :, :, None]
     out[0] = mixers[0]
-    u = mixers[:1]
+    u = out[0]
     for mixer, layer, prefix in zip(mixers[1:], factors, out[1:]):
         u = np.matmul(mixer, layer * u, out=prefix)
     return out[-1]
@@ -202,7 +196,7 @@ def transfer_matrix(mixers: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Compose stacked mixer matrices (M+1, N, N) with a phase grid (M, N)."""
     m, n = theta.shape
     out = np.empty((m + 1, 1, n, n), dtype=np.complex128)
-    return prefix_products(mixers, theta[None], out)[0]
+    return prefix_products(mixers[:, None], theta[None], out)[0]
 
 
 def compose(circuit: InterlacedCircuit) -> np.ndarray:

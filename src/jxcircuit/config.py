@@ -62,8 +62,8 @@ def _matches(value, default) -> bool:
 
 def check_values(values: dict, defaults: dict, source: str = "<config>") -> None:
     """Reject unknown keys, values whose type differs from their default's,
-    counts below 1, list entries below their ``LIST_FLOORS`` floor,
-    non-finite numbers and a jitter fraction outside [0, 1)."""
+    counts below 1, empty lists, list entries below their ``LIST_FLOORS``
+    floor, non-finite numbers and a jitter fraction outside [0, 1)."""
     unknown = sorted(set(values) - set(defaults))
     if unknown:
         raise ValueError(f"{source}: unknown option(s): " + ", ".join(unknown))
@@ -76,11 +76,13 @@ def check_values(values: dict, defaults: dict, source: str = "<config>") -> None
             )
         if key in COUNT_KEYS and value < 1:
             raise ValueError(f"{source}: {key} must be >= 1, got {value}")
+        if value == []:
+            raise ValueError(f"{source}: {key} must not be empty")
         numbers = value if isinstance(value, list) else [value]
         if not all(math.isfinite(v) for v in numbers if isinstance(v, float)):
             raise ValueError(f"{source}: {key} = {json.dumps(value)} is not finite")
         floor = LIST_FLOORS.get(key)
-        if floor is not None and value is not None and min(value, default=floor) < floor:
+        if floor is not None and value is not None and min(value) < floor:
             raise ValueError(
                 f"{source}: {key} entries must be >= {floor}, got {json.dumps(value)}"
             )

@@ -35,14 +35,13 @@ from .circuit import (
     FitResult,
     PhaseProgram,
     apply_fault_plan,
-    compose,
     ideal_circuit,
     loss,
     perturbed_circuit,
     transfer_matrix,
 )
-from .lattice import dfrft, relative_deviation
-from .optimizer import FromVector, LmaOptions, fit, fit_targets
+from .lattice import relative_deviation
+from .optimizer import FromVector, LmaOptions, fit_targets
 from .sampling import derive_seed, haar_unitary, uniform_phases
 from .svgplot import histogram_svg, scatter_svg
 
@@ -105,13 +104,10 @@ def record_key(record: ExperimentRecord) -> tuple:
 
 
 #: an independent unit of work: the records it owes, in emission order with
-#: identity fields and seed set, and ``measure(todo)``, which computes the
-#: records at positions ``todo`` (those not done yet) and returns their
-#: measured fields in the same order; work the owed records share (a target,
-#: an ideal-mixer fit) is done once per call.  ``measure`` is a module-level
-#: function bound to its inputs with :func:`functools.partial`, so it pickles
-#: for a worker process under any start method
-_Job = tuple[list[ExperimentRecord], Callable[[list[int]], list[dict]]]
+#: identity fields and seed set, and the keyword arguments of its
+#: :func:`_measure` (module-level functions and data, so they pickle for a
+#: worker process under any start method)
+_Job = tuple[list[ExperimentRecord], dict]
 
 
 def _run_jobs(jobs: list[_Job], threads: int, done: dict | None) -> list[ExperimentRecord]:
@@ -130,55 +126,71 @@ def _run_jobs(jobs: list[_Job], threads: int, done: dict | None) -> list[Experim
         if seeds.get(key) != row_seed:
             raise ValueError(f"existing record {key} with seed {row_seed} is not owed by this run")
     pending = []
-    for owed, measure in jobs:
+    for owed, inputs in jobs:
         todo = [k for k, rec in enumerate(owed) if record_key(rec) not in done]
         if todo:
-            pending.append((owed, measure, todo))
+            pending.append((owed, inputs, todo))
     workers = min(threads, len(pending))
     if workers > 1:
         pool = ProcessPoolExecutor(workers)
         try:
-            futures = [pool.submit(measure, todo) for _, measure, todo in pending]
+            futures = [pool.submit(_measure, todo, **inputs) for _, inputs, todo in pending]
             measured = [future.result() for future in futures]
         finally:
             # after a failed job, drop the queued ones instead of running them
             pool.shutdown(cancel_futures=True)
     else:
-        measured = [measure(todo) for _, measure, todo in pending]
+        measured = [_measure(todo, **inputs) for _, inputs, todo in pending]
     return [dataclasses.replace(owed[k], **fields)
             for (owed, _, todo), rows in zip(pending, measured)
             for k, fields in zip(todo, rows)]
 
 
-def _fitted(result: FitResult, seconds: float, **fields) -> dict:
-    """Measured fields plus the record's fit (its loss, iteration and free-phase
-    counts) and its wall time in ``seconds``."""
-    return dict(fields, loss_after=result.loss, iterations=result.iterations,
-                free_count=result.phases.free_count, wall_time=seconds)
+def _fit_all(requests, options: LmaOptions) -> list[FitResult]:
+    """One ``fit_targets`` call on ``(circuit, target, seed, start)`` requests."""
+    circuits, targets, seeds, inits = zip(*requests)
+    return fit_targets(circuits, targets, options, seeds, inits)
 
 
-def _haar_fits(todo, *, circuit, seeds, options, rows=1, row=None) -> list[dict]:
-    """Fit the circuit, in one ``fit_targets`` call, to the Haar target of each
-    ``(index, target seed, fit seed)`` of ``seeds`` that owes one of its
-    ``rows`` records (in a row) at ``todo``.  A record holds that fit or, with
-    ``row``, the fit and fields that ``row(r, index, target, fit)`` returns for
-    its row ``r``; its ``wall_time`` is its own time plus an equal share of its
-    index's fit and target draw (the draws, timed together, split equally)."""
+def _measure(todo, *, units, setup, options, rows=1, row=None, refit=None) -> list[dict]:
+    """The measure of every study: fit each of ``units`` that owes one of its
+    ``rows`` records (in a row) at ``todo``, in one ``fit_targets`` call of
+    the requests ``(circuit, target, seed, start)`` that ``setup(owing
+    units)`` returns.
+
+    A record holds its unit's fit (loss, iteration and free-phase counts)
+    and, with ``row``, the fields that ``row(r, unit, target, fit)`` returns
+    for its row ``r`` beside a request to refit, whose fit it holds instead
+    with ``refit`` options (all in a second call).  Its ``wall_time`` is its
+    own time plus an equal share of its unit's set-up (the units' set-up is
+    timed together and split equally) and fit, plus its refit's time.
+    """
     owing = Counter(k // rows for k in todo)
     t0 = time.perf_counter()
-    targets = [haar_unitary(circuit.ports, seeds[b][1]) for b in owing]
-    draw = (time.perf_counter() - t0) / len(owing)
-    results = fit_targets(circuit, targets, options, [seeds[b][2] for b in owing])
-    fits = dict(zip(owing, zip(targets, results)))
+    requests = setup([units[b] for b in owing])
+    shared = (time.perf_counter() - t0) / len(owing)
+    fits = dict(zip(owing, zip(requests, _fit_all(requests, options))))
     out = []
     for k in todo:
         b, r = divmod(k, rows)
-        target, fitted = fits[b]
+        (_, target, *_), fitted = fits[b]
         t0 = time.perf_counter()
-        result, fields = (fitted, {}) if row is None else row(r, seeds[b][0], target, fitted)
-        share = (draw + fitted.seconds) / owing[b]
-        out.append(_fitted(result, share + time.perf_counter() - t0, **fields))
-    return out
+        request, fields = (None, {}) if row is None else row(r, units[b], target, fitted)
+        out.append((fitted, (shared + fitted.seconds) / owing[b] + time.perf_counter() - t0,
+                    request, fields))
+    if refit is not None:
+        refits = _fit_all([request for _, _, request, _ in out], refit)
+        out = [(result, seconds + result.seconds, None, fields)
+               for result, (_, seconds, _, fields) in zip(refits, out)]
+    return [dict(fields, loss_after=result.loss, iterations=result.iterations,
+                 free_count=result.phases.free_count, wall_time=seconds)
+            for result, seconds, _, fields in out]
+
+
+def _haar_requests(units, *, circuit) -> list[tuple]:
+    """A fit of ``circuit`` to the Haar target of each (index, target seed, fit seed)."""
+    return [(circuit, haar_unitary(circuit.ports, target_seed), fit_seed, None)
+            for _, target_seed, fit_seed in units]
 
 
 def universality_sweep(
@@ -211,33 +223,39 @@ def universality_sweep(
                          for i in range(b * targets // parts, (b + 1) * targets // parts)]
                 owed = [ExperimentRecord(experiment_label="universality", n=n, m=m,
                                          target_index=i, seed=fit_seed) for i, _, fit_seed in seeds]
-                jobs.append((owed, partial(_haar_fits, circuit=circuit, options=options,
-                                           seeds=seeds)))
+                jobs.append((owed, dict(units=seeds, options=options,
+                                        setup=partial(_haar_requests, circuit=circuit))))
     rank = {n: k for k, n in enumerate(n_list)}
     return sorted(_run_jobs(jobs, threads, done),
                   key=lambda rec: (rank[rec.n], rec.target_index))
 
 
-def _on_disorder(r, i, target, fitted, *, label, index_name, sigma_k_list, seed, measure):
-    """``measure`` of row ``r`` of index ``i`` on its perturbed circuit."""
-    perturbed = perturbed_circuit(fitted.phases.ports, fitted.phases.layers, sigma_k_list[r], seed,
+def _disorder_row(r, unit, target, fitted, *, label, index_name, rows, seed, f_ideal, refit):
+    """Row ``r`` of index ``unit[0]``: the loss of its ideal-mixer phases on
+    fresh disorder at sigma_k ``rows[r]`` in every mixing slot, and a request
+    to refit them there (with ``refit``) or the relative deviations of the
+    first slot and of the transfer matrix."""
+    i, phases = unit[0], fitted.phases
+    perturbed = perturbed_circuit(phases.ports, phases.layers, rows[r], seed,
                                   label=f"{label}/h1/row={r}/{index_name}={i}")
-    return measure(r, i, perturbed.with_program(fitted.phases), target, fitted)
+    u_p = transfer_matrix(perturbed.mixers, phases.theta)
+    fields = dict(loss_before=loss(u_p, target))
+    if refit:
+        return (perturbed, target, derive_seed(seed, f"{label}/refit/row={r}", i), None), fields
+    return None, dict(fields, delta_f=relative_deviation(f_ideal, perturbed.mixers[0]),
+                      delta_u=relative_deviation(target, u_p))
 
 
 def _ideal_fit_rows(label, index_name, sigma_k_list, count, options, seed, n, m,
-                    threads, done, measure_row) -> list[ExperimentRecord]:
-    """Per index, fit a Haar target against ideal mixers, then one record per sigma_k row.
-
-    The indices run in ``max(1, threads)`` jobs of contiguous indices, each one
-    batched descent.  Each row puts the fitted phases on fresh independent
-    disorder in every mixing slot; ``measure_row(r, i, perturbed, target,
-    fitted)``, a module-level function or a partial of one, returns the fit
-    the record reports plus the row's other measured fields.
-    """
+                    threads, done, refit=None) -> list[ExperimentRecord]:
+    """Per index, fit a Haar target against ideal mixers, then one record per
+    sigma_k row (``_disorder_row``), holding with ``refit`` options the refit
+    of its row's perturbed circuit.  The indices run in ``max(1, threads)``
+    jobs of contiguous indices: one batched descent each, and one more for
+    the refits."""
     ideal, rows = ideal_circuit(n, m), [float(sk) for sk in sigma_k_list]
-    row = partial(_on_disorder, label=label, index_name=index_name, sigma_k_list=rows,
-                  seed=seed, measure=measure_row)
+    row = partial(_disorder_row, label=label, index_name=index_name, rows=rows,
+                  seed=seed, f_ideal=ideal.mixers[0], refit=refit is not None)
     jobs, parts = [], max(1, threads)
     for b in range(parts):
         seeds = [(i, derive_seed(seed, f"{label}/target", i), derive_seed(seed, f"{label}/fit", i))
@@ -245,18 +263,9 @@ def _ideal_fit_rows(label, index_name, sigma_k_list, count, options, seed, n, m,
         owed = [ExperimentRecord(experiment_label=label, n=n, m=m, sigma_k=sk,
                                  target_index=i, seed=target_seed)
                 for i, target_seed, _ in seeds for sk in rows]
-        jobs.append((owed, partial(_haar_fits, circuit=ideal, seeds=seeds, options=options,
-                                   rows=len(rows), row=row)))
+        jobs.append((owed, dict(units=seeds, options=options, rows=len(rows), row=row,
+                                setup=partial(_haar_requests, circuit=ideal), refit=refit)))
     return _run_jobs(jobs, threads, done)
-
-
-def _perturbation_row(r, i, perturbed, target, fitted, *, f_ideal):
-    u_p = compose(perturbed)
-    return fitted, dict(
-        loss_before=loss(u_p, target),
-        delta_f=relative_deviation(f_ideal, perturbed.mixers[0]),
-        delta_u=relative_deviation(target, u_p),
-    )
 
 
 def perturbation_table(
@@ -278,15 +287,8 @@ def perturbation_table(
     of the composed matrix from the target (delta_u).  The ideal-mixer
     fit is shared across sigma_k rows of the same sample.
     """
-    measure_row = partial(_perturbation_row, f_ideal=dfrft(n))
     return _ideal_fit_rows("perturbation-table", "sample", sigma_k_list, samples,
-                           options, seed, n, m, threads, done, measure_row)
-
-
-def _recalibration_row(r, i, perturbed, target, fitted, *, truncated, seed):
-    recal = fit(perturbed, target, truncated,
-                seed=derive_seed(seed, f"recalibration/refit/row={r}", i))
-    return recal, dict(loss_before=loss(compose(perturbed), target))
+                           options, seed, n, m, threads, done)
 
 
 def recalibration_histogram(
@@ -311,9 +313,8 @@ def recalibration_histogram(
     """
     truncated = dataclasses.replace(options, max_iterations=truncated_iterations,
                                     restarts=attempts)
-    measure_row = partial(_recalibration_row, truncated=truncated, seed=seed)
     return _ideal_fit_rows("recalibration", "target", sigma_k_list, targets,
-                           options, seed, n, m, threads, done, measure_row)
+                           options, seed, n, m, threads, done, truncated)
 
 
 def _correlation(a: np.ndarray, b: np.ndarray) -> float | None:
@@ -323,29 +324,23 @@ def _correlation(a: np.ndarray, b: np.ndarray) -> float | None:
     return float(np.corrcoef(a, b)[0, 1])
 
 
-def _phasediff_fits(todo, *, given, target, fits, seed, jitter_fraction, options):
-    """One descent per ``(init mode, sigma_k, slot label, fit seed)`` of ``fits``
-    at ``todo``, against mixers perturbed at sigma_k, compared with ``given``;
-    each (sigma_k, slot label) circuit is built once, its time split equally
-    among the records that use it."""
+def _phasediff_requests(cells, *, given, target, seed, jitter_fraction) -> list[tuple]:
+    """A fit of each (init mode, sigma_k, slot label, fit seed) cell on mixers
+    perturbed at sigma_k, each built once, from ``given`` jittered or at random."""
     m, n = given.shape
-    uses = Counter(fits[k][1:3] for k in todo)
-    built = {}
-    for sigma_k, slot_label in uses:
-        t0 = time.perf_counter()
-        circ = perturbed_circuit(n, m, sigma_k, seed, label=slot_label)
-        built[sigma_k, slot_label] = circ, (time.perf_counter() - t0) / uses[sigma_k, slot_label]
-    out = []
-    for mode, sigma_k, slot_label, fit_seed in (fits[k] for k in todo):
-        t0 = time.perf_counter()
-        circ, build = built[sigma_k, slot_label]
-        init = FromVector(given, jitter_fraction) if mode == "jittered" else None
-        result = fit(circ, target, options, init, seed=fit_seed)
-        recovered = result.phases.theta.ravel()
-        dx = given.ravel() - recovered
-        out.append(_fitted(result, build + time.perf_counter() - t0, mu_dx=float(dx.mean()),
-                           sigma_dx=float(dx.std()), corr_x=_correlation(given.ravel(), recovered)))
-    return out
+    built = {(sigma_k, slot): perturbed_circuit(n, m, sigma_k, seed, label=slot)
+             for sigma_k, slot in dict.fromkeys(cell[1:3] for cell in cells)}
+    return [(built[sigma_k, slot], target, fit_seed,
+             FromVector(given, jitter_fraction) if mode == "jittered" else None)
+            for mode, sigma_k, slot, fit_seed in cells]
+
+
+def _phase_difference(r, cell, target, fitted, *, given):
+    """Mean, spread and correlation of ``given`` minus the recovered phases."""
+    recovered = fitted.phases.theta.ravel()
+    dx = given.ravel() - recovered
+    return None, dict(mu_dx=float(dx.mean()), sigma_dx=float(dx.std()),
+                      corr_x=_correlation(given.ravel(), recovered))
 
 
 def phase_difference_study(
@@ -390,11 +385,12 @@ def phase_difference_study(
                 target_index=t * runs + j,
                 seed=derive_seed(seed, f"phasediff/fit/{mode}/row={r}/t={t}", j),
             ) for mode, r in cells]
-            fits = [(mode, rows[r], f"phasediff/h1/row={r}/t={t}/run={j}", rec.seed)
-                    for (mode, r), rec in zip(cells, owed)]
-            jobs.append((owed, partial(
-                _phasediff_fits, given=given, target=target, fits=fits, seed=seed,
-                jitter_fraction=jitter_fraction, options=truncated)))
+            units = [(mode, rows[r], f"phasediff/h1/row={r}/t={t}/run={j}", rec.seed)
+                     for (mode, r), rec in zip(cells, owed)]
+            setup = partial(_phasediff_requests, given=given, target=target, seed=seed,
+                            jitter_fraction=jitter_fraction)
+            jobs.append((owed, dict(units=units, setup=setup, options=truncated,
+                                    row=partial(_phase_difference, given=given))))
     return _run_jobs(jobs, threads, done)
 
 
@@ -469,7 +465,8 @@ def faulty_shifter_grid(
                       derive_seed(seed, f"{label}/fit", i)) for i in range(targets)]
             owed = [ExperimentRecord(experiment_label=label, n=n, m=m, fault_plan=plan_str,
                                      target_index=i, seed=fit_seed) for i, _, fit_seed in seeds]
-            jobs.append((owed, partial(_haar_fits, circuit=circuit, options=options, seeds=seeds)))
+            jobs.append((owed, dict(units=seeds, options=options,
+                                    setup=partial(_haar_requests, circuit=circuit))))
     return _run_jobs(jobs, threads, done)
 
 

@@ -13,9 +13,10 @@ Gauss-Newton model predicts, and grows by up to 2x when it falls far less);
 otherwise it grows by a factor of 2 and the solve is retried (as it is when
 the damped matrix is not numerically positive definite).
 
-The restarts of every fit of one circuit run as the lanes of one descent
-(``_descend``), a stack of live lanes advanced together in ticks, each
-lane against its own fit's target: a fit has at most ``_lane_cap`` lanes
+The restarts of every fit of a ``fit_targets`` call run as the lanes of
+one descent (``_descend``), a stack of live lanes advanced together in
+ticks, each lane on its own fit's mixers and against its own fit's target
+(the fits share their frozen phases): a fit has at most ``_lane_cap`` lanes
 live (1 above the universality transition, up to 64 below it), the
 descent at most as many as ``_MAX_WIDTH`` and ``_LANE_BYTES`` allow, and
 a stopped lane's slot goes to the next restart of some fit.  One tick
@@ -34,8 +35,9 @@ prefixes of the sweep that composed it.
 Termination mirrors the usual trio of tolerances (function, step,
 optimality) plus a hard loss target and an iteration cap; each fit's
 seeded restarts count in restart order, up to the first that meets the
-target, so ``fit_targets`` gives every fit what ``fit`` gives it alone.
-Recalibration against perturbed mixers is a ``fit`` with
+target, so ``fit_targets`` gives every fit what it gets alone.
+Recalibration against perturbed mixers is a second ``fit_targets`` call
+of a study's job, one fit per row on that row's perturbed circuit, with
 ``restarts=attempts`` and a truncated ``max_iterations``.
 """
 
@@ -45,6 +47,7 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import islice
+from typing import Sequence
 
 import numpy as np
 
@@ -114,23 +117,26 @@ class FromVector:
 
 
 class _Problem:
-    """Least-squares view of the phase fits of one circuit to a stack of
-    targets (F, N, N), for up to ``width`` lanes.
+    """Least-squares view of the phase fits of one phase program to a stack
+    of targets (F, N, N), fit ``f`` on the (M+1, N, N) mixers ``mixers[f]``,
+    for up to ``width`` lanes.
 
-    ``seat`` gives each lane its fit's target.  ``losses`` composes one
-    free vector per lane in one sweep, and ``normal_equations`` reads the
-    prefix products that sweep kept, so the equations at a point are read
-    before the next composition overwrites them.  ``diagonal`` is each
-    free phase's diag(J'J), 1 / N^2.  The phase grids, the lanes' targets
-    and the sweep buffer have ``width`` slots, allocated once and reused,
-    so a problem must not be used from two threads at once (each descent
-    owns its own).
+    Each distinct mixer stack (by identity) is held once, and ``seat`` gives
+    each lane its fit's target and mixers.  ``losses`` composes one free
+    vector per lane in one sweep, and ``normal_equations`` reads the prefix
+    products that sweep kept, before the next composition overwrites them.
+    ``diagonal`` is each free phase's diag(J'J), 1 / N^2.  The phase grids,
+    the lanes' targets and mixers and the sweep buffer have ``width`` slots,
+    allocated once and reused, so a problem must not be used from two
+    threads at once (each descent owns its own).
     """
 
-    def __init__(self, mixers: np.ndarray, program: PhaseProgram, targets: np.ndarray,
+    def __init__(self, mixers: list[np.ndarray], program: PhaseProgram, targets: np.ndarray,
                  width: int):
         m, n = program.layers, program.ports
-        self.mixers = mixers
+        slots: dict = {}  # of each distinct stack, by identity, in order of first use
+        self._kinds = np.array([slots.setdefault(id(stack), len(slots)) for stack in mixers])
+        self.mixers = np.stack(list({id(stack): stack for stack in mixers}.values()), axis=1)
         self.free = program.free_mask
         self.free_count = program.free_count
         self.diagonal = 1.0 / (n * n)
@@ -139,11 +145,14 @@ class _Problem:
         self._grids = np.repeat(program.theta[None], width, axis=0)
         self._flat = self._grids.reshape(width, m * n)
         self._lane_targets = np.empty((width, n, n), dtype=np.complex128)
+        self._lane_mixers = np.empty((m + 1, width, n, n), dtype=np.complex128)
         self._sweep = np.empty((m + 1, width, n, n), dtype=np.complex128)
 
     def seat(self, fits: list[int]) -> None:
-        """Give lane ``l`` the target of fit ``fits[l]``."""
-        self._lane_targets[:len(fits)] = self.targets[fits]
+        """Give lane ``l`` the target and mixers of fit ``fits[l]``."""
+        count = len(fits)
+        self._lane_targets[:count] = self.targets[fits]
+        self._lane_mixers[:, :count] = self.mixers[:, self._kinds[fits]]
 
     def losses(self, xs: np.ndarray) -> np.ndarray:
         """The loss at each row of ``xs`` (the free values of one lane)
@@ -151,7 +160,8 @@ class _Problem:
         lanes' slots."""
         count = len(xs)
         self._flat[:count, self._positions] = xs
-        u = prefix_products(self.mixers, self._grids[:count], self._sweep[:, :count])
+        u = prefix_products(self._lane_mixers[:, :count], self._grids[:count],
+                            self._sweep[:, :count])
         diff = (u - self._lane_targets[:count]).reshape(count, -1)
         # per row the BLAS dot of np.vdot, so each loss is bitwise a lone lane's
         return np.vecdot(diff, diff).real / diff.shape[1]
@@ -428,63 +438,66 @@ def _restart_starts(program: PhaseProgram, init: FromVector | None, seed: int, c
 
 
 def fit_targets(
-    circuit: InterlacedCircuit,
+    circuits: Sequence[InterlacedCircuit],
     targets,
     options: LmaOptions,
     seeds,
-    init: FromVector | None = None,
+    inits: Sequence[FromVector | None],
 ) -> list[FitResult]:
-    """Best-of-restarts phase fits of the circuit to each target unitary of
-    ``targets``, fit ``i`` seeded by ``seeds[i]``.
+    """Best-of-restarts phase fits: fit ``i`` of ``circuits[i]`` to the target
+    unitary ``targets[i]``, seeded by ``seeds[i]``, from ``inits[i]``.
 
-    Each fit runs up to ``options.restarts`` independent descents from fresh
-    seeded initializations (uniform phases, or ``init`` jittered: its grid is
-    the circuit's (M, N) phase grid or that grid flattened layer-major) and
-    stops early once the loss target is met.  The descents of all the fits
-    run as the lanes of one ``_descend``: each fit has as many live at once
-    as ``_lane_cap`` allows (one above the universality transition), the
-    descent as many as ``_lane_budget`` allows, and each stopped lane's slot
-    goes to the next restart.  A fit's outcomes count in restart order, up
-    to the first that meets the target, so each result is the serial loop's
-    at any width and alongside any other fits.  A target that is not N x N
-    or not finite, a seed count that differs from the target count, or a
-    start grid of another shape, raises ``ValueError`` before anything is
-    composed.  Frozen (faulty) phases are never modified.  Each returned
-    loss is recomputed from the composed transfer matrix, so it is
-    consistent with ``loss(compose(...), target)`` by construction.  Each
-    result's ``seconds`` is its fit's share of the descent's ticks plus its
-    own final composition, so the results' seconds add up to the call's
-    wall time.
+    The circuits share N, M, the frozen mask and the frozen values; each may
+    have its own mixers.  A fit runs up to ``options.restarts`` descents from
+    seeded starts (uniform phases, or its start's (M, N) or flat grid
+    jittered) until one meets the loss target.  All the fits' descents run
+    as lanes of one ``_descend``, each on its fit's mixers and target, at
+    most ``_lane_cap`` per fit and ``_lane_budget`` in all; a fit's outcomes
+    count in restart order, so each result is what the fit gets alone.
+    Unequal counts, a circuit unlike the first (named by its position), a
+    target not N x N or not finite, or a start grid of another shape raise
+    ``ValueError`` before anything is composed.  Frozen phases are never
+    modified.  Each loss is recomputed from the composed transfer matrix;
+    each ``seconds`` is the fit's share of the descent's ticks plus its
+    final composition, so they add up to the call's wall time.
     """
-    program = circuit.program
+    for name, given in (("circuits", circuits), ("seeds", seeds), ("starts", inits)):
+        if len(given) != len(targets):
+            raise ValueError(f"{len(given)} {name} for {len(targets)} targets")
+    if not circuits:
+        return []
+    program = circuits[0].program
     m, n = program.layers, program.ports
     stack = np.empty((len(targets), n, n), dtype=np.complex128)
-    for i, target in enumerate(targets):
+    for k, (circuit, target, init) in enumerate(zip(circuits, targets, inits)):
+        frozen = circuit.program.fixed
+        if not (np.array_equal(frozen, program.fixed)
+                and np.array_equal(circuit.program.theta[frozen], program.theta[frozen])):
+            raise ValueError(f"circuit {k} differs from circuit 0 in N, M, frozen mask "
+                             "or frozen values")
         target = as_complex_matrix(target)
         if target.shape != (n, n):
             raise ValueError(f"target shape {target.shape} does not match the circuit's "
                              f"{(n, n)} transfer matrix")
         if not np.isfinite(target).all():
             raise ValueError("target has non-finite entries")
-        stack[i] = target
-    if len(seeds) != len(stack):
-        raise ValueError(f"{len(seeds)} seeds for {len(stack)} targets")
-    if init is not None and init.phases.shape not in ((m, n), (m * n,)):
-        raise ValueError(f"start grid shape {init.phases.shape} is neither the circuit's "
-                         f"phase grid {(m, n)} nor its flat form {(m * n,)}")
-    mixers = circuit.mixers
+        if init is not None and init.phases.shape not in ((m, n), (m * n,)):
+            raise ValueError(f"start grid shape {init.phases.shape} is neither the circuit's "
+                             f"phase grid {(m, n)} nor its flat form {(m * n,)}")
+        stack[k] = target
     depth = min(_lane_cap(program), options.restarts)
     width = min(_lane_budget(program.free_count), depth * len(stack))
-    queues = [_restart_starts(program, init, seed, options.restarts) for seed in seeds]
-    outcomes, seconds = _descend(_Problem(mixers, program, stack, width), queues, options,
-                                 width, depth)
+    queues = [_restart_starts(program, init, seed, options.restarts)
+              for seed, init in zip(seeds, inits)]
+    problem = _Problem([circuit.mixers for circuit in circuits], program, stack, width)
+    outcomes, seconds = _descend(problem, queues, options, width, depth)
 
     results = []
-    for target, fit_outcomes, share in zip(stack, outcomes, seconds):
+    for circuit, target, fit_outcomes, share in zip(circuits, stack, outcomes, seconds):
         t0 = time.perf_counter()
         best = min(fit_outcomes, key=lambda outcome: outcome.loss)
         phases = program.with_free_values(best.x)
-        final_loss = loss(transfer_matrix(mixers, phases.theta), target)
+        final_loss = loss(transfer_matrix(circuit.mixers, phases.theta), target)
         if not np.array_equal(phases.theta[program.fixed], program.theta[program.fixed]):
             raise AssertionError("optimizer modified frozen phase entries")
         results.append(FitResult(
@@ -501,14 +514,7 @@ def fit_targets(
     return results
 
 
-def fit(
-    circuit: InterlacedCircuit,
-    target,
-    options: LmaOptions,
-    init: FromVector | None = None,
-    *,
-    seed: int,
-) -> FitResult:
-    """Best-of-restarts phase fit of the circuit to one target unitary:
-    ``fit_targets`` with that one target and seed."""
-    return fit_targets(circuit, [target], options, [seed], init)[0]
+def fit(circuit: InterlacedCircuit, target, options: LmaOptions, *, seed: int) -> FitResult:
+    """Best-of-restarts phase fit of the circuit to one target unitary from
+    random starts: ``fit_targets`` with that one circuit, target and seed."""
+    return fit_targets([circuit], [target], options, [seed], [None])[0]

@@ -19,7 +19,7 @@ def evaluate(mixers, theta, free_mask, target):
     on buffers allocated for this call."""
     m, n = theta.shape
     prefixes = np.empty((m + 1, 1, n, n), np.complex128)
-    prefix_products(mixers, theta[None], prefixes)
+    prefix_products(mixers[:, None], theta[None], prefixes)
     p = int(np.count_nonzero(free_mask))
     return normal_equations(prefixes[:, 0], free_mask, target,
                             np.empty((p, p), np.complex128), np.empty((p, p)))

@@ -11,6 +11,7 @@ import pytest
 import jxcircuit
 from jxcircuit.cli import main
 from jxcircuit.circuit import PhaseProgram
+from jxcircuit.experiments import STUDIES
 from jxcircuit.fileio import (
     read_matrix,
     read_phases,
@@ -367,9 +368,8 @@ class TestExperimentCommand:
         records = read_records(csv_path)
         write_records(csv_path, edit(*records[:2]) + records[2:])
         edited = csv_path.read_bytes()
-        for fitter in ("fit", "fit_targets"):
-            monkeypatch.setattr(jxcircuit.experiments, fitter,
-                                lambda *args, **kwargs: pytest.fail("a fit ran"))
+        monkeypatch.setattr(jxcircuit.experiments, "fit_targets",
+                            lambda *args, **kwargs: pytest.fail("a fit ran"))
         capsys.readouterr()
         assert run("experiment", name, "--config", cfg, "--out-dir", out, "--resume") == 2
         err = capsys.readouterr().err
@@ -530,15 +530,29 @@ class TestExperimentCommand:
                                              name, line):
         # refused before any fit runs, by the config check: the message names
         # the file and the key
-        for name_of_fit in ("fit", "fit_targets"):
-            monkeypatch.setattr(jxcircuit.experiments, name_of_fit,
-                                lambda *args: pytest.fail("a fit ran"))
+        monkeypatch.setattr(jxcircuit.experiments, "fit_targets",
+                            lambda *args: pytest.fail("a fit ran"))
         cfg = self.config(tmp_path, self.SMALL[name] + line + "\n")
         assert run("experiment", name, "--config", cfg, "--out-dir", tmp_path / "res") == 2
         err = capsys.readouterr().err
         assert f"{cfg}: experiment {name!r}" in err
         assert line.split(" =")[0] in err
         assert not (tmp_path / "res" / f"{name}_records.csv").exists()
+
+    @pytest.mark.parametrize("name, key", [
+        (name, key) for name, study in STUDIES.items()
+        for key, default in study.defaults.items() if default is None or isinstance(default, list)
+    ])
+    def test_an_empty_list_is_usage_error(self, tmp_path, capsys, monkeypatch, name, key):
+        # an empty list would owe no record: refused by the config check
+        # before any fit, and before any output is written
+        monkeypatch.setattr(jxcircuit.experiments, "fit_targets",
+                            lambda *args: pytest.fail("a fit ran"))
+        cfg = self.config(tmp_path, self.SMALL[name] + f"{key} = []\n")
+        assert run("experiment", name, "--config", cfg, "--out-dir", tmp_path / "res") == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: experiment {name!r}: {key} must not be empty\n")
+        assert not (tmp_path / "res").exists()
 
     def test_config_accepts_int_for_float_and_null_m_list(self, tmp_path):
         cfg = self.config(tmp_path, 'n_list = [1]\nm_list = null\ntargets = 1\nrestarts = 1\n')
@@ -608,7 +622,7 @@ class TestExperimentCommand:
         # every output as it was, and no temporary file left beside them
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         monkeypatch.undo()
-        monkeypatch.setattr(jxcircuit.experiments, "fit",
+        monkeypatch.setattr(jxcircuit.experiments, "fit_targets",
                             lambda *args: pytest.fail("a fit ran"))
         capsys.readouterr()
         assert run("experiment", "phasediff", "--config", cfg, "--out-dir", out,

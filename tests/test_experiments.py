@@ -1,6 +1,7 @@
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 import warnings
 
 import numpy as np
@@ -8,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jxcircuit import experiments
+from jxcircuit import experiments, optimizer
 from jxcircuit.circuit import ideal_circuit, perturbed_circuit
 from jxcircuit.experiments import (
-    _haar_fits,
+    _haar_requests,
+    _measure,
     _random_fault_plan,
     faulty_shifter_grid,
     perturbation_table,
@@ -109,7 +111,8 @@ class TestUniversalitySweep:
 def test_a_done_subset_of_a_job_fits_only_the_targets_it_owes():
     circuit, options = ideal_circuit(4, 6), LmaOptions(restarts=3, max_iterations=60)
     seeds = [(i, derive_seed(2, "target", i), derive_seed(2, "fit", i)) for i in range(5)]
-    rows = _haar_fits([1, 3, 4], circuit=circuit, seeds=seeds, options=options)
+    rows = _measure([1, 3, 4], units=seeds, setup=partial(_haar_requests, circuit=circuit),
+                    options=options)
     for row, (_, target_seed, fit_seed) in zip(rows, [seeds[1], seeds[3], seeds[4]]):
         alone = fit(circuit, haar_unitary(4, target_seed), options, seed=fit_seed)
         assert (row["loss_after"], row["iterations"], row["free_count"]) == (
@@ -117,33 +120,64 @@ def test_a_done_subset_of_a_job_fits_only_the_targets_it_owes():
 
 
 def fitted_target_counts(monkeypatch):
-    """The number of targets of each ``fit_targets`` call the studies make,
-    with the jobs of a pool run one at a time in this process."""
+    """The number of fits of each ``fit_targets`` call the studies make, in
+    call order, with the jobs of a pool run one at a time in this process;
+    a ``fit`` call fails."""
     counts = []
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", lambda workers: ThreadPoolExecutor(1))
 
-    def counting(circuit, targets, *args):
+    def counting(circuits, targets, *args):
         counts.append(len(targets))
-        return fit_targets(circuit, targets, *args)
+        return fit_targets(circuits, targets, *args)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a study called fit")
 
     monkeypatch.setattr(experiments, "fit_targets", counting)
+    monkeypatch.setattr(experiments, "fit", refused, raising=False)
+    monkeypatch.setattr(optimizer, "fit", refused)
     return counts
 
 
-@pytest.mark.parametrize("study", [
-    lambda **kw: perturbation_table([0.0, 0.003], 5, LmaOptions(restarts=5), 24, n=3, m=4,
-                                    **kw),
-    lambda **kw: recalibration_histogram([0.002, 0.005], 5, LmaOptions(restarts=5), 25,
-                                         n=3, m=4, attempts=3, truncated_iterations=30, **kw),
+@pytest.mark.parametrize("study, calls", [
+    # two (N, M) of two blocks each
+    (lambda: universality_sweep([2], [2, 3], 5, LmaOptions(restarts=3), 28, threads=2),
+     [2, 3, 2, 3]),
+    (lambda: perturbation_table([0.0, 0.003], 5, LmaOptions(restarts=5), 26, n=3, m=4,
+                                threads=2), [2, 3]),
+    # each block's ideal fits, then its refits of two rows per index
+    (lambda: recalibration_histogram([0.002, 0.005], 5, LmaOptions(restarts=5), 25, n=3, m=4,
+                                     attempts=3, truncated_iterations=30, threads=2),
+     [2, 4, 3, 6]),
+    # one job per run of each target: two init modes by two rows
+    (lambda: phase_difference_study([0.0, 0.004], 3, 45, n=3, m=4,
+                                    **{**PHASEDIFF, "targets": 2}, threads=2), [4] * 6),
+    # one job per fault combination
+    (lambda: faulty_shifter_grid([1, 4], 2, 3, LmaOptions(restarts=3), 29, n=4, m=5,
+                                 threads=2), [3] * 4),
+], ids=["universality", "table1", "recalibration", "phasediff", "faulty"])
+def test_each_stage_of_a_job_is_one_fit_targets_call(monkeypatch, study, calls):
+    counts = fitted_target_counts(monkeypatch)
+    study()
+    assert counts == calls
+
+
+@pytest.mark.parametrize("study, calls", [
+    (lambda **kw: perturbation_table([0.0, 0.003], 5, LmaOptions(restarts=5), 24, n=3, m=4,
+                                     **kw), [1, 3]),
+    # the owed rows of each block are refitted in one more call
+    (lambda **kw: recalibration_histogram([0.002, 0.005], 5, LmaOptions(restarts=5), 25,
+                                          n=3, m=4, attempts=3, truncated_iterations=30, **kw),
+     [1, 2, 3, 5]),
 ], ids=["table1", "recalibration"])
-def test_a_done_subset_of_a_block_fits_each_owing_index_once(study, monkeypatch):
+def test_a_done_subset_of_a_block_fits_each_owing_index_once(study, calls, monkeypatch):
     full = study(threads=2)
     # blocks of indices 0-1 and 2-4, two rows each: index 0 is done, index 2
     # owes one row, indices 1, 3 and 4 owe both
     done = {record_key(rec): rec.seed for rec in full[:2] + full[5:6]}
     counts = fitted_target_counts(monkeypatch)
     rest = study(threads=2, done=done)
-    assert sorted(counts) == [1, 3]
+    assert sorted(counts) == calls
     assert drop_wall_time(rest) == drop_wall_time(
         [rec for rec in full if record_key(rec) not in done])
 

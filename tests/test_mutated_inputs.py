@@ -7,7 +7,10 @@ key dropped or retyped, a grid entry retyped, or the file cut short.
 Every command must then exit 0, 1 or 2, with a refusal reported as one
 ``error:`` line; an exception escaping ``main`` fails the test.  A resumed
 study keeps only rows whose measured values are finite: one whose measured
-cell reads ``nan``, ``inf``, ``-inf`` or overflows is refused.
+cell reads ``nan``, ``inf``, ``-inf`` or overflows is refused.  A study
+config that sets every key gets one mutation that adds no work (a list
+emptied, or a value or list entry retyped, non-finite or negative): the
+study must then write its records, or be refused before it writes any.
 """
 
 import contextlib
@@ -33,6 +36,24 @@ STUDIES = {
     "recalibration": "n = 2\nm = 3\ntargets = 1\nrestarts = 1\nattempts = 1\n",
     "phasediff": "n = 2\nm = 3\nruns = 1\n",
 }
+#: a tiny config of each study that sets every key, so that no mutation
+#: falls back to a full-budget default
+CONFIGS = {
+    "universality": {"master_seed": 0, "n_list": [2], "m_list": [3], "targets": 1,
+                     "restarts": 1, "max_iterations": 5},
+    "table1": {"master_seed": 0, "n": 2, "m": 3, "sigma_k_list": [0.001], "samples": 1,
+               "restarts": 1},
+    "recalibration": {"master_seed": 0, "n": 2, "m": 3, "sigma_k_list": [0.001], "targets": 1,
+                      "attempts": 1, "truncated_iterations": 5, "restarts": 1},
+    "phasediff": {"master_seed": 0, "n": 2, "m": 3, "sigma_k_list": [0.0, 0.001], "runs": 1,
+                  "init_modes": ["jittered", "random"], "jitter_fraction": 0.1,
+                  "truncated_iterations": 5, "targets": 1},
+    "faulty": {"master_seed": 0, "n": 2, "m": 3, "k_list": [1], "combos_per_k": 1,
+               "targets": 1, "restarts": 1},
+}
+#: what a mutated config value or list entry holds: a string, a boolean,
+#: null, a float, a non-finite or a negative number
+CONFIG_VALUES = ['"x"', "true", "false", "null", "0.5", "NaN", "1e400", "-1", "-0.5"]
 #: what a retyped CSV cell holds
 CELLS = ["x", "nan", "inf", "-inf", "1e400", "-1", "0", "1.5", "True", "None", "[]", '"1"']
 #: what a retyped JSON value holds
@@ -166,3 +187,40 @@ def test_a_mutated_matrix_or_phase_file_is_used_or_refused(pristine, data):
                           "--sigma-k", 0.003, "--attempts", 1, "--iterations", 5),
         }[command]
         assert_used_or_refused(*run(command, *argv, "--out", tmp / "out.json"))
+
+
+def mutate_config(data, config: dict) -> str:
+    """The text of ``config`` with one list emptied, or one list entry or one
+    value replaced by one of ``CONFIG_VALUES``."""
+    text = {key: json.dumps(value) for key, value in config.items()}
+    how = data.draw(st.sampled_from(["empty", "entry", "value"]))
+    lists = sorted(key for key, value in config.items() if isinstance(value, list))
+    key = data.draw(st.sampled_from(lists if how != "value" else sorted(config)))
+    if how == "empty":
+        text[key] = "[]"
+    elif how == "entry":
+        entries = [json.dumps(value) for value in config[key]]
+        entries[data.draw(st.integers(0, len(entries) - 1))] = data.draw(
+            st.sampled_from(CONFIG_VALUES))
+        text[key] = "[" + ", ".join(entries) + "]"
+    else:
+        text[key] = data.draw(st.sampled_from(CONFIG_VALUES))
+    return "".join(f"{key} = {value}\n" for key, value in text.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_mutated_config_is_used_or_refused(data):
+    name = data.draw(st.sampled_from(sorted(CONFIGS)))
+    assert set(CONFIGS[name]) == set(experiments.STUDIES[name].defaults)
+    text = mutate_config(data, CONFIGS[name])
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / f"{name}.cfg", Path(tmp) / name
+        config.write_text(text)
+        code, err = run("experiment", name, "--config", config, "--out-dir", out)
+        assert_used_or_refused(code, err)
+        csv_path = out / f"{name}_records.csv"
+        if code == 0:  # a config that is used owes some records
+            assert read_records(csv_path), text
+        else:  # and one that is refused is refused before any output
+            assert not csv_path.exists(), (text, err)

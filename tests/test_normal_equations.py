@@ -101,7 +101,7 @@ def test_one_fit_writes_every_evaluation_into_one_buffer(monkeypatch):
     # the problem allocates its width's slots at construction, and each
     # sweep writes straight into the slots of its lanes
     mixers, program, target = instance(3, 4, 5, np.eye(4, 3, dtype=bool))
-    problem = _Problem(mixers, program, target[None], 3)
+    problem = _Problem([mixers], program, target[None], 3)
     problem.seat([0] * 3)
     sweep_buffer = problem._sweep
     assert sweep_buffer.shape == (5, 3, 3, 3)

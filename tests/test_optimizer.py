@@ -19,7 +19,7 @@ from jxcircuit.circuit import (
 )
 from jxcircuit import numerics
 from jxcircuit.numerics import CholeskySolver, LuSolver, SpdSolver
-from jxcircuit.optimizer import FromVector, LmaOptions, _descend, fit
+from jxcircuit.optimizer import FromVector, LmaOptions, _descend, fit, fit_targets
 from jxcircuit.sampling import derive_seed, haar_unitary, uniform_phases
 from jacobian_reference import residuals_and_jacobian
 
@@ -48,6 +48,11 @@ class LinearProblem:
     def normal_equations(self, rows, gram, jtj):
         jtj[...] = self.a.T @ self.a
         return self.residuals[rows] @ self.a
+
+
+def fit_from(circuit, target, options, init, seed):
+    """The fit of ``circuit`` to ``target`` from the start ``init``."""
+    return fit_targets([circuit], [target], options, [seed], [init])[0]
 
 
 def descend(problem, x0, options):
@@ -96,7 +101,7 @@ def test_nan_damping_gives_up_instead_of_looping():
     # and so J'J NaN: no damped matrix factors, and the damping doubles past
     # the cap
     circ = ideal_circuit(3, 4)
-    problem = optimizer._Problem(circ.mixers, circ.program, haar_unitary(3, 1)[None], 1)
+    problem = optimizer._Problem([circ.mixers], circ.program, haar_unitary(3, 1)[None], 1)
     x0 = np.zeros(circ.program.free_count)
     x0[0] = np.nan
     with deadline(20):
@@ -231,7 +236,7 @@ def test_step_at_converged_point_keeps_loss(monkeypatch):
     # unreachable loss and gradient targets make the one allowed iteration try a step
     monkeypatch.setattr(optimizer, "_OPTIMALITY_TOLERANCE", 1e-300)
     one_step = LmaOptions(restarts=1, max_iterations=1, target_loss=1e-300)
-    stepped = fit(circ, target, one_step, FromVector(result.phases.theta), seed=3)
+    stepped = fit_from(circ, target, one_step, FromVector(result.phases.theta), 3)
     assert stepped.loss <= result.loss * (1 + 1e-12) + 1e-25
     delta = np.abs(stepped.phases.theta - result.phases.theta).max()
     assert delta < optimizer._STEP_TOLERANCE
@@ -247,7 +252,7 @@ def test_accepted_steps_never_increase_loss():
     # k-th accepted step of the same path
     for cap in range(1, 31):
         options = LmaOptions(restarts=1, max_iterations=cap)
-        losses.append(fit(circ, target, options, FromVector(start), seed=0).loss)
+        losses.append(fit_from(circ, target, options, FromVector(start), 0).loss)
         assert losses[-1] <= losses[-2]
     assert losses[-1] < losses[0]
 
@@ -329,8 +334,8 @@ def test_fit_from_an_exact_start_keeps_it_without_iterating():
     fitted = fit(ideal, target, LmaOptions(restarts=20), seed=11)
     assert fitted.converged
     perturbed = perturbed_circuit(n, m, 0.0, seed=12).with_program(fitted.phases)
-    result = fit(perturbed, target, LmaOptions(max_iterations=50, restarts=3),
-                 FromVector(fitted.phases.theta, 0.0), seed=13)
+    result = fit_from(perturbed, target, LmaOptions(max_iterations=50, restarts=3),
+                      FromVector(fitted.phases.theta, 0.0), 13)
     assert np.array_equal(result.phases.theta, fitted.phases.theta)
     assert result.loss < 1e-10
     assert result.iterations == 0
@@ -397,14 +402,14 @@ def test_a_wrong_shaped_start_grid_is_refused_before_any_composition(monkeypatch
     refuse_compositions(monkeypatch)
     init = FromVector(np.zeros(shape))
     with pytest.raises(ValueError, match=r"start grid shape .*\(6, 4\).*\(24,\)"):
-        fit(ideal_circuit(4, 6), haar_unitary(4, 1), LmaOptions(restarts=2), init, seed=0)
+        fit_from(ideal_circuit(4, 6), haar_unitary(4, 1), LmaOptions(restarts=2), init, 0)
 
 
 def test_a_start_grid_may_be_flat():
     circ, target = ideal_circuit(4, 6), haar_unitary(4, 2)
     grid = uniform_phases(6, 4, 3)
     options = LmaOptions(restarts=2, max_iterations=20)
-    as_grid = fit(circ, target, options, FromVector(grid, 0.1), seed=4)
-    as_vector = fit(circ, target, options, FromVector(grid.ravel(), 0.1), seed=4)
+    as_grid = fit_from(circ, target, options, FromVector(grid, 0.1), 4)
+    as_vector = fit_from(circ, target, options, FromVector(grid.ravel(), 0.1), 4)
     assert np.array_equal(as_grid.phases.theta, as_vector.phases.theta)
     assert as_grid.loss == as_vector.loss

@@ -10,11 +10,12 @@ damped system, and a stopped lane's slot goes to the next restart.  Its
 result must be the serial loop's: here the default widths are compared
 with the cap pinned to 1 (one lane at a time), on loss targets that some
 restarts reach and others do not.  ``fit_targets`` runs the restarts of
-several fits of one circuit through one such descent, each lane against
-its own fit's target, and each of its results must be what ``fit`` gives
-that target alone.  The normal equations at a point are read from the
-prefix products of the sweep that composed it, and every lane's slice of
-a stacked tick must equal what that lane alone gets, bitwise.
+several fits through one such descent, each lane on its own fit's circuit
+(the circuits share their frozen phases) and against its own fit's target,
+and each of its results must be what that fit gets alone.  The normal
+equations at a point are read from the prefix products of the sweep that
+composed it, and every lane's slice of a stacked tick must equal what that
+lane alone gets, bitwise.
 """
 
 import gc
@@ -72,20 +73,26 @@ def fits(draw):
                           draw(st.floats(0.0, 0.5)))
     fraction = draw(st.none() | st.floats(0.5, 1.0))
     if fraction is not None:
-        first = fit(circuit, target, replace(options, restarts=1), init, seed=seed).loss
+        first = fit_alone(circuit, target, replace(options, restarts=1), init, seed=seed).loss
         options = replace(options, target_loss=max(first * fraction, 1e-300))
     return circuit, target, options, init, seed
 
 
+def fit_alone(circuit, target, options, init=None, *, seed):
+    """The one fit of ``circuit`` to ``target`` from ``init`` (``fit`` when
+    that is None)."""
+    return fit_targets([circuit], [target], options, [seed], [init])[0]
+
+
 def fit_at_width_one(*args, **kwargs):
     with mock.patch.object(optimizer, "_lane_cap", lambda program: 1):
-        return fit(*args, **kwargs)
+        return fit_alone(*args, **kwargs)
 
 
 def fit_in_lanes(*args, **kwargs):
-    """``fit`` with lanes on either side of the transition."""
+    """``fit_alone`` with lanes on either side of the transition."""
     with mock.patch.object(optimizer, "_lane_cap", lambda program: optimizer._MAX_WIDTH):
-        return fit(*args, **kwargs)
+        return fit_alone(*args, **kwargs)
 
 
 def recorded_descents(monkeypatch):
@@ -113,7 +120,7 @@ def assert_same_fit(wide, serial):
 def test_lanes_give_the_serial_fit(case):
     circuit, target, options, init, seed = case
     serial = fit_at_width_one(circuit, target, options, init, seed=seed)
-    assert_same_fit(fit(circuit, target, options, init, seed=seed), serial)
+    assert_same_fit(fit_alone(circuit, target, options, init, seed=seed), serial)
     assert_same_fit(fit_in_lanes(circuit, target, options, init, seed=seed), serial)
 
 
@@ -197,7 +204,7 @@ def test_normal_equations_from_stored_prefixes_equal_a_fresh_sweep(n, m, seed, d
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 2 * np.pi, program.free_count)
     delta = rng.standard_normal(x.size)
-    problem = _Problem(mixers, program, target[None], 3)
+    problem = _Problem([mixers], program, target[None], 3)
     problem.seat([0] * 3)
 
     def check(points, rows, losses):  # before the next sweep overwrites them
@@ -265,7 +272,7 @@ def test_every_fit_reads_the_normal_equations_of_its_current_point(monkeypatch, 
     def fresh(self, rows, gram, jtj):
         g = normal_equations(self, rows, gram, jtj)
         for k, grid in enumerate(self._grids[rows]):
-            want_jtj, want_g = evaluate(self.mixers, grid, self.free, self.targets[0])
+            want_jtj, want_g = evaluate(self.mixers[:, 0], grid, self.free, self.targets[0])
             assert np.array_equal(jtj[k], want_jtj) and np.array_equal(g[k], want_g)
         counts["rows"] += len(jtj)
         return g
@@ -472,7 +479,7 @@ def test_a_fit_builds_one_solver_for_its_live_lanes(monkeypatch, n, m, restarts,
     assert made == [(circuit.program.free_count, min(cap, restarts))]
 
 
-# -- lanes across fits: one descent for the fits of one circuit ---------------
+# -- lanes across fits: one descent for the fits of one call -----------------
 
 
 #: four faults in one layer of a 4 x 6 grid: still above the transition
@@ -494,7 +501,7 @@ def test_fits_of_one_circuit_share_one_descent_and_keep_their_serial_results(
     options = LmaOptions(restarts=restarts, max_iterations=100)
     alone = [fit(circuit, target, options, seed=k) for k, target in enumerate(targets)]
     descents = recorded_descents(monkeypatch)
-    batched = fit_targets(circuit, targets, options, list(range(8)))
+    batched = fit_targets([circuit] * 8, targets, options, list(range(8)), [None] * 8)
     assert len(descents) == 1 and len(batched) == 8
     for wide, serial in zip(batched, alone):
         assert_same_fit(wide, serial)
@@ -502,28 +509,61 @@ def test_fits_of_one_circuit_share_one_descent_and_keep_their_serial_results(
 
 
 @settings(max_examples=60, deadline=None)
-@given(fits(), st.integers(1, 5), st.booleans())
-def test_a_shared_descent_gives_every_fit_its_serial_result(case, count, serial):
+@given(fits(), st.integers(1, 5), st.booleans(), st.data())
+def test_a_shared_descent_gives_every_fit_its_serial_result(case, count, serial, data):
     # any circuit, mask, budget and start, with up to five targets whose
-    # fits stop after different restarts; against fits run one lane at a
-    # time, or with the default lanes
+    # fits stop after different restarts; every fit after the first runs on
+    # the first fit's circuit or on mixers of its own (with the same frozen
+    # phases), from random starts or a jittered start of its own; against
+    # fits run alone, one lane at a time or with the default lanes
     circuit, target, options, init, seed = case
-    n = circuit.ports
-    targets = [target] + [haar_unitary(n, derive_seed(seed, "more", k)) for k in range(1, count)]
+    n, m = circuit.ports, circuit.program.layers
+    circuits, targets, inits = [circuit], [target], [init]
+    for k in range(1, count):
+        own = haar_circuit(n, m, derive_seed(seed, "own", k), circuit.program.fixed).mixers
+        circuits.append(InterlacedCircuit(own, circuit.program)
+                        if data.draw(st.booleans()) else circuit)
+        targets.append(haar_unitary(n, derive_seed(seed, "more", k)))
+        jitter = data.draw(st.none() | st.floats(0.0, 0.5))
+        inits.append(None if jitter is None else
+                     FromVector(uniform_phases(m, n, derive_seed(seed, "start", k)), jitter))
     seeds = [derive_seed(seed, "fit", k) for k in range(count)]
-    one = fit_at_width_one if serial else fit
-    alone = [one(circuit, t, options, init, seed=s) for t, s in zip(targets, seeds)]
-    for wide, want in zip(fit_targets(circuit, targets, options, seeds, init), alone):
+    one = fit_at_width_one if serial else fit_alone
+    alone = [one(c, t, options, i, seed=s) for c, t, i, s in zip(circuits, targets, inits, seeds)]
+    for wide, want in zip(fit_targets(circuits, targets, options, seeds, inits), alone):
         assert_same_fit(wide, want)
 
 
-def test_fit_targets_refuses_mismatched_seeds_and_targets():
-    circuit = ideal_circuit(3, 3)
+def test_fit_targets_refuses_mismatched_seeds_and_targets(monkeypatch):
+    circuit, target, options = ideal_circuit(3, 3), haar_unitary(3, 1), LmaOptions()
+    frozen = [circuit.with_program(apply_fault_plan(PhaseProgram.zeros(3, 3), [(1, 2, value)]))
+              for value in (0.5, 0.7)]
+    # only the free values of their programs differ: accepted
+    moved = circuit.with_program(PhaseProgram(np.ones((3, 3)), np.zeros((3, 3), bool)))
+    pair = fit_targets([circuit, moved], [target] * 2, LmaOptions(restarts=2), [4, 4],
+                       [None] * 2)
+    assert_same_fit(pair[1], fit(circuit, target, LmaOptions(restarts=2), seed=4))
+    assert_same_fit(pair[0], pair[1])
+
+    monkeypatch.setattr(optimizer, "prefix_products", lambda *args: pytest.fail("composed"))
     with pytest.raises(ValueError, match="2 seeds for 1 targets"):
-        fit_targets(circuit, [haar_unitary(3, 1)], LmaOptions(), [1, 2])
+        fit_targets([circuit], [target], options, [1, 2], [None])
+    with pytest.raises(ValueError, match="2 circuits for 1 targets"):
+        fit_targets([circuit] * 2, [target], options, [1], [None])
+    with pytest.raises(ValueError, match="0 starts for 1 targets"):
+        fit_targets([circuit], [target], options, [1], [])
     with pytest.raises(ValueError, match=r"target shape \(2, 2\)"):
-        fit_targets(circuit, [haar_unitary(3, 1), np.eye(2)], LmaOptions(), [1, 2])
-    assert fit_targets(circuit, [], LmaOptions(), []) == []
+        fit_targets([circuit] * 2, [target, np.eye(2)], options, [1, 2], [None] * 2)
+    # a circuit of another N or M, another frozen mask, or other frozen values
+    for first, other in [(circuit, ideal_circuit(2, 3)), (circuit, ideal_circuit(3, 4)),
+                         (circuit, frozen[0]), (frozen[0], frozen[1])]:
+        with pytest.raises(ValueError, match="circuit 2 differs from circuit 0"):
+            fit_targets([first, first, other, other], [target] * 4, options, [1] * 4,
+                        [None] * 4)
+    with pytest.raises(ValueError, match=r"start grid shape \(3, 4\)"):
+        fit_targets([circuit] * 2, [target] * 2, options, [1, 2],
+                    [None, FromVector(np.zeros((3, 4)))])
+    assert fit_targets([], [], LmaOptions(), [], []) == []
 
 
 @pytest.mark.parametrize("n, m, restarts, count, width, depth", [
@@ -551,8 +591,9 @@ def test_a_shared_descent_keeps_its_lanes_within_their_budget(
     monkeypatch.setattr(_Problem, "seat", recorded)
     circuit = ideal_circuit(n, m)
     targets = [haar_unitary(n, derive_seed(7, "t", i)) for i in range(count)]
-    results = fit_targets(circuit, targets, LmaOptions(restarts=restarts, max_iterations=2),
-                          list(range(count)))
+    results = fit_targets([circuit] * count, targets,
+                          LmaOptions(restarts=restarts, max_iterations=2), list(range(count)),
+                          [None] * count)
     assert len(results) == count
     assert made == [(circuit.program.free_count, width)]
     assert max(len(fits) for fits in seated) == width
@@ -578,7 +619,7 @@ def test_no_lane_step_is_wasted_above_the_transition(monkeypatch):
     for k, target in enumerate(targets):
         fit(circuit, target, options, seed=k)
     serial, grids[:] = sum(grids), []
-    fit_targets(circuit, targets, options, list(range(30)))
+    fit_targets([circuit] * 30, targets, options, list(range(30)), [None] * 30)
     assert sum(grids) == serial and max(grids) == 30
 
 
@@ -587,7 +628,7 @@ def test_a_fit_is_timed_by_its_share_of_the_ticks():
     targets = [haar_unitary(4, derive_seed(3, "t", i)) for i in range(6)]
     options = LmaOptions(restarts=4, max_iterations=20)
     t0 = time.perf_counter()
-    results = fit_targets(circuit, targets, options, list(range(6)))
+    results = fit_targets([circuit] * 6, targets, options, list(range(6)), [None] * 6)
     elapsed = time.perf_counter() - t0
     shares = [result.seconds for result in results]
     assert min(shares) > 0 and 0.5 * elapsed < sum(shares) <= elapsed
