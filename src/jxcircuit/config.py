@@ -62,8 +62,9 @@ def _matches(value, default) -> bool:
 
 def check_values(values: dict, defaults: dict, source: str = "<config>") -> None:
     """Reject unknown keys, values whose type differs from their default's,
-    counts below 1, empty lists, list entries below their ``LIST_FLOORS``
-    floor, non-finite numbers and a jitter fraction outside [0, 1)."""
+    counts below 1, empty lists, lists that repeat an entry, list entries
+    below their ``LIST_FLOORS`` floor, non-finite numbers and a jitter
+    fraction outside [0, 1)."""
     unknown = sorted(set(values) - set(defaults))
     if unknown:
         raise ValueError(f"{source}: unknown option(s): " + ", ".join(unknown))
@@ -78,6 +79,8 @@ def check_values(values: dict, defaults: dict, source: str = "<config>") -> None
             raise ValueError(f"{source}: {key} must be >= 1, got {value}")
         if value == []:
             raise ValueError(f"{source}: {key} must not be empty")
+        if isinstance(value, list) and len(set(value)) < len(value):
+            raise ValueError(f"{source}: {key} = {json.dumps(value)} repeats an entry")
         numbers = value if isinstance(value, list) else [value]
         if not all(math.isfinite(v) for v in numbers if isinstance(v, float)):
             raise ValueError(f"{source}: {key} = {json.dumps(value)} is not finite")

@@ -10,10 +10,11 @@ complex Gaussian matrix is already correctly phase-normalized.
 :class:`SpdSolver` solves the optimizer's damped normal equations
 ``(J'J + mu I) x = -g``, one scalar shift ``mu`` per lane, for a stack of
 restart lanes at once.  Where the LAPACK that ``numpy.linalg``
-links exports ``dpotrf``/``dpotrs`` it is :class:`CholeskySolver`, which
-calls them through ``ctypes``, once per lane, on buffers it owns; elsewhere
-it is :class:`LuSolver`, ``numpy.linalg.solve`` per right-hand side.  The
-choice is made once, at import.
+links exports ``dposv`` it is :class:`CholeskySolver`, which calls it
+through ``ctypes``, once per lane, on buffers it owns (dposv factors with
+dpotrf and back-substitutes with dpotrs); elsewhere it is
+:class:`LuSolver`, ``numpy.linalg.solve`` per right-hand side.  The choice
+is made once, at import.
 """
 
 from __future__ import annotations
@@ -156,23 +157,20 @@ def _exported(name: str):
     return getattr(_LINALG, f"scipy_{name}", None) or getattr(_LINALG, name, None)
 
 
-def _bind_potrf_potrs():
-    """``(dpotrf, dpotrs, LAPACK's integer dtype)`` of the LAPACK that
-    numpy.linalg links, or None where it does not export them."""
-    suffix = "_64_" if _ILP64 else "_"
-    potrf, potrs = _exported(f"dpotrf{suffix}"), _exported(f"dpotrs{suffix}")
-    if potrf is None or potrs is None:
+def _bind_posv():
+    """``(dposv, LAPACK's integer dtype)`` of the LAPACK that numpy.linalg
+    links, or None where it does not export it."""
+    posv = _exported("dposv_64_" if _ILP64 else "dposv_")
+    if posv is None:
         return None
     # Fortran calling convention: every argument by address, plus the
     # hidden length of the character argument UPLO
-    pointer, length = ctypes.c_void_p, ctypes.c_size_t
-    potrf.argtypes = [pointer] * 5 + [length]
-    potrs.argtypes = [pointer] * 8 + [length]
-    potrf.restype = potrs.restype = None
-    return potrf, potrs, np.int64 if _ILP64 else np.int32
+    posv.argtypes = [ctypes.c_void_p] * 8 + [ctypes.c_size_t]
+    posv.restype = None
+    return posv, np.int64 if _ILP64 else np.int32
 
 
-_LAPACK = _bind_potrf_potrs()
+_LAPACK = _bind_posv()
 
 
 def _blas_threads() -> int | None:
@@ -234,13 +232,13 @@ class LuSolver:
 
 class CholeskySolver(LuSolver):
     """Solves the damped systems of :class:`LuSolver`, which are symmetric
-    positive definite: LAPACK dpotrf factors each slot's matrix once, and
-    dpotrs back-substitutes from it.
+    positive definite, by one LAPACK dposv call per slot: it factors the
+    slot's matrix (dpotrf) and back-substitutes from that factor (dpotrs).
 
     LAPACK runs once per slot at every size: numpy's batched Cholesky
     loses to it for all but the smallest matrices.  The matrices and the
     right-hand sides live in buffers allocated here once, and each slot's
-    LAPACK arguments are cached (taking ``.ctypes.data`` costs microseconds
+    dposv arguments are cached (taking ``.ctypes.data`` costs microseconds
     per call, and the address of a temporary would not keep it alive).
     """
 
@@ -248,9 +246,9 @@ class CholeskySolver(LuSolver):
 
     def __init__(self, size: int, slots: int):
         if _LAPACK is None:
-            raise RuntimeError("numpy.linalg's LAPACK exports no dpotrf/dpotrs")
+            raise RuntimeError("numpy.linalg's LAPACK exports no dposv (dpotrf, dpotrs)")
         super().__init__(size, slots)
-        self._potrf, self._potrs, integer = _LAPACK
+        self._posv, integer = _LAPACK
         self._b = np.zeros((slots, size))
         # N, NRHS, the leading dimension and each slot's INFO, passed by address
         self._integers = np.array([size, 1, max(size, 1)] + [0] * slots, dtype=integer)
@@ -262,11 +260,8 @@ class CholeskySolver(LuSolver):
         a, b, n = map(_address, (self._a, self._b, self._integers))
         a_step, b_step, step = self._a.strides[0], self._b.strides[0], self._integers.itemsize
         nrhs, lda = n + step, n + 2 * step
-        self._potrf_args, self._potrs_args = [], []
-        for s in range(slots):
-            slot_a, slot_b, info = a + s * a_step, b + s * b_step, n + (3 + s) * step
-            self._potrf_args.append((uplo, n, slot_a, lda, info, 1))
-            self._potrs_args.append((uplo, n, nrhs, slot_a, lda, slot_b, lda, info, 1))
+        self._args = [(uplo, n, nrhs, a + s * a_step, lda, b + s * b_step, lda,
+                       n + (3 + s) * step, 1) for s in range(slots)]
 
     def solve(self, a: np.ndarray, mu: np.ndarray, g: np.ndarray) -> np.ndarray:
         """As :meth:`LuSolver.solve`, with ``x`` in a buffer that the next
@@ -275,20 +270,17 @@ class CholeskySolver(LuSolver):
         but not the factor's diagonal), or its solution overflows."""
         _, diagonals = self._damp(a, mu)
         count = len(a)
-        potrf, potrs = self._potrf, self._potrs
-        for args in self._potrf_args[:count]:
-            potrf(*args)
+        b = self._b[:count]
+        np.negative(g, out=b)
+        posv = self._posv
+        for args in self._args[:count]:
+            posv(*args)
         factored = [info == 0 for info in self._info[:count].tolist()]
         # a sum is finite only if every term is (an overflowing one falls
         # through to the test by rows)
         if not math.isfinite(np.add.reduce(diagonals, axis=None)):
             finite = np.isfinite(diagonals).all(axis=1).tolist()
             factored = [ok and good for ok, good in zip(factored, finite)]
-        b = self._b[:count]
-        np.negative(g, out=b)
-        for args, ok in zip(self._potrs_args, factored):
-            if ok:
-                potrs(*args)
         if not all(factored):
             b[np.logical_not(factored)] = np.nan
         return b

@@ -16,15 +16,17 @@ the damped matrix is not numerically positive definite).
 The restarts of every fit of a ``fit_targets`` call run as the lanes of
 one descent (``_descend``), a stack of live lanes advanced together in
 ticks, each lane on its own fit's mixers and against its own fit's target
-(the fits share their frozen phases): a fit has at most ``_lane_cap`` lanes
-live (1 above the universality transition, up to 64 below it), the
-descent at most as many as ``_MAX_WIDTH`` and ``_LANE_BYTES`` allow, and
-a stopped lane's slot goes to the next restart of some fit.  One tick
-composes every live lane's point in one stacked sweep and takes the
-losses, step lengths and predicted decreases as stacked dot products;
-forms the normal equations of the lanes that start an iteration from that
-sweep's prefix products, as stacked products; and factors and solves the
-damped systems of every lane that needs a step, one LAPACK call per lane.
+(the fits share their frozen phases; fits that share one mixer stack read
+it as one view): a fit has at most ``_lane_cap`` lanes live (1 above the
+universality transition, up to 64 below it), the descent at most as many
+as ``_MAX_WIDTH`` and ``_LANE_BYTES`` allow.  A lane stays in one slot of
+the stacked arrays from the tick it opens to the tick it stops, and the
+next restart of some fit takes that slot in place.  One tick composes
+every live lane's point in one stacked sweep and takes the losses, step
+lengths and predicted decreases as stacked dot products; forms the normal
+equations of the lanes that start an iteration from that sweep's prefix
+products, as stacked products; and factors and solves the damped systems
+of every lane that needs a step, one LAPACK call per lane.
 The accept, damping, polish and stop rules run in one scalar pass over the
 lanes: the gain-ratio update must round as Python floats do, and on small
 arrays a numpy call costs more than the whole pass does per lane.  Each
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from typing import Sequence
@@ -119,23 +122,26 @@ class FromVector:
 class _Problem:
     """Least-squares view of the phase fits of one phase program to a stack
     of targets (F, N, N), fit ``f`` on the (M+1, N, N) mixers ``mixers[f]``,
-    for up to ``width`` lanes.
+    in up to ``width`` slots.
 
-    Each distinct mixer stack (by identity) is held once, and ``seat`` gives
-    each lane its fit's target and mixers.  ``losses`` composes one free
-    vector per lane in one sweep, and ``normal_equations`` reads the prefix
+    ``seat`` gives slots the targets of their fits.  When every fit shares
+    one mixer stack, each sweep reads it as an (M+1, 1, N, N) view and no
+    slot holds mixers of its own; otherwise each distinct stack (by
+    identity) is held once, and ``seat`` copies each slot's fit's stack into
+    an (M+1, width, N, N) buffer too.  ``losses`` composes one free vector
+    per slot in one sweep, and ``normal_equations`` reads the prefix
     products that sweep kept, before the next composition overwrites them.
     ``diagonal`` is each free phase's diag(J'J), 1 / N^2.  The phase grids,
-    the lanes' targets and mixers and the sweep buffer have ``width`` slots,
-    allocated once and reused, so a problem must not be used from two
-    threads at once (each descent owns its own).
+    the slots' targets and the sweep buffer are allocated once and reused,
+    so a problem must not be used from two threads at once (each descent
+    owns its own).
     """
 
     def __init__(self, mixers: list[np.ndarray], program: PhaseProgram, targets: np.ndarray,
                  width: int):
         m, n = program.layers, program.ports
-        slots: dict = {}  # of each distinct stack, by identity, in order of first use
-        self._kinds = np.array([slots.setdefault(id(stack), len(slots)) for stack in mixers])
+        kinds: dict = {}  # of each distinct stack, by identity, in order of first use
+        self._kinds = np.array([kinds.setdefault(id(stack), len(kinds)) for stack in mixers])
         self.mixers = np.stack(list({id(stack): stack for stack in mixers}.values()), axis=1)
         self.free = program.free_mask
         self.free_count = program.free_count
@@ -145,31 +151,32 @@ class _Problem:
         self._grids = np.repeat(program.theta[None], width, axis=0)
         self._flat = self._grids.reshape(width, m * n)
         self._lane_targets = np.empty((width, n, n), dtype=np.complex128)
-        self._lane_mixers = np.empty((m + 1, width, n, n), dtype=np.complex128)
+        self._lane_mixers = None if len(kinds) == 1 else np.empty(
+            (m + 1, width, n, n), dtype=np.complex128)
         self._sweep = np.empty((m + 1, width, n, n), dtype=np.complex128)
 
-    def seat(self, fits: list[int]) -> None:
-        """Give lane ``l`` the target and mixers of fit ``fits[l]``."""
-        count = len(fits)
-        self._lane_targets[:count] = self.targets[fits]
-        self._lane_mixers[:, :count] = self.mixers[:, self._kinds[fits]]
+    def seat(self, slots: list[int], fits: list[int]) -> None:
+        """Give slot ``slots[i]`` the target and mixers of fit ``fits[i]``."""
+        self._lane_targets[slots] = self.targets[fits]
+        if self._lane_mixers is not None:
+            self._lane_mixers[:, slots] = self.mixers[:, self._kinds[fits]]
 
     def losses(self, xs: np.ndarray) -> np.ndarray:
-        """The loss at each row of ``xs`` (the free values of one lane)
-        against its lane's target, from one stacked sweep straight into the
-        lanes' slots."""
+        """The loss at each row of ``xs`` (the free values of the slot of
+        that row) against its slot's target, from one stacked sweep straight
+        into the slots."""
         count = len(xs)
         self._flat[:count, self._positions] = xs
-        u = prefix_products(self._lane_mixers[:, :count], self._grids[:count],
-                            self._sweep[:, :count])
+        mixers = self.mixers if self._lane_mixers is None else self._lane_mixers[:, :count]
+        u = prefix_products(mixers, self._grids[:count], self._sweep[:, :count])
         diff = (u - self._lane_targets[:count]).reshape(count, -1)
         # per row the BLAS dot of np.vdot, so each loss is bitwise a lone lane's
         return np.vecdot(diff, diff).real / diff.shape[1]
 
     def normal_equations(self, rows, gram: np.ndarray, jtj: np.ndarray) -> np.ndarray:
         """``circuit.normal_equations`` at the points that ``rows`` (a slice
-        or positions) picks from the last ``losses``, as stacked products:
-        G goes into the scratch ``gram`` and J'J into ``jtj``, and J'D is
+        or slots) picks from the last ``losses``, as stacked products: G goes
+        into the scratch ``gram`` and J'J into ``jtj``, and J'D is
         returned."""
         return normal_equations(self._sweep[:, rows], self.free, self._lane_targets[rows],
                                 gram, jtj)[1]
@@ -235,12 +242,6 @@ class _Lane:
             self.status = "maxiter"
 
 
-def _rows(positions: list, count: int):
-    """Index of ``positions`` among ``count`` lanes: a slice when it is all
-    of them, so that indexing makes views, not copies."""
-    return slice(None, count) if len(positions) == count else np.array(positions, dtype=int)
-
-
 def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
     """Descents of several fits: ``queues`` holds each fit's start vectors,
     one per restart, and they are advanced together in ticks as up to
@@ -249,10 +250,16 @@ def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
     loss target, and each fit's share of the descent's time: every tick's
     time is split equally among the lanes it advanced.
 
-    Each fit's restarts open in order: on the first tick as many as fit,
-    fits in order, then each in the slot of a lane that stopped, its start
-    composed in the next tick's sweep; once one meets the target, no later
+    A lane keeps one slot of every stacked array (point ``x``, step
+    ``delta``, gradient ``g``, J'J, and its target in ``problem``) from the
+    tick it opens to the tick it stops.  Each fit's restarts open in order:
+    on the first tick as many as fit, fits in order, then each in the slot
+    of a lane that stopped, its start as the point and a zero step, so
+    every tick composes ``x + delta``.  Once one meets the target, no later
     restart of its fit opens and its fit's live lanes after it are dropped.
+    A slot that no restart may take gets a lane from past the live count,
+    so the live lanes fill the first slots.
+
     A tick composes every live lane's point in one sweep (``problem.losses``,
     each lane against its fit's target, ``problem.seat``) and, when a trial
     lowered some lane's loss, takes the predicted decreases, step lengths
@@ -264,8 +271,8 @@ def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
     damped system (its damping times ``problem.diagonal`` added to the
     diagonal) factored and solved, one LAPACK call per lane; one whose
     matrix fails to factor grows its damping and is solved again, until it
-    steps or passes the cap.  Live lanes hold the first positions of every
-    stacked array; the solver and the G/J'J block have ``width`` slots.
+    steps or passes the cap.  Slots are picked by index only where some
+    live lanes take no part.
     """
     goal, p, diagonal = options.target_loss, problem.free_count, problem.diagonal
     queues = [enumerate(starts) for starts in queues]
@@ -279,116 +286,107 @@ def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
     gram = block[:2 * width * p * p].view(np.complex128).reshape(width, p, p)
     jtj = block[2 * width * p * p:].reshape(width, p, p)
     solver = SpdSolver(p, width)
-    x = delta = g = np.empty((0, p))
-    lanes: list[_Lane] = []
-    stopped, fresh = [], []
+    x, delta, g, spare = np.zeros((4, width, p))
+    lanes, stopped = [], []  # the lane in each live slot, the slots that stopped
     clock = time.perf_counter()
     while True:
-        if stopped or not lanes:  # record the stopped lanes and refill their slots
-            for i in stopped:
-                lane = lanes[i]
-                lane.x = x[i].copy()
+        fresh: list[int] = []  # the slots whose lanes open on this tick
+        if stopped or not lanes:  # record the stopped lanes and reopen their slots
+            for s in stopped:
+                lane = lanes[s]
+                lane.x = x[s].copy()
                 outcomes[lane.fit][lane.index] = lane
                 if lane.loss < goal:
                     cuts[lane.fit] = min(cuts[lane.fit], lane.index)
-            keep = [i for i, lane in enumerate(lanes)
-                    if not lane.status and lane.index < cuts[lane.fit]]
-            live = [0] * len(queues)
-            for i in keep:
-                live[lanes[i].fit] += 1
-            room, still = width - len(keep), []
+            lanes = [lane if not lane.status and lane.index < cuts[lane.fit] else None
+                     for lane in lanes] + [None] * (width - len(lanes))
+            live = Counter(lane.fit for lane in lanes if lane)
+            free, still, opened = [s for s, lane in enumerate(lanes) if lane is None], [], []
             for f in waiting:
                 if cuts[f] < math.inf:
                     continue
-                take = min(room, depth - live[f])
-                opened = list(islice(queues[f], take)) if take else []
-                fresh += [(f, k, start) for k, start in opened]
-                outcomes[f] += [None] * len(opened)
-                room -= len(opened)
-                if len(opened) == take:  # a shorter batch drained the queue
+                take = min(len(free) - len(opened), depth - live[f])
+                batch = list(islice(queues[f], take)) if take else []
+                opened += [(f, k, start) for k, start in batch]
+                outcomes[f] += [None] * len(batch)
+                if len(batch) == take:  # a shorter batch drained the queue
                     still.append(f)
-            waiting = still
-            if not keep and not fresh:
+            waiting, fresh = still, free[:len(opened)]
+            for s, (f, k, start) in zip(fresh, opened):
+                lanes[s] = _Lane(f, k, math.nan, _DAMPING_SCALE * diagonal)
+                x[s], delta[s], g[s] = start, 0.0, 0.0
+            count = width - len(free) + len(opened)
+            holes = [s for s in free[len(opened):] if s < count]  # no restart may take them
+            movers = [s for s in range(count, width) if lanes[s]]
+            for hole, s in zip(holes, movers):
+                lanes[hole] = lanes[s]
+                for a in (x, delta, g, jtj):
+                    a[hole] = a[s]
+            del lanes[count:]
+            problem.seat(fresh + holes, [lanes[s].fit for s in fresh + holes])
+            if not lanes:
                 break
-            admitted, zeros = [start for *_, start in fresh], np.zeros((len(fresh), p))
-            trial = np.vstack([x[keep] + delta[keep], *admitted])
-            x = np.vstack([x[keep], *admitted])
-            delta, g = (np.vstack([a[keep], zeros]) for a in (delta, g))
-            jtj[:len(keep)] = jtj[keep]
-            lanes, count = [lanes[i] for i in keep], len(x)
-            problem.seat([lane.fit for lane in lanes] + [f for f, *_ in fresh])
-        else:
-            trial = x + delta
+        trial = np.add(x[:count], delta[:count], out=spare[:count])
         new = problem.losses(trial).tolist()
-        accepted = [i for i, lane in enumerate(lanes) if new[i] < lane.loss]
+        # an opening lane's loss is NaN until its start is composed
+        accepted = [s for s, lane in enumerate(lanes) if new[s] < lane.loss]
         if accepted:
-            # the Gauss-Newton model's decrease per stepped lane (admitted ones follow)
-            head, mu = slice(len(lanes)), np.array([[lane.lam] for lane in lanes]) * diagonal
-            predicted = np.vecdot(delta[head], mu * delta[head] - g[head]).tolist()
-            steps = np.vecdot(delta, delta).tolist()
+            mu = np.array([[lane.lam] for lane in lanes]) * diagonal
+            predicted = np.vecdot(delta[:count], mu * delta[:count] - g[:count]).tolist()
+            lengths = np.vecdot(delta[:count], delta[:count]).tolist()
             norms = np.vecdot(trial, trial).tolist()
-        for i, lane in enumerate(lanes):
-            if new[i] < lane.loss:
-                lane.accept(new[i], predicted[i], math.sqrt(steps[i]),
-                            math.sqrt(norms[i]), options)
+        opening, begin = set(fresh), []
+        for s, lane in enumerate(lanes):
+            if s in opening:
+                lane.loss = new[s]
+                lane.status = "target" if new[s] < goal else "" if p else "no-free-parameters"
+            elif new[s] < lane.loss:
+                lane.accept(new[s], predicted[s], math.sqrt(lengths[s]),
+                            math.sqrt(norms[s]), options)
             else:
                 lane.reject()
-        if len(accepted) == len(lanes):  # the admitted lanes' trials are their starts
-            x = trial
+                continue
+            if not lane.status:
+                begin.append(s)
+        if len(accepted) == count:  # no lane opened: every slot takes its trial
+            x, spare = spare, x
         elif accepted:
             x[accepted] = trial[accepted]
-        begin = [i for i in accepted if not lanes[i].status]
-        if fresh:
-            for i, (f, k, _) in enumerate(fresh, len(lanes)):
-                lanes.append(_Lane(f, k, new[i], _DAMPING_SCALE * diagonal))
-                if new[i] < goal:
-                    lanes[i].status = "target"
-                elif p == 0:
-                    lanes[i].status = "no-free-parameters"
-                else:
-                    begin.append(i)
-            fresh = []
 
         if begin:
-            rows = _rows(begin, count)
-            if isinstance(rows, slice):  # every lane: J'J straight into its slots
-                g = problem.normal_equations(rows, gram[rows], jtj[rows])
+            if len(begin) == count:  # every lane: J'J straight into its slots
+                g[:count] = problem.normal_equations(slice(count), gram[:count], jtj[:count])
             else:
                 equations = np.empty((len(begin), p, p))
-                g[rows] = problem.normal_equations(rows, gram[:len(begin)], equations)
-                jtj[rows] = equations
-            small = np.maximum.reduce(np.abs(g[rows]), axis=1) < _OPTIMALITY_TOLERANCE
-            for i, flat in zip(begin, small.tolist()):
-                if flat and not lanes[i].polishing:
-                    lanes[i].status = "gtol"
+                g[begin] = problem.normal_equations(begin, gram[:len(begin)], equations)
+                jtj[begin] = equations
+            small = np.maximum.reduce(np.abs(g[begin]), axis=1) < _OPTIMALITY_TOLERANCE
+            for s, flat in zip(begin, small.tolist()):
+                if flat and not lanes[s].polishing:
+                    lanes[s].status = "gtol"
 
-        pending = [i for i, lane in enumerate(lanes) if not lane.status]
+        pending = [s for s, lane in enumerate(lanes) if not lane.status]
         while pending:
-            rows = _rows(pending, count)
-            mu = np.array([[lanes[i].lam] for i in pending]) * diagonal
-            solved = solver.solve(jtj[rows], mu, g[rows])
-            delta[rows] = solved
+            rows = slice(count) if len(pending) == count else pending
+            mu = np.array([[lanes[s].lam] for s in pending]) * diagonal
+            delta[rows] = solved = solver.solve(jtj[rows], mu, g[rows])
             # a sum is finite only if every term is (an overflowing one falls
             # through to the test by rows)
             if math.isfinite(np.add.reduce(solved, axis=None)):
                 break
             finite = np.isfinite(solved).all(axis=1).tolist()
-            pending = [i for i, ok in zip(pending, finite) if not ok]
-            for i in pending:
-                lanes[i].reject()
-            pending = [i for i in pending if not lanes[i].status]
-        stopped = [i for i, lane in enumerate(lanes) if lane.status]
+            pending = [s for s, ok in zip(pending, finite) if not ok]
+            for s in pending:
+                lanes[s].reject()
+            pending = [s for s in pending if not lanes[s].status]
+        stopped = [s for s, lane in enumerate(lanes) if lane.status]
         now = time.perf_counter()
         share, clock = (now - clock) / count, now
         for lane in lanes:
             seconds[lane.fit] += share
 
-    for fit_outcomes in outcomes:
-        for k, outcome in enumerate(fit_outcomes):
-            if outcome.loss < goal:
-                del fit_outcomes[k + 1:]
-                break
-    return outcomes, seconds
+    # every restart before a cut ran, and the one at it is the first to meet the target
+    return [o if c == math.inf else o[:c + 1] for o, c in zip(outcomes, cuts)], seconds
 
 
 def _initial_free_values(

@@ -554,6 +554,27 @@ class TestExperimentCommand:
             f"error: {cfg}: experiment {name!r}: {key} must not be empty\n")
         assert not (tmp_path / "res").exists()
 
+    REPEATED = {"n_list": "[2, 2]", "m_list": "[3, 4, 3]", "sigma_k_list": "[0.0, 0]",
+                "k_list": "[1, 1]", "init_modes": '["random", "random"]'}
+
+    @pytest.mark.parametrize("name, key", [
+        (name, key) for name, study in STUDIES.items()
+        for key, default in study.defaults.items() if default is None or isinstance(default, list)
+    ])
+    def test_a_repeated_list_entry_is_usage_error(self, tmp_path, capsys, monkeypatch, name,
+                                                  key):
+        # a repeat would be fitted again and written as a second record of
+        # the same identity, which --resume refuses: refused by the config
+        # check before any fit, and before any output is written
+        monkeypatch.setattr(jxcircuit.experiments, "fit_targets",
+                            lambda *args: pytest.fail("a fit ran"))
+        line = f"{key} = {self.REPEATED[key]}"
+        cfg = self.config(tmp_path, self.SMALL[name] + line + "\n")
+        assert run("experiment", name, "--config", cfg, "--out-dir", tmp_path / "res") == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: experiment {name!r}: {line} repeats an entry\n")
+        assert not (tmp_path / "res").exists()
+
     def test_config_accepts_int_for_float_and_null_m_list(self, tmp_path):
         cfg = self.config(tmp_path, 'n_list = [1]\nm_list = null\ntargets = 1\nrestarts = 1\n')
         assert run("experiment", "universality", "--config", cfg,

@@ -17,7 +17,9 @@ trial, the normal equations formed from the prefix products alone
 one Cholesky factorization (``"damped_solve": "dpotrf"`` in the
 metadata), once the full acceptance suite and the held-out recalibration
 seeds had passed on it.  The CLI digests (N = 2) are 0.8.0's: at N = 2
-the new damping gives the same records.  At these sizes (N <= 8) they are
+the new damping gives the same records.  ``universality-n4-lanes`` and
+``phasediff-n4`` were pinned from 0.16.0, whose descent still moved every
+live lane to the front of its arrays whenever another stopped.  At these sizes (N <= 8) they are
 the same with one BLAS thread and with OpenBLAS's default threading; that
 does not hold in general: at N = 16 (288 free phases) the threaded
 ``dpotrf`` rounds differently, and records there differ in their last
@@ -75,6 +77,16 @@ STUDIES = {
         jitter_fraction=0.1, truncated_iterations=50, targets=1, **kw),
     "faulty-n4": lambda **kw: faulty_shifter_grid(
         [1, 4], 2, 1, LmaOptions(restarts=4), 23, n=4, m=5, **kw),
+    # the benchmark's univ-n4 round: below the transition 30 fits of 5
+    # restarts fill all 64 slots of a descent, keep restarts queued behind
+    # them and then drain; above it 30 lanes of one restart at a time
+    "universality-n4-lanes": lambda **kw: universality_sweep(
+        [4], [3, 4, 6], 30, LmaOptions(restarts=5, max_iterations=40), 24, **kw),
+    # fits on mixer stacks of their own (one perturbed circuit per sigma_k
+    # and run), below the transition
+    "phasediff-n4": lambda **kw: phase_difference_study(
+        [0.002, 0.005], 3, 25, n=4, m=4, init_modes=("jittered", "random"),
+        jitter_fraction=0.1, truncated_iterations=30, targets=2, **kw),
 }
 
 CLI_CONFIGS = {
@@ -130,6 +142,16 @@ GOLDEN = {
         4,
         "7150a2e6fa366d213e606766359216b132bda492730045bfe5847f723dbb7939",
         "95fe653fb8ca9435edf5951cd2f0a05e022a4d9e0131320df70dd839838248c2",
+    ),
+    "universality-n4-lanes": (
+        90,
+        "6f4209df88131c415e1b18d8507d2011eedac6c96259bad3438aedc442c9edf2",
+        "bfe74b0376fc48f728f7a2b189844f65e3da5e5a33cf7aff5bae62d34a01c011",
+    ),
+    "phasediff-n4": (
+        24,
+        "93caffec6b2d42b85b1c558f8ab65e72639becd6e91204ccc384ae78e57f502a",
+        "fd8ad079ae333d8b3e6864b5ab4a40978fb4e43bcf47747ccc597059b9ec837f",
     ),
 }
 

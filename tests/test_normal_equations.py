@@ -102,7 +102,7 @@ def test_one_fit_writes_every_evaluation_into_one_buffer(monkeypatch):
     # sweep writes straight into the slots of its lanes
     mixers, program, target = instance(3, 4, 5, np.eye(4, 3, dtype=bool))
     problem = _Problem([mixers], program, target[None], 3)
-    problem.seat([0] * 3)
+    problem.seat([0, 1, 2], [0] * 3)
     sweep_buffer = problem._sweep
     assert sweep_buffer.shape == (5, 3, 3, 3)
     x = program.theta[program.free_mask]

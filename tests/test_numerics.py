@@ -1,9 +1,12 @@
+import ctypes
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jxcircuit import numerics
 from jxcircuit.numerics import (
     CholeskySolver,
     LuSolver,
@@ -229,3 +232,52 @@ def test_cholesky_solver_agrees_with_lu(p, extra_rows, slots, seed):
         a[k, i, j] = a[k, j, i] = bad
         x = cholesky.solve(a, mu, g)
         assert not np.isfinite(x[k]).all()
+
+
+def potrf_then_potrs(a, mu, g):
+    """The damped systems ``(a_s + mu_s I) x = -g_s`` solved slot by slot by
+    LAPACK dpotrf and then dpotrs from its factor, the two calls dposv makes
+    inside, bound here from the library that numerics binds dposv from; a
+    row is NaN where dpotrf fails."""
+    suffix = "_64_" if numerics._ILP64 else "_"
+    potrf, potrs = (numerics._exported(f"d{name}{suffix}") for name in ("potrf", "potrs"))
+    # Fortran calling convention: every argument by address, plus the
+    # hidden length of UPLO
+    potrf.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_size_t]
+    potrs.argtypes = [ctypes.c_void_p] * 8 + [ctypes.c_size_t]
+    potrf.restype = potrs.restype = None
+    integer = np.int64 if numerics._ILP64 else np.int32
+    n, nrhs, info = (np.array([value], dtype=integer) for value in (a.shape[-1], 1, 0))
+    uplo = ctypes.c_char(b"L")
+    x = np.empty_like(g)
+    for s in range(len(a)):
+        damped, b = a[s].copy(), -g[s]
+        np.einsum("ii->i", damped)[...] += mu[s, 0]
+        side, size, matrix, rhs, status = (ctypes.addressof(uplo), n.ctypes.data,
+                                           damped.ctypes.data, b.ctypes.data, info.ctypes.data)
+        potrf(side, size, matrix, size, status, 1)
+        if info[0] != 0:
+            x[s] = np.nan
+            continue
+        potrs(side, size, nrhs.ctypes.data, matrix, size, rhs, size, status, 1)
+        x[s] = b
+    return x
+
+
+@pytest.mark.skipif(SpdSolver is not CholeskySolver,
+                    reason="numpy.linalg's LAPACK exports no dposv here")
+@pytest.mark.parametrize("p, slots", [(16, 64), (72, 25), (288, 1)])
+def test_one_dposv_per_slot_is_bitwise_dpotrf_then_dpotrs(p, slots):
+    # the lane shapes of the benchmark's descents: N = 4 (64 lanes), N = 8
+    # and N = 16 (one lane); one slot's damping makes its matrix indefinite
+    rng = np.random.default_rng(p)
+    jac = rng.standard_normal((slots, p + 3, p))
+    jtj = jac.transpose(0, 2, 1) @ jac
+    mu = 10.0 ** rng.uniform(-6, 0, (slots, 1))
+    g = rng.standard_normal((slots, p))
+    solver = CholeskySolver(p, slots)
+    for damping in (mu, np.where(np.arange(slots)[:, None] == slots // 2, -1e6, mu)):
+        x = solver.solve(jtj, damping, g)
+        want = potrf_then_potrs(jtj, damping, g)
+        assert np.isfinite(want).all(axis=1).sum() == slots - (damping is not mu)
+        assert np.array_equal(x, want, equal_nan=True)

@@ -38,8 +38,8 @@ class LinearProblem:
         self.free_count = a.shape[1]
         self.diagonal = float(np.diagonal(a.T @ a).max())
 
-    def seat(self, fits):
-        assert set(fits) == {0}
+    def seat(self, slots, fits):
+        assert set(slots) <= {0} and set(fits) <= {0}
 
     def losses(self, xs):
         self.residuals = xs @ self.a.T - self.b

@@ -205,7 +205,7 @@ def test_normal_equations_from_stored_prefixes_equal_a_fresh_sweep(n, m, seed, d
     x = rng.uniform(0.0, 2 * np.pi, program.free_count)
     delta = rng.standard_normal(x.size)
     problem = _Problem([mixers], program, target[None], 3)
-    problem.seat([0] * 3)
+    problem.seat([0, 1, 2], [0] * 3)
 
     def check(points, rows, losses):  # before the next sweep overwrites them
         p = program.free_count
@@ -457,6 +457,40 @@ def test_a_stopped_lane_slot_goes_to_the_next_restart(monkeypatch):
         [4] * 50 + [3] * (stop - 49) + [1] * (len(sweeps) - stop - 1))
 
 
+def test_a_lane_keeps_its_slot_while_restarts_are_queued(monkeypatch):
+    # 11 restarts below the transition with at most 4 live: each lane's
+    # grids are found, by its serial trajectory, in the rows of the wide
+    # descent's sweeps; a lane stays in one row from the tick it opens to
+    # the tick it stops, except that once the last restart has opened, the
+    # last lane moves down into a row that a stopped lane left free
+    circuit, target, seed = ideal_circuit(4, 4), haar_unitary(4, 2), 4
+    starts = [optimizer._initial_free_values(circuit.program, None,
+                                             derive_seed(seed, "lma-restart", k))
+              for k in range(11)]
+    options = LmaOptions(restarts=11, max_iterations=30)
+    with mock.patch.object(optimizer, "_lane_cap", lambda program: 1):
+        _, alone = composed_grids(circuit, target, options, seed)
+    opened = [found[0] for found in opening_ticks(alone, starts)] + [len(alone)]
+    trajectories = [alone[a:b] for a, b in zip(opened, opened[1:])]
+
+    monkeypatch.setattr(optimizer, "_MAX_WIDTH", 4)
+    _, sweeps = composed_grids(circuit, target, options, seed)
+    drained = opening_ticks(sweeps, starts[-1:])[0][0]  # the tick the last restart opens
+    moved = 0
+    for (start,), trajectory in zip(opening_ticks(sweeps, starts), trajectories):
+        rows = []
+        for tick, (grid,) in enumerate(trajectory, start):
+            found = [r for r, other in enumerate(sweeps[tick]) if np.array_equal(other, grid)]
+            assert len(found) == 1
+            rows += found
+        if start + len(rows) - 1 <= drained:  # stopped while restarts were queued
+            assert set(rows) == {rows[0]}
+        changes = [t for t in range(1, len(rows)) if rows[t] != rows[t - 1]]
+        assert all(start + t > drained and rows[t] < rows[t - 1] for t in changes)
+        moved += bool(changes)
+    assert moved  # the tail compacted
+
+
 @pytest.mark.parametrize("n, m, restarts, max_iterations", [
     (4, 4, 1, 30), (4, 4, 6, 30), (4, 4, 70, 5),  # below the transition: cap 64
     (4, 5, 1, 3), (4, 5, 5, 3),  # above it: cap 1, and no restart converges
@@ -581,14 +615,16 @@ def test_a_shared_descent_keeps_its_lanes_within_their_budget(
             made.append((size, slots))
             super().__init__(size, slots)
 
-    seat = _Problem.seat
+    losses = _Problem.losses
 
-    def recorded(self, fits):
-        seated.append(list(fits))
-        seat(self, fits)
+    def recorded(self, xs):
+        # the fits of the live slots of a tick, each known by its target
+        fit_of = {target.tobytes(): f for f, target in enumerate(self.targets)}
+        seated.append([fit_of[target.tobytes()] for target in self._lane_targets[:len(xs)]])
+        return losses(self, xs)
 
     monkeypatch.setattr(optimizer, "SpdSolver", Counted)
-    monkeypatch.setattr(_Problem, "seat", recorded)
+    monkeypatch.setattr(_Problem, "losses", recorded)
     circuit = ideal_circuit(n, m)
     targets = [haar_unitary(n, derive_seed(7, "t", i)) for i in range(count)]
     results = fit_targets([circuit] * count, targets,
@@ -632,3 +668,58 @@ def test_a_fit_is_timed_by_its_share_of_the_ticks():
     elapsed = time.perf_counter() - t0
     shares = [result.seconds for result in results]
     assert min(shares) > 0 and 0.5 * elapsed < sum(shares) <= elapsed
+
+
+# -- one shared mixer stack, or a copy per slot -------------------------------
+
+
+def copy_of(circuit):
+    """The circuit on a mixer stack of its own, equal to its own one."""
+    return InterlacedCircuit(circuit.mixers, circuit.program)
+
+
+@pytest.mark.parametrize("m, faults, restarts, count", [
+    (4, [], 7, 12),  # below the transition: 7 lanes per fit, 64 in all
+    (6, [], 5, 30),  # above it: one lane per fit, 30 side by side
+    (6, CLUSTERED, 6, 8),  # above it, with fits that need several restarts
+])
+def test_fits_on_one_stack_or_on_equal_copies_get_the_same_results(
+        monkeypatch, m, faults, restarts, count):
+    # one shared stack is read as a view by every slot; copies of it are
+    # distinct stacks, which each slot reads from its own per-lane copy
+    circuit = ideal_circuit(4, m).with_program(
+        apply_fault_plan(PhaseProgram.zeros(m, 4), faults))
+    targets = [haar_unitary(4, derive_seed(6, "t", i)) for i in range(count)]
+    options, seeds = LmaOptions(restarts=restarts, max_iterations=60), list(range(count))
+    problems = []
+    init = _Problem.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        problems.append(self)
+
+    monkeypatch.setattr(_Problem, "__init__", recorded)
+    shared = fit_targets([circuit] * count, targets, options, seeds, [None] * count)
+    copies = fit_targets([copy_of(circuit) for _ in range(count)], targets, options, seeds,
+                         [None] * count)
+    assert [problem._lane_mixers is None for problem in problems] == [True, False]
+    for one, other in zip(shared, copies):
+        assert_same_fit(one, other)
+
+
+def test_a_shared_stack_takes_no_mixer_buffer_per_slot():
+    circuit, width = ideal_circuit(3, 4), 5
+    program, n, m = circuit.program, 3, 4
+    targets = np.stack([haar_unitary(3, k) for k in range(3)])
+
+    def slot_stacks(problem):  # the (M+1, width, N, N) complex arrays it holds
+        return sorted(name for name, value in vars(problem).items()
+                      if isinstance(value, np.ndarray) and value.shape == (m + 1, width, n, n))
+
+    shared = _Problem([circuit.mixers] * 3, program, targets, width)
+    assert shared.mixers.shape == (m + 1, 1, n, n)
+    assert slot_stacks(shared) == ["_sweep"]
+    own = _Problem([circuit.mixers, copy_of(circuit).mixers, circuit.mixers], program, targets,
+                   width)
+    assert own.mixers.shape == (m + 1, 2, n, n)
+    assert slot_stacks(own) == ["_lane_mixers", "_sweep"]
