@@ -15,11 +15,11 @@ from pathlib import Path
 
 __all__ = ["parse_config_text", "load_config", "check_values"]
 
-#: keys that count units of work; each must be at least 1
+#: keys that count units of work, ports (n) or layers (m); each must be at least 1
 COUNT_KEYS = ("targets", "samples", "runs", "combos_per_k", "attempts", "restarts",
-              "max_iterations", "truncated_iterations")
-#: list keys and the least entry each allows (M counts layers, k faults)
-LIST_FLOORS = {"m_list": 1, "k_list": 0, "sigma_k_list": 0}
+              "max_iterations", "truncated_iterations", "n", "m")
+#: list keys and the least entry each allows (N counts ports, M layers, k faults)
+LIST_FLOORS = {"n_list": 1, "m_list": 1, "k_list": 0, "sigma_k_list": 0}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -62,9 +62,9 @@ def _matches(value, default) -> bool:
 
 def check_values(values: dict, defaults: dict, source: str = "<config>") -> None:
     """Reject unknown keys, values whose type differs from their default's,
-    counts below 1, empty lists, lists that repeat an entry, list entries
-    below their ``LIST_FLOORS`` floor, non-finite numbers and a jitter
-    fraction outside [0, 1)."""
+    counts and sizes below 1, empty lists, lists that repeat an entry, list
+    entries below their ``LIST_FLOORS`` floor, unknown init modes, non-finite
+    numbers and a jitter fraction outside [0, 1)."""
     unknown = sorted(set(values) - set(defaults))
     if unknown:
         raise ValueError(f"{source}: unknown option(s): " + ", ".join(unknown))
@@ -89,5 +89,7 @@ def check_values(values: dict, defaults: dict, source: str = "<config>") -> None
             raise ValueError(
                 f"{source}: {key} entries must be >= {floor}, got {json.dumps(value)}"
             )
+        if key == "init_modes" and not set(value) <= {"jittered", "random"}:
+            raise ValueError(f"{source}: {key} = {json.dumps(value)} names an unknown mode")
         if key == "jitter_fraction" and not 0 <= value < 1:
             raise ValueError(f"{source}: {key} must lie in [0, 1), got {value}")

@@ -9,12 +9,13 @@ which is informational only).  Functions return flat lists of
 :class:`ExperimentRecord`, ready for CSV serialization, sorted by their
 canonical task order rather than completion order.
 
-A study splits into independent jobs, each owing some records, and one
-runner skips already-done records (refusing any that no job owes), fans
-the jobs out to worker processes and flattens their records in job order.  :data:`STUDIES` registers
-every study under its CLI name with its config defaults, summary lines
-and plot; those defaults are the only ones, as a study function takes
-every config setting as a required argument.
+A study declares one job per circuit program, and one runner skips
+already-done records (refusing any that no job owes), cuts each job's units
+into ``max(1, threads)`` blocks, runs them on worker processes and flattens
+their records in job order.  :data:`STUDIES` registers every study under
+its CLI name with its config defaults, summary lines and plot; those
+defaults are the only ones, as a study function takes every config setting
+as a required argument.
 """
 
 from __future__ import annotations
@@ -103,9 +104,9 @@ def record_key(record: ExperimentRecord) -> tuple:
                  for name, value in zip(_IDENTITY, record_sort_key(record)))
 
 
-#: an independent unit of work: the records it owes, in emission order with
-#: identity fields and seed set, and the keyword arguments of its
-#: :func:`_measure` (module-level functions and data, so they pickle for a
+#: the work on one circuit program: the records it owes, ``rows`` per unit in
+#: unit order, with identity fields and seed set, and the keyword arguments of
+#: its :func:`_measure` (module-level functions and data, so they pickle for a
 #: worker process under any start method)
 _Job = tuple[list[ExperimentRecord], dict]
 
@@ -115,21 +116,25 @@ def _run_jobs(jobs: list[_Job], threads: int, done: dict | None) -> list[Experim
 
     ``done`` maps the key of each record already measured to its seed; one
     that no job owes, or owes with another seed, is refused with a
-    ``ValueError`` naming it.  With ``threads > 1`` the pending jobs run on
-    that many worker processes (at most one per pending job).  A worker
-    returns only the measured fields, so the records are the same for any
-    worker count.
+    ``ValueError`` naming it.  Each job's units are cut into ``max(1, threads)``
+    contiguous blocks (a unit's rows in one); a block that owes a record is one
+    :func:`_measure` call, on ``threads`` worker processes if ``threads > 1``.  A
+    worker returns only measured fields, so records are the same for any count.
     """
     done = done or {}
     seeds = {record_key(rec): rec.seed for owed, _ in jobs for rec in owed}
     for key, row_seed in done.items():
         if seeds.get(key) != row_seed:
             raise ValueError(f"existing record {key} with seed {row_seed} is not owed by this run")
-    pending = []
+    parts, pending = max(1, threads), []
     for owed, inputs in jobs:
-        todo = [k for k, rec in enumerate(owed) if record_key(rec) not in done]
-        if todo:
-            pending.append((owed, inputs, todo))
+        units, rows = inputs["units"], inputs.get("rows", 1)
+        for b in range(parts):
+            lo, hi = b * len(units) // parts, (b + 1) * len(units) // parts
+            block = owed[lo * rows:hi * rows]
+            todo = [k for k, rec in enumerate(block) if record_key(rec) not in done]
+            if todo:
+                pending.append((block, dict(inputs, units=units[lo:hi]), todo))
     workers = min(threads, len(pending))
     if workers > 1:
         pool = ProcessPoolExecutor(workers)
@@ -137,7 +142,7 @@ def _run_jobs(jobs: list[_Job], threads: int, done: dict | None) -> list[Experim
             futures = [pool.submit(_measure, todo, **inputs) for _, inputs, todo in pending]
             measured = [future.result() for future in futures]
         finally:
-            # after a failed job, drop the queued ones instead of running them
+            # after a failed block, drop the queued ones instead of running them
             pool.shutdown(cancel_futures=True)
     else:
         measured = [_measure(todo, **inputs) for _, inputs, todo in pending]
@@ -208,23 +213,22 @@ def universality_sweep(
     ``m_values=None`` sweeps M = N-1 .. N+2 (M >= 1) for each N, which brackets
     the layer count where the error norm collapses to numerical noise.
     Targets are shared across M for a given N.  The fits of one (N, M) share
-    one circuit and run in ``max(1, threads)`` jobs of contiguous targets,
-    each one batched descent; records come in (N, target, M) order.
+    one circuit and are one job; records come in (N, target, M) order.
     """
-    jobs, parts = [], max(1, threads)
+    jobs = []
     for n in n_list:
+        if n < 1:
+            raise ValueError(f"N must be >= 1, got {n}")
         m_list = (list(m_values) if m_values is not None else
                   [m for m in (n - 1, n, n + 1, n + 2) if m >= 1])
         for m in m_list:
-            circuit = ideal_circuit(n, m)
-            for b in range(parts):
-                seeds = [(i, derive_seed(seed, f"universality/n={n}/target", i),
-                          derive_seed(seed, f"universality/n={n}/m={m}/fit", i))
-                         for i in range(b * targets // parts, (b + 1) * targets // parts)]
-                owed = [ExperimentRecord(experiment_label="universality", n=n, m=m,
-                                         target_index=i, seed=fit_seed) for i, _, fit_seed in seeds]
-                jobs.append((owed, dict(units=seeds, options=options,
-                                        setup=partial(_haar_requests, circuit=circuit))))
+            seeds = [(i, derive_seed(seed, f"universality/n={n}/target", i),
+                      derive_seed(seed, f"universality/n={n}/m={m}/fit", i))
+                     for i in range(targets)]
+            owed = [ExperimentRecord(experiment_label="universality", n=n, m=m,
+                                     target_index=i, seed=fit_seed) for i, _, fit_seed in seeds]
+            jobs.append((owed, dict(units=seeds, options=options,
+                                    setup=partial(_haar_requests, circuit=ideal_circuit(n, m)))))
     rank = {n: k for k, n in enumerate(n_list)}
     return sorted(_run_jobs(jobs, threads, done),
                   key=lambda rec: (rank[rec.n], rec.target_index))
@@ -250,22 +254,19 @@ def _ideal_fit_rows(label, index_name, sigma_k_list, count, options, seed, n, m,
                     threads, done, refit=None) -> list[ExperimentRecord]:
     """Per index, fit a Haar target against ideal mixers, then one record per
     sigma_k row (``_disorder_row``), holding with ``refit`` options the refit
-    of its row's perturbed circuit.  The indices run in ``max(1, threads)``
-    jobs of contiguous indices: one batched descent each, and one more for
-    the refits."""
+    of its row's perturbed circuit.  All indices are one job: each block
+    is one batched descent, and one more for its refits."""
     ideal, rows = ideal_circuit(n, m), [float(sk) for sk in sigma_k_list]
     row = partial(_disorder_row, label=label, index_name=index_name, rows=rows,
                   seed=seed, f_ideal=ideal.mixers[0], refit=refit is not None)
-    jobs, parts = [], max(1, threads)
-    for b in range(parts):
-        seeds = [(i, derive_seed(seed, f"{label}/target", i), derive_seed(seed, f"{label}/fit", i))
-                 for i in range(b * count // parts, (b + 1) * count // parts)]
-        owed = [ExperimentRecord(experiment_label=label, n=n, m=m, sigma_k=sk,
-                                 target_index=i, seed=target_seed)
-                for i, target_seed, _ in seeds for sk in rows]
-        jobs.append((owed, dict(units=seeds, options=options, rows=len(rows), row=row,
-                                setup=partial(_haar_requests, circuit=ideal), refit=refit)))
-    return _run_jobs(jobs, threads, done)
+    seeds = [(i, derive_seed(seed, f"{label}/target", i), derive_seed(seed, f"{label}/fit", i))
+             for i in range(count)]
+    owed = [ExperimentRecord(experiment_label=label, n=n, m=m, sigma_k=sk,
+                             target_index=i, seed=target_seed)
+            for i, target_seed, _ in seeds for sk in rows]
+    return _run_jobs([(owed, dict(units=seeds, options=options, rows=len(rows), row=row,
+                                  setup=partial(_haar_requests, circuit=ideal),
+                                  refit=refit))], threads, done)
 
 
 def perturbation_table(
@@ -324,23 +325,23 @@ def _correlation(a: np.ndarray, b: np.ndarray) -> float | None:
     return float(np.corrcoef(a, b)[0, 1])
 
 
-def _phasediff_requests(cells, *, given, target, seed, jitter_fraction) -> list[tuple]:
-    """A fit of each (init mode, sigma_k, slot label, fit seed) cell on mixers
-    perturbed at sigma_k, each built once, from ``given`` jittered or at random."""
-    m, n = given.shape
+def _phasediff_requests(cells, *, givens, targets, seed, jitter_fraction) -> list[tuple]:
+    """A fit of each (target index, init mode, sigma_k, slot label, fit seed) cell on mixers
+    perturbed at sigma_k, built once per block, from its given grid jittered or at random."""
+    m, n = givens[0].shape
     built = {(sigma_k, slot): perturbed_circuit(n, m, sigma_k, seed, label=slot)
-             for sigma_k, slot in dict.fromkeys(cell[1:3] for cell in cells)}
-    return [(built[sigma_k, slot], target, fit_seed,
-             FromVector(given, jitter_fraction) if mode == "jittered" else None)
-            for mode, sigma_k, slot, fit_seed in cells]
+             for sigma_k, slot in dict.fromkeys(cell[2:4] for cell in cells)}
+    return [(built[sigma_k, slot], targets[t], fit_seed,
+             FromVector(givens[t], jitter_fraction) if mode == "jittered" else None)
+            for t, mode, sigma_k, slot, fit_seed in cells]
 
 
-def _phase_difference(r, cell, target, fitted, *, given):
-    """Mean, spread and correlation of ``given`` minus the recovered phases."""
-    recovered = fitted.phases.theta.ravel()
-    dx = given.ravel() - recovered
+def _phase_difference(r, cell, target, fitted, *, givens):
+    """Mean, spread and correlation of the cell's given grid minus the recovered phases."""
+    given, recovered = givens[cell[0]].ravel(), fitted.phases.theta.ravel()
+    dx = given - recovered
     return None, dict(mu_dx=float(dx.mean()), sigma_dx=float(dx.std()),
-                      corr_x=_correlation(given.ravel(), recovered))
+                      corr_x=_correlation(given, recovered))
 
 
 def phase_difference_study(
@@ -373,25 +374,22 @@ def phase_difference_study(
     for mode in init_modes:
         if mode not in ("jittered", "random"):
             raise ValueError(f"unknown init mode {mode!r}")
-    cells = [(mode, r) for mode in init_modes for r in range(len(rows))]
-
-    jobs = []
-    for t in range(targets):
-        given = uniform_phases(m, n, derive_seed(seed, "phasediff/given", t))
-        target = transfer_matrix(stack, given)
-        for j in range(runs):
-            owed = [ExperimentRecord(
-                experiment_label=f"phasediff/init={mode}", n=n, m=m, sigma_k=rows[r],
-                target_index=t * runs + j,
-                seed=derive_seed(seed, f"phasediff/fit/{mode}/row={r}/t={t}", j),
-            ) for mode, r in cells]
-            units = [(mode, rows[r], f"phasediff/h1/row={r}/t={t}/run={j}", rec.seed)
-                     for (mode, r), rec in zip(cells, owed)]
-            setup = partial(_phasediff_requests, given=given, target=target, seed=seed,
-                            jitter_fraction=jitter_fraction)
-            jobs.append((owed, dict(units=units, setup=setup, options=truncated,
-                                    row=partial(_phase_difference, given=given))))
-    return _run_jobs(jobs, threads, done)
+    givens = [uniform_phases(m, n, derive_seed(seed, "phasediff/given", t))
+              for t in range(targets)]
+    cells = [(t, j, mode, r) for t in range(targets) for j in range(runs)
+             for mode in init_modes for r in range(len(rows))]
+    owed = [ExperimentRecord(experiment_label=f"phasediff/init={mode}", n=n, m=m,
+                             sigma_k=rows[r], target_index=t * runs + j,
+                             seed=derive_seed(seed, f"phasediff/fit/{mode}/row={r}/t={t}", j))
+            for t, j, mode, r in cells]
+    units = [(t, mode, rows[r], f"phasediff/h1/row={r}/t={t}/run={j}", rec.seed)
+             for (t, j, mode, r), rec in zip(cells, owed)]
+    setup = partial(_phasediff_requests, givens=givens, seed=seed,
+                    targets=[transfer_matrix(stack, given) for given in givens],
+                    jitter_fraction=jitter_fraction)
+    return _run_jobs([(owed, dict(units=units, setup=setup, options=truncated,
+                                  row=partial(_phase_difference, givens=givens)))],
+                     threads, done)
 
 
 def _random_fault_plan(

@@ -196,7 +196,7 @@ class LuSolver:
     per right-hand side).
 
     The reference for :class:`CholeskySolver`, and the solver where the
-    LAPACK of numpy.linalg exports no ``dpotrf``.  One instance must not be
+    LAPACK of numpy.linalg exports no ``dposv``.  One instance must not be
     used from two threads at once.
     """
 

@@ -525,6 +525,15 @@ class TestExperimentCommand:
         ("universality", "max_iterations = 0"),
         ("recalibration", "truncated_iterations = 0"),
         ("phasediff", "truncated_iterations = 0"),
+        # sizes below 1: n_list = [-2] would owe no record and exit 0
+        ("universality", "n_list = [-2]"),
+        ("universality", "n_list = [0]"),
+        ("table1", "n = 0"),
+        ("recalibration", "m = 0"),
+        ("phasediff", "n = -1"),
+        ("faulty", "m = 0"),
+        ("phasediff", 'init_modes = ["warm"]'),
+        ("phasediff", 'init_modes = ["jittered", "Random"]'),
     ])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, monkeypatch,
                                              name, line):

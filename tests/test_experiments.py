@@ -64,6 +64,16 @@ class TestUniversalitySweep:
         with pytest.raises(ValueError, match="phase layer"):
             universality_sweep([2], [0], targets=1, options=LmaOptions(restarts=1), seed=13)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_a_size_below_one_is_refused_before_any_fit(self, n, monkeypatch):
+        # at N = -2 the default range holds no M, so without the check the
+        # sweep would owe nothing and return no record
+        monkeypatch.setattr(experiments, "fit_targets", lambda *args: pytest.fail("a fit ran"))
+        for m_values in (None, [3]):
+            with pytest.raises(ValueError, match=f"N must be >= 1, got {n}"):
+                universality_sweep([2, n], m_values, targets=1,
+                                   options=LmaOptions(restarts=1), seed=13)
+
     def test_records_well_formed(self):
         records = universality_sweep(
             [2], [3], targets=2, options=LmaOptions(restarts=4), seed=14
@@ -149,12 +159,13 @@ def fitted_target_counts(monkeypatch):
     (lambda: recalibration_histogram([0.002, 0.005], 5, LmaOptions(restarts=5), 25, n=3, m=4,
                                      attempts=3, truncated_iterations=30, threads=2),
      [2, 4, 3, 6]),
-    # one job per run of each target: two init modes by two rows
+    # one job for the study: two blocks of 2 targets x 3 runs x 2 init modes
+    # x 2 rows
     (lambda: phase_difference_study([0.0, 0.004], 3, 45, n=3, m=4,
-                                    **{**PHASEDIFF, "targets": 2}, threads=2), [4] * 6),
-    # one job per fault combination
+                                    **{**PHASEDIFF, "targets": 2}, threads=2), [12, 12]),
+    # four fault combinations of two blocks each
     (lambda: faulty_shifter_grid([1, 4], 2, 3, LmaOptions(restarts=3), 29, n=4, m=5,
-                                 threads=2), [3] * 4),
+                                 threads=2), [1, 2] * 4),
 ], ids=["universality", "table1", "recalibration", "phasediff", "faulty"])
 def test_each_stage_of_a_job_is_one_fit_targets_call(monkeypatch, study, calls):
     counts = fitted_target_counts(monkeypatch)
@@ -288,6 +299,12 @@ class TestPhaseDifferenceStudy:
         assert len(records) == 2
         assert all(rec.corr_x is None for rec in records)
 
+    def test_an_unknown_init_mode_is_refused_before_any_fit(self, monkeypatch):
+        monkeypatch.setattr(experiments, "fit_targets", lambda *args: pytest.fail("a fit ran"))
+        with pytest.raises(ValueError, match="unknown init mode 'warm'"):
+            phase_difference_study([0.0], 1, 1, n=2, m=3,
+                                   **{**PHASEDIFF, "init_modes": ("random", "warm")})
+
     def test_worker_errors_reach_the_caller(self):
         # FromVector refuses the fraction inside the job, so at threads=2 the
         # error is raised in a worker process
@@ -368,7 +385,7 @@ class TestFaultyShifterGrid:
         b = faulty_shifter_grid([1], **kwargs, threads=2)
         assert drop_wall_time(a) == drop_wall_time(b)
 
-    def test_one_job_per_combo_at_any_thread_count_and_on_resume(self):
+    def test_combos_cut_into_blocks_keep_records_at_any_thread_count_and_on_resume(self):
         kwargs = dict(combos_per_k=2, targets=4, options=LmaOptions(restarts=5),
                       seed=55, n=4, m=5)
         full = faulty_shifter_grid([1, 4], **kwargs)

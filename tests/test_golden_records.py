@@ -205,13 +205,16 @@ def records_digest(records) -> str:
 
 def study_digests(name: str):
     """(count, full digest, resumed digest), checking that runs on two and three
-    workers and the resumed run agree with the serial one."""
+    workers and the resumed run, serial and on two workers, agree with the
+    serial one."""
     full = STUDIES[name]()
     done = {record_key(rec): rec.seed for rec in full[::2]}
     resumed = STUDIES[name](done=done)
     # two workers, and three, whose blocks of a study's targets are uneven
     for threads in (2, 3):
         assert records_digest(STUDIES[name](threads=threads)) == records_digest(full), threads
+    # the blocks of a resumed run owe only some of their records
+    assert records_digest(STUDIES[name](done=done, threads=2)) == records_digest(resumed)
     assert records_digest(sorted(full[::2] + resumed, key=record_sort_key)) == \
         records_digest(sorted(full, key=record_sort_key))
     return len(full), records_digest(full), records_digest(resumed)
