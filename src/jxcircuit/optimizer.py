@@ -18,8 +18,8 @@ one descent (``_descend``), a stack of live lanes advanced together in
 ticks, each lane on its own fit's mixers and against its own fit's target
 (the fits share their frozen phases; fits that share one mixer stack read
 it as one view): a fit has at most ``_lane_cap`` lanes live (1 above the
-universality transition, up to 64 below it), the descent at most as many
-as ``_MAX_WIDTH`` and ``_LANE_BYTES`` allow.  A lane stays in one slot of
+universality transition), and the descent as many as ``_LANE_BYTES``
+allows (``_lane_budget``).  A lane stays in one slot of
 the stacked arrays from the tick it opens to the tick it stops, and the
 next restart of some fit takes that slot in place.  One tick composes
 every live lane's point in one stacked sweep and takes the losses, step
@@ -79,9 +79,8 @@ _DAMPING_FACTOR = 2.0
 _DAMPING_MAX = 1e10
 #: extra steps after target_loss to reach the noise floor
 _POLISH_ITERATIONS = 3
-#: live lanes of a descent (see _lane_budget): at most _MAX_WIDTH, and as
-#: many as keep their (P, P) buffers within _LANE_BYTES
-_MAX_WIDTH = 64
+#: live lanes of a descent (see _lane_budget): as many as keep their
+#: buffers within _LANE_BYTES
 _LANE_BYTES = 4 << 20
 
 
@@ -331,7 +330,7 @@ def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
         # an opening lane's loss is NaN until its start is composed
         accepted = [s for s, lane in enumerate(lanes) if new[s] < lane.loss]
         if accepted:
-            mu = np.array([[lane.lam] for lane in lanes]) * diagonal
+            mu = np.array([lane.lam for lane in lanes])[:, None] * diagonal
             predicted = np.vecdot(delta[:count], mu * delta[:count] - g[:count]).tolist()
             lengths = np.vecdot(delta[:count], delta[:count]).tolist()
             norms = np.vecdot(trial, trial).tolist()
@@ -368,7 +367,7 @@ def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
         pending = [s for s, lane in enumerate(lanes) if not lane.status]
         while pending:
             rows = slice(count) if len(pending) == count else pending
-            mu = np.array([[lanes[s].lam] for s in pending]) * diagonal
+            mu = np.array([lanes[s].lam for s in pending])[:, None] * diagonal
             delta[rows] = solved = solver.solve(jtj[rows], mu, g[rows])
             # a sum is finite only if every term is (an overflowing one falls
             # through to the test by rows)
@@ -403,11 +402,12 @@ def _initial_free_values(
     return grid[program.free_mask]
 
 
-def _lane_budget(p: int) -> int:
-    """Most live lanes of one descent over ``p`` free phases: each lane keeps
-    its own complex G, J'J and damped matrix, 32 P^2 bytes, and the live
-    lanes share ``_LANE_BYTES``; never more than ``_MAX_WIDTH``."""
-    return max(1, min(_MAX_WIDTH, _LANE_BYTES // max(32 * p * p, 1)))
+def _lane_budget(program: PhaseProgram) -> int:
+    """Most live lanes of one descent on ``program`` within ``_LANE_BYTES``: a
+    lane's complex G, J'J and damped matrix take 32 P^2 bytes, and it is
+    charged at least its sweep slot, 16 (M+1) N^2 bytes (so P = 0 is bounded)."""
+    p, m, n = program.free_count, program.layers, program.ports
+    return max(1, _LANE_BYTES // max(32 * p * p, 16 * (m + 1) * n * n))
 
 
 def _lane_cap(program: PhaseProgram) -> int:
@@ -426,7 +426,7 @@ def _lane_cap(program: PhaseProgram) -> int:
     redundant = max(int(program.free_mask.all(axis=1).sum()) - 1, 0)
     if p - redundant >= program.ports ** 2:
         return 1
-    return _lane_budget(p)
+    return _lane_budget(program)
 
 
 def _restart_starts(program: PhaseProgram, init: FromVector | None, seed: int, count: int):
@@ -484,7 +484,7 @@ def fit_targets(
                              f"phase grid {(m, n)} nor its flat form {(m * n,)}")
         stack[k] = target
     depth = min(_lane_cap(program), options.restarts)
-    width = min(_lane_budget(program.free_count), depth * len(stack))
+    width = min(_lane_budget(program), depth * len(stack))
     queues = [_restart_starts(program, init, seed, options.restarts)
               for seed, init in zip(seeds, inits)]
     problem = _Problem([circuit.mixers for circuit in circuits], program, stack, width)

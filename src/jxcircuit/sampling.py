@@ -60,11 +60,9 @@ def gaussian_hermitian(n: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     re = rng.standard_normal((n, n))
     im = rng.standard_normal((n, n))
-    h = np.zeros((n, n), dtype=np.complex128)
-    iu, ju = np.triu_indices(n, k=1)
-    h[iu, ju] = re[iu, ju] + 1j * im[iu, ju]
+    h = np.triu(re + 1j * im, 1)
     h = h + h.conj().T
-    h[np.arange(n), np.arange(n)] = re.diagonal()
+    np.fill_diagonal(h, re.diagonal())
     return h
 
 

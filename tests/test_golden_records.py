@@ -78,8 +78,8 @@ STUDIES = {
     "faulty-n4": lambda **kw: faulty_shifter_grid(
         [1, 4], 2, 1, LmaOptions(restarts=4), 23, n=4, m=5, **kw),
     # the benchmark's univ-n4 round: below the transition 30 fits of 5
-    # restarts fill all 64 slots of a descent, keep restarts queued behind
-    # them and then drain; above it 30 lanes of one restart at a time
+    # restarts open together, 150 lanes in one wave that drains; above it
+    # 30 lanes of one restart at a time
     "universality-n4-lanes": lambda **kw: universality_sweep(
         [4], [3, 4, 6], 30, LmaOptions(restarts=5, max_iterations=40), 24, **kw),
     # fits on mixer stacks of their own (one perturbed circuit per sigma_k

@@ -266,9 +266,9 @@ def potrf_then_potrs(a, mu, g):
 
 @pytest.mark.skipif(SpdSolver is not CholeskySolver,
                     reason="numpy.linalg's LAPACK exports no dposv here")
-@pytest.mark.parametrize("p, slots", [(16, 64), (72, 25), (288, 1)])
+@pytest.mark.parametrize("p, slots", [(16, 150), (72, 25), (288, 1)])
 def test_one_dposv_per_slot_is_bitwise_dpotrf_then_dpotrs(p, slots):
-    # the lane shapes of the benchmark's descents: N = 4 (64 lanes), N = 8
+    # the lane shapes of the benchmark's descents: N = 4 (150 lanes), N = 8
     # and N = 16 (one lane); one slot's damping makes its matrix indefinite
     rng = np.random.default_rng(p)
     jac = rng.standard_normal((slots, p + 3, p))

@@ -90,9 +90,16 @@ def fit_at_width_one(*args, **kwargs):
 
 
 def fit_in_lanes(*args, **kwargs):
-    """``fit_alone`` with lanes on either side of the transition."""
-    with mock.patch.object(optimizer, "_lane_cap", lambda program: optimizer._MAX_WIDTH):
+    """``fit_alone`` with lanes on either side of the transition, as many as
+    the descent's budget allows."""
+    with mock.patch.object(optimizer, "_lane_cap", optimizer._lane_budget):
         return fit_alone(*args, **kwargs)
+
+
+def budget_of(lanes, p):
+    """A ``_LANE_BYTES`` that fits exactly ``lanes`` lanes of ``p`` free
+    phases on a small grid (where the (P, P) buffers outweigh the sweep slot)."""
+    return lanes * 32 * p * p
 
 
 def recorded_descents(monkeypatch):
@@ -425,7 +432,7 @@ def test_a_stopped_lane_slot_goes_to_the_next_restart(monkeypatch):
     ticks = np.diff(opened + [len(alone)]).tolist()
     assert min(ticks) < max(ticks)  # the lanes stop on different ticks
 
-    monkeypatch.setattr(optimizer, "_MAX_WIDTH", 4)
+    monkeypatch.setattr(optimizer, "_LANE_BYTES", budget_of(4, 16))
     assert optimizer._lane_cap(circuit.program) == 4
     refilled, sweeps = composed_grids(circuit, target, options, seed)
     assert_same_fit(refilled, serial)
@@ -473,7 +480,8 @@ def test_a_lane_keeps_its_slot_while_restarts_are_queued(monkeypatch):
     opened = [found[0] for found in opening_ticks(alone, starts)] + [len(alone)]
     trajectories = [alone[a:b] for a, b in zip(opened, opened[1:])]
 
-    monkeypatch.setattr(optimizer, "_MAX_WIDTH", 4)
+    monkeypatch.setattr(optimizer, "_LANE_BYTES", budget_of(4, 16))
+    assert optimizer._lane_cap(circuit.program) == 4
     _, sweeps = composed_grids(circuit, target, options, seed)
     drained = opening_ticks(sweeps, starts[-1:])[0][0]  # the tick the last restart opens
     moved = 0
@@ -492,7 +500,7 @@ def test_a_lane_keeps_its_slot_while_restarts_are_queued(monkeypatch):
 
 
 @pytest.mark.parametrize("n, m, restarts, max_iterations", [
-    (4, 4, 1, 30), (4, 4, 6, 30), (4, 4, 70, 5),  # below the transition: cap 64
+    (4, 4, 1, 30), (4, 4, 6, 30), (4, 4, 70, 5),  # below the transition: cap 512
     (4, 5, 1, 3), (4, 5, 5, 3),  # above it: cap 1, and no restart converges
 ])
 def test_a_fit_builds_one_solver_for_its_live_lanes(monkeypatch, n, m, restarts, max_iterations):
@@ -604,7 +612,7 @@ def test_fit_targets_refuses_mismatched_seeds_and_targets(monkeypatch):
     (16, 16, 3, 3, 2, 2),  # below the transition: 2 MiB a lane, so 2 lanes in all
     (16, 18, 2, 3, 1, 1),  # 288 free phases: one lane, as univ-n16 runs
     (4, 6, 3, 30, 30, 1),  # above the transition: one lane per fit, 30 side by side
-    (4, 4, 5, 30, 64, 5),  # below it: 5 lanes per fit, at most 64 in all
+    (4, 4, 5, 30, 150, 5),  # below it: 5 lanes per fit, all 150 in one wave
 ])
 def test_a_shared_descent_keeps_its_lanes_within_their_budget(
         monkeypatch, n, m, restarts, count, width, depth):
@@ -636,6 +644,53 @@ def test_a_shared_descent_keeps_its_lanes_within_their_budget(
     assert max(fits.count(f) for fits in seated for f in fits) == depth
     if n == 16 and m == 16:
         assert width == optimizer._LANE_BYTES >> 21
+
+
+def test_a_descent_wider_than_64_lanes_gives_every_fit_its_serial_result(monkeypatch):
+    # below the transition 30 fits of 5 restarts open together, 150 lanes in
+    # one wave; each fit's result is bitwise what it gets one lane at a time
+    circuit = ideal_circuit(4, 4)
+    targets = [haar_unitary(4, derive_seed(8, "t", i)) for i in range(30)]
+    options = LmaOptions(restarts=5, max_iterations=40)
+    serial = [fit_at_width_one(circuit, target, options, seed=k)
+              for k, target in enumerate(targets)]
+    widths = []
+    losses = _Problem.losses
+
+    def recorded(self, xs):
+        widths.append(len(xs))
+        return losses(self, xs)
+
+    monkeypatch.setattr(_Problem, "losses", recorded)
+    wide = fit_targets([circuit] * 30, targets, options, list(range(30)), [None] * 30)
+    assert widths[0] == max(widths) == 150
+    for one, want in zip(wide, serial):
+        assert_same_fit(one, want)
+        assert one.restarts_used == 5
+
+
+def test_a_program_with_no_free_phase_keeps_its_lanes_within_their_budget(monkeypatch):
+    # every shifter frozen: no lane has (P, P) buffers, but each is charged
+    # its sweep slot, so 20 fits of 50 restarts do not open 1000 lanes at once
+    n, m = 8, 9
+    made = []
+
+    class Counted(SpdSolver):
+        def __init__(self, size, slots):
+            made.append((size, slots))
+            super().__init__(size, slots)
+
+    monkeypatch.setattr(optimizer, "SpdSolver", Counted)
+    program = PhaseProgram(uniform_phases(m, n, 3), np.ones((m, n), dtype=bool))
+    circuit = ideal_circuit(n, m).with_program(program)
+    targets = [haar_unitary(n, derive_seed(4, "t", i)) for i in range(20)]
+    results = fit_targets([circuit] * 20, targets, LmaOptions(restarts=50), list(range(20)),
+                          [None] * 20)
+    assert {result.status for result in results} == {"no-free-parameters"}
+    assert {result.restarts_used for result in results} == {50}
+    ((size, slots),) = made
+    assert size == 0 and 1 < slots < 20 * 50
+    assert slots * 16 * (m + 1) * n * n <= optimizer._LANE_BYTES
 
 
 def test_no_lane_step_is_wasted_above_the_transition(monkeypatch):
@@ -679,7 +734,7 @@ def copy_of(circuit):
 
 
 @pytest.mark.parametrize("m, faults, restarts, count", [
-    (4, [], 7, 12),  # below the transition: 7 lanes per fit, 64 in all
+    (4, [], 7, 12),  # below the transition: 7 lanes per fit, 84 in all
     (6, [], 5, 30),  # above it: one lane per fit, 30 side by side
     (6, CLUSTERED, 6, 8),  # above it, with fits that need several restarts
 ])

@@ -51,6 +51,28 @@ def test_gaussian_hermitian_exactly_hermitian():
     assert np.all(h.diagonal().imag == 0.0)
 
 
+def hermitian_by_indices(n, seed):
+    """The reference draw: the strict upper triangle set by index, mirrored,
+    then the real diagonal set by index."""
+    rng = np.random.default_rng(seed)
+    re = rng.standard_normal((n, n))
+    im = rng.standard_normal((n, n))
+    h = np.zeros((n, n), dtype=np.complex128)
+    iu, ju = np.triu_indices(n, k=1)
+    h[iu, ju] = re[iu, ju] + 1j * im[iu, ju]
+    h = h + h.conj().T
+    h[np.arange(n), np.arange(n)] = re.diagonal()
+    return h
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_gaussian_hermitian_is_bitwise_the_reference_draw(n):
+    for seed in range(40):
+        want = hermitian_by_indices(n, seed)
+        got = gaussian_hermitian(n, seed)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_gaussian_hermitian_entry_variances():
     # diagonal entries are N(0,1); independent off-diagonal entries carry
     # unit-variance real and imaginary parts, so E|h|^2 = 2
