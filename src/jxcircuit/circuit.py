@@ -156,10 +156,10 @@ class FitResult:
     ``maxiter``, ``stalled`` (no damping up to the cap lowered the loss) or
     ``no-free-parameters``.  ``total_iterations`` and ``rejected_trials``
     (damping trials that found no lower loss) count over all
-    ``restarts_used`` descents.  ``seconds`` is the fit's share of the wall
-    time of the descent it ran in (each tick's time split equally among the
-    lanes the tick advanced, of this fit or of others of the same call)
-    plus its own final composition.
+    ``restarts_used`` descents.  ``loss`` is the best descent's, from the
+    sweep that composed its point.  ``seconds`` is the fit's share of the
+    wall time of the descent it ran in (each tick's time split equally among
+    the lanes the tick advanced, of this fit or of others of the same call).
     """
 
     phases: PhaseProgram

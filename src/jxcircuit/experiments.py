@@ -25,7 +25,6 @@ import json
 import math
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Sequence
@@ -137,6 +136,8 @@ def _run_jobs(jobs: list[_Job], threads: int, done: dict | None) -> list[Experim
                 pending.append((block, dict(inputs, units=units[lo:hi]), todo))
     workers = min(threads, len(pending))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool loads multiprocessing
+
         pool = ProcessPoolExecutor(workers)
         try:
             futures = [pool.submit(_measure, todo, **inputs) for _, inputs, todo in pending]

@@ -47,9 +47,8 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
+from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -58,10 +57,8 @@ from .circuit import (
     FitResult,
     InterlacedCircuit,
     PhaseProgram,
-    loss,
     normal_equations,
     prefix_products,
-    transfer_matrix,
 )
 from .numerics import SpdSolver, as_complex_matrix
 from .sampling import derive_seed, jitter_phases, uniform_phases
@@ -251,11 +248,13 @@ def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
 
     A lane keeps one slot of every stacked array (point ``x``, step
     ``delta``, gradient ``g``, J'J, and its target in ``problem``) from the
-    tick it opens to the tick it stops.  Each fit's restarts open in order:
-    on the first tick as many as fit, fits in order, then each in the slot
-    of a lane that stopped, its start as the point and a zero step, so
-    every tick composes ``x + delta``.  Once one meets the target, no later
-    restart of its fit opens and its fit's live lanes after it are dropped.
+    tick it opens to the tick it stops.  Restarts open from one queue of
+    tokens, ``depth`` per fit, fits in order: the free slots, in order, each
+    take the next token's fit's next restart (its start as the point and a
+    zero step, so every tick composes ``x + delta``), and a lane that stops
+    hands its fit's token back.  The token of a fit with no restart left, or
+    of one whose restart met the target, is dropped; and once one meets it,
+    the fit's live lanes after that restart are dropped too.
     A slot that no restart may take gets a lane from past the live count,
     so the live lanes fill the first slots.
 
@@ -274,10 +273,10 @@ def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
     live lanes take no part.
     """
     goal, p, diagonal = options.target_loss, problem.free_count, problem.diagonal
-    queues = [enumerate(starts) for starts in queues]
+    queues = [iter(starts) for starts in queues]
     outcomes: list[list[_Lane | None]] = [[] for _ in queues]
     cuts, seconds = [math.inf] * len(queues), [0.0] * len(queues)
-    waiting = list(range(len(queues)))  # the fits that may open another restart
+    tokens = deque(f for f in range(len(queues)) for _ in range(depth))
     # the lanes' complex G and their J'J share one block: freeing it lifts
     # glibc's mmap threshold above the next descent's buffers, which then
     # reuse resident pages instead of faulting in fresh ones
@@ -295,27 +294,24 @@ def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
                 lane = lanes[s]
                 lane.x = x[s].copy()
                 outcomes[lane.fit][lane.index] = lane
+                tokens.append(lane.fit)
                 if lane.loss < goal:
                     cuts[lane.fit] = min(cuts[lane.fit], lane.index)
             lanes = [lane if not lane.status and lane.index < cuts[lane.fit] else None
                      for lane in lanes] + [None] * (width - len(lanes))
-            live = Counter(lane.fit for lane in lanes if lane)
-            free, still, opened = [s for s, lane in enumerate(lanes) if lane is None], [], []
-            for f in waiting:
-                if cuts[f] < math.inf:
+            free = [s for s, lane in enumerate(lanes) if lane is None]
+            while tokens and len(fresh) < len(free):
+                f = tokens.popleft()
+                start = next(queues[f], None) if cuts[f] == math.inf else None
+                if start is None:  # the fit met the target or drained: drop its token
                     continue
-                take = min(len(free) - len(opened), depth - live[f])
-                batch = list(islice(queues[f], take)) if take else []
-                opened += [(f, k, start) for k, start in batch]
-                outcomes[f] += [None] * len(batch)
-                if len(batch) == take:  # a shorter batch drained the queue
-                    still.append(f)
-            waiting, fresh = still, free[:len(opened)]
-            for s, (f, k, start) in zip(fresh, opened):
-                lanes[s] = _Lane(f, k, math.nan, _DAMPING_SCALE * diagonal)
+                s = free[len(fresh)]
+                fresh.append(s)
+                lanes[s] = _Lane(f, len(outcomes[f]), math.nan, _DAMPING_SCALE * diagonal)
+                outcomes[f].append(None)
                 x[s], delta[s], g[s] = start, 0.0, 0.0
-            count = width - len(free) + len(opened)
-            holes = [s for s in free[len(opened):] if s < count]  # no restart may take them
+            count = width - len(free) + len(fresh)
+            holes = [s for s in free[len(fresh):] if s < count]  # no restart may take them
             movers = [s for s in range(count, width) if lanes[s]]
             for hole, s in zip(holes, movers):
                 lanes[hole] = lanes[s]
@@ -455,9 +451,9 @@ def fit_targets(
     Unequal counts, a circuit unlike the first (named by its position), a
     target not N x N or not finite, or a start grid of another shape raise
     ``ValueError`` before anything is composed.  Frozen phases are never
-    modified.  Each loss is recomputed from the composed transfer matrix;
-    each ``seconds`` is the fit's share of the descent's ticks plus its
-    final composition, so they add up to the call's wall time.
+    modified.  A result is its fit's best lane, its loss from the descent's
+    sweep (bitwise ``loss(transfer_matrix(mixers, theta), target)``); each
+    ``seconds`` is the fit's share of the ticks, adding up to the wall time.
     """
     for name, given in (("circuits", circuits), ("seeds", seeds), ("starts", inits)):
         if len(given) != len(targets):
@@ -491,23 +487,21 @@ def fit_targets(
     outcomes, seconds = _descend(problem, queues, options, width, depth)
 
     results = []
-    for circuit, target, fit_outcomes, share in zip(circuits, stack, outcomes, seconds):
-        t0 = time.perf_counter()
+    for fit_outcomes, share in zip(outcomes, seconds):
         best = min(fit_outcomes, key=lambda outcome: outcome.loss)
         phases = program.with_free_values(best.x)
-        final_loss = loss(transfer_matrix(circuit.mixers, phases.theta), target)
         if not np.array_equal(phases.theta[program.fixed], program.theta[program.fixed]):
             raise AssertionError("optimizer modified frozen phase entries")
         results.append(FitResult(
             phases=phases,
-            loss=final_loss,
+            loss=best.loss,
             iterations=best.iterations,
             restarts_used=len(fit_outcomes),
-            converged=final_loss < options.target_loss,
+            converged=best.loss < options.target_loss,
             status=best.status,
             total_iterations=sum(outcome.iterations for outcome in fit_outcomes),
             rejected_trials=sum(outcome.rejected for outcome in fit_outcomes),
-            seconds=share + time.perf_counter() - t0,
+            seconds=share,
         ))
     return results
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -625,7 +626,7 @@ class TestExperimentCommand:
 
     def test_threads_default_to_one(self, tmp_path, monkeypatch):
         # two jobs, but without --threads they run in this process
-        monkeypatch.setattr(jxcircuit.experiments, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             lambda *args: pytest.fail("a worker pool started"))
         cfg = self.config(tmp_path, "n_list = [2]\nm_list = [3]\ntargets = 2\nrestarts = 1\n")
         assert run("experiment", "universality", "--config", cfg,

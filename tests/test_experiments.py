@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -134,7 +135,8 @@ def fitted_target_counts(monkeypatch):
     call order, with the jobs of a pool run one at a time in this process;
     a ``fit`` call fails."""
     counts = []
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", lambda workers: ThreadPoolExecutor(1))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda workers: ThreadPoolExecutor(1))
 
     def counting(circuits, targets, *args):
         counts.append(len(targets))

@@ -29,6 +29,7 @@ digests of the code it imports, laid out as ``GOLDEN`` and ``CLI_GOLDEN``,
 to compare against or to re-pin from a trusted revision.
 """
 
+import concurrent.futures
 import csv
 import dataclasses
 import functools
@@ -41,7 +42,6 @@ from pathlib import Path
 
 import pytest
 
-from jxcircuit import experiments
 from jxcircuit.cli import main
 from jxcircuit.experiments import (
     faulty_shifter_grid,
@@ -251,8 +251,8 @@ def test_study_records_match_golden(name):
 def test_jobs_run_in_spawned_workers(monkeypatch):
     # a spawned worker starts from a fresh import, so every job must pickle
     # (no closures, no state set up in the parent)
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", functools.partial(
-        experiments.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+        concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
     for name, study in STUDIES.items():
         assert records_digest(study(threads=2)) == GOLDEN[name][1], name
 

@@ -12,10 +12,12 @@ import jxcircuit
 from jxcircuit import optimizer
 from jxcircuit.circuit import (
     PhaseProgram,
+    apply_fault_plan,
     compose,
     ideal_circuit,
     loss,
     perturbed_circuit,
+    transfer_matrix,
 )
 from jxcircuit import numerics
 from jxcircuit.numerics import CholeskySolver, LuSolver, SpdSolver
@@ -296,8 +298,6 @@ def test_gradient_small_at_converged_optimum():
 
 
 def test_fixed_phases_preserved_bitwise():
-    from jxcircuit.circuit import apply_fault_plan
-
     program = apply_fault_plan(
         PhaseProgram.zeros(5, 4), [(0, 1, 1.234567890123), (3, 2, 0.777)]
     )
@@ -319,12 +319,31 @@ def test_fit_deterministic():
     assert np.array_equal(a.phases.theta, b.phases.theta)
 
 
-def test_fit_loss_matches_recomposition():
-    circ = ideal_circuit(3, 3)
-    target = haar_unitary(3, 61)
-    result = fit(circ, target, LmaOptions(restarts=3), seed=10)
-    recomputed = loss(compose(circ.with_program(result.phases)), target)
-    assert abs(result.loss - recomputed) < 1e-14
+@pytest.mark.parametrize("n, m, faults, sigma, count, options", [
+    (3, 3, [], None, 1, LmaOptions(restarts=3)),
+    (4, 4, [], None, 1, LmaOptions(restarts=6)),  # below the transition: six lanes
+    # four shifters of one layer frozen: some targets take several restarts
+    (4, 6, [(2, 0, 0.5), (2, 1, 1.0), (2, 2, 2.0), (2, 3, 0.3)], None, 4,
+     LmaOptions(restarts=6, max_iterations=100)),
+    # truncated refits, each fit on perturbed mixers of its own
+    (4, 5, [], 0.004, 4, LmaOptions(restarts=3, max_iterations=20)),
+    (16, 18, [], None, 1, LmaOptions(restarts=1)),
+])
+def test_fit_loss_matches_recomposition(n, m, faults, sigma, count, options):
+    # a result's loss is its best lane's, taken from the descent's stacked
+    # sweep and never composed again: it must be bitwise the loss of its
+    # phases composed alone, and decide convergence as that loss does
+    program = apply_fault_plan(PhaseProgram.zeros(m, n), faults)
+    circuits = [(ideal_circuit(n, m) if sigma is None else
+                 perturbed_circuit(n, m, sigma, seed=70 + k)).with_program(program)
+                for k in range(count)]
+    targets = [haar_unitary(n, 61 + k) for k in range(count)]
+    results = fit_targets(circuits, targets, options, [10 + k for k in range(count)],
+                          [None] * count)
+    for circuit, target, result in zip(circuits, targets, results):
+        recomposed = loss(transfer_matrix(circuit.mixers, result.phases.theta), target)
+        assert result.loss == recomposed
+        assert result.converged == (recomposed < options.target_loss)
 
 
 def test_fit_from_an_exact_start_keeps_it_without_iterating():
@@ -371,7 +390,6 @@ def refuse_compositions(monkeypatch):
         pytest.fail("a fit with a refused input composed its circuit")
 
     monkeypatch.setattr(optimizer, "prefix_products", composed)
-    monkeypatch.setattr(optimizer, "transfer_matrix", composed)
 
 
 @pytest.mark.parametrize("shape", [(4, 1), (1, 4), (1, 1), (5, 5)])

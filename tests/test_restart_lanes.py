@@ -693,12 +693,18 @@ def test_a_program_with_no_free_phase_keeps_its_lanes_within_their_budget(monkey
     assert slots * 16 * (m + 1) * n * n <= optimizer._LANE_BYTES
 
 
-def test_no_lane_step_is_wasted_above_the_transition(monkeypatch):
-    # at M = 6 a fit runs one restart at a time, alone or beside 29 others,
+@pytest.mark.parametrize("faults, count, lanes, options", [
+    ([], 30, None, LmaOptions(restarts=5, max_iterations=40)),
+    # fits that need several restarts, in 4 slots: a fit's next restart
+    # waits for a slot, and the token of a fit that met the target or ran
+    # out of restarts opens nothing
+    (CLUSTERED, 8, 4, LmaOptions(restarts=6, max_iterations=100)),
+])
+def test_no_lane_step_is_wasted_above_the_transition(monkeypatch, faults, count, lanes, options):
+    # at M = 6 a fit runs one restart at a time, alone or beside the others,
     # so the grids composed over the batch are the sum over serial fits
-    circuit = ideal_circuit(4, 6)
-    targets = [haar_unitary(4, derive_seed(9, "t", i)) for i in range(30)]
-    options = LmaOptions(restarts=5, max_iterations=40)
+    circuit = ideal_circuit(4, 6).with_program(apply_fault_plan(PhaseProgram.zeros(6, 4), faults))
+    targets = [haar_unitary(4, derive_seed(9, "t", i)) for i in range(count)]
     grids = []
     prefix_products = optimizer.prefix_products
 
@@ -707,11 +713,13 @@ def test_no_lane_step_is_wasted_above_the_transition(monkeypatch):
         return prefix_products(mixers, thetas, out)
 
     monkeypatch.setattr(optimizer, "prefix_products", counted)
-    for k, target in enumerate(targets):
-        fit(circuit, target, options, seed=k)
+    alone = [fit(circuit, target, options, seed=k) for k, target in enumerate(targets)]
     serial, grids[:] = sum(grids), []
-    fit_targets([circuit] * 30, targets, options, list(range(30)), [None] * 30)
-    assert sum(grids) == serial and max(grids) == 30
+    if lanes:
+        monkeypatch.setattr(optimizer, "_LANE_BYTES", budget_of(lanes, circuit.program.free_count))
+        assert max(result.restarts_used for result in alone) > 1
+    fit_targets([circuit] * count, targets, options, list(range(count)), [None] * count)
+    assert sum(grids) == serial and max(grids) == (lanes or count)
 
 
 def test_a_fit_is_timed_by_its_share_of_the_ticks():

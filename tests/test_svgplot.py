@@ -18,13 +18,14 @@ def test_labels_are_escaped():
 
 def test_import_loads_no_network_modules():
     # escaping a label takes three replacements, not xml.sax with urllib,
-    # http and ssl behind it
+    # http and ssl behind it; and only a run on worker processes needs
+    # multiprocessing, with socket behind it
     src = str(Path(jxcircuit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     code = ("import sys, jxcircuit; "
-            "print([m for m in ('xml.sax', 'urllib.request', 'http.client', 'ssl') "
-            "if m in sys.modules])")
+            "print([m for m in ('xml.sax', 'urllib.request', 'http.client', 'ssl', "
+            "'multiprocessing', 'socket') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
