@@ -101,7 +101,7 @@ class LmaOptions:
 
 @dataclass(frozen=True)
 class FromVector:
-    """Start at a given phase grid, optionally jittered by a relative fraction."""
+    """Start at a given (M, N) phase grid, optionally jittered by a relative fraction."""
 
     phases: np.ndarray
     jitter_fraction: float = 0.0
@@ -384,20 +384,6 @@ def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
     return [o if c == math.inf else o[:c + 1] for o, c in zip(outcomes, cuts)], seconds
 
 
-def _initial_free_values(
-    program: PhaseProgram, init: FromVector | None, restart_seed: int
-) -> np.ndarray:
-    """Start of one restart: fresh i.i.d. U[0, 2 pi) phases when ``init`` is
-    None, else ``init``'s grid (of a shape ``fit_targets`` checked) jittered
-    by its fraction."""
-    if init is None:
-        grid = uniform_phases(program.layers, program.ports, restart_seed)
-    else:
-        base = init.phases.reshape(program.layers, program.ports)
-        grid = jitter_phases(base, init.jitter_fraction, restart_seed)
-    return grid[program.free_mask]
-
-
 def _lane_budget(program: PhaseProgram) -> int:
     """Most live lanes of one descent on ``program`` within ``_LANE_BYTES``: a
     lane's complex G, J'J and damped matrix take 32 P^2 bytes, and it is
@@ -426,9 +412,17 @@ def _lane_cap(program: PhaseProgram) -> int:
 
 
 def _restart_starts(program: PhaseProgram, init: FromVector | None, seed: int, count: int):
-    """The start vectors of a fit's ``count`` restarts, drawn as they open."""
+    """The free values of a fit's ``count`` restarts, drawn as they open:
+    restart k, seeded by ``derive_seed(seed, "lma-restart", k)``, starts at
+    fresh i.i.d. U[0, 2 pi) phases when ``init`` is None, else at ``init``'s
+    (M, N) grid jittered by its fraction."""
     for k in range(count):
-        yield _initial_free_values(program, init, derive_seed(seed, "lma-restart", k))
+        restart_seed = derive_seed(seed, "lma-restart", k)
+        if init is None:
+            grid = uniform_phases(program.layers, program.ports, restart_seed)
+        else:
+            grid = jitter_phases(init.phases, init.jitter_fraction, restart_seed)
+        yield grid[program.free_mask]
 
 
 def fit_targets(
@@ -443,8 +437,8 @@ def fit_targets(
 
     The circuits share N, M, the frozen mask and the frozen values; each may
     have its own mixers.  A fit runs up to ``options.restarts`` descents from
-    seeded starts (uniform phases, or its start's (M, N) or flat grid
-    jittered) until one meets the loss target.  All the fits' descents run
+    seeded starts (uniform phases, or its start's (M, N) grid jittered)
+    until one meets the loss target.  All the fits' descents run
     as lanes of one ``_descend``, each on its fit's mixers and target, at
     most ``_lane_cap`` per fit and ``_lane_budget`` in all; a fit's outcomes
     count in restart order, so each result is what the fit gets alone.
@@ -475,9 +469,9 @@ def fit_targets(
                              f"{(n, n)} transfer matrix")
         if not np.isfinite(target).all():
             raise ValueError("target has non-finite entries")
-        if init is not None and init.phases.shape not in ((m, n), (m * n,)):
-            raise ValueError(f"start grid shape {init.phases.shape} is neither the circuit's "
-                             f"phase grid {(m, n)} nor its flat form {(m * n,)}")
+        if init is not None and init.phases.shape != (m, n):
+            raise ValueError(f"start grid shape {init.phases.shape} is not the circuit's "
+                             f"phase grid {(m, n)}")
         stack[k] = target
     depth = min(_lane_cap(program), options.restarts)
     width = min(_lane_budget(program), depth * len(stack))

@@ -25,7 +25,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jxcircuit import optimizer
@@ -36,6 +36,7 @@ from jxcircuit.circuit import (
     ideal_circuit,
     loss,
     normal_equations,
+    prefix_products,
     transfer_matrix,
 )
 from jxcircuit.numerics import SpdSolver
@@ -53,7 +54,7 @@ def haar_circuit(n, m, seed, fixed):
 def fits(draw):
     """(circuit, target, options, init, seed): N 1-5, M 1-6, any mask,
     restarts 1-12, 1-40 iterations per descent, and seeded uniform starts
-    or a jittered start grid (as a grid or flat).  The loss target is either
+    or a jittered (M, N) start grid.  The loss target is either
     drawn log-uniformly from [1e-10, 1], or a fraction (0.5-1) of the loss
     the first restart reaches, so that restart fails and a later one may
     not."""
@@ -69,8 +70,7 @@ def fits(draw):
     init = None
     if draw(st.booleans()):
         grid = uniform_phases(m, n, derive_seed(seed, "start"))
-        init = FromVector(grid.ravel() if draw(st.booleans()) else grid,
-                          draw(st.floats(0.0, 0.5)))
+        init = FromVector(grid, draw(st.floats(0.0, 0.5)))
     fraction = draw(st.none() | st.floats(0.5, 1.0))
     if fraction is not None:
         first = fit_alone(circuit, target, replace(options, restarts=1), init, seed=seed).loss
@@ -160,6 +160,63 @@ def test_lanes_that_stop_on_different_ticks_give_the_serial_fit(monkeypatch):
 def test_lanes_run_only_below_the_transition(n, m, faults, lanes):
     program = apply_fault_plan(PhaseProgram.zeros(m, n), faults)
     assert (optimizer._lane_cap(program) > 1) == lanes
+
+
+@st.composite
+def frozen_programs(draw):
+    """(program, seed): N 1-6, M N-1..N+1 (M >= 1), any frozen mask, and
+    every phase, frozen or not, drawn uniform in [0, 2 pi) from the seed,
+    as ``_random_fault_plan`` draws a fault's value."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(max(n - 1, 1), n + 1))
+    fixed = np.array(draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    theta = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, (m, n))
+    return PhaseProgram(theta, fixed.reshape(m, n)), seed
+
+
+def jtj_rank(mixers, program, seed):
+    """The numerical rank of J'J (eigenvalues above 1e-9 of the largest),
+    the best of 3 random points of the free phases."""
+    m, n, p = program.layers, program.ports, program.free_count
+    if p == 0:
+        return 0
+    rng = np.random.default_rng(derive_seed(seed, "points"))
+    prefixes = np.empty((m + 1, 1, n, n), dtype=np.complex128)
+    gram, jtj = np.empty((p, p), dtype=np.complex128), np.empty((p, p))
+    best = 0
+    for _ in range(3):
+        theta = program.with_free_values(rng.uniform(0.0, 2 * np.pi, p)).theta
+        prefix_products(mixers[:, None], theta[None], prefixes)
+        normal_equations(prefixes[:, 0], program.free_mask, np.eye(n), gram, jtj)
+        w = np.linalg.eigvalsh(jtj)
+        best = max(best, int((w > 1e-9 * w[-1]).sum()))
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(frozen_programs())
+# one direction short of U(2)'s 4: two fully free layers around a frozen one
+@example((PhaseProgram(uniform_phases(3, 2, 1), [[0, 0], [1, 1], [0, 0]]), 1))
+def test_the_lane_cap_counts_the_directions_of_the_free_phases(case):
+    """On ideal mixers the free phases span min(P - max(F - 1, 0), N^2)
+    directions, F the layers with no frozen phase, and ``_lane_cap`` runs
+    one lane at a time exactly when that reaches N^2.
+
+    Frozen values are random.  A fully frozen layer whose phases are all
+    equal is a global phase: the mixers on either side of it then compose
+    to X @ X, the Jx lattice's mirror permutation up to a global phase, and
+    the phases of the layers on either side trade against each other, so
+    the count overstates the rank (free layer 0, frozen layers 1 and 3,
+    one free phase in layer 2 of N = 3, M = 4: 4 directions counted, J'J
+    of rank 3).  That case is left out here.
+    """
+    program, seed = case
+    n = program.ports
+    fully_free = int(program.free_mask.all(axis=1).sum())
+    directions = min(program.free_count - max(fully_free - 1, 0), n * n)
+    assert jtj_rank(ideal_circuit(n, program.layers).mixers, program, seed) == directions
+    assert (optimizer._lane_cap(program) == 1) == (directions == n * n)
 
 
 def test_lane_buffers_stay_within_their_budget():
@@ -273,8 +330,8 @@ def test_every_fit_reads_the_normal_equations_of_its_current_point(monkeypatch, 
     if not lanes:
         monkeypatch.setattr(optimizer, "_lane_cap", lambda program: 1)
     counts = {"rows": 0, "starts": 0, "steps": 0}
-    normal_equations, initial, accept = (
-        _Problem.normal_equations, optimizer._initial_free_values, _Lane.accept)
+    normal_equations, restart_starts, accept = (
+        _Problem.normal_equations, optimizer._restart_starts, _Lane.accept)
 
     def fresh(self, rows, gram, jtj):
         g = normal_equations(self, rows, gram, jtj)
@@ -285,15 +342,16 @@ def test_every_fit_reads_the_normal_equations_of_its_current_point(monkeypatch, 
         return g
 
     def started(*args):
-        counts["starts"] += 1
-        return initial(*args)
+        for start in restart_starts(*args):
+            counts["starts"] += 1
+            yield start
 
     def stepped(self, *args):
         accept(self, *args)
         counts["steps"] += not self.status  # the lane starts another iteration
 
     monkeypatch.setattr(_Problem, "normal_equations", fresh)
-    monkeypatch.setattr(optimizer, "_initial_free_values", started)
+    monkeypatch.setattr(optimizer, "_restart_starts", started)
     monkeypatch.setattr(_Lane, "accept", stepped)
     # below the transition every restart runs: 21 side by side, or one at a time
     result = fit(ideal_circuit(4, 4), haar_unitary(4, 9),
@@ -309,7 +367,7 @@ def count_sweeps_and_factorizations(monkeypatch):
     counts = {"sweeps": [], "starts": 0, "factored": 0}
     prefix_products = optimizer.prefix_products
     normal_equations = optimizer.normal_equations
-    initial = optimizer._initial_free_values
+    restart_starts = optimizer._restart_starts
     solve = SpdSolver.solve
 
     def sweep(mixers, thetas, out):
@@ -323,8 +381,9 @@ def count_sweeps_and_factorizations(monkeypatch):
         return out
 
     def started(*args):
-        counts["starts"] += 1
-        return initial(*args)
+        for start in restart_starts(*args):
+            counts["starts"] += 1
+            yield start
 
     def factored(self, *args):
         x = solve(self, *args)
@@ -333,7 +392,7 @@ def count_sweeps_and_factorizations(monkeypatch):
 
     monkeypatch.setattr(optimizer, "prefix_products", sweep)
     monkeypatch.setattr(optimizer, "normal_equations", equations)
-    monkeypatch.setattr(optimizer, "_initial_free_values", started)
+    monkeypatch.setattr(optimizer, "_restart_starts", started)
     monkeypatch.setattr(SpdSolver, "solve", factored)
     result = fit(ideal_circuit(4, 4), haar_unitary(4, 8), LmaOptions(restarts=6), seed=4)
     assert result.restarts_used == 6 and not result.converged
@@ -422,9 +481,7 @@ def test_a_stopped_lane_slot_goes_to_the_next_restart(monkeypatch):
     # tick count (sweeps from its start to its stop) comes from the serial
     # fit, where each restart's sweeps follow the previous one's
     circuit, target, seed = ideal_circuit(4, 4), haar_unitary(4, 2), 4
-    starts = [optimizer._initial_free_values(circuit.program, None,
-                                             derive_seed(seed, "lma-restart", k))
-              for k in range(11)]
+    starts = list(optimizer._restart_starts(circuit.program, None, seed, 11))
     options = LmaOptions(restarts=11, max_iterations=30)
     with mock.patch.object(optimizer, "_lane_cap", lambda program: 1):
         serial, alone = composed_grids(circuit, target, options, seed)
@@ -471,9 +528,7 @@ def test_a_lane_keeps_its_slot_while_restarts_are_queued(monkeypatch):
     # the tick it stops, except that once the last restart has opened, the
     # last lane moves down into a row that a stopped lane left free
     circuit, target, seed = ideal_circuit(4, 4), haar_unitary(4, 2), 4
-    starts = [optimizer._initial_free_values(circuit.program, None,
-                                             derive_seed(seed, "lma-restart", k))
-              for k in range(11)]
+    starts = list(optimizer._restart_starts(circuit.program, None, seed, 11))
     options = LmaOptions(restarts=11, max_iterations=30)
     with mock.patch.object(optimizer, "_lane_cap", lambda program: 1):
         _, alone = composed_grids(circuit, target, options, seed)
