@@ -7,11 +7,12 @@ the mixers are unitary, as ``InterlacedCircuit`` guarantees, so the coupling of 
 phases is the squared modulus of the transfer matrix between their layers) and
 solved per step, from one Cholesky factorization per damping value
 (``numerics.SpdSolver``); a step is accepted only if it lowers the loss, in
-which case ``lambda`` (first 1e-3 / N^2) follows Nielsen's gain-ratio update
-(H. B. Nielsen, 1999: it shrinks by up to 3x when the loss falls as the
-Gauss-Newton model predicts, and grows by up to 2x when it falls far less);
-otherwise it grows by a factor of 2 and the solve is retried (as it is when
-the damped matrix is not numerically positive definite).
+which case ``lambda`` (first 1e-3, a first shift of 1e-3 / N^2) follows
+Nielsen's gain-ratio update (H. B. Nielsen, 1999: it shrinks by up to 3x
+when the loss falls as the Gauss-Newton model predicts, and grows by up to
+2x when it falls far less); otherwise it grows by a factor of 2 and the
+solve is retried (as it is when the damped matrix is not numerically
+positive definite).
 
 The restarts of every fit of a ``fit_targets`` call run as the lanes of
 one descent (``_descend``), a stack of live lanes advanced together in
@@ -70,7 +71,7 @@ __all__ = ["LmaOptions", "FromVector", "fit", "fit_targets"]
 _FUNCTION_TOLERANCE = 1e-6
 _STEP_TOLERANCE = 1e-6
 _OPTIMALITY_TOLERANCE = 1e-10
-#: first damping (a multiple of the diagonal of J'J), growth on rejection, give-up cap
+#: first damping lambda, in units of diag(J'J); growth on rejection; give-up cap
 _DAMPING_SCALE = 1e-3
 _DAMPING_FACTOR = 2.0
 _DAMPING_MAX = 1e10
@@ -307,7 +308,7 @@ def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
                     continue
                 s = free[len(fresh)]
                 fresh.append(s)
-                lanes[s] = _Lane(f, len(outcomes[f]), math.nan, _DAMPING_SCALE * diagonal)
+                lanes[s] = _Lane(f, len(outcomes[f]), math.nan, _DAMPING_SCALE)
                 outcomes[f].append(None)
                 x[s], delta[s], g[s] = start, 0.0, 0.0
             count = width - len(free) + len(fresh)

@@ -7,20 +7,19 @@ digest mismatch.  The CLI cases hash the record CSV (without its
 ``wall_time`` column), the metadata (without its version block), the SVG
 and stdout of ``jxcircuit experiment`` for every study name.
 
-The study digests were taken with numpy 2.4.6 on OpenBLAS 0.3.31 (Python
-3.11, x86-64) from jxcircuit 0.14.0, the first version to damp each
-descent by ``(lambda / N^2) I`` (Marquardt's ``lambda diag(J'J)`` with the
-diagonal that every free phase has, instead of reading and flooring it
-entry by entry), with only the plain damped step tried in each damping
-trial, the normal equations formed from the prefix products alone
-(through the unitarity of the mixers) and each damping trial solved from
-one Cholesky factorization (``"damped_solve": "dpotrf"`` in the
-metadata), once the full acceptance suite and the held-out recalibration
-seeds had passed on it.  The CLI digests (N = 2) are 0.8.0's: at N = 2
-the new damping gives the same records.  ``universality-n4-lanes`` and
-``phasediff-n4`` were pinned from 0.16.0, whose descent still moved every
-live lane to the front of its arrays whenever another stopped.  At these sizes (N <= 8) they are
-the same with one BLAS thread and with OpenBLAS's default threading; that
+The study and CLI digests were taken with numpy 2.4.6 on OpenBLAS 0.3.31
+(Python 3.11, x86-64) from jxcircuit 0.22.0, the first version to open
+every descent at a first damping of ``1e-3 diag(J'J)`` (a first lambda of
+1e-3, so a first shift of 1e-3 / N^2; earlier versions applied the
+diagonal twice, 1e-3 / N^4), once the full acceptance suite had passed on
+it.  Each descent damps by ``(lambda / N^2) I`` (Marquardt's
+``lambda diag(J'J)`` with the diagonal that every free phase has), tries
+only the plain damped step in each damping trial, forms the normal
+equations from the prefix products alone (through the unitarity of the
+mixers) and solves each damping trial from one Cholesky factorization
+(``"damped_solve": "dpotrf"`` in the metadata).  At these sizes (N <= 8)
+they are the same with one BLAS thread and with OpenBLAS's default
+threading (checked at 0.22.0); that
 does not hold in general: at N = 16 (288 free phases) the threaded
 ``dpotrf`` rounds differently, and records there differ in their last
 bits with the BLAS thread count.  Another numpy or BLAS build may round the
@@ -105,87 +104,87 @@ CLI_CONFIGS = {
 GOLDEN = {
     "universality": (
         18,
-        "71597e36c23ec89bb211dbd9b2778af684ada877cd76e3485e43fd533f4079c9",
-        "1b144fc5c74fc900acdf6317e196e781d32eec87fb63970066d2936774efc2bd",
+        "1847c4d27eaf1b589968102e965c8652207361f217d7a40aa1ab6ad04a807492",
+        "cf5ad9701dad0d741cf6a237e46246c1a463ed285b5f3f7faa09eddbacd04fbb",
     ),
     "table1": (
         6,
-        "49607c65c9f5109d88c6db25b40c243b0c52d038c5d0b8cfd56e806e4e99840d",
-        "c58da1f8cbdecb35c3117092f712c174895d61d3d524621eccc1e0b9eeae67ea",
+        "f5e160f777c18421ced9208fab46eb039803b347232dc90571a655f4fa095e13",
+        "2d76b0bf26904cb587eaf3d342824d6c18eaa3975152d8d62166445db5cd87c6",
     ),
     "recalibration": (
         6,
-        "64982dbea458e334fbade85e7f9bc36956890f1e7d680027fab82afc54380917",
-        "669c1427220cea8b1321b106d1b9076fddfe25de11c092cb6146867b32955362",
+        "8a37ce79715448f06769b01834374e3b08f852db50b74c2f17a98c815bd86ce1",
+        "f3f2135f53abef7774189fe8d212f19765690cbad4734ed2ddba2b4315a194ae",
     ),
     "phasediff": (
         24,
-        "fae4db051db50a68ac718241f644a974bf36810741263197e62f4bbbc5e0e8c8",
-        "80d94432eacba976469384dcac11263800b1afaa755de7607d937b1a23913741",
+        "13804cd535be45a30c98e44dcc2e8cb117e99f98eb504b82a9c3bb1c6a0154f8",
+        "5bdd31d03107dbb0593cfc634a4f4d825e0930e100ef98339d9d8f209032d676",
     ),
     "faulty": (
         8,
-        "bca834ed9b77d2e1fbabfe04321c22d5e9293de0593a62f93481c37853f4cecc",
-        "edfbf69291a8440b2a32b7b4bc9750a8018273f4dda049e53d6353b9f994c80e",
+        "e0e2a871286a64766590c658f3c71f8d629131799892867f359e7c69e5da3e4b",
+        "88053b6392a0d6899cf6f47da6638e86ead60bfb6214e14c55942091c8690321",
     ),
     "universality-n4": (
         9,
-        "ed6933a820b7553d875389c3ab96e8b62cbce47edfa09ed03c87017f66ac0b3a",
-        "c93f62fb85222fd78bb1942d12315a0335e49f299747784066419c464f598945",
+        "20f9c4414bbbb35fffa787482f95614dc290cefa8f2121d49b02f91d0a5fba2d",
+        "91c72c30859a65a00004ad7528e848ff57ce05cfd3d9e844ef32916dbc15afb3",
     ),
     "phasediff-n8": (
         8,
-        "9b26391146f17834f65ff2ca13614931feea13bd7e54ebf73fdc4ceea83b3ab0",
-        "782ad2a5b047004cf1e3937439cb9b2811ba3471d9e6e0d13e278d74f29e8a74",
+        "f0d755a8514e1dfbaebb1b412384ea56de7d39466297f3a02662a478221256df",
+        "24641ea4d0a43d98356d3887ad6f818776f18d23e4a98ab3a11a2e1333d4fc43",
     ),
     "faulty-n4": (
         4,
-        "7150a2e6fa366d213e606766359216b132bda492730045bfe5847f723dbb7939",
-        "95fe653fb8ca9435edf5951cd2f0a05e022a4d9e0131320df70dd839838248c2",
+        "ec1eb5e33acea034cfad532f361e3957b6249deb58c1d0099cb6d11221e603ae",
+        "91c6c8a5136b6773516d6376098993e9f9c346fe64fa8f6cbeb5b96df27d3a21",
     ),
     "universality-n4-lanes": (
         90,
-        "6f4209df88131c415e1b18d8507d2011eedac6c96259bad3438aedc442c9edf2",
-        "bfe74b0376fc48f728f7a2b189844f65e3da5e5a33cf7aff5bae62d34a01c011",
+        "afdd484c54dfe526e696e35cb511e42d96777cccc87e9e58475c4cbc71b30aeb",
+        "03eafe2e794b15f5a357c5d0d3753fd96614197e4d215123d00c421862c50333",
     ),
     "phasediff-n4": (
         24,
-        "93caffec6b2d42b85b1c558f8ab65e72639becd6e91204ccc384ae78e57f502a",
-        "fd8ad079ae333d8b3e6864b5ab4a40978fb4e43bcf47747ccc597059b9ec837f",
+        "a75174fec6c6359bdf13602d6d462e5094186b8c6dcd97f39ab990be9f86e7a8",
+        "4fa49b4d831f60a45b258a0a1b9474a4e004f2caf9eec4571a96cf7d42cb86db",
     ),
 }
 
 #: study -> digests of (CSV without wall_time, metadata without versions, SVG, stdout)
 CLI_GOLDEN = {
     "universality": (
-        "53ae20ee3639d98bc1b817b699c38bb880891d3b0498d71dcb7b3b5a2886ae98",
+        "353369b2f09edc34cf8b38f4ddd9e9a4629a7ce676ccd1b766d69875ab09b175",
         "72b5223981ac26b1bed90d3cdc8584c7fc3e9ff84a71200d9406aee2a53e5db6",
         "422316ae82b2504399aa916209356d27ea387034691bacc7af746a90c1c7ab0f",
-        "3e6ae8ebb58fa8b797cdbdc53a74ec1037896531dd0546d813008f12a53654a5",
+        "fccd38f99214cf082f7be17149fa3723da09e68a247f8cc09abd82598f20d269",
     ),
     "table1": (
-        "755ead30c0e14b70bf49005cda64aaa8b0035e9ff18da2f6eb6ba93b9dc20965",
+        "5ac3277feba6fe4f376f69c9bd11f465ad2808f0a0ef21de182b140e2b36b90e",
         "8337850ed42a00c0b353720fca6135214e43129d3d8ef61e8ea673f12a58d43c",
         "f066b355017a9a92cb5faf1e0b4fcbf6f01ef5cb0b90baa650aa5720fff3fcf4",
         "f60032277eb85eaee25a6d779436692030d8702e14ee9c06cde3a4f8057bdbdc",
     ),
     "recalibration": (
-        "a735f1aaf77c8d02cf743f4ddc416d34429e9bba2ce4fac22e55da0d8b4480b8",
+        "fb85be1a0789da88a2c243bd0abd9ce38db05a815b54fec3ca62df3fbda91a05",
         "dc01673d033356d541315feaf6935781901c9bd7e272a6a9d8ab2c5f39fd5e09",
         "3487466aca738e67a462ae0c4b7015dc875ce1a5877c61a33909f773be4ec16a",
         "8069b2832ed0fb245706e58f721ae894170ffe546b72383538cede51e2dfb173",
     ),
     "phasediff": (
-        "96e0fe8f0deb2d45124fc107823e49e8e49f37286b871d422a8043b4b9afb871",
+        "76dc2ce82606df1ed07761e0f4881c925fc0a17d7fd6415ffc3db528d7971627",
         "4723d4381680c9447a010118345f22ab73759e6722154b8bd7dc521287eae1d4",
         "f7b4aa86ac13ff7bf931547573031c467eaa74151b81ac8624efad46520fd616",
         "d17151012e4c3935d2df2e6db773405fc22a1d9a569160dc9b023475c03ecad4",
     ),
     "faulty": (
-        "c5a5e8fa1f87b2350dbe33f08016076f8b91ed4af2e0f119f63e344ba36d4342",
+        "5994d3fd9b632f42cab72f5d060b955d71c4e4b636410bce55fe00ce8d9eb98c",
         "6e663e21449bca3ec5dceffd5fdad03c0f131d1215776b5bdee37301d2d4f395",
-        "fc26d20fbd8581d77f66715fd0cf838b10bf821b218d42ef3d6d443c770c732a",
-        "3782be5d6ffc9975206aaf67291bc2545a8bba043c90c868f375511f8db7ed43",
+        "a5b2e7c775cc5b125903ac0bbb5439c2ccb55db80f4575080d04a68d976dd922",
+        "ea96d870e332784f744fb23a1ec93a073c836813d603892ecaab4aaec9f8366f",
     ),
 }
 

@@ -133,19 +133,19 @@ def test_lanes_give_the_serial_fit(case):
 
 def test_lanes_that_stop_on_different_ticks_give_the_serial_fit(monkeypatch):
     # with the step and gradient tests off and a function tolerance near
-    # rounding, the five lanes of the fit's one descent stop by ftol after
-    # 35, 27 and 33 steps, stall after 27, and hit the cap of 36
+    # rounding, the five lanes of the fit's one descent hit the cap of 36,
+    # stop by ftol after 26, 29 and 35 steps, and stall after 25
     monkeypatch.setattr(optimizer, "_FUNCTION_TOLERANCE", 3e-16)
     monkeypatch.setattr(optimizer, "_STEP_TOLERANCE", 0.0)
     monkeypatch.setattr(optimizer, "_OPTIMALITY_TOLERANCE", 0.0)
     descents = recorded_descents(monkeypatch)
     circuit, target = ideal_circuit(3, 3), haar_unitary(3, 1)
     options = LmaOptions(restarts=5, max_iterations=36)
-    wide = fit(circuit, target, options, seed=0)
+    wide = fit(circuit, target, options, seed=11)
     (((lanes,), _),) = descents
     assert [(lane.status, lane.iterations) for lane in lanes] == [
-        ("ftol", 35), ("ftol", 27), ("stalled", 27), ("ftol", 33), ("maxiter", 36)]
-    assert_same_fit(wide, fit_at_width_one(circuit, target, options, seed=0))
+        ("maxiter", 36), ("ftol", 26), ("ftol", 29), ("ftol", 35), ("stalled", 25)]
+    assert_same_fit(wide, fit_at_width_one(circuit, target, options, seed=11))
 
 
 @pytest.mark.parametrize("n, m, faults, lanes", [
@@ -499,7 +499,7 @@ def test_a_stopped_lane_slot_goes_to_the_next_restart(monkeypatch):
     assert opening_ticks(sweeps, starts) == [[t] for t in opens]
 
     # a target between the serial loop's best losses after 5 and 6 restarts
-    # is met first, on tick 49, by restart 7: no later restart opens after
+    # is met first, on tick 45, by restart 7: no later restart opens after
     # it, though slots free up; restart 5 then meets it too, which drops
     # restart 6, and the fit's result is the serial loop's
     best = [fit_at_width_one(circuit, target, replace(options, restarts=k), seed=seed).loss
@@ -514,11 +514,11 @@ def test_a_stopped_lane_slot_goes_to_the_next_restart(monkeypatch):
     opens = opening_ticks(sweeps, starts)
     assert [len(found) for found in opens] == [1] * 8 + [0] * 3
     stop = opens[5][0] + last - 1  # the tick restart 5 met the target on
-    assert max(found[0] for found in opens[:8]) < 49 < stop < len(sweeps) - 1
-    # lanes 4, 5 and 6 run on three wide after tick 49, and restart 4 alone
+    assert max(found[0] for found in opens[:8]) < 45 < stop < len(sweeps) - 1
+    # lanes 4, 5 and 6 run on three wide after tick 45, and restart 4 alone
     # after restart 5 stops
     assert [len(grids) for grids in sweeps] == (
-        [4] * 50 + [3] * (stop - 49) + [1] * (len(sweeps) - stop - 1))
+        [4] * 46 + [3] * (stop - 45) + [1] * (len(sweeps) - stop - 1))
 
 
 def test_a_lane_keeps_its_slot_while_restarts_are_queued(monkeypatch):
