@@ -17,7 +17,7 @@ from .circuit import *  # noqa: F401,F403
 from .optimizer import *  # noqa: F401,F403
 from .experiments import *  # noqa: F401,F403
 
-__version__ = "0.22.0"
+__version__ = "0.23.0"
 
 __all__ = ["__version__", *numerics.__all__, *lattice.__all__, *sampling.__all__,
            *circuit.__all__, *optimizer.__all__, *experiments.__all__]

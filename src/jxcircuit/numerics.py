@@ -20,7 +20,6 @@ is made once, at import.
 from __future__ import annotations
 
 import ctypes
-import math
 
 import numpy as np
 
@@ -183,12 +182,6 @@ def _blas_threads() -> int | None:
     return get()
 
 
-def _address(array: np.ndarray) -> int:
-    """Where a writable array's data starts (a third of what ``.ctypes.data``
-    costs); 0 for an empty one, whose LAPACK calls (N = 0) touch no data."""
-    return ctypes.addressof(ctypes.c_char.from_buffer(array)) if array.size else 0
-
-
 class LuSolver:
     """Solves the damped systems ``(a_s + mu_s I) x = -g_s`` of a stack of
     slots, each a symmetric matrix of one size with its own scalar shift
@@ -257,7 +250,7 @@ class CholeskySolver(LuSolver):
         # row-major slot is the same matrix
         self._uplo = ctypes.c_char(b"L")
         uplo = ctypes.addressof(self._uplo)
-        a, b, n = map(_address, (self._a, self._b, self._integers))
+        a, b, n = (array.ctypes.data for array in (self._a, self._b, self._integers))
         a_step, b_step, step = self._a.strides[0], self._b.strides[0], self._integers.itemsize
         nrhs, lda = n + step, n + 2 * step
         self._args = [(uplo, n, nrhs, a + s * a_step, lda, b + s * b_step, lda,
@@ -275,14 +268,9 @@ class CholeskySolver(LuSolver):
         posv = self._posv
         for args in self._args[:count]:
             posv(*args)
-        factored = [info == 0 for info in self._info[:count].tolist()]
-        # a sum is finite only if every term is (an overflowing one falls
-        # through to the test by rows)
-        if not math.isfinite(np.add.reduce(diagonals, axis=None)):
-            finite = np.isfinite(diagonals).all(axis=1).tolist()
-            factored = [ok and good for ok, good in zip(factored, finite)]
-        if not all(factored):
-            b[np.logical_not(factored)] = np.nan
+        factored = (self._info[:count] == 0) & np.isfinite(diagonals).all(axis=1)
+        if not factored.all():
+            b[~factored] = np.nan
         return b
 
 

@@ -16,18 +16,17 @@ positive definite).
 
 The restarts of every fit of a ``fit_targets`` call run as the lanes of
 one descent (``_descend``), a stack of live lanes advanced together in
-ticks, each lane on its own fit's mixers and against its own fit's target
-(the fits share their frozen phases; fits that share one mixer stack read
-it as one view): a fit has at most ``_lane_cap`` lanes live (1 above the
-universality transition), and the descent as many as ``_LANE_BYTES``
-allows (``_lane_budget``).  A lane stays in one slot of
-the stacked arrays from the tick it opens to the tick it stops, and the
-next restart of some fit takes that slot in place.  One tick composes
-every live lane's point in one stacked sweep and takes the losses, step
-lengths and predicted decreases as stacked dot products; forms the normal
-equations of the lanes that start an iteration from that sweep's prefix
-products, as stacked products; and factors and solves the damped systems
-of every lane that needs a step, one LAPACK call per lane.
+ticks, each lane on a copy of its own fit's mixers and against its own
+fit's target (the fits share their frozen phases): a fit has at most
+``_lane_cap`` lanes live (1 above the universality transition), and the
+descent as many as ``_LANE_BYTES`` allows (``_lane_budget``).  A lane
+stays in one slot of the stacked arrays from the tick it opens to the
+tick it stops, and the next restart of some fit takes that slot in place.
+One tick composes every live lane's point in one stacked sweep and takes
+the losses, step lengths and predicted decreases as stacked dot products;
+forms the normal equations of the lanes that start an iteration from that
+sweep's prefix products, as stacked products; and factors and solves the
+damped systems of every lane that needs a step, one LAPACK call per lane.
 The accept, damping, polish and stop rules run in one scalar pass over the
 lanes: the gain-ratio update must round as Python floats do, and on small
 arrays a numpy call costs more than the whole pass does per lane.  Each
@@ -121,15 +120,13 @@ class _Problem:
     of targets (F, N, N), fit ``f`` on the (M+1, N, N) mixers ``mixers[f]``,
     in up to ``width`` slots.
 
-    ``seat`` gives slots the targets of their fits.  When every fit shares
-    one mixer stack, each sweep reads it as an (M+1, 1, N, N) view and no
-    slot holds mixers of its own; otherwise each distinct stack (by
-    identity) is held once, and ``seat`` copies each slot's fit's stack into
-    an (M+1, width, N, N) buffer too.  ``losses`` composes one free vector
-    per slot in one sweep, and ``normal_equations`` reads the prefix
-    products that sweep kept, before the next composition overwrites them.
-    ``diagonal`` is each free phase's diag(J'J), 1 / N^2.  The phase grids,
-    the slots' targets and the sweep buffer are allocated once and reused,
+    ``seat`` gives slots the targets of their fits and copies each slot's
+    fit's mixers into an (M+1, width, N, N) buffer, so every slot holds
+    mixers of its own.  ``losses`` composes one free vector per slot in one
+    sweep, and ``normal_equations`` reads the prefix products that sweep
+    kept, before the next composition overwrites them.  ``diagonal`` is
+    each free phase's diag(J'J), 1 / N^2.  The phase grids, the slots'
+    targets and mixers and the sweep buffer are allocated once and reused,
     so a problem must not be used from two threads at once (each descent
     owns its own).
     """
@@ -137,9 +134,7 @@ class _Problem:
     def __init__(self, mixers: list[np.ndarray], program: PhaseProgram, targets: np.ndarray,
                  width: int):
         m, n = program.layers, program.ports
-        kinds: dict = {}  # of each distinct stack, by identity, in order of first use
-        self._kinds = np.array([kinds.setdefault(id(stack), len(kinds)) for stack in mixers])
-        self.mixers = np.stack(list({id(stack): stack for stack in mixers}.values()), axis=1)
+        self.mixers = mixers
         self.free = program.free_mask
         self.free_count = program.free_count
         self.diagonal = 1.0 / (n * n)
@@ -148,15 +143,15 @@ class _Problem:
         self._grids = np.repeat(program.theta[None], width, axis=0)
         self._flat = self._grids.reshape(width, m * n)
         self._lane_targets = np.empty((width, n, n), dtype=np.complex128)
-        self._lane_mixers = None if len(kinds) == 1 else np.empty(
-            (m + 1, width, n, n), dtype=np.complex128)
+        self._lane_mixers = np.empty((m + 1, width, n, n), dtype=np.complex128)
         self._sweep = np.empty((m + 1, width, n, n), dtype=np.complex128)
 
     def seat(self, slots: list[int], fits: list[int]) -> None:
-        """Give slot ``slots[i]`` the target and mixers of fit ``fits[i]``."""
+        """Give slot ``slots[i]`` the target and a copy of the mixers of fit
+        ``fits[i]``."""
         self._lane_targets[slots] = self.targets[fits]
-        if self._lane_mixers is not None:
-            self._lane_mixers[:, slots] = self.mixers[:, self._kinds[fits]]
+        for s, f in zip(slots, fits):
+            self._lane_mixers[:, s] = self.mixers[f]
 
     def losses(self, xs: np.ndarray) -> np.ndarray:
         """The loss at each row of ``xs`` (the free values of the slot of
@@ -164,8 +159,8 @@ class _Problem:
         into the slots."""
         count = len(xs)
         self._flat[:count, self._positions] = xs
-        mixers = self.mixers if self._lane_mixers is None else self._lane_mixers[:, :count]
-        u = prefix_products(mixers, self._grids[:count], self._sweep[:, :count])
+        u = prefix_products(self._lane_mixers[:, :count], self._grids[:count],
+                            self._sweep[:, :count])
         diff = (u - self._lane_targets[:count]).reshape(count, -1)
         # per row the BLAS dot of np.vdot, so each loss is bitwise a lone lane's
         return np.vecdot(diff, diff).real / diff.shape[1]
@@ -248,29 +243,31 @@ def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
     time is split equally among the lanes it advanced.
 
     A lane keeps one slot of every stacked array (point ``x``, step
-    ``delta``, gradient ``g``, J'J, and its target in ``problem``) from the
-    tick it opens to the tick it stops.  Restarts open from one queue of
-    tokens, ``depth`` per fit, fits in order: the free slots, in order, each
-    take the next token's fit's next restart (its start as the point and a
-    zero step, so every tick composes ``x + delta``), and a lane that stops
-    hands its fit's token back.  The token of a fit with no restart left, or
-    of one whose restart met the target, is dropped; and once one meets it,
-    the fit's live lanes after that restart are dropped too.
+    ``delta``, gradient ``g``, J'J, and its target and mixers in
+    ``problem``) from the tick it opens to the tick it stops.  Restarts open
+    from one queue of tokens, ``depth`` per fit, fits in order: the free
+    slots, in order, each take the next token's fit's next restart (its
+    start as the point and a zero step, so every tick composes
+    ``x + delta``), and a lane that stops hands its fit's token back.  The
+    token of a fit with no restart left, or of one whose restart met the
+    target, is dropped; and once one meets it, the fit's live lanes after
+    that restart are dropped too.
     A slot that no restart may take gets a lane from past the live count,
     so the live lanes fill the first slots.
 
     A tick composes every live lane's point in one sweep (``problem.losses``,
-    each lane against its fit's target, ``problem.seat``) and, when a trial
-    lowered some lane's loss, takes the predicted decreases, step lengths
-    and point norms as stacked dot products.  One pass over the lanes
-    accepts each trial that lowers the loss, or rejects it, and applies the
-    damping, polish and stop rules.  The lanes that open or start an
-    iteration get their normal equations as stacked products
-    (``problem.normal_equations``), and every lane that needs a step has its
-    damped system (its damping times ``problem.diagonal`` added to the
-    diagonal) factored and solved, one LAPACK call per lane; one whose
-    matrix fails to factor grows its damping and is solved again, until it
-    steps or passes the cap.  Slots are picked by index only where some
+    each lane on its fit's mixers and against its fit's target,
+    ``problem.seat``) and, when a trial lowered some lane's loss, takes the
+    predicted decreases, step lengths and point norms as stacked dot
+    products.  One pass over the lanes accepts each trial that lowers the
+    loss, or rejects it, and applies the damping, polish and stop rules.
+    The lanes that open or start an iteration get their normal equations as
+    stacked products (``problem.normal_equations``), and every lane that
+    needs a step has its damped system (its damping times
+    ``problem.diagonal`` added to the diagonal) factored and solved, one
+    LAPACK call per lane; one whose matrix fails to factor grows its
+    damping and is solved again, until it steps or passes the cap.  The
+    normal equations and the solves pick slots by index only where some
     live lanes take no part.
     """
     goal, p, diagonal = options.target_loss, problem.free_count, problem.diagonal
@@ -285,7 +282,7 @@ def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
     gram = block[:2 * width * p * p].view(np.complex128).reshape(width, p, p)
     jtj = block[2 * width * p * p:].reshape(width, p, p)
     solver = SpdSolver(p, width)
-    x, delta, g, spare = np.zeros((4, width, p))
+    x, delta, g, trials = np.zeros((4, width, p))
     lanes, stopped = [], []  # the lane in each live slot, the slots that stopped
     clock = time.perf_counter()
     while True:
@@ -322,7 +319,7 @@ def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
             problem.seat(fresh + holes, [lanes[s].fit for s in fresh + holes])
             if not lanes:
                 break
-        trial = np.add(x[:count], delta[:count], out=spare[:count])
+        trial = np.add(x[:count], delta[:count], out=trials[:count])
         new = problem.losses(trial).tolist()
         # an opening lane's loss is NaN until its start is composed
         accepted = [s for s, lane in enumerate(lanes) if new[s] < lane.loss]
@@ -344,10 +341,7 @@ def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
                 continue
             if not lane.status:
                 begin.append(s)
-        if len(accepted) == count:  # no lane opened: every slot takes its trial
-            x, spare = spare, x
-        elif accepted:
-            x[accepted] = trial[accepted]
+        x[accepted] = trial[accepted]
 
         if begin:
             if len(begin) == count:  # every lane: J'J straight into its slots
@@ -366,11 +360,9 @@ def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
             rows = slice(count) if len(pending) == count else pending
             mu = np.array([lanes[s].lam for s in pending])[:, None] * diagonal
             delta[rows] = solved = solver.solve(jtj[rows], mu, g[rows])
-            # a sum is finite only if every term is (an overflowing one falls
-            # through to the test by rows)
-            if math.isfinite(np.add.reduce(solved, axis=None)):
-                break
             finite = np.isfinite(solved).all(axis=1).tolist()
+            if all(finite):
+                break
             pending = [s for s, ok in zip(pending, finite) if not ok]
             for s in pending:
                 lanes[s].reject()

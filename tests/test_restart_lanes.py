@@ -335,8 +335,9 @@ def test_every_fit_reads_the_normal_equations_of_its_current_point(monkeypatch, 
 
     def fresh(self, rows, gram, jtj):
         g = normal_equations(self, rows, gram, jtj)
-        for k, grid in enumerate(self._grids[rows]):
-            want_jtj, want_g = evaluate(self.mixers[:, 0], grid, self.free, self.targets[0])
+        for k, (grid, mixers) in enumerate(zip(self._grids[rows],
+                                               self._lane_mixers[:, rows].swapaxes(0, 1))):
+            want_jtj, want_g = evaluate(mixers, grid, self.free, self.targets[0])
             assert np.array_equal(jtj[k], want_jtj) and np.array_equal(g[k], want_g)
         counts["rows"] += len(jtj)
         return g
@@ -476,11 +477,17 @@ def schedule(ticks, cap):
     return widths, opened
 
 
+def lone_sweeps(circuit, target, options, seed, start):
+    """How many sweeps one descent from ``start`` takes alone."""
+    with mock.patch.object(optimizer, "_restart_starts", lambda *args: iter([start])):
+        return len(composed_grids(circuit, target, replace(options, restarts=1), seed)[1])
+
+
 def test_a_stopped_lane_slot_goes_to_the_next_restart(monkeypatch):
     # 11 restarts below the transition with at most 4 live: each lane's
     # tick count (sweeps from its start to its stop) comes from the serial
     # fit, where each restart's sweeps follow the previous one's
-    circuit, target, seed = ideal_circuit(4, 4), haar_unitary(4, 2), 4
+    circuit, target, seed = ideal_circuit(4, 4), haar_unitary(4, 140), 2
     starts = list(optimizer._restart_starts(circuit.program, None, seed, 11))
     options = LmaOptions(restarts=11, max_iterations=30)
     with mock.patch.object(optimizer, "_lane_cap", lambda program: 1):
@@ -499,8 +506,8 @@ def test_a_stopped_lane_slot_goes_to_the_next_restart(monkeypatch):
     assert opening_ticks(sweeps, starts) == [[t] for t in opens]
 
     # a target between the serial loop's best losses after 5 and 6 restarts
-    # is met first, on tick 45, by restart 7: no later restart opens after
-    # it, though slots free up; restart 5 then meets it too, which drops
+    # is met first by restart 7: no later restart opens after it, though
+    # slots free up; restart 5 meets it some ticks later, which drops
     # restart 6, and the fit's result is the serial loop's
     best = [fit_at_width_one(circuit, target, replace(options, restarts=k), seed=seed).loss
             for k in (5, 6)]
@@ -513,12 +520,14 @@ def test_a_stopped_lane_slot_goes_to_the_next_restart(monkeypatch):
     assert_same_fit(refilled, serial)
     opens = opening_ticks(sweeps, starts)
     assert [len(found) for found in opens] == [1] * 8 + [0] * 3
-    stop = opens[5][0] + last - 1  # the tick restart 5 met the target on
-    assert max(found[0] for found in opens[:8]) < 45 < stop < len(sweeps) - 1
-    # lanes 4, 5 and 6 run on three wide after tick 45, and restart 4 alone
-    # after restart 5 stops
+    # the ticks restarts 7 and 5 met the target on
+    met = opens[7][0] + lone_sweeps(circuit, target, goal, seed, starts[7]) - 1
+    stop = opens[5][0] + last - 1
+    assert max(found[0] for found in opens[:8]) < met < met + 3 <= stop < len(sweeps) - 1
+    # lanes 4, 5 and 6 run three wide after tick ``met``, and restart 4
+    # alone after restart 5 stops
     assert [len(grids) for grids in sweeps] == (
-        [4] * 46 + [3] * (stop - 45) + [1] * (len(sweeps) - stop - 1))
+        [4] * (met + 1) + [3] * (stop - met) + [1] * (len(sweeps) - stop - 1))
 
 
 def test_a_lane_keeps_its_slot_while_restarts_are_queued(monkeypatch):
@@ -802,42 +811,16 @@ def copy_of(circuit):
     (6, CLUSTERED, 6, 8),  # above it, with fits that need several restarts
 ])
 def test_fits_on_one_stack_or_on_equal_copies_get_the_same_results(
-        monkeypatch, m, faults, restarts, count):
-    # one shared stack is read as a view by every slot; copies of it are
-    # distinct stacks, which each slot reads from its own per-lane copy
+        m, faults, restarts, count):
+    # every slot copies its fit's mixers, whether the fits share one stack
+    # or each has a distinct copy of it
     circuit = ideal_circuit(4, m).with_program(
         apply_fault_plan(PhaseProgram.zeros(m, 4), faults))
     targets = [haar_unitary(4, derive_seed(6, "t", i)) for i in range(count)]
     options, seeds = LmaOptions(restarts=restarts, max_iterations=60), list(range(count))
-    problems = []
-    init = _Problem.__init__
-
-    def recorded(self, *args):
-        init(self, *args)
-        problems.append(self)
-
-    monkeypatch.setattr(_Problem, "__init__", recorded)
     shared = fit_targets([circuit] * count, targets, options, seeds, [None] * count)
     copies = fit_targets([copy_of(circuit) for _ in range(count)], targets, options, seeds,
                          [None] * count)
-    assert [problem._lane_mixers is None for problem in problems] == [True, False]
     for one, other in zip(shared, copies):
         assert_same_fit(one, other)
 
-
-def test_a_shared_stack_takes_no_mixer_buffer_per_slot():
-    circuit, width = ideal_circuit(3, 4), 5
-    program, n, m = circuit.program, 3, 4
-    targets = np.stack([haar_unitary(3, k) for k in range(3)])
-
-    def slot_stacks(problem):  # the (M+1, width, N, N) complex arrays it holds
-        return sorted(name for name, value in vars(problem).items()
-                      if isinstance(value, np.ndarray) and value.shape == (m + 1, width, n, n))
-
-    shared = _Problem([circuit.mixers] * 3, program, targets, width)
-    assert shared.mixers.shape == (m + 1, 1, n, n)
-    assert slot_stacks(shared) == ["_sweep"]
-    own = _Problem([circuit.mixers, copy_of(circuit).mixers, circuit.mixers], program, targets,
-                   width)
-    assert own.mixers.shape == (m + 1, 2, n, n)
-    assert slot_stacks(own) == ["_lane_mixers", "_sweep"]
