@@ -824,3 +824,23 @@ def test_fits_on_one_stack_or_on_equal_copies_get_the_same_results(
     for one, other in zip(shared, copies):
         assert_same_fit(one, other)
 
+
+
+def test_every_slot_holds_a_copy_of_its_fits_mixers():
+    # one layout whether fits share a stack or not: seating copies each
+    # slot's fit's mixers and target into the slot, and a slot seated again
+    # holds its new fit's
+    circuit, width = ideal_circuit(3, 4), 5
+    stacks = [circuit.mixers, copy_of(circuit).mixers, circuit.mixers]
+    targets = np.stack([haar_unitary(3, k) for k in range(3)])
+    problem = _Problem(stacks, circuit.program, targets, width)
+    assert problem.mixers is stacks
+    assert problem._lane_mixers.shape == (4 + 1, width, 3, 3)
+    slots, fits = [4, 0, 2], [0, 2, 1]
+    problem.seat(slots, fits)
+    problem.seat([0], [1])
+    fits[1] = 1
+    for slot, f in zip(slots, fits):
+        assert np.array_equal(problem._lane_mixers[:, slot], stacks[f])
+        assert np.array_equal(problem._lane_targets[slot], targets[f])
+    assert not any(np.shares_memory(problem._lane_mixers, stack) for stack in stacks)
