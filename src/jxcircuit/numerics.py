@@ -8,13 +8,12 @@ follows the positive-diagonal convention so that the Q factor of a
 complex Gaussian matrix is already correctly phase-normalized.
 
 :class:`SpdSolver` solves the optimizer's damped normal equations
-``(J'J + mu I) x = -g``, one scalar shift ``mu`` per lane, for a stack of
-restart lanes at once.  Where the LAPACK that ``numpy.linalg``
-links exports ``dposv`` it is :class:`CholeskySolver`, which calls it
-through ``ctypes``, once per lane, on buffers it owns (dposv factors with
-dpotrf and back-substitutes with dpotrs); elsewhere it is
-:class:`LuSolver`, ``numpy.linalg.solve`` per right-hand side.  The choice
-is made once, at import.
+``(J'J + mu I) x = -g``, one scalar shift ``mu`` per lane, for the lanes
+that it names of a stack of restart lanes, gathering them into buffers it
+owns.  Where the LAPACK that ``numpy.linalg`` links exports ``dposv`` it
+calls it through ``ctypes``, once per lane (dposv factors with dpotrf and
+back-substitutes with dpotrs); elsewhere it calls ``numpy.linalg.solve``
+once per lane.
 """
 
 from __future__ import annotations
@@ -182,67 +181,31 @@ def _blas_threads() -> int | None:
     return get()
 
 
-class LuSolver:
-    """Solves the damped systems ``(a_s + mu_s I) x = -g_s`` of a stack of
-    slots, each a symmetric matrix of one size with its own scalar shift
-    ``mu_s``, by ``numpy.linalg.solve`` (LAPACK gesv, an LU factorization
-    per right-hand side).
+class SpdSolver:
+    """Solves the damped systems ``(a_s + mu_s I) x = -g_s`` of named slots
+    of a bank of symmetric positive definite matrices, each with its own
+    scalar shift ``mu_s``, in buffers allocated here once.
 
-    The reference for :class:`CholeskySolver`, and the solver where the
-    LAPACK of numpy.linalg exports no ``dposv``.  One instance must not be
-    used from two threads at once.
+    Where numpy.linalg's LAPACK exports ``dposv`` (checked when the solver
+    is built) each slot is one dposv call, which factors it (dpotrf) and
+    back-substitutes (dpotrs): numpy's batched Cholesky loses to LAPACK per
+    slot for all but the smallest matrices.  Each slot's dposv arguments are
+    cached (taking ``.ctypes.data`` costs microseconds per call, and the
+    address of a temporary would not keep it alive).  Elsewhere each slot
+    is one ``numpy.linalg.solve`` (LAPACK gesv, an LU factorization).  One
+    instance must not be used from two threads at once.
     """
 
-    lapack = "gesv"
+    #: the damped solve of this platform, for the run metadata
+    lapack = "dpotrf" if _LAPACK is not None else "gesv"
 
     def __init__(self, size: int, slots: int):
         self._a = np.zeros((slots, size, size))
-        self._diagonals = self._a.reshape(slots, size * size)[:, :: size + 1]
-
-    def _damp(self, a: np.ndarray, mu: np.ndarray):
-        """Load ``a`` into the first slots, each diagonal shifted by its
-        ``mu`` (one per matrix, as a column); returns those slots' matrices
-        and their diagonals."""
-        count = len(a)
-        matrices, diagonals = self._a[:count], self._diagonals[:count]
-        np.copyto(matrices, a)
-        diagonals += mu
-        return matrices, diagonals
-
-    def solve(self, a: np.ndarray, mu: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """The solutions ``x[s]`` of the damped systems of ``a[s]``, ``mu[s]``
-        and ``g[s]``; a row of ``x`` is not finite where its matrix is
-        singular or its solution overflows."""
-        matrices, _ = self._damp(a, mu)
-        x = np.empty_like(g)
-        for s, matrix in enumerate(matrices):
-            try:
-                x[s] = np.linalg.solve(matrix, -g[s])
-            except np.linalg.LinAlgError:
-                x[s] = np.nan
-        return x
-
-
-class CholeskySolver(LuSolver):
-    """Solves the damped systems of :class:`LuSolver`, which are symmetric
-    positive definite, by one LAPACK dposv call per slot: it factors the
-    slot's matrix (dpotrf) and back-substitutes from that factor (dpotrs).
-
-    LAPACK runs once per slot at every size: numpy's batched Cholesky
-    loses to it for all but the smallest matrices.  The matrices and the
-    right-hand sides live in buffers allocated here once, and each slot's
-    dposv arguments are cached (taking ``.ctypes.data`` costs microseconds
-    per call, and the address of a temporary would not keep it alive).
-    """
-
-    lapack = "dpotrf"
-
-    def __init__(self, size: int, slots: int):
-        if _LAPACK is None:
-            raise RuntimeError("numpy.linalg's LAPACK exports no dposv (dpotrf, dpotrs)")
-        super().__init__(size, slots)
-        self._posv, integer = _LAPACK
         self._b = np.zeros((slots, size))
+        self._diagonals = self._a.reshape(slots, size * size)[:, :: size + 1]
+        self._posv, integer = _LAPACK or (None, None)
+        if self._posv is None:
+            return
         # N, NRHS, the leading dimension and each slot's INFO, passed by address
         self._integers = np.array([size, 1, max(size, 1)] + [0] * slots, dtype=integer)
         self._info = self._integers[3:]
@@ -256,23 +219,31 @@ class CholeskySolver(LuSolver):
         self._args = [(uplo, n, nrhs, a + s * a_step, lda, b + s * b_step, lda,
                        n + (3 + s) * step, 1) for s in range(slots)]
 
-    def solve(self, a: np.ndarray, mu: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """As :meth:`LuSolver.solve`, with ``x`` in a buffer that the next
-        call overwrites; a row of ``x`` is not finite where its matrix is not
-        positive definite or not finite (a NaN passes dpotrf's pivot test,
-        but not the factor's diagonal), or its solution overflows."""
-        _, diagonals = self._damp(a, mu)
-        count = len(a)
-        b = self._b[:count]
-        np.negative(g, out=b)
+    def solve(self, jtj: np.ndarray, rows, mu: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The solutions of the damped systems of slots ``rows`` of the bank
+        ``jtj``, ``g``, which is not modified: row ``i`` is slot ``rows[i]``'s,
+        shifted by ``mu[i]`` (one per row, as a column), in a buffer that the
+        next call overwrites.  A row is NaN where its matrix fails to factor
+        (for dposv not positive definite or not finite: a NaN passes dpotrf's
+        pivot test, but not the factor's diagonal; for gesv singular), and not
+        finite where its solution overflows."""
+        count = len(rows)
+        a, b, diagonals = self._a[:count], self._b[:count], self._diagonals[:count]
+        # mode "raise" would gather into a temporary and copy it into ``out``
+        np.take(jtj, rows, axis=0, out=a, mode="clip")
+        np.negative(np.take(g, rows, axis=0, out=b, mode="clip"), out=b)
+        diagonals += mu
         posv = self._posv
+        if posv is None:
+            for s in range(count):
+                try:
+                    b[s] = np.linalg.solve(a[s], b[s])
+                except np.linalg.LinAlgError:
+                    b[s] = np.nan
+            return b
         for args in self._args[:count]:
             posv(*args)
         factored = (self._info[:count] == 0) & np.isfinite(diagonals).all(axis=1)
         if not factored.all():
             b[~factored] = np.nan
         return b
-
-
-#: the damped normal equations' solver on this platform
-SpdSolver = CholeskySolver if _LAPACK is not None else LuSolver

@@ -25,8 +25,8 @@ tick it stops, and the next restart of some fit takes that slot in place.
 One tick composes every live lane's point in one stacked sweep and takes
 the losses, step lengths and predicted decreases as stacked dot products;
 forms the normal equations of the lanes that start an iteration from that
-sweep's prefix products, as stacked products; and factors and solves the
-damped systems of every lane that needs a step, one LAPACK call per lane.
+sweep's prefix products, as stacked products; and gathers, factors and
+solves the damped systems of the lanes that need a step, one LAPACK call each.
 The accept, damping, polish and stop rules run in one scalar pass over the
 lanes: the gain-ratio update must round as Python floats do, and on small
 arrays a numpy call costs more than the whole pass does per lane.  Each
@@ -265,10 +265,10 @@ def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
     stacked products (``problem.normal_equations``), and every lane that
     needs a step has its damped system (its damping times
     ``problem.diagonal`` added to the diagonal) factored and solved, one
-    LAPACK call per lane; one whose matrix fails to factor grows its
-    damping and is solved again, until it steps or passes the cap.  The
-    normal equations and the solves pick slots by index only where some
-    live lanes take no part.
+    LAPACK call per lane, on the solver's gather of those lanes' slots; one
+    whose matrix fails to factor grows its damping and is solved again,
+    until it steps or passes the cap.  The normal equations pick slots by
+    index only where some live lanes take no part.
     """
     goal, p, diagonal = options.target_loss, problem.free_count, problem.diagonal
     queues = [iter(starts) for starts in queues]
@@ -310,11 +310,12 @@ def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
                 x[s], delta[s], g[s] = start, 0.0, 0.0
             count = width - len(free) + len(fresh)
             holes = [s for s in free[len(fresh):] if s < count]  # no restart may take them
+            # the live lanes past count fill exactly the holes, one each
             movers = [s for s in range(count, width) if lanes[s]]
+            for a in (x, delta, g, jtj):
+                a[holes] = a[movers]
             for hole, s in zip(holes, movers):
                 lanes[hole] = lanes[s]
-                for a in (x, delta, g, jtj):
-                    a[hole] = a[s]
             del lanes[count:]
             problem.seat(fresh + holes, [lanes[s].fit for s in fresh + holes])
             if not lanes:
@@ -322,8 +323,8 @@ def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
         trial = np.add(x[:count], delta[:count], out=trials[:count])
         new = problem.losses(trial).tolist()
         # an opening lane's loss is NaN until its start is composed
-        accepted = [s for s, lane in enumerate(lanes) if new[s] < lane.loss]
-        if accepted:
+        accepted = np.fromiter((s for s, lane in enumerate(lanes) if new[s] < lane.loss), np.intp)
+        if accepted.size:
             mu = np.array([lane.lam for lane in lanes])[:, None] * diagonal
             predicted = np.vecdot(delta[:count], mu * delta[:count] - g[:count]).tolist()
             lengths = np.vecdot(delta[:count], delta[:count]).tolist()
@@ -357,9 +358,9 @@ def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
 
         pending = [s for s, lane in enumerate(lanes) if not lane.status]
         while pending:
-            rows = slice(count) if len(pending) == count else pending
+            rows = np.array(pending)  # converted once, for the solver's gathers and the copy
             mu = np.array([lanes[s].lam for s in pending])[:, None] * diagonal
-            delta[rows] = solved = solver.solve(jtj[rows], mu, g[rows])
+            delta[rows] = solved = solver.solve(jtj, rows, mu, g)
             finite = np.isfinite(solved).all(axis=1).tolist()
             if all(finite):
                 break
@@ -380,9 +381,10 @@ def _descend(problem, queues, options: LmaOptions, width: int, depth: int):
 def _lane_budget(program: PhaseProgram) -> int:
     """Most live lanes of one descent on ``program`` within ``_LANE_BYTES``: a
     lane's complex G, J'J and damped matrix take 32 P^2 bytes, and it is
-    charged at least its sweep slot, 16 (M+1) N^2 bytes (so P = 0 is bounded)."""
+    charged at least its sweep slot and its copy of its fit's mixers,
+    32 (M+1) N^2 bytes (so P = 0 is bounded)."""
     p, m, n = program.free_count, program.layers, program.ports
-    return max(1, _LANE_BYTES // max(32 * p * p, 16 * (m + 1) * n * n))
+    return max(1, _LANE_BYTES // (32 * max(p * p, (m + 1) * n * n)))
 
 
 def _lane_cap(program: PhaseProgram) -> int:

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from jxcircuit import numerics
 from jxcircuit.numerics import (
-    CholeskySolver,
-    LuSolver,
     SpdSolver,
     as_complex_matrix,
     eig_hermitian,
@@ -192,37 +190,39 @@ def test_as_complex_matrix_rejects_non_2d():
         as_complex_matrix([1, 2, 3])
 
 
-@pytest.mark.skipif(SpdSolver is not CholeskySolver,
+@pytest.mark.skipif(numerics._LAPACK is None,
                     reason="numpy.linalg's LAPACK exports no dpotrf here")
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 40), st.integers(0, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_cholesky_solver_agrees_with_lu(p, extra_rows, slots, seed):
     # damped normal equations of a stack of lanes as the optimizer forms
-    # them; the LU solver (numpy.linalg.solve per right-hand side) is the
-    # reference, slot by slot
+    # them; a solver without the dposv binding (numpy.linalg.solve per
+    # right-hand side) is the reference, slot by slot
     rng = np.random.default_rng(seed)
     jac = rng.standard_normal((slots, p + extra_rows, p))
     jtj = jac.transpose(0, 2, 1) @ jac
     mu = 10.0 ** rng.uniform(-6, 0, (slots, 1))
-    cholesky, lu = CholeskySolver(p, slots), LuSolver(p, slots)
+    cholesky, lu = SpdSolver(p, slots), SpdSolver(p, slots)
+    lu._posv = None
     g = rng.standard_normal((slots, p))
-    x = cholesky.solve(jtj, mu, g).copy()  # the solver's buffer, overwritten by its next call
-    reference = lu.solve(jtj, mu, g)
+    every = list(range(slots))
+    x = cholesky.solve(jtj, every, mu, g).copy()  # a buffer, overwritten by the next call
+    reference = lu.solve(jtj, every, mu, g)
     for s in range(slots):
         # the systems solved are (J'J + mu I) x = -g
         damped = jtj[s] + mu[s] * np.eye(p)
         assert np.array_equal(lu._a[s], damped)
         tolerance = 100 * np.linalg.cond(damped) * np.finfo(float).eps
         assert np.abs(x[s] - reference[s]).max() <= tolerance * np.abs(reference[s]).max()
-    # fewer matrices than slots use the first slots
-    assert np.array_equal(cholesky.solve(jtj[:1], mu[:1], g[:1])[0], x[0])
+    # a slot named alone gets the solution it gets among all of them
+    assert np.array_equal(cholesky.solve(jtj, [0], mu[:1], g)[0], x[0])
 
     # a damping that makes one slot's matrix indefinite gives that slot, and
     # only that slot, no finite solution
     k = rng.integers(slots)
     indefinite = mu.copy()
     indefinite[k] = -np.diagonal(jtj[k]).max() - 1.0
-    x = cholesky.solve(jtj, indefinite, g)
+    x = cholesky.solve(jtj, every, indefinite, g)
     finite = np.isfinite(x).all(axis=1)
     assert not finite[k] and finite.sum() == slots - 1
     # a non-finite entry gives no finite solution
@@ -230,7 +230,7 @@ def test_cholesky_solver_agrees_with_lu(p, extra_rows, slots, seed):
     for bad in (np.nan, np.inf, -np.inf):
         a = jtj.copy()
         a[k, i, j] = a[k, j, i] = bad
-        x = cholesky.solve(a, mu, g)
+        x = cholesky.solve(a, every, mu, g)
         assert not np.isfinite(x[k]).all()
 
 
@@ -264,7 +264,7 @@ def potrf_then_potrs(a, mu, g):
     return x
 
 
-@pytest.mark.skipif(SpdSolver is not CholeskySolver,
+@pytest.mark.skipif(numerics._LAPACK is None,
                     reason="numpy.linalg's LAPACK exports no dposv here")
 @pytest.mark.parametrize("p, slots", [(16, 150), (72, 25), (288, 1)])
 def test_one_dposv_per_slot_is_bitwise_dpotrf_then_dpotrs(p, slots):
@@ -275,9 +275,54 @@ def test_one_dposv_per_slot_is_bitwise_dpotrf_then_dpotrs(p, slots):
     jtj = jac.transpose(0, 2, 1) @ jac
     mu = 10.0 ** rng.uniform(-6, 0, (slots, 1))
     g = rng.standard_normal((slots, p))
-    solver = CholeskySolver(p, slots)
+    solver = SpdSolver(p, slots)
     for damping in (mu, np.where(np.arange(slots)[:, None] == slots // 2, -1e6, mu)):
-        x = solver.solve(jtj, damping, g)
+        x = solver.solve(jtj, range(slots), damping, g)
         want = potrf_then_potrs(jtj, damping, g)
         assert np.isfinite(want).all(axis=1).sum() == slots - (damping is not mu)
         assert np.array_equal(x, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("binding", [True, False])
+@pytest.mark.parametrize("p, slots, rows", [
+    (16, 12, [7, 2, 9, 0]),  # some lanes of a bank, in any order
+    (5, 6, [3]),
+    (8, 4, [0, 1, 2, 3]),  # every slot
+])
+def test_solving_named_slots_of_a_bank_is_solving_them_alone(binding, p, slots, rows):
+    if binding and numerics._LAPACK is None:
+        pytest.skip("numpy.linalg's LAPACK exports no dposv here")
+    rng = np.random.default_rng(p + slots)
+    jac = rng.standard_normal((slots, p + 2, p))
+    jtj = jac.transpose(0, 2, 1) @ jac
+    g = rng.standard_normal((slots, p))
+    mu = 10.0 ** rng.uniform(-6, 0, (len(rows), 1))
+    unnamed = [s for s in range(slots) if s not in rows]
+    if unnamed:  # a NaN in a slot that is not named reaches no named row
+        jtj[unnamed[0], 0, 0] = g[unnamed[0], 0] = np.nan
+    bank, gradients = jtj.copy(), g.copy()
+
+    def solver():
+        made = SpdSolver(p, slots)
+        if not binding:
+            made._posv = None
+        return made
+
+    x = solver().solve(jtj, rows, mu, g)
+    assert np.isfinite(x).all()
+    for i, s in enumerate(rows):
+        alone = solver().solve(jtj[s:s + 1], [0], mu[i:i + 1], g[s:s + 1])
+        assert np.array_equal(x[i], alone[0])
+    assert np.array_equal(jtj, bank, equal_nan=True)
+    assert np.array_equal(g, gradients, equal_nan=True)
+
+
+def test_numpys_bundled_openblas_yields_the_dposv_binding():
+    # numpy's wheels bundle OpenBLAS as scipy-openblas, which exports dposv:
+    # should a numpy release stop yielding the binding, every descent would
+    # move to the slower gesv path, and the metadata alone would show it
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if blas != "scipy-openblas":
+        pytest.skip(f"numpy links {blas}, not its bundled OpenBLAS")
+    assert numerics._LAPACK is not None
+    assert SpdSolver.lapack == "dpotrf" and SpdSolver(3, 1)._posv is not None

@@ -20,7 +20,7 @@ from jxcircuit.circuit import (
     transfer_matrix,
 )
 from jxcircuit import numerics
-from jxcircuit.numerics import CholeskySolver, LuSolver, SpdSolver
+from jxcircuit.numerics import SpdSolver
 from jxcircuit.optimizer import FromVector, LmaOptions, _descend, fit, fit_targets
 from jxcircuit.sampling import derive_seed, haar_unitary, uniform_phases
 from jacobian_reference import residuals_and_jacobian
@@ -152,9 +152,9 @@ def test_first_shift_is_marquardts_scaled_damping(monkeypatch, n):
     shifts = []
     solve = SpdSolver.solve
 
-    def solving(self, a, mu, rhs):
+    def solving(self, jtj, rows, mu, g):
         shifts.append(mu.copy())
-        return solve(self, a, mu, rhs)
+        return solve(self, jtj, rows, mu, g)
 
     monkeypatch.setattr(SpdSolver, "solve", solving)
     fit(ideal_circuit(n, n + 1), haar_unitary(n, 3), LmaOptions(restarts=1), seed=2)
@@ -170,9 +170,9 @@ def test_n16_fit_pays_few_solves_per_jacobian(monkeypatch):
     calls = {"factor": 0, "jacobian": 0}
     solve, normal_equations = SpdSolver.solve, optimizer._Problem.normal_equations
 
-    def solving(self, a, lam, rhs):
-        calls["factor"] += len(a)
-        return solve(self, a, lam, rhs)
+    def solving(self, jtj, rows, mu, g):
+        calls["factor"] += len(rows)
+        return solve(self, jtj, rows, mu, g)
 
     def equations(self, rows, gram, jtj):
         calls["jacobian"] += len(jtj)
@@ -184,7 +184,7 @@ def test_n16_fit_pays_few_solves_per_jacobian(monkeypatch):
     assert calls["factor"] <= 1.3 * calls["jacobian"], calls
 
 
-@pytest.mark.skipif(SpdSolver is not CholeskySolver,
+@pytest.mark.skipif(numerics._LAPACK is None,
                     reason="numpy.linalg's LAPACK exports no dpotrf here")
 def test_indefinite_damped_matrix_grows_damping():
     # J'J with a zero diagonal, shifted by at most the cap times a tiny
@@ -223,14 +223,28 @@ def test_fits_run_on_the_lu_fallback(monkeypatch):
     # where numpy's LAPACK exports no dpotrf the damped systems are solved
     # by numpy.linalg.solve; both sides of the transition still fit
     monkeypatch.setattr(numerics, "_LAPACK", None)
-    monkeypatch.setattr(optimizer, "SpdSolver", LuSolver)
-    with pytest.raises(RuntimeError, match="dpotrf"):
-        CholeskySolver(3, 1)
+    made, solves = [], []
+    linalg_solve = np.linalg.solve
+
+    class Recorded(SpdSolver):
+        def __init__(self, size, slots):
+            super().__init__(size, slots)
+            made.append(self)
+
+    def counted(a, b):
+        solves.append(len(a))
+        return linalg_solve(a, b)
+
+    monkeypatch.setattr(optimizer, "SpdSolver", Recorded)
+    monkeypatch.setattr(np.linalg, "solve", counted)
     above = fit(ideal_circuit(4, 5), haar_unitary(4, 77), LmaOptions(restarts=20), seed=5)
     assert above.converged and above.status == "target"
     below = fit(ideal_circuit(4, 4), haar_unitary(4, 78), LmaOptions(restarts=6), seed=6)
     assert below.restarts_used == 6 and not below.converged
     assert below.loss > 1e-8 and below.total_iterations > below.iterations
+    # every solver the fits built took the numpy.linalg.solve path
+    assert len(made) == 2 and all(solver._posv is None for solver in made)
+    assert set(solves) == {20, 16}
 
 
 def test_fit_imports_no_scipy():

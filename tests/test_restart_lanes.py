@@ -735,7 +735,8 @@ def test_a_descent_wider_than_64_lanes_gives_every_fit_its_serial_result(monkeyp
 
 def test_a_program_with_no_free_phase_keeps_its_lanes_within_their_budget(monkeypatch):
     # every shifter frozen: no lane has (P, P) buffers, but each is charged
-    # its sweep slot, so 20 fits of 50 restarts do not open 1000 lanes at once
+    # its sweep slot and its copy of its fit's mixers, so 20 fits of 50
+    # restarts do not open 1000 lanes at once
     n, m = 8, 9
     made = []
 
@@ -754,7 +755,7 @@ def test_a_program_with_no_free_phase_keeps_its_lanes_within_their_budget(monkey
     assert {result.restarts_used for result in results} == {50}
     ((size, slots),) = made
     assert size == 0 and 1 < slots < 20 * 50
-    assert slots * 16 * (m + 1) * n * n <= optimizer._LANE_BYTES
+    assert slots * 32 * (m + 1) * n * n <= optimizer._LANE_BYTES
 
 
 @pytest.mark.parametrize("faults, count, lanes, options", [
