@@ -32,7 +32,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .circuit import (
-    FitResult,
     PhaseProgram,
     apply_fault_plan,
     ideal_circuit,
@@ -41,8 +40,8 @@ from .circuit import (
     transfer_matrix,
 )
 from .lattice import relative_deviation
-from .optimizer import FromVector, LmaOptions, fit_targets
-from .sampling import derive_seed, haar_unitary, uniform_phases
+from .optimizer import LmaOptions, fit_targets
+from .sampling import derive_seed, haar_unitary, jitter_phases, uniform_phases
 from .svgplot import histogram_svg, scatter_svg
 
 __all__ = [
@@ -152,12 +151,6 @@ def _run_jobs(jobs: list[_Job], threads: int, done: dict | None) -> list[Experim
             for k, fields in zip(todo, rows)]
 
 
-def _fit_all(requests, options: LmaOptions) -> list[FitResult]:
-    """One ``fit_targets`` call on ``(circuit, target, seed, start)`` requests."""
-    circuits, targets, seeds, inits = zip(*requests)
-    return fit_targets(circuits, targets, options, seeds, inits)
-
-
 def _measure(todo, *, units, setup, options, rows=1, row=None, refit=None) -> list[dict]:
     """The measure of every study: fit each of ``units`` that owes one of its
     ``rows`` records (in a row) at ``todo``, in one ``fit_targets`` call of
@@ -175,7 +168,7 @@ def _measure(todo, *, units, setup, options, rows=1, row=None, refit=None) -> li
     t0 = time.perf_counter()
     requests = setup([units[b] for b in owing])
     shared = (time.perf_counter() - t0) / len(owing)
-    fits = dict(zip(owing, zip(requests, _fit_all(requests, options))))
+    fits = dict(zip(owing, zip(requests, fit_targets(requests, options))))
     out = []
     for k in todo:
         b, r = divmod(k, rows)
@@ -185,7 +178,7 @@ def _measure(todo, *, units, setup, options, rows=1, row=None, refit=None) -> li
         out.append((fitted, (shared + fitted.seconds) / owing[b] + time.perf_counter() - t0,
                     request, fields))
     if refit is not None:
-        refits = _fit_all([request for _, _, request, _ in out], refit)
+        refits = fit_targets([request for _, _, request, _ in out], refit)
         out = [(result, seconds + result.seconds, None, fields)
                for result, (_, seconds, _, fields) in zip(refits, out)]
     return [dict(fields, loss_after=result.loss, iterations=result.iterations,
@@ -332,8 +325,10 @@ def _phasediff_requests(cells, *, givens, targets, seed, jitter_fraction) -> lis
     m, n = givens[0].shape
     built = {(sigma_k, slot): perturbed_circuit(n, m, sigma_k, seed, label=slot)
              for sigma_k, slot in dict.fromkeys(cell[2:4] for cell in cells)}
+    # 0.24.0's restart 0 jittered with this seed, so the records keep their bits
     return [(built[sigma_k, slot], targets[t], fit_seed,
-             FromVector(givens[t], jitter_fraction) if mode == "jittered" else None)
+             jitter_phases(givens[t], jitter_fraction, derive_seed(fit_seed, "lma-restart", 0))
+             if mode == "jittered" else None)
             for t, mode, sigma_k, slot, fit_seed in cells]
 
 
@@ -375,6 +370,8 @@ def phase_difference_study(
     for mode in init_modes:
         if mode not in ("jittered", "random"):
             raise ValueError(f"unknown init mode {mode!r}")
+    if not 0 <= jitter_fraction < 1:
+        raise ValueError("jitter_fraction must lie in [0, 1)")
     givens = [uniform_phases(m, n, derive_seed(seed, "phasediff/given", t))
               for t in range(targets)]
     cells = [(t, j, mode, r) for t in range(targets) for j in range(runs)

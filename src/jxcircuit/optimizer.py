@@ -35,8 +35,10 @@ composed twice: the normal equations at an accepted point read the
 prefixes of the sweep that composed it.
 
 Termination mirrors the usual trio of tolerances (function, step,
-optimality) plus a hard loss target and an iteration cap; each fit's
-seeded restarts count in restart order, up to the first that meets the
+optimality) plus a hard loss target and an iteration cap.  A fit is one
+``(circuit, target, seed, start)`` request: its restart 0 opens at the
+start grid if one is given, every other restart at seeded uniform phases,
+and its restarts count in restart order, up to the first that meets the
 target, so ``fit_targets`` gives every fit what it gets alone.
 Recalibration against perturbed mixers is a second ``fit_targets`` call
 of a study's job, one fit per row on that row's perturbed circuit, with
@@ -61,9 +63,9 @@ from .circuit import (
     prefix_products,
 )
 from .numerics import SpdSolver, as_complex_matrix
-from .sampling import derive_seed, jitter_phases, uniform_phases
+from .sampling import derive_seed, uniform_phases
 
-__all__ = ["LmaOptions", "FromVector", "fit", "fit_targets"]
+__all__ = ["LmaOptions", "fit", "fit_targets"]
 
 
 #: stopping tolerances: relative loss change, relative step length, gradient entries
@@ -97,22 +99,6 @@ class LmaOptions:
         if not (math.isfinite(self.target_loss) and self.target_loss > 0):
             raise ValueError(
                 f"target_loss must be finite and positive, got {self.target_loss}")
-
-
-@dataclass(frozen=True)
-class FromVector:
-    """Start at a given (M, N) phase grid, optionally jittered by a relative fraction."""
-
-    phases: np.ndarray
-    jitter_fraction: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.jitter_fraction < 1.0:
-            raise ValueError("jitter_fraction must lie in [0, 1)")
-        phases = np.array(self.phases, dtype=float)
-        if not np.isfinite(phases).all():
-            raise ValueError("start phases contain non-finite values")
-        object.__setattr__(self, "phases", phases)
 
 
 class _Problem:
@@ -406,53 +392,43 @@ def _lane_cap(program: PhaseProgram) -> int:
     return _lane_budget(program)
 
 
-def _restart_starts(program: PhaseProgram, init: FromVector | None, seed: int, count: int):
+def _restart_starts(program: PhaseProgram, start: np.ndarray | None, seed: int, count: int):
     """The free values of a fit's ``count`` restarts, drawn as they open:
-    restart k, seeded by ``derive_seed(seed, "lma-restart", k)``, starts at
-    fresh i.i.d. U[0, 2 pi) phases when ``init`` is None, else at ``init``'s
-    (M, N) grid jittered by its fraction."""
+    restart 0 starts at the (M, N) grid ``start`` if one is given, and every
+    other restart k at fresh i.i.d. U[0, 2 pi) phases seeded by
+    ``derive_seed(seed, "lma-restart", k)``."""
     for k in range(count):
-        restart_seed = derive_seed(seed, "lma-restart", k)
-        if init is None:
-            grid = uniform_phases(program.layers, program.ports, restart_seed)
-        else:
-            grid = jitter_phases(init.phases, init.jitter_fraction, restart_seed)
+        grid = start if k == 0 and start is not None else uniform_phases(
+            program.layers, program.ports, derive_seed(seed, "lma-restart", k))
         yield grid[program.free_mask]
 
 
-def fit_targets(
-    circuits: Sequence[InterlacedCircuit],
-    targets,
-    options: LmaOptions,
-    seeds,
-    inits: Sequence[FromVector | None],
-) -> list[FitResult]:
-    """Best-of-restarts phase fits: fit ``i`` of ``circuits[i]`` to the target
-    unitary ``targets[i]``, seeded by ``seeds[i]``, from ``inits[i]``.
+def fit_targets(requests: Sequence[tuple], options: LmaOptions) -> list[FitResult]:
+    """Best-of-restarts phase fits, one per ``(circuit, target, seed, start)``
+    request: of the circuit to the target unitary, seeded by ``seed``.
 
     The circuits share N, M, the frozen mask and the frozen values; each may
-    have its own mixers.  A fit runs up to ``options.restarts`` descents from
-    seeded starts (uniform phases, or its start's (M, N) grid jittered)
-    until one meets the loss target.  All the fits' descents run
+    have its own mixers.  A fit runs up to ``options.restarts`` descents until
+    one meets the loss target: restart 0 from ``start``, an (M, N) phase grid
+    or None, and the others (all of them when ``start`` is None) from seeded
+    uniform phases (``_restart_starts``).  All the fits' descents run
     as lanes of one ``_descend``, each on its fit's mixers and target, at
     most ``_lane_cap`` per fit and ``_lane_budget`` in all; a fit's outcomes
     count in restart order, so each result is what the fit gets alone.
-    Unequal counts, a circuit unlike the first (named by its position), a
-    target not N x N or not finite, or a start grid of another shape raise
+    A circuit unlike the first (named by its position), a target not N x N
+    or not finite, or a start grid of another shape or not finite raise
     ``ValueError`` before anything is composed.  Frozen phases are never
     modified.  A result is its fit's best lane, its loss from the descent's
     sweep (bitwise ``loss(transfer_matrix(mixers, theta), target)``); each
     ``seconds`` is the fit's share of the ticks, adding up to the wall time.
     """
-    for name, given in (("circuits", circuits), ("seeds", seeds), ("starts", inits)):
-        if len(given) != len(targets):
-            raise ValueError(f"{len(given)} {name} for {len(targets)} targets")
-    if not circuits:
+    if not requests:
         return []
-    program = circuits[0].program
+    program = requests[0][0].program
     m, n = program.layers, program.ports
-    stack = np.empty((len(targets), n, n), dtype=np.complex128)
-    for k, (circuit, target, init) in enumerate(zip(circuits, targets, inits)):
+    stack = np.empty((len(requests), n, n), dtype=np.complex128)
+    queues = []
+    for k, (circuit, target, seed, start) in enumerate(requests):
         frozen = circuit.program.fixed
         if not (np.array_equal(frozen, program.fixed)
                 and np.array_equal(circuit.program.theta[frozen], program.theta[frozen])):
@@ -464,15 +440,18 @@ def fit_targets(
                              f"{(n, n)} transfer matrix")
         if not np.isfinite(target).all():
             raise ValueError("target has non-finite entries")
-        if init is not None and init.phases.shape != (m, n):
-            raise ValueError(f"start grid shape {init.phases.shape} is not the circuit's "
-                             f"phase grid {(m, n)}")
+        if start is not None:
+            start = np.asarray(start, dtype=float)
+            if start.shape != (m, n):
+                raise ValueError(f"start grid shape {start.shape} is not the circuit's "
+                                 f"phase grid {(m, n)}")
+            if not np.isfinite(start).all():
+                raise ValueError("start phases contain non-finite values")
         stack[k] = target
+        queues.append(_restart_starts(program, start, seed, options.restarts))
     depth = min(_lane_cap(program), options.restarts)
     width = min(_lane_budget(program), depth * len(stack))
-    queues = [_restart_starts(program, init, seed, options.restarts)
-              for seed, init in zip(seeds, inits)]
-    problem = _Problem([circuit.mixers for circuit in circuits], program, stack, width)
+    problem = _Problem([request[0].mixers for request in requests], program, stack, width)
     outcomes, seconds = _descend(problem, queues, options, width, depth)
 
     results = []
@@ -497,5 +476,5 @@ def fit_targets(
 
 def fit(circuit: InterlacedCircuit, target, options: LmaOptions, *, seed: int) -> FitResult:
     """Best-of-restarts phase fit of the circuit to one target unitary from
-    random starts: ``fit_targets`` with that one circuit, target and seed."""
-    return fit_targets([circuit], [target], options, [seed], [None])[0]
+    random starts: ``fit_targets`` with that one request."""
+    return fit_targets([(circuit, target, seed, None)], options)[0]

@@ -596,15 +596,16 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_study_error_is_usage_error(self, tmp_path, capsys, monkeypatch, threads):
-        # past the config check the bad value reaches the study, which raises
-        # in a worker process when threads > 1
+        # past the config check the bad row reaches the study's jobs, which
+        # raise in a worker process when threads > 1
         monkeypatch.setattr(jxcircuit.cli, "check_values", lambda *args: None)
-        cfg = self.config(tmp_path, "n = 2\nm = 3\nruns = 2\njitter_fraction = 1.5\n")
+        cfg = self.config(tmp_path, "n = 2\nm = 3\nsamples = 2\nrestarts = 2\n"
+                                    "sigma_k_list = [0.001, -0.1]\n")
         out = tmp_path / "res"
-        assert run("experiment", "phasediff", "--config", cfg, "--out-dir", out,
+        assert run("experiment", "table1", "--config", cfg, "--out-dir", out,
                    "--threads", threads) == 2
-        assert "jitter_fraction must lie in [0, 1)" in capsys.readouterr().err
-        assert not (out / "phasediff_records.csv").exists()
+        assert "sigma_k must be finite and >= 0, got -0.1" in capsys.readouterr().err
+        assert not (out / "table1_records.csv").exists()
 
     def test_threads_below_one_is_usage_error(self, tmp_path):
         cfg = self.config(tmp_path, 'n_list = [2]\nm_list = [3]\ntargets = 1\nrestarts = 1\n')

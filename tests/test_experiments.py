@@ -138,9 +138,9 @@ def fitted_target_counts(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda workers: ThreadPoolExecutor(1))
 
-    def counting(circuits, targets, *args):
-        counts.append(len(targets))
-        return fit_targets(circuits, targets, *args)
+    def counting(requests, options):
+        counts.append(len(requests))
+        return fit_targets(requests, options)
 
     def refused(*args, **kwargs):
         raise AssertionError("a study called fit")
@@ -232,6 +232,17 @@ class TestPerturbationTable:
         assert [(r.target_index, r.sigma_k) for r in records] == [
             (i, sk) for i in range(5) for sk in (0.0, 0.003)]
 
+    def test_worker_errors_reach_the_caller(self):
+        # the disorder of a negative sigma_k row is refused inside the job, so
+        # at threads=2 the error is raised in a worker process
+        messages = []
+        for threads in (1, 2):
+            with pytest.raises(ValueError) as info:
+                perturbation_table([0.001, -0.1], 2, LmaOptions(restarts=2), 44, n=2, m=3,
+                                   threads=threads)
+            messages.append(str(info.value))
+        assert messages == ["sigma_k must be finite and >= 0, got -0.1"] * 2
+
     def test_a_record_is_timed_by_its_own_share_of_the_batch(self):
         # the rows of a sample share its fit, and the samples of a block share
         # one descent: the rows' times add up to at most the study's
@@ -307,17 +318,13 @@ class TestPhaseDifferenceStudy:
             phase_difference_study([0.0], 1, 1, n=2, m=3,
                                    **{**PHASEDIFF, "init_modes": ("random", "warm")})
 
-    def test_worker_errors_reach_the_caller(self):
-        # FromVector refuses the fraction inside the job, so at threads=2 the
-        # error is raised in a worker process
-        messages = []
-        for threads in (1, 2):
-            with pytest.raises(ValueError) as info:
-                phase_difference_study([0.0], 2, 44, n=2, m=3,
-                                       **{**PHASEDIFF, "jitter_fraction": 1.5},
-                                       threads=threads)
-            messages.append(str(info.value))
-        assert messages == ["jitter_fraction must lie in [0, 1)"] * 2
+    @pytest.mark.parametrize("fraction", [1.5, 1.0, -0.1, float("nan")])
+    def test_a_jitter_fraction_outside_the_unit_interval_is_refused_before_any_fit(
+            self, monkeypatch, fraction):
+        monkeypatch.setattr(experiments, "fit_targets", lambda *args: pytest.fail("a fit ran"))
+        with pytest.raises(ValueError, match=r"jitter_fraction must lie in \[0, 1\)"):
+            phase_difference_study([0.0], 2, 44, n=2, m=3,
+                                   **{**PHASEDIFF, "jitter_fraction": fraction})
 
     def test_each_perturbed_circuit_is_built_once(self, monkeypatch):
         # the jittered and random fits of a (run, row) share one disorder draw

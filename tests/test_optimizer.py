@@ -21,7 +21,7 @@ from jxcircuit.circuit import (
 )
 from jxcircuit import numerics
 from jxcircuit.numerics import SpdSolver
-from jxcircuit.optimizer import FromVector, LmaOptions, _descend, fit, fit_targets
+from jxcircuit.optimizer import LmaOptions, _descend, fit, fit_targets
 from jxcircuit.sampling import derive_seed, haar_unitary, uniform_phases
 from jacobian_reference import residuals_and_jacobian
 
@@ -52,9 +52,9 @@ class LinearProblem:
         return self.residuals[rows] @ self.a
 
 
-def fit_from(circuit, target, options, init, seed):
-    """The fit of ``circuit`` to ``target`` from the start ``init``."""
-    return fit_targets([circuit], [target], options, [seed], [init])[0]
+def fit_from(circuit, target, options, start, seed):
+    """The fit of ``circuit`` to ``target`` from the start grid ``start``."""
+    return fit_targets([(circuit, target, seed, start)], options)[0]
 
 
 def descend(problem, x0, options):
@@ -71,8 +71,6 @@ def test_options_validation():
     for bad in (0.0, -1e-10, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="target_loss must be finite and positive"):
             LmaOptions(target_loss=bad)
-    with pytest.raises(ValueError):
-        FromVector(np.zeros((1, 1)), jitter_fraction=1.0)
 
 
 @contextmanager
@@ -91,11 +89,12 @@ def deadline(seconds):
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-def test_non_finite_start_phases_are_refused(bad):
+def test_non_finite_start_phases_are_refused(monkeypatch, bad):
+    refuse_compositions(monkeypatch)
     theta = np.zeros((4, 3))
     theta[2, 1] = bad
     with pytest.raises(ValueError, match="start phases contain non-finite values"):
-        FromVector(theta)
+        fit_from(ideal_circuit(3, 4), haar_unitary(3, 1), LmaOptions(restarts=2), theta, 0)
 
 
 def test_nan_damping_gives_up_instead_of_looping():
@@ -271,7 +270,7 @@ def test_step_at_converged_point_keeps_loss(monkeypatch):
     # unreachable loss and gradient targets make the one allowed iteration try a step
     monkeypatch.setattr(optimizer, "_OPTIMALITY_TOLERANCE", 1e-300)
     one_step = LmaOptions(restarts=1, max_iterations=1, target_loss=1e-300)
-    stepped = fit_from(circ, target, one_step, FromVector(result.phases.theta), 3)
+    stepped = fit_from(circ, target, one_step, result.phases.theta, 3)
     assert stepped.loss <= result.loss * (1 + 1e-12) + 1e-25
     delta = np.abs(stepped.phases.theta - result.phases.theta).max()
     assert delta < optimizer._STEP_TOLERANCE
@@ -287,7 +286,7 @@ def test_accepted_steps_never_increase_loss():
     # k-th accepted step of the same path
     for cap in range(1, 31):
         options = LmaOptions(restarts=1, max_iterations=cap)
-        losses.append(fit_from(circ, target, options, FromVector(start), 0).loss)
+        losses.append(fit_from(circ, target, options, start, 0).loss)
         assert losses[-1] <= losses[-2]
     assert losses[-1] < losses[0]
 
@@ -371,8 +370,9 @@ def test_fit_loss_matches_recomposition(n, m, faults, sigma, count, options):
                  perturbed_circuit(n, m, sigma, seed=70 + k)).with_program(program)
                 for k in range(count)]
     targets = [haar_unitary(n, 61 + k) for k in range(count)]
-    results = fit_targets(circuits, targets, options, [10 + k for k in range(count)],
-                          [None] * count)
+    results = fit_targets([(circuit, target, 10 + k, None)
+                           for k, (circuit, target) in enumerate(zip(circuits, targets))],
+                          options)
     for circuit, target, result in zip(circuits, targets, results):
         recomposed = loss(transfer_matrix(circuit.mixers, result.phases.theta), target)
         assert result.loss == recomposed
@@ -387,7 +387,7 @@ def test_fit_from_an_exact_start_keeps_it_without_iterating():
     assert fitted.converged
     perturbed = perturbed_circuit(n, m, 0.0, seed=12).with_program(fitted.phases)
     result = fit_from(perturbed, target, LmaOptions(max_iterations=50, restarts=3),
-                      FromVector(fitted.phases.theta, 0.0), 13)
+                      fitted.phases.theta, 13)
     assert np.array_equal(result.phases.theta, fitted.phases.theta)
     assert result.loss < 1e-10
     assert result.iterations == 0
@@ -404,20 +404,26 @@ def test_truncated_restarts_refit_a_perturbed_circuit():
     assert result.loss < 1e-10
 
 
-def test_initial_free_values_are_seeded_draws_or_a_jittered_grid():
+def test_initial_free_values_are_seeded_draws_or_a_given_grid():
     from jxcircuit.optimizer import _restart_starts
 
     program = PhaseProgram.zeros(3, 3)
     a, b = _restart_starts(program, None, 1, 2)
     assert not np.array_equal(a, b)
     assert np.array_equal(a, uniform_phases(3, 3, derive_seed(1, "lma-restart", 0)).ravel())
+    # restart 0 opens at the given grid, and every later restart k at the
+    # draw of a random fit's restart k
     base = uniform_phases(3, 3, 5)
-    c, = _restart_starts(program, FromVector(base, 0.0), 123, 1)
-    assert np.array_equal(c, base.ravel())
-    d, e = _restart_starts(program, FromVector(base, 0.1), 124, 2)
-    assert not np.array_equal(d, e)
-    assert np.abs(d / base.ravel() - 1.0).max() <= 0.1
-    assert np.abs(e / base.ravel() - 1.0).max() <= 0.1
+    given = list(_restart_starts(program, base, 124, 4))
+    drawn = list(_restart_starts(program, None, 124, 4))
+    assert np.array_equal(given[0], base.ravel())
+    assert not np.array_equal(given[0], drawn[0])
+    for k in range(1, 4):
+        assert np.array_equal(given[k], drawn[k])
+    # the free values only: a frozen entry of the grid is not a start value
+    faulty = apply_fault_plan(program, [(1, 2, 0.5)])
+    c, = _restart_starts(faulty, base, 124, 1)
+    assert np.array_equal(c, base[faulty.free_mask])
 
 
 def refuse_compositions(monkeypatch):
@@ -453,6 +459,6 @@ def test_a_wrong_shaped_start_grid_is_refused_before_any_composition(monkeypatch
     # flat or reshaped grid of the same size would be read layer-major as
     # some other grid, or not at all
     refuse_compositions(monkeypatch)
-    init = FromVector(np.zeros(shape))
     with pytest.raises(ValueError, match=r"start grid shape .*\(6, 4\)"):
-        fit_from(ideal_circuit(4, 6), haar_unitary(4, 1), LmaOptions(restarts=2), init, 0)
+        fit_from(ideal_circuit(4, 6), haar_unitary(4, 1), LmaOptions(restarts=2),
+                 np.zeros(shape), 0)

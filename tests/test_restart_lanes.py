@@ -40,7 +40,7 @@ from jxcircuit.circuit import (
     transfer_matrix,
 )
 from jxcircuit.numerics import SpdSolver
-from jxcircuit.optimizer import FromVector, LmaOptions, _Lane, _Problem, fit, fit_targets
+from jxcircuit.optimizer import LmaOptions, _Lane, _Problem, fit, fit_targets
 from jxcircuit.sampling import derive_seed, haar_unitary, uniform_phases
 from jacobian_reference import evaluate
 
@@ -54,7 +54,7 @@ def haar_circuit(n, m, seed, fixed):
 def fits(draw):
     """(circuit, target, options, init, seed): N 1-5, M 1-6, any mask,
     restarts 1-12, 1-40 iterations per descent, and seeded uniform starts
-    or a jittered (M, N) start grid.  The loss target is either
+    or an (M, N) start grid for restart 0.  The loss target is either
     drawn log-uniformly from [1e-10, 1], or a fraction (0.5-1) of the loss
     the first restart reaches, so that restart fails and a later one may
     not."""
@@ -67,10 +67,7 @@ def fits(draw):
     options = LmaOptions(max_iterations=draw(st.integers(1, 40)),
                          restarts=draw(st.integers(1, 12)),
                          target_loss=10.0 ** draw(st.floats(-10.0, 0.0)))
-    init = None
-    if draw(st.booleans()):
-        grid = uniform_phases(m, n, derive_seed(seed, "start"))
-        init = FromVector(grid, draw(st.floats(0.0, 0.5)))
+    init = uniform_phases(m, n, derive_seed(seed, "start")) if draw(st.booleans()) else None
     fraction = draw(st.none() | st.floats(0.5, 1.0))
     if fraction is not None:
         first = fit_alone(circuit, target, replace(options, restarts=1), init, seed=seed).loss
@@ -79,9 +76,15 @@ def fits(draw):
 
 
 def fit_alone(circuit, target, options, init=None, *, seed):
-    """The one fit of ``circuit`` to ``target`` from ``init`` (``fit`` when
-    that is None)."""
-    return fit_targets([circuit], [target], options, [seed], [init])[0]
+    """The one fit of ``circuit`` to ``target`` from the start grid ``init``
+    (``fit`` when that is None)."""
+    return fit_targets([(circuit, target, seed, init)], options)[0]
+
+
+def seeded(circuit, targets):
+    """Requests to fit ``circuit`` to each of ``targets`` from random
+    starts, fit ``k`` seeded by ``k``."""
+    return [(circuit, target, k, None) for k, target in enumerate(targets)]
 
 
 def fit_at_width_one(*args, **kwargs):
@@ -131,21 +134,33 @@ def test_lanes_give_the_serial_fit(case):
     assert_same_fit(fit_in_lanes(circuit, target, options, init, seed=seed), serial)
 
 
+def lone_lane(circuit, target, options, start):
+    """The stopped lane of one descent from ``start``, run alone."""
+    problem = _Problem([circuit.mixers], circuit.program, target[None], 1)
+    ((lane,),), _ = optimizer._descend(problem, [[start]], options, 1, 1)
+    return lane
+
+
 def test_lanes_that_stop_on_different_ticks_give_the_serial_fit(monkeypatch):
     # with the step and gradient tests off and a function tolerance near
-    # rounding, the five lanes of the fit's one descent hit the cap of 36,
-    # stop by ftol after 26, 29 and 35 steps, and stall after 25
+    # rounding, the five lanes of the fit's one descent stop on at least
+    # three different ticks and by more than one rule (the cap, ftol or a
+    # stall), each as its restart's descent stops alone
     monkeypatch.setattr(optimizer, "_FUNCTION_TOLERANCE", 3e-16)
     monkeypatch.setattr(optimizer, "_STEP_TOLERANCE", 0.0)
     monkeypatch.setattr(optimizer, "_OPTIMALITY_TOLERANCE", 0.0)
-    descents = recorded_descents(monkeypatch)
-    circuit, target = ideal_circuit(3, 3), haar_unitary(3, 1)
+    circuit, target, seed = ideal_circuit(3, 3), haar_unitary(3, 1), 11
     options = LmaOptions(restarts=5, max_iterations=36)
-    wide = fit(circuit, target, options, seed=11)
+    starts = list(optimizer._restart_starts(circuit.program, None, seed, 5))
+    lone = [lone_lane(circuit, target, options, start) for start in starts]
+    assert len({lone_sweeps(circuit, target, options, seed, start) for start in starts}) >= 3
+    assert len({lane.status for lane in lone}) >= 2
+    descents = recorded_descents(monkeypatch)
+    wide = fit(circuit, target, options, seed=seed)
     (((lanes,), _),) = descents
-    assert [(lane.status, lane.iterations) for lane in lanes] == [
-        ("maxiter", 36), ("ftol", 26), ("ftol", 29), ("ftol", 35), ("stalled", 25)]
-    assert_same_fit(wide, fit_at_width_one(circuit, target, options, seed=11))
+    assert [(lane.status, lane.iterations, lane.rejected) for lane in lanes] == [
+        (lane.status, lane.iterations, lane.rejected) for lane in lone]
+    assert_same_fit(wide, fit_at_width_one(circuit, target, options, seed=seed))
 
 
 @pytest.mark.parametrize("n, m, faults, lanes", [
@@ -607,7 +622,7 @@ def test_fits_of_one_circuit_share_one_descent_and_keep_their_serial_results(
     options = LmaOptions(restarts=restarts, max_iterations=100)
     alone = [fit(circuit, target, options, seed=k) for k, target in enumerate(targets)]
     descents = recorded_descents(monkeypatch)
-    batched = fit_targets([circuit] * 8, targets, options, list(range(8)), [None] * 8)
+    batched = fit_targets(seeded(circuit, targets), options)
     assert len(descents) == 1 and len(batched) == 8
     for wide, serial in zip(batched, alone):
         assert_same_fit(wide, serial)
@@ -620,7 +635,7 @@ def test_a_shared_descent_gives_every_fit_its_serial_result(case, count, serial,
     # any circuit, mask, budget and start, with up to five targets whose
     # fits stop after different restarts; every fit after the first runs on
     # the first fit's circuit or on mixers of its own (with the same frozen
-    # phases), from random starts or a jittered start of its own; against
+    # phases), from random starts or a start grid of its own; against
     # fits run alone, one lane at a time or with the default lanes
     circuit, target, options, init, seed = case
     n, m = circuit.ports, circuit.program.layers
@@ -630,46 +645,40 @@ def test_a_shared_descent_gives_every_fit_its_serial_result(case, count, serial,
         circuits.append(InterlacedCircuit(own, circuit.program)
                         if data.draw(st.booleans()) else circuit)
         targets.append(haar_unitary(n, derive_seed(seed, "more", k)))
-        jitter = data.draw(st.none() | st.floats(0.0, 0.5))
-        inits.append(None if jitter is None else
-                     FromVector(uniform_phases(m, n, derive_seed(seed, "start", k)), jitter))
+        inits.append(uniform_phases(m, n, derive_seed(seed, "start", k))
+                     if data.draw(st.booleans()) else None)
     seeds = [derive_seed(seed, "fit", k) for k in range(count)]
     one = fit_at_width_one if serial else fit_alone
     alone = [one(c, t, options, i, seed=s) for c, t, i, s in zip(circuits, targets, inits, seeds)]
-    for wide, want in zip(fit_targets(circuits, targets, options, seeds, inits), alone):
+    wides = fit_targets(list(zip(circuits, targets, seeds, inits)), options)
+    for wide, want in zip(wides, alone):
         assert_same_fit(wide, want)
 
 
-def test_fit_targets_refuses_mismatched_seeds_and_targets(monkeypatch):
+def test_fit_targets_refuses_mismatched_circuits_targets_and_starts(monkeypatch):
     circuit, target, options = ideal_circuit(3, 3), haar_unitary(3, 1), LmaOptions()
     frozen = [circuit.with_program(apply_fault_plan(PhaseProgram.zeros(3, 3), [(1, 2, value)]))
               for value in (0.5, 0.7)]
     # only the free values of their programs differ: accepted
     moved = circuit.with_program(PhaseProgram(np.ones((3, 3)), np.zeros((3, 3), bool)))
-    pair = fit_targets([circuit, moved], [target] * 2, LmaOptions(restarts=2), [4, 4],
-                       [None] * 2)
+    pair = fit_targets([(circuit, target, 4, None), (moved, target, 4, None)],
+                       LmaOptions(restarts=2))
     assert_same_fit(pair[1], fit(circuit, target, LmaOptions(restarts=2), seed=4))
     assert_same_fit(pair[0], pair[1])
 
     monkeypatch.setattr(optimizer, "prefix_products", lambda *args: pytest.fail("composed"))
-    with pytest.raises(ValueError, match="2 seeds for 1 targets"):
-        fit_targets([circuit], [target], options, [1, 2], [None])
-    with pytest.raises(ValueError, match="2 circuits for 1 targets"):
-        fit_targets([circuit] * 2, [target], options, [1], [None])
-    with pytest.raises(ValueError, match="0 starts for 1 targets"):
-        fit_targets([circuit], [target], options, [1], [])
     with pytest.raises(ValueError, match=r"target shape \(2, 2\)"):
-        fit_targets([circuit] * 2, [target, np.eye(2)], options, [1, 2], [None] * 2)
+        fit_targets(seeded(circuit, [target, np.eye(2)]), options)
     # a circuit of another N or M, another frozen mask, or other frozen values
     for first, other in [(circuit, ideal_circuit(2, 3)), (circuit, ideal_circuit(3, 4)),
                          (circuit, frozen[0]), (frozen[0], frozen[1])]:
         with pytest.raises(ValueError, match="circuit 2 differs from circuit 0"):
-            fit_targets([first, first, other, other], [target] * 4, options, [1] * 4,
-                        [None] * 4)
+            fit_targets([(c, target, 1, None) for c in (first, first, other, other)],
+                        options)
     with pytest.raises(ValueError, match=r"start grid shape \(3, 4\)"):
-        fit_targets([circuit] * 2, [target] * 2, options, [1, 2],
-                    [None, FromVector(np.zeros((3, 4)))])
-    assert fit_targets([], [], LmaOptions(), [], []) == []
+        fit_targets([(circuit, target, 1, None), (circuit, target, 2, np.zeros((3, 4)))],
+                    options)
+    assert fit_targets([], LmaOptions()) == []
 
 
 @pytest.mark.parametrize("n, m, restarts, count, width, depth", [
@@ -699,9 +708,8 @@ def test_a_shared_descent_keeps_its_lanes_within_their_budget(
     monkeypatch.setattr(_Problem, "losses", recorded)
     circuit = ideal_circuit(n, m)
     targets = [haar_unitary(n, derive_seed(7, "t", i)) for i in range(count)]
-    results = fit_targets([circuit] * count, targets,
-                          LmaOptions(restarts=restarts, max_iterations=2), list(range(count)),
-                          [None] * count)
+    results = fit_targets(seeded(circuit, targets),
+                          LmaOptions(restarts=restarts, max_iterations=2))
     assert len(results) == count
     assert made == [(circuit.program.free_count, width)]
     assert max(len(fits) for fits in seated) == width
@@ -726,7 +734,7 @@ def test_a_descent_wider_than_64_lanes_gives_every_fit_its_serial_result(monkeyp
         return losses(self, xs)
 
     monkeypatch.setattr(_Problem, "losses", recorded)
-    wide = fit_targets([circuit] * 30, targets, options, list(range(30)), [None] * 30)
+    wide = fit_targets(seeded(circuit, targets), options)
     assert widths[0] == max(widths) == 150
     for one, want in zip(wide, serial):
         assert_same_fit(one, want)
@@ -749,8 +757,7 @@ def test_a_program_with_no_free_phase_keeps_its_lanes_within_their_budget(monkey
     program = PhaseProgram(uniform_phases(m, n, 3), np.ones((m, n), dtype=bool))
     circuit = ideal_circuit(n, m).with_program(program)
     targets = [haar_unitary(n, derive_seed(4, "t", i)) for i in range(20)]
-    results = fit_targets([circuit] * 20, targets, LmaOptions(restarts=50), list(range(20)),
-                          [None] * 20)
+    results = fit_targets(seeded(circuit, targets), LmaOptions(restarts=50))
     assert {result.status for result in results} == {"no-free-parameters"}
     assert {result.restarts_used for result in results} == {50}
     ((size, slots),) = made
@@ -783,7 +790,7 @@ def test_no_lane_step_is_wasted_above_the_transition(monkeypatch, faults, count,
     if lanes:
         monkeypatch.setattr(optimizer, "_LANE_BYTES", budget_of(lanes, circuit.program.free_count))
         assert max(result.restarts_used for result in alone) > 1
-    fit_targets([circuit] * count, targets, options, list(range(count)), [None] * count)
+    fit_targets(seeded(circuit, targets), options)
     assert sum(grids) == serial and max(grids) == (lanes or count)
 
 
@@ -792,7 +799,7 @@ def test_a_fit_is_timed_by_its_share_of_the_ticks():
     targets = [haar_unitary(4, derive_seed(3, "t", i)) for i in range(6)]
     options = LmaOptions(restarts=4, max_iterations=20)
     t0 = time.perf_counter()
-    results = fit_targets([circuit] * 6, targets, options, list(range(6)), [None] * 6)
+    results = fit_targets(seeded(circuit, targets), options)
     elapsed = time.perf_counter() - t0
     shares = [result.seconds for result in results]
     assert min(shares) > 0 and 0.5 * elapsed < sum(shares) <= elapsed
@@ -818,10 +825,10 @@ def test_fits_on_one_stack_or_on_equal_copies_get_the_same_results(
     circuit = ideal_circuit(4, m).with_program(
         apply_fault_plan(PhaseProgram.zeros(m, 4), faults))
     targets = [haar_unitary(4, derive_seed(6, "t", i)) for i in range(count)]
-    options, seeds = LmaOptions(restarts=restarts, max_iterations=60), list(range(count))
-    shared = fit_targets([circuit] * count, targets, options, seeds, [None] * count)
-    copies = fit_targets([copy_of(circuit) for _ in range(count)], targets, options, seeds,
-                         [None] * count)
+    options = LmaOptions(restarts=restarts, max_iterations=60)
+    shared = fit_targets(seeded(circuit, targets), options)
+    copies = fit_targets([(copy_of(circuit), target, k, None)
+                          for k, target in enumerate(targets)], options)
     for one, other in zip(shared, copies):
         assert_same_fit(one, other)
 
