@@ -7,8 +7,10 @@ file into a matrix, optionally with perturbed mixers), ``calibrate``
 named study and emit CSV records, JSON metadata and an SVG plot).
 
 Exit codes: 0 success/converged, 1 non-convergence, 2 usage or I/O error.
-Every numeric output is deterministic under a fixed ``--seed`` (the
-informational ``wall_time`` record column excepted).
+``main`` returns every exit code, also after ``--help``, ``--version`` or a
+flag the parser refuses, and never raises.  Every numeric output is
+deterministic under a fixed ``--seed`` (the informational ``wall_time``
+record column excepted).
 """
 
 from __future__ import annotations
@@ -44,6 +46,22 @@ UNITARY_WARN_TOLERANCE = 1e-8
 UNITARY_ERROR_TOLERANCE = 1e-6
 
 
+def _ranged(kind, ok, rule: str):
+    """An argparse ``type`` that parses ``kind`` and refuses a value unless ``ok``."""
+    def convert(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+    convert.__name__ = kind.__name__  # a non-number reads "invalid int value: ..."
+    return convert
+
+
+_count = _ranged(int, lambda v: v >= 1, ">= 1")
+_sigma_k = _ranged(float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
+_target_loss = _ranged(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jxcircuit",
@@ -53,90 +71,71 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("haar", help="sample Haar-random target unitaries")
-    p.add_argument("--ports", type=int, required=True, metavar="N")
-    p.add_argument("--count", type=int, default=1)
+    p.set_defaults(handler=_cmd_haar)
+    p.add_argument("--ports", type=_count, required=True, metavar="N")
+    p.add_argument("--count", type=_count, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=Path, help="output file (count must be 1)")
-    p.add_argument("--out-dir", type=Path, help="output directory for numbered files")
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--out", type=Path, help="output file (count must be 1)")
+    out.add_argument("--out-dir", type=Path, default=Path("."),
+                     help="output directory for numbered files")
 
     p = sub.add_parser("decompose", help="fit circuit phases to a target unitary")
+    p.set_defaults(handler=_cmd_decompose)
     p.add_argument("--target", type=Path, required=True)
-    p.add_argument("--layers", type=int, required=True, metavar="M")
-    p.add_argument("--ports", type=int, help="cross-check against the target file")
-    p.add_argument("--restarts", type=int, default=100)
-    p.add_argument("--max-iterations", type=int, default=400)
-    p.add_argument("--target-loss", type=float, default=1e-10)
+    p.add_argument("--layers", type=_count, required=True, metavar="M")
+    p.add_argument("--ports", type=_count, help="cross-check against the target file")
+    p.add_argument("--restarts", type=_count, default=100)
+    p.add_argument("--max-iterations", type=_count, default=400)
+    p.add_argument("--target-loss", type=_target_loss, default=1e-10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, default=Path("phases.json"))
 
     p = sub.add_parser("apply", help="compose a phase file into a transfer matrix")
+    p.set_defaults(handler=_cmd_apply)
     p.add_argument("--phases", type=Path, required=True)
-    p.add_argument("--sigma-k", type=float, default=0.0)
+    p.add_argument("--sigma-k", type=_sigma_k, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, default=Path("matrix.json"))
 
     p = sub.add_parser("calibrate", help="re-optimize phases against perturbed mixers")
+    p.set_defaults(handler=_cmd_calibrate)
     p.add_argument("--target", type=Path, required=True)
     p.add_argument("--phases", type=Path, required=True)
-    p.add_argument("--sigma-k", type=float, required=True)
-    p.add_argument("--attempts", type=int, default=10)
-    p.add_argument("--iterations", type=int, default=50,
+    p.add_argument("--sigma-k", type=_sigma_k, required=True)
+    p.add_argument("--attempts", type=_count, default=10)
+    p.add_argument("--iterations", type=_count, default=50,
                    help="iteration cap per attempt (truncated descent)")
-    p.add_argument("--target-loss", type=float, default=1e-10)
+    p.add_argument("--target-loss", type=_target_loss, default=1e-10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, default=Path("phases_calibrated.json"))
 
     p = sub.add_parser("experiment", help="run a named study")
+    p.set_defaults(handler=_cmd_experiment)
     p.add_argument("name", choices=list(STUDIES))
     p.add_argument("--config", type=Path, help="flat key = value config file")
     p.add_argument("--out-dir", type=Path, default=Path("results"))
     p.add_argument("--seed", type=int, help="overrides master_seed from the config")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_count, default=1,
                    help="worker processes (default: 1, every fit in this process)")
     p.add_argument("--resume", action="store_true",
                    help="skip units of work already present in the output CSV "
                         "(refused unless its metadata matches this run)")
-    # Python 3.11's argparse takes -1e-10 for an option; read it as a number
+    # argparse (Python 3.10 to 3.13) takes -1e-10 for an option; read it as a number
     for p in (parser, *sub.choices.values()):
         p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     return parser
 
 
-def _check_counts(args, *flags) -> None:
-    """Refuse a count flag below 1 before any input is read."""
-    for flag in flags:
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
-
-
-def _check_sigma_k(args) -> None:
-    """Refuse a NaN, infinite or negative ``--sigma-k`` before any input is read."""
-    if not math.isfinite(args.sigma_k):
-        raise ValueError(f"--sigma-k must be finite, got {args.sigma_k}")
-    if args.sigma_k < 0:
-        raise ValueError(f"--sigma-k must be >= 0, got {args.sigma_k}")
-
-
-def _check_target_loss(args) -> None:
-    """Refuse a ``--target-loss`` that is not finite and positive (every loss
-    would meet an infinite one) before any input is read."""
-    if not (math.isfinite(args.target_loss) and args.target_loss > 0):
-        raise ValueError(
-            f"--target-loss must be finite and positive, got {args.target_loss}")
-
-
 def _cmd_haar(args) -> int:
-    _check_counts(args, "--count")
     if args.out is not None and args.count != 1:
         raise ValueError("--out requires --count 1 (use --out-dir for sets)")
     if args.out is not None:
         paths = [args.out]
     else:
-        out_dir = args.out_dir if args.out_dir is not None else Path(".")
-        out_dir.mkdir(parents=True, exist_ok=True)
+        args.out_dir.mkdir(parents=True, exist_ok=True)
         paths = [
-            out_dir / f"haar_n{args.ports}_{i:04d}.json" for i in range(args.count)
+            args.out_dir / f"haar_n{args.ports}_{i:04d}.json" for i in range(args.count)
         ]
     for i, path in enumerate(paths):
         u = haar_unitary(args.ports, derive_seed(args.seed, "haar", i))
@@ -161,8 +160,6 @@ def _read_target(path: Path):
 
 
 def _cmd_decompose(args) -> int:
-    _check_counts(args, "--restarts", "--max-iterations")
-    _check_target_loss(args)
     target = _read_target(args.target)
     n = target.shape[0]
     if args.ports is not None and args.ports != n:
@@ -186,7 +183,6 @@ def _fit_totals(result) -> str:
 
 
 def _cmd_apply(args) -> int:
-    _check_sigma_k(args)
     program = read_phases(args.phases)
     circuit = perturbed_circuit(program.ports, program.layers, args.sigma_k,
                                 args.seed).with_program(program)
@@ -197,9 +193,6 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    _check_counts(args, "--attempts", "--iterations")
-    _check_sigma_k(args)
-    _check_target_loss(args)
     target = _read_target(args.target)
     program = read_phases(args.phases)
     if target.shape[0] != program.ports:
@@ -247,7 +240,6 @@ def _check_resumable(meta_path: Path, cfg: dict) -> None:
 
 
 def _cmd_experiment(args) -> int:
-    _check_counts(args, "--threads")
     study = STUDIES[args.name]
     cfg = _experiment_config(args.name, args)
     out_dir: Path = args.out_dir
@@ -283,17 +275,12 @@ def _cmd_experiment(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "haar": _cmd_haar,
-        "decompose": _cmd_decompose,
-        "apply": _cmd_apply,
-        "calibrate": _cmd_calibrate,
-        "experiment": _cmd_experiment,
-    }
     try:
-        return handlers[args.command](args)
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 on --help/--version
+        return exc.code
+    try:
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

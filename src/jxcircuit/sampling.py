@@ -73,8 +73,8 @@ def uniform_phases(m: int, n: int, seed) -> np.ndarray:
 
 def jitter_phases(x, fraction: float, seed) -> np.ndarray:
     """Relative elementwise jitter: ``x * (1 + u)``, u uniform in [-fraction, fraction]."""
-    if fraction < 0:
-        raise ValueError(f"jitter fraction must be >= 0, got {fraction}")
+    if not (np.isfinite(fraction) and fraction >= 0):
+        raise ValueError(f"jitter fraction must be finite and >= 0, got {fraction}")
     x = np.asarray(x, dtype=float)
     u = np.random.default_rng(seed).uniform(-fraction, fraction, size=x.shape)
     return x * (1.0 + u)

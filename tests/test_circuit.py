@@ -65,6 +65,10 @@ class TestPhaseProgram:
             PhaseProgram(np.zeros((2, 2)), np.zeros((2, 3), dtype=bool))
         with pytest.raises(ValueError):
             PhaseProgram(np.array([[np.nan]]), np.zeros((1, 1), dtype=bool))
+        with pytest.raises(ValueError, match=r"phase grid must be 2-D, got shape \(3,\)$"):
+            PhaseProgram(np.zeros(3), np.zeros(3, dtype=bool))
+        with pytest.raises(ValueError, match=r"expected 4 free values, got shape \(3,\)$"):
+            PhaseProgram.zeros(2, 2).with_free_values([1.0, 2.0, 3.0])
 
 
 class TestCompose:
@@ -145,6 +149,10 @@ class TestLoss:
 
     def test_diagonal_example(self):
         assert abs(loss(np.eye(2), np.diag([1.0, -1.0])) - 1.0) < 1e-15
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"shape mismatch: \(2, 2\) vs \(3, 3\)$"):
+            loss(np.eye(2), np.eye(3))
 
 
 class TestResiduals:
@@ -272,6 +280,11 @@ class TestBuilders:
             assert np.array_equal(layer, want)
         default = perturbed_circuit(3, 2, 0.01, 7)
         assert not np.array_equal(default.mixers[0], circ.mixers[0])
+
+    def test_perturbed_circuit_needs_a_phase_layer(self):
+        for sigma_k in (0.0, 0.01):  # the ideal circuit's check, and its own
+            with pytest.raises(ValueError, match="need at least one phase layer, got 0$"):
+                perturbed_circuit(3, 0, sigma_k, seed=1)
 
     def test_perturbed_circuit_deterministic(self):
         a = perturbed_circuit(4, 3, 0.01, seed=6)

@@ -55,6 +55,18 @@ class TestHaarCommand:
         assert run("haar", "--ports", 2, "--count", 3,
                    "--out", tmp_path / "x.json") == 2
 
+    def test_out_with_out_dir_is_usage_error(self, tmp_path, capsys):
+        assert run("haar", "--ports", 2, "--out", tmp_path / "x.json",
+                   "--out-dir", tmp_path / "d") == 2
+        assert "argument --out-dir: not allowed with argument --out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_dir_defaults_to_the_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run("haar", "--ports", 2, "--count", 2) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "haar_n2_0000.json", "haar_n2_0001.json"]
+
 
 class TestDecomposeCommand:
     def test_converges_above_transition(self, tmp_path, capsys):
@@ -189,6 +201,17 @@ class TestCalibrateCommand:
         assert "--attempts" in capsys.readouterr().err
         assert not (tmp_path / "c.json").exists()
 
+    def test_target_and_phase_file_of_other_sizes_is_usage_error(self, tmp_path, capsys):
+        target, phases = tmp_path / "t.json", tmp_path / "p.json"
+        run("haar", "--ports", 3, "--seed", 1, "--out", target)
+        write_phases(phases, PhaseProgram.zeros(2, 2))
+        capsys.readouterr()
+        assert run("calibrate", "--target", target, "--phases", phases,
+                   "--sigma-k", 0.003, "--out", tmp_path / "c.json") == 2
+        assert capsys.readouterr().err == (
+            "error: target size 3 does not match phase file ports 2\n")
+        assert not (tmp_path / "c.json").exists()
+
 
 def without(key):
     return lambda doc: {k: v for k, v in doc.items() if k != key}
@@ -202,7 +225,9 @@ def without(key):
     ("apply", lambda doc: dict(doc, mask=[1]), "key 'mask' is not a grid of shape (1, 2)"),
     ("decompose", lambda doc: dict(doc, re=[[10**400, 0], [0, 1]]),
      "key 're' is not a grid of shape (2, 2) of numbers"),
-], ids=["no-n", "list", "no-mask", "null-n", "flat-mask", "huge-entry"])
+    ("decompose", lambda doc: dict(doc, im=[[0, float("nan")], [0, 0]]),
+     "matrix contains non-finite entries"),
+], ids=["no-n", "list", "no-mask", "null-n", "flat-mask", "huge-entry", "nan-entry"])
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, edit, message):
     path = tmp_path / "in.json"
     if command == "decompose":
@@ -221,44 +246,66 @@ def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, edit, me
 
 
 @pytest.mark.parametrize("argv", [
+    ("haar", "--ports", 0),
+    ("haar", "--ports", 2, "--count", 0),
+    ("decompose", "--layers", 0),
+    ("decompose", "--layers", 3, "--ports", 0),
     ("decompose", "--layers", 3, "--restarts", 0),
     ("decompose", "--layers", 3, "--max-iterations", 0),
-    ("calibrate", "--phases", "missing-p.json", "--sigma-k", 0.003, "--iterations", 0),
+    ("calibrate", "--sigma-k", 0.003, "--attempts", 0),
+    ("calibrate", "--sigma-k", 0.003, "--iterations", 0),
+    ("experiment", "universality", "--threads", 0),
 ])
-def test_zero_count_flag_is_usage_error_before_inputs_are_read(tmp_path, capsys, argv):
-    # the target file does not exist: the flag is named before it is opened
-    out = tmp_path / "out.json"
-    assert run(*argv, "--target", tmp_path / "missing.json", "--out", out) == 2
-    flag = argv[-2]
-    assert f"{flag} must be >= 1, got 0" in capsys.readouterr().err
-    assert not out.exists()
+def test_zero_count_flag_is_usage_error_before_inputs_are_read(tmp_path, capsys, monkeypatch,
+                                                               argv):
+    # no input file is given: the parser names the flag before it asks for one
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    assert f"argument {argv[-2]}: must be >= 1, got 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bad_count_is_named_before_any_output_is_made_or_input_read(tmp_path, capsys):
+    assert run("haar", "--ports", 0, "--out-dir", tmp_path / "d") == 2
+    assert not (tmp_path / "d").exists()
+    assert run("decompose", "--layers", 0, "--target", tmp_path / "missing.json") == 2
+    err = capsys.readouterr().err
+    assert "argument --layers: must be >= 1, got 0" in err and "missing.json" not in err
+
+
+def test_help_and_version_return_zero(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: jxcircuit")
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == f"{jxcircuit.__version__}\n"
+    assert main(["calibrate", "--help"]) == 0
 
 
 @pytest.mark.parametrize("argv, message", [
     (("decompose", "--layers", 3, "--target-loss", "inf"),
-     "--target-loss must be finite and positive, got inf"),
+     "argument --target-loss: must be finite and positive, got inf"),
     (("decompose", "--layers", 3, "--target-loss", "nan"),
-     "--target-loss must be finite and positive, got nan"),
+     "argument --target-loss: must be finite and positive, got nan"),
     (("decompose", "--layers", 3, "--target-loss", 0),
-     "--target-loss must be finite and positive, got 0.0"),
+     "argument --target-loss: must be finite and positive, got 0.0"),
     (("calibrate", "--phases", "p.json", "--sigma-k", 0.003, "--target-loss", "inf"),
-     "--target-loss must be finite and positive, got inf"),
+     "argument --target-loss: must be finite and positive, got inf"),
     (("calibrate", "--phases", "p.json", "--sigma-k", 0.003, "--target-loss", -0.5),
-     "--target-loss must be finite and positive, got -0.5"),
+     "argument --target-loss: must be finite and positive, got -0.5"),
     (("calibrate", "--phases", "p.json", "--sigma-k", "nan"),
-     "--sigma-k must be finite, got nan"),
+     "argument --sigma-k: must be finite and >= 0, got nan"),
     (("calibrate", "--phases", "p.json", "--sigma-k", "inf"),
-     "--sigma-k must be finite, got inf"),
-    (("apply", "--sigma-k", "nan"), "--sigma-k must be finite, got nan"),
-    (("apply", "--sigma-k", "inf"), "--sigma-k must be finite, got inf"),
+     "argument --sigma-k: must be finite and >= 0, got inf"),
+    (("apply", "--sigma-k", "nan"), "argument --sigma-k: must be finite and >= 0, got nan"),
+    (("apply", "--sigma-k", "inf"), "argument --sigma-k: must be finite and >= 0, got inf"),
     # exponent-notation negatives parse as numbers, not as options
     (("decompose", "--layers", 3, "--target-loss", "-1e-10"),
-     "--target-loss must be finite and positive, got -1e-10"),
+     "argument --target-loss: must be finite and positive, got -1e-10"),
     (("calibrate", "--phases", "p.json", "--sigma-k", 0.003, "--target-loss", "-1E+2"),
-     "--target-loss must be finite and positive, got -100.0"),
-    (("apply", "--sigma-k", "-1e-3"), "--sigma-k must be >= 0, got -0.001"),
+     "argument --target-loss: must be finite and positive, got -100.0"),
+    (("apply", "--sigma-k", "-1e-3"), "argument --sigma-k: must be finite and >= 0, got -0.001"),
     (("calibrate", "--phases", "p.json", "--sigma-k", "-2.5e-3"),
-     "--sigma-k must be >= 0, got -0.0025"),
+     "argument --sigma-k: must be finite and >= 0, got -0.0025"),
 ])
 def test_bad_real_flag_is_usage_error_before_inputs_are_read(
         tmp_path, capsys, monkeypatch, argv, message):
@@ -448,10 +495,10 @@ class TestExperimentCommand:
                    "--out-dir", tmp_path / "res") == 2
         assert "bogus_key" in capsys.readouterr().err
 
-    def test_unknown_experiment_rejected(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run("experiment", "nonsense", "--out-dir", tmp_path)
-        assert exc.value.code == 2
+    def test_unknown_experiment_rejected(self, tmp_path, capsys):
+        assert run("experiment", "nonsense", "--out-dir", tmp_path / "res") == 2
+        assert "argument name: invalid choice: 'nonsense'" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = self.config(
@@ -612,17 +659,19 @@ class TestExperimentCommand:
         assert run("experiment", "universality", "--config", cfg, "--threads", 0,
                    "--out-dir", tmp_path / "res") == 2
 
-    @pytest.mark.parametrize("value", ["0", "-2", "two", "1.5", " "])
-    def test_bad_threads_flag_is_usage_error(self, tmp_path, capsys, value):
-        # refused before any fit runs or any output is made, by the flag
-        # check or by argparse
+    @pytest.mark.parametrize("value, message", [
+        ("0", "must be >= 1, got 0"),
+        ("-2", "must be >= 1, got -2"),
+        ("two", "invalid int value: 'two'"),
+        ("1.5", "invalid int value: '1.5'"),
+        (" ", "invalid int value: ' '"),
+    ])
+    def test_bad_threads_flag_is_usage_error(self, tmp_path, capsys, value, message):
+        # refused by the parser before any fit runs or any output is made
         cfg = self.config(tmp_path, self.SMALL["universality"])
-        try:
-            code = run("experiment", "universality", "--config", cfg, "--threads", value,
-                       "--out-dir", tmp_path / "res")
-        except SystemExit as exc:
-            code = exc.code
-        assert code == 2 and "--threads" in capsys.readouterr().err
+        assert run("experiment", "universality", "--config", cfg, "--threads", value,
+                   "--out-dir", tmp_path / "res") == 2
+        assert f"argument --threads: {message}" in capsys.readouterr().err
         assert not (tmp_path / "res").exists()
 
     def test_threads_default_to_one(self, tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ import jxcircuit
 from jxcircuit.circuit import PhaseProgram, apply_fault_plan
 from jxcircuit.experiments import ExperimentRecord
 from jxcircuit.fileio import (
+    RECORD_COLUMNS,
     read_matrix,
     read_metadata,
     read_phases,
@@ -45,6 +46,11 @@ class TestMatrixFiles:
                                     "re": m.real.tolist(), "im": m.imag.tolist()}))
         back = read_matrix(path)
         assert np.array_equal(back, m)
+
+    def test_non_square_rejected_on_write(self, tmp_path):
+        with pytest.raises(ValueError, match=r"stores square matrices, got \(2, 3\)$"):
+            write_matrix(tmp_path / "wide.json", np.ones((2, 3)))
+        assert not (tmp_path / "wide.json").exists()
 
     def test_non_finite_rejected_on_write(self, tmp_path):
         with pytest.raises(ValueError):
@@ -150,6 +156,24 @@ class TestRecordFiles:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="header"):
+            read_records(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        records = [make_record(), make_record(target_index=4)]
+        write_records(path, records)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join([lines[0], "\r\n", lines[1], "\r\n", lines[2]]))
+        assert read_records(path) == records
+
+    def test_row_of_another_width_rejected(self, tmp_path):
+        path = tmp_path / "short.csv"
+        write_records(path, [make_record(), make_record(target_index=4)])
+        text = path.read_text()
+        path.write_text(text[:text.rindex(",")] + "\r\n")  # the last cell cut
+        columns = len(RECORD_COLUMNS)
+        with pytest.raises(ValueError,
+                           match=f"short.csv:3: {columns - 1} cells, expected {columns}$"):
             read_records(path)
 
     def test_fault_plan_quoting(self, tmp_path):

@@ -122,9 +122,13 @@ def test_jitter_stays_within_fraction():
     assert abs(np.mean(y / x - 1.0)) < 3 * sigma
 
 
-def test_jitter_rejects_negative_fraction():
-    with pytest.raises(ValueError):
-        jitter_phases([1.0], -0.5, 0)
+@pytest.mark.parametrize("fraction, shown", [
+    (-0.5, "-0.5"), (-0.1, "-0.1"), (float("nan"), "nan"), (float("inf"), "inf"),
+])
+def test_jitter_rejects_a_fraction_not_finite_and_non_negative(fraction, shown):
+    # numpy's uniform would raise OverflowError on a NaN or infinite range
+    with pytest.raises(ValueError, match=f"jitter fraction must be finite and >= 0, got {shown}$"):
+        jitter_phases([1.0], fraction, 0)
 
 
 def test_derive_seed_determinism_and_spread():
