@@ -30,8 +30,8 @@ from typing import Iterable
 import numpy as np
 
 from .lattice import dfrft, perturbed_mixer
-from .numerics import as_complex_matrix, unitarity_defect
-from .sampling import derive_seed, gaussian_hermitian
+from .numerics import unitarity_defect
+from .sampling import TWO_PI, derive_seed, gaussian_hermitian
 
 __all__ = [
     "PhaseProgram",
@@ -47,7 +47,6 @@ __all__ = [
     "perturbed_circuit",
 ]
 
-TWO_PI = 2.0 * np.pi
 #: largest ||X†X - I||_F a mixing slot may have
 _UNITARITY_ATOL = 1e-12
 
@@ -204,15 +203,19 @@ def compose(circuit: InterlacedCircuit) -> np.ndarray:
     return transfer_matrix(circuit.mixers, circuit.program.theta)
 
 
-def loss(u, target) -> float:
-    """Mean square error ``||U - U_t||_F^2 / N^2``."""
-    u = as_complex_matrix(u)
-    t = as_complex_matrix(target)
-    if u.shape != t.shape or u.shape[0] != u.shape[1]:
+def loss(u, target):
+    """Mean square error ``||U - U_t||_F^2 / N^2``: a float for two matrices,
+    and an array of one per pair for two stacks (..., N, N).  Each is the
+    ``vecdot`` of the flattened difference, the BLAS dot of ``np.vdot``, so
+    a stack's losses are bitwise each pair's alone."""
+    u = np.asarray(u, dtype=np.complex128)
+    t = np.asarray(target, dtype=np.complex128)
+    if u.shape != t.shape or u.ndim < 2 or u.shape[-2] != u.shape[-1]:
         raise ValueError(f"shape mismatch: {u.shape} vs {t.shape}")
-    diff = (u - t).ravel()
-    n = u.shape[0]
-    return float(np.vdot(diff, diff).real) / (n * n)
+    size = u.shape[-1] ** 2
+    diff = (u - t).reshape(*u.shape[:-2], size)
+    losses = np.vecdot(diff, diff).real / size
+    return float(losses) if u.ndim == 2 else losses
 
 
 def normal_equations(

@@ -60,6 +60,8 @@ def _ranged(kind, ok, rule: str):
 _count = _ranged(int, lambda v: v >= 1, ">= 1")
 _sigma_k = _ranged(float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
 _target_loss = _ranged(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
+_out_file = _ranged(Path, lambda v: v.parent.is_dir() and not v.is_dir(),
+                    "a file in an existing directory")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_count, default=1)
     p.add_argument("--seed", type=int, default=0)
     out = p.add_mutually_exclusive_group()
-    out.add_argument("--out", type=Path, help="output file (count must be 1)")
+    out.add_argument("--out", type=_out_file, help="output file (count must be 1)")
     out.add_argument("--out-dir", type=Path, default=Path("."),
                      help="output directory for numbered files")
 
@@ -89,14 +91,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iterations", type=_count, default=400)
     p.add_argument("--target-loss", type=_target_loss, default=1e-10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=Path, default=Path("phases.json"))
+    p.add_argument("--out", type=_out_file, default="phases.json")
 
     p = sub.add_parser("apply", help="compose a phase file into a transfer matrix")
     p.set_defaults(handler=_cmd_apply)
     p.add_argument("--phases", type=Path, required=True)
     p.add_argument("--sigma-k", type=_sigma_k, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=Path, default=Path("matrix.json"))
+    p.add_argument("--out", type=_out_file, default="matrix.json")
 
     p = sub.add_parser("calibrate", help="re-optimize phases against perturbed mixers")
     p.set_defaults(handler=_cmd_calibrate)
@@ -108,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="iteration cap per attempt (truncated descent)")
     p.add_argument("--target-loss", type=_target_loss, default=1e-10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=Path, default=Path("phases_calibrated.json"))
+    p.add_argument("--out", type=_out_file, default="phases_calibrated.json")
 
     p = sub.add_parser("experiment", help="run a named study")
     p.set_defaults(handler=_cmd_experiment)

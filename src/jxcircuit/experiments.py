@@ -41,7 +41,7 @@ from .circuit import (
 )
 from .lattice import relative_deviation
 from .optimizer import LmaOptions, fit_targets
-from .sampling import derive_seed, haar_unitary, jitter_phases, uniform_phases
+from .sampling import TWO_PI, derive_seed, haar_unitary, jitter_phases, uniform_phases
 from .svgplot import histogram_svg, scatter_svg
 
 __all__ = [
@@ -419,7 +419,7 @@ def _random_fault_plan(
                 break
     else:
         raise ValueError(f"unknown fault placement mode {mode!r}")
-    values = rng.uniform(0.0, 2.0 * np.pi, size=k)
+    values = rng.uniform(0.0, TWO_PI, size=k)
     # the positions are distinct, so this sorts by (layer, port)
     return sorted((mm, pp, float(v)) for (mm, pp), v in zip(positions, values))
 

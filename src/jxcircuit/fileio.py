@@ -116,7 +116,8 @@ def write_text(path, text: str) -> None:
 
     The text goes to a temporary file beside ``path`` that replaces it only
     once complete, so an interrupted write leaves the previous file intact
-    and no partial one behind.
+    and no partial one behind.  An ``OSError`` names ``path``, not the
+    temporary file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -124,8 +125,11 @@ def write_text(path, text: str) -> None:
         with open(tmp, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
     finally:
-        tmp.unlink(missing_ok=True)
+        if tmp.exists():  # False too where the directory is a file
+            tmp.unlink()
 
 
 def write_matrix(path, matrix) -> None:

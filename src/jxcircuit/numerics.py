@@ -2,10 +2,8 @@
 
 Thin, contract-enforcing wrappers around LAPACK (via ``numpy.linalg``).
 The rest of the package relies on the guarantees made here: Hermiticity
-is validated before any eigendecomposition, matrix exponentials of
-Hermitian generators are unitary by construction (spectral form), and QR
-follows the positive-diagonal convention so that the Q factor of a
-complex Gaussian matrix is already correctly phase-normalized.
+is validated before any eigendecomposition, and matrix exponentials of
+Hermitian generators are unitary by construction (spectral form).
 
 :class:`SpdSolver` solves the optimizer's damped normal equations
 ``(J'J + mu I) x = -g``, one scalar shift ``mu`` per lane, for the lanes
@@ -26,10 +24,8 @@ __all__ = [
     "SpdSolver",
     "as_complex_matrix",
     "require_hermitian",
-    "eig_hermitian",
     "expm_i_scaled",
     "frobenius_norm",
-    "qr_unitary",
     "unitarity_defect",
 ]
 
@@ -70,37 +66,29 @@ def require_hermitian(a) -> np.ndarray:
     return m
 
 
-def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues ``w`` (ascending) and eigenvectors ``v`` with ``A = V diag(w) V†``,
-    for a matrix or for each matrix of a stack (..., N, N).
-
-    Raises ``ValueError`` for non-Hermitian input and propagates
-    ``numpy.linalg.LinAlgError`` if the iteration fails to converge, so a
-    bad decomposition is never returned silently.
-    """
-    m = require_hermitian(a)
-    w, v = np.linalg.eigh(m)
-    if not (np.isfinite(w).all() and np.isfinite(v).all()):
-        raise np.linalg.LinAlgError("eigendecomposition produced non-finite values")
-    return w, v
-
-
 def expm_i_scaled(a, t: float) -> np.ndarray:
     """``exp(i t A)`` for Hermitian ``A``, or for each matrix of a stack
     (..., N, N), computed spectrally.
 
-    The result is ``V diag(e^{i t w}) V†``, unitary up to roundoff for any
-    real ``t``; degenerate eigenvalues need no special handling.
+    The result is ``V diag(e^{i t w}) V†`` from the eigenpairs ``w``, ``V``
+    of ``A``, unitary up to roundoff for any real ``t``; degenerate
+    eigenvalues need no special handling.  Raises ``ValueError`` for
+    non-Hermitian input and ``numpy.linalg.LinAlgError`` if the
+    eigendecomposition fails to converge or is not finite.
     """
-    w, v = eig_hermitian(a)
+    w, v = np.linalg.eigh(require_hermitian(a))
+    if not (np.isfinite(w).all() and np.isfinite(v).all()):
+        raise np.linalg.LinAlgError("eigendecomposition produced non-finite values")
     phase = np.exp(1j * float(t) * w)
     return (v * phase[..., None, :]) @ v.conj().swapaxes(-2, -1)
 
 
-def frobenius_norm(a) -> float:
-    """``sqrt(sum |a_ij|^2)``, zero only for the zero matrix."""
+def frobenius_norm(a):
+    """``sqrt(sum |a_ij|^2)``, zero only for the zero matrix: a float for a
+    matrix, and an array of one per matrix for a stack (..., N, N)."""
     m = np.asarray(a, dtype=np.complex128)
-    return float(np.sqrt((m.real**2 + m.imag**2).sum()))
+    norms = np.sqrt((m.real**2 + m.imag**2).sum(axis=(-2, -1)))
+    return float(norms) if m.ndim == 2 else norms
 
 
 def unitarity_defect(a):
@@ -111,33 +99,7 @@ def unitarity_defect(a):
     if m.ndim < 2:
         raise ValueError(f"expected a matrix or a stack of them, got shape {m.shape}")
     with np.errstate(invalid="ignore", over="ignore"):
-        d = m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])
-        return np.sqrt((d.real**2 + d.imag**2).sum(axis=(-2, -1)))
-
-
-def qr_unitary(a) -> tuple[np.ndarray, np.ndarray]:
-    """QR factorization with R's diagonal made real and positive.
-
-    The diagonal phases of R are absorbed into Q, which makes Q of a
-    complex Ginibre draw distributed with the correct invariant measure.
-    Rank-deficient input (within ``n * eps`` of the largest pivot) is
-    rejected rather than silently factorized.
-    """
-    m = as_complex_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"qr_unitary expects a square matrix, got shape {m.shape}")
-    q, r = np.linalg.qr(m)
-    d = np.diagonal(r).copy()
-    if d.size:
-        tol = m.shape[0] * np.finfo(float).eps * float(np.abs(d).max())
-        if float(np.abs(d).min()) <= tol:
-            raise np.linalg.LinAlgError("matrix is rank deficient within tolerance")
-    ph = d / np.abs(d)
-    q = q * ph[None, :]
-    r = ph.conj()[:, None] * r
-    if not (np.isfinite(q).all() and np.isfinite(r).all()):
-        raise np.linalg.LinAlgError("QR produced non-finite values")
-    return q, r
+        return frobenius_norm(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1]))
 
 
 try:  # numpy.linalg's library, with the LAPACK and BLAS it links

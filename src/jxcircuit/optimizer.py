@@ -59,6 +59,7 @@ from .circuit import (
     FitResult,
     InterlacedCircuit,
     PhaseProgram,
+    loss,
     normal_equations,
     prefix_products,
 )
@@ -145,11 +146,8 @@ class _Problem:
         into the slots."""
         count = len(xs)
         self._flat[:count, self._positions] = xs
-        u = prefix_products(self._lane_mixers[:, :count], self._grids[:count],
-                            self._sweep[:, :count])
-        diff = (u - self._lane_targets[:count]).reshape(count, -1)
-        # per row the BLAS dot of np.vdot, so each loss is bitwise a lone lane's
-        return np.vecdot(diff, diff).real / diff.shape[1]
+        return loss(prefix_products(self._lane_mixers[:, :count], self._grids[:count],
+                                    self._sweep[:, :count]), self._lane_targets[:count])
 
     def normal_equations(self, rows, gram: np.ndarray, jtj: np.ndarray) -> np.ndarray:
         """``circuit.normal_equations`` at the points that ``rows`` (a slice

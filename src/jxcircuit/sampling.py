@@ -13,8 +13,6 @@ import hashlib
 
 import numpy as np
 
-from .numerics import qr_unitary
-
 __all__ = [
     "derive_seed",
     "haar_unitary",
@@ -33,18 +31,17 @@ def derive_seed(master_seed: int, label: str, index: int = 0) -> int:
 
 
 def haar_unitary(n: int, seed) -> np.ndarray:
-    """Haar-distributed n x n unitary.
-
-    QR of a complex Ginibre draw; the positive-diagonal convention of
-    ``qr_unitary`` applies exactly the diagonal phase correction that
-    makes Q uniform on the unitary group.
-    """
+    """Haar-distributed n x n unitary: the Q factor of the QR factorization
+    of a complex Ginibre draw, with the phases of R's diagonal absorbed into
+    Q so that R's diagonal is real and positive, exactly the correction that
+    makes Q uniform on the unitary group."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, _ = qr_unitary(z)
-    return q
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 def gaussian_hermitian(n: int, seed) -> np.ndarray:

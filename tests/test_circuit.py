@@ -150,9 +150,25 @@ class TestLoss:
     def test_diagonal_example(self):
         assert abs(loss(np.eye(2), np.diag([1.0, -1.0])) - 1.0) < 1e-15
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match=r"shape mismatch: \(2, 2\) vs \(3, 3\)$"):
-            loss(np.eye(2), np.eye(3))
+    @pytest.mark.parametrize("u, target, shapes", [
+        (np.eye(2), np.eye(3), r"\(2, 2\) vs \(3, 3\)"),
+        (np.zeros((2, 3, 3)), np.eye(3), r"\(2, 3, 3\) vs \(3, 3\)"),
+        (np.zeros((2, 3)), np.zeros((2, 3)), r"\(2, 3\) vs \(2, 3\)"),
+        (np.zeros(4), np.zeros(4), r"\(4,\) vs \(4,\)"),
+    ])
+    def test_shape_mismatch_rejected(self, u, target, shapes):
+        with pytest.raises(ValueError, match=f"shape mismatch: {shapes}$"):
+            loss(u, target)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (5, 3, 3), (2, 3, 4, 4), (4, 17, 17)])
+    def test_a_stack_gives_each_pairs_loss_bitwise(self, shape):
+        rng = np.random.default_rng(shape[-1])
+        u, t = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "ut")
+        losses = loss(u, t)
+        assert losses.shape == shape[:-2]
+        for index in np.ndindex(shape[:-2]):
+            alone = loss(u[index], t[index])
+            assert type(alone) is float and losses[index] == alone
 
 
 class TestResiduals:

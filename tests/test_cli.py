@@ -273,6 +273,34 @@ def test_bad_count_is_named_before_any_output_is_made_or_input_read(tmp_path, ca
     assert "argument --layers: must be >= 1, got 0" in err and "missing.json" not in err
 
 
+WRITERS = [  # each command that writes one file, and its default name
+    (("haar", "--ports", 2), None),
+    (("decompose", "--target", "t.json", "--layers", 3), "phases.json"),
+    (("apply", "--phases", "p.json"), "matrix.json"),
+    (("calibrate", "--target", "t.json", "--phases", "p.json", "--sigma-k", 0.003),
+     "phases_calibrated.json"),
+]
+
+
+@pytest.mark.parametrize("argv, out, directory", [
+    (argv, out, "adir") for argv, _ in WRITERS for out in ("nodir/out.json", "adir", "")
+] + [(argv, None, default) for argv, default in WRITERS if default is not None])
+def test_an_unwritable_out_is_usage_error_before_any_input_is_read(
+        tmp_path, capsys, monkeypatch, argv, out, directory):
+    # a missing directory, an existing directory, the working directory, or
+    # the command's default name taken by a directory; nothing is read,
+    # fitted or written
+    monkeypatch.chdir(tmp_path)
+    for name in ("fit", "haar_unitary", "read_matrix", "read_phases"):
+        monkeypatch.setattr(jxcircuit.cli, name, lambda *args, **kw: pytest.fail("ran"))
+    (tmp_path / directory).mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert run(*argv, *(() if out is None else ("--out", out))) == 2
+    err = capsys.readouterr().err
+    assert "argument --out: must be a file in an existing directory, got " in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_help_and_version_return_zero(capsys):
     assert main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: jxcircuit")

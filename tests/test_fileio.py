@@ -191,6 +191,21 @@ class TestWriteText:
         assert path.read_bytes() == b"a,b\r\nc\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
+    @pytest.mark.parametrize("name, error", [("nodir/out.csv", FileNotFoundError),
+                                             ("afile/out.csv", NotADirectoryError),
+                                             ("adir", IsADirectoryError)])
+    def test_an_error_names_the_destination_and_leaves_no_temporary_file(
+            self, tmp_path, name, error):
+        # the temporary file cannot be made (no directory, or a file in its
+        # place), or cannot replace the destination (a directory)
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("")
+        path = tmp_path / name
+        with pytest.raises(error) as caught:
+            write_text(path, "text\n")
+        assert caught.value.filename == str(path) and ".tmp" not in str(caught.value)
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "afile"]
+
 
 class TestMetadata:
     def test_round_trip(self, tmp_path):

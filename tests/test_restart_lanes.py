@@ -306,6 +306,23 @@ def test_normal_equations_from_stored_prefixes_equal_a_fresh_sweep(n, m, seed, d
     check(points[[2, 0]], np.array([2, 0]), losses[[2, 0]])
 
 
+@pytest.mark.parametrize("n, m, lanes", [(1, 1, 1), (3, 2, 4), (4, 5, 7), (6, 3, 3)])
+def test_each_seated_slots_loss_is_its_fits_loss_alone(n, m, lanes):
+    # slots seated in any order with the mixers and targets of two fits
+    fixed = np.zeros((m, n), dtype=bool)
+    circuits = [haar_circuit(n, m, 80 + f, fixed) for f in range(2)]
+    targets = np.stack([haar_unitary(n, 90 + f) for f in range(2)])
+    program = circuits[0].program
+    problem = _Problem([c.mixers for c in circuits], program, targets, lanes)
+    slots, fits = list(range(lanes))[::-1], [s % 2 for s in range(lanes)]
+    problem.seat(slots, fits)
+    xs = np.random.default_rng(n).uniform(0.0, 2 * np.pi, (lanes, program.free_count))
+    losses = problem.losses(xs)
+    for slot, f in zip(slots, fits):
+        theta = program.with_free_values(xs[slot]).theta
+        assert losses[slot] == loss(transfer_matrix(circuits[f].mixers, theta), targets[f])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 9), st.integers(0, 2**32 - 1), st.data())
 def test_each_tick_stacks_the_normal_equations_of_its_lanes(n, m, seed, data):

@@ -20,6 +20,21 @@ def test_haar_unitarity_and_determinism():
     assert frobenius_norm(haar_unitary(4, 1) - haar_unitary(4, 2)) > 1e-3
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 9])
+def test_haar_unitary_is_the_q_factor_of_its_draw_with_positive_diagonal(n):
+    # the seeded Ginibre draw z, rebuilt: U^H z is upper triangular with a
+    # real positive diagonal, the R of z = U R
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        u = haar_unitary(n, seed)
+        r = u.conj().T @ z
+        scale = np.abs(r).max()
+        assert np.abs(np.tril(r, -1)).max(initial=0.0) < 1e-13 * scale
+        d = np.diagonal(r)
+        assert (d.real > 0).all() and np.abs(d.imag).max() < 1e-13 * scale
+
+
 def test_haar_single_port_uniform_phase():
     rng = np.random.default_rng(5)
     draws = np.array([haar_unitary(1, rng)[0, 0] for _ in range(10_000)])
